@@ -26,12 +26,7 @@ from .hfun import (
     HFunction,
     asym_tent,
     from_g,
-    g_of,
-    invert,
     power_mean,
-    r_of,
-    star,
-    swap,
     t_of,
     validate,
 )

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dist, evolve, mc, moments, proofcheck, serpar
 from .hfun import F_HIP_MINUS, F_HIP_PLUS, F_SUM, asym_tent, power_mean
-from .models import ModelSpec, builtin
+from .models import ModelSpec, apply_mixture, builtin
 
 ZETA3 = 1.2020569031595942854
 PI2_6 = math.pi**2 / 6.0
@@ -83,15 +83,7 @@ def _one_step_mc(model: ModelSpec, init: dist.GridCDF, N: int, seed: int) -> np.
     rng = np.random.default_rng(seed)
     a = np.interp(rng.random(N), init.cdf, init.grid())
     b = np.interp(rng.random(N), init.cdf, init.grid())
-    cum = np.cumsum(model.weights)
-    cum[-1] = 1.0
-    which = np.searchsorted(cum, rng.random(N), side="right")
-    out = np.empty(N)
-    for k, (_, f) in enumerate(model.atoms):
-        mask = which == k
-        if mask.any():
-            out[mask] = f.log_eval(a[mask], b[mask])
-    return out
+    return apply_mixture(model, rng, a, b)
 
 
 def _c4_one_step_oracle():

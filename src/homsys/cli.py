@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every run writes a JSON summary carrying the seed, a stable model digest, the
-tolerances, and the package version, so any output can be reproduced from its
-summary alone.  Exit codes: 0 success, 1 validation failure, 2 numerical
-failure, 64 usage error.
+Every run writes a JSON summary carrying the package version, the command
+line it was given, the model name and a digest of the model content, the
+seed and the tolerances.  The model itself is not embedded: repeating a run
+whose model came from a JSON file needs that file too.  Exit codes:
+0 success, 1 validation failure, 2 numerical failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__, dist, evolve, mc, moments, proofcheck, serpar
 from .acceptance import run_criteria
-from .errors import DegenerateModelError, DomainError, HomsysError, InvalidProfileError
+from .errors import DegenerateModelError, DomainError, HomsysError
 from .models import classify, model_digest, parse_model
 
 USAGE_EXIT = 64
@@ -44,6 +46,18 @@ def _write_json(path: str | None, payload: dict) -> None:
         print(text)
 
 
+@contextmanager
+def _csv_out(args, header: str):
+    """The CSV stream of a run, header written: <out>.csv with --out, else stdout."""
+    fh = open(args.out + ".csv", "w") if args.out else sys.stdout
+    try:
+        fh.write(header + "\n")
+        yield fh
+    finally:
+        if args.out:
+            fh.close()
+
+
 def _threads(args) -> int:
     if args.threads is not None:
         return args.threads
@@ -51,7 +65,7 @@ def _threads(args) -> int:
 
 
 def _base_summary(args, model=None) -> dict:
-    payload = {"version": __version__, "argv": sys.argv[1:]}
+    payload = {"version": __version__, "argv": args.argv}
     if model is not None:
         payload["model"] = model.name
         payload["model_digest"] = model_digest(model)
@@ -119,17 +133,11 @@ def _cmd_simulate(args) -> int:
         exponent=args.exponent,
     )
     records = []
-    csv_path = (args.out + ".csv") if args.out else None
-    fh = open(csv_path, "w") if csv_path else sys.stdout
-    try:
-        fh.write("n,x,cdf,cdf_limit,density\n")
+    with _csv_out(args, "n,x,cdf,cdf_limit,density") as fh:
         for s in summaries:
             emp = dist.from_samples(s.rescaled, m=args.grid, pad=0.05)
             _emit_checkpoint_csv(fh, s.n, emp.grid(), emp.cdf, s.law)
             records.append({"n": s.n, "scale": s.scale, "ks": s.ks, "quantiles": _quantiles(s.rescaled)})
-    finally:
-        if csv_path:
-            fh.close()
     payload = _base_summary(args, model)
     payload.update({"n": args.n, "pool": args.pool, "init": args.init, "checkpoints": records})
     _write_json((args.out + ".json") if args.out else None, payload)
@@ -143,19 +151,13 @@ def _cmd_evolve(args) -> int:
     x = np.linspace(-width, width, 257)
     init = dist.GridCDF(-width, width, np.clip((x + width) / (2 * width), 0.0, 1.0))
     cps = evolve.run(init, model, args.n, checkpoints, tol=args.tol, m=args.grid)
-    csv_path = (args.out + ".csv") if args.out else None
-    fh = open(csv_path, "w") if csv_path else sys.stdout
     records = []
-    try:
-        fh.write("n,x,cdf,cdf_limit,density\n")
+    with _csv_out(args, "n,x,cdf,cdf_limit,density") as fh:
         for cp in cps:
             g = cp.dist
             stride = max(1, g.m // 2048)
-            _emit_checkpoint_csv(fh, cp.n, g.grid()[::stride], g.cdf[::stride], "cubic")
+            _emit_checkpoint_csv(fh, cp.n, g.grid()[::stride], g.cdf[::stride], cp.law)
             records.append({"n": cp.n, "scale": cp.scale, "ks": cp.ks})
-    finally:
-        if csv_path:
-            fh.close()
     payload = _base_summary(args, model)
     payload.update({"n": args.n, "grid": args.grid, "checkpoints": records})
     _write_json((args.out + ".json") if args.out else None, payload)
@@ -178,11 +180,8 @@ def _cmd_serpar(args) -> int:
     else:
         rows = [one(s) for s in seeds]
 
-    csv_path = (args.out + ".csv") if args.out else None
-    fh = open(csv_path, "w") if csv_path else sys.stdout
     max_rel_r, dist_mismatch = 0.0, 0
-    try:
-        fh.write("seed,R_reduce,R_exact,D_reduce,D_exact\n")
+    with _csv_out(args, "seed,R_reduce,R_exact,D_reduce,D_exact") as fh:
         for seed, r_red, r_ex, d_red, d_ex in rows:
             if r_ex is not None:
                 max_rel_r = max(max_rel_r, abs(r_ex - r_red) / r_red)
@@ -191,9 +190,6 @@ def _cmd_serpar(args) -> int:
                 f"{seed},{_fmt(r_red)},{'' if r_ex is None else _fmt(r_ex)},"
                 f"{_fmt(d_red)},{'' if d_ex is None else _fmt(d_ex)}\n"
             )
-    finally:
-        if csv_path:
-            fh.close()
     payload = _base_summary(args)
     payload.update(
         {"p": args.p, "n": args.n, "seeds": args.seeds, "check_exact": bool(args.check_exact),
@@ -209,15 +205,9 @@ def _cmd_lambda_check(args) -> int:
     c = args.c_star if args.c_star is not None else moments.c_star(model, args.tol)
     params = proofcheck.ProofParams(c_star=c, eta=args.eta, delta=args.delta, delta1=args.delta1)
     n0, history = proofcheck.find_n0(model, params, n_max=hi, n_min=lo, points=args.vgrid)
-    csv_path = (args.out + ".csv") if args.out else None
-    fh = open(csv_path, "w") if csv_path else sys.stdout
-    try:
-        fh.write("n,min_residual,argmin_v\n")
+    with _csv_out(args, "n,min_residual,argmin_v") as fh:
         for rep in history:
             fh.write(f"{rep.n},{_fmt(rep.min_residual)},{_fmt(rep.argmin_v)}\n")
-    finally:
-        if csv_path:
-            fh.close()
     payload = _base_summary(args, model)
     payload.update(
         {"n_range": [lo, hi], "vgrid": args.vgrid, "c_star": c, "n0_found": n0 is not None, "n0": n0,
@@ -314,9 +304,10 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.fn(args)
-    except (DomainError, InvalidProfileError, DegenerateModelError) as exc:
+    except (DomainError, DegenerateModelError) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return 1
     except HomsysError as exc:

@@ -14,18 +14,17 @@ the result is deterministic regardless of evaluation order.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import GridCDF, ks, limit_cdf, rescale
+from .dist import GridCDF, ks, rescale
 from .errors import ClampBudgetExceededError, DomainError, HomsysError, RegridRequiredError
 from .hfun import HFunction, t_of, t_support_end
-from .models import ModelSpec, classify, resolve_scaling
-from .quadrature import adaptive_simpson, integrate_tail
+from .models import ModelSpec, resolve_scaling
+from .quadrature import integrate_geometric, integrate_panels
 
-__all__ = ["lambda_of", "lambda_operator", "step", "step_detailed", "run", "StepDiagnostics", "RunCheckpoint"]
+__all__ = ["lambda_operator", "step", "step_detailed", "run", "StepDiagnostics", "RunCheckpoint"]
 
 _EDGE_EPS = 1e-12
 CLAMP_ABORT_BUDGET = 1e-6
@@ -74,45 +73,10 @@ def lambda_operator(
         tb = (v - k) if eps == +1 else (k - v)
         if 0.0 < tb < t_cut:
             edges.add(tb)
-    edges = sorted(edges)
-    per = tol / max(len(edges) - 1, 1)
-    total = sum(adaptive_simpson(integrand, a, b, per) for a, b in zip(edges, edges[1:]))
+    total = integrate_panels(integrand, sorted(edges), tol)
     if t_zero is None and t_cut < t_psi:
-        total += integrate_tail(integrand, t_cut, tol / 4.0)
+        total += integrate_geometric(integrand, t_cut, 2.0, tol / 4.0)
     return total if eps == +1 else -total
-
-
-def lambda_of(
-    psi,
-    Psi: GridCDF,
-    f: HFunction,
-    v: float,
-    tol: float = 1e-10,
-    psi_breaks: tuple[float, ...] | None = None,
-) -> float:
-    """Lambda at a single point.
-
-    psi is the density of Psi, either sampled on Psi's grid (an array, checked
-    by re-integration) or an exact callable; psi_breaks lists density kinks
-    where the t-quadrature should split (defaults to the grid ends).
-    """
-    x = Psi.grid()
-    if callable(psi):
-        psi_fn = psi
-    else:
-        psi = np.asarray(psi, dtype=float)
-        if psi.shape != x.shape:
-            raise DomainError("psi must be sampled on the grid of Psi")
-        approx = Psi.atom_neg_inf + np.concatenate([[0.0], np.cumsum((psi[1:] + psi[:-1]) * 0.5 * Psi.h)])
-        if np.max(np.abs(approx - Psi.cdf)) > 0.03:
-            raise DomainError("psi is not the density of Psi")
-
-        def psi_fn(u: float) -> float:
-            return float(np.interp(u, x, psi, left=0.0, right=0.0))
-
-    if psi_breaks is None:
-        psi_breaks = (Psi.lo, Psi.hi)
-    return lambda_operator(psi_fn, Psi, f, v, tol, support=(Psi.lo, Psi.hi), psi_breaks=psi_breaks)
 
 
 # -- vectorized grid step -------------------------------------------------------
@@ -250,6 +214,7 @@ class RunCheckpoint:
     scale: float
     ks: float
     dist: GridCDF
+    law: str
 
 
 def run(
@@ -265,22 +230,12 @@ def run(
 ) -> list[RunCheckpoint]:
     """Evolve the grid law n_steps times, recording rescaled checkpoints.
 
-    The domain is allocated once, sized from the cube-root growth of the
-    support, so no regridding happens mid-run.  Checkpoint laws are rescaled
-    by (scale_constant * n)^exponent and compared to the limit CDF.
+    The domain is allocated once, sized from the growth (scale_constant *
+    n_steps)^exponent of the support, so no regridding happens mid-run.
+    Checkpoint laws are rescaled by (scale_constant * n)^exponent and compared
+    to the limit CDF; missing scaling arguments are filled by resolve_scaling.
     """
-    report = classify(model)
-    if report.regime != "cbrt" and law is None:
-        warnings.warn(f"model regime is {report.regime!r}, not cbrt; checkpoints compare against the cubic law anyway")
-    scaling = resolve_scaling(model) if (law is None or scale_constant is None) else None
-    if law is None:
-        law = scaling[0] if scaling else "cubic"
-    if scale_constant is None:
-        if scaling is None:
-            raise DomainError("no scaling constant known for this model; pass scale_constant")
-        scale_constant = scaling[1]
-    if exponent is None:
-        exponent = scaling[2] if scaling else 1.0 / 3.0
+    law, scale_constant, exponent = resolve_scaling(model, law, scale_constant, exponent)
     checkpoints = tuple(sorted(set(checkpoints)))
     if checkpoints and checkpoints[-1] > n_steps:
         raise DomainError("checkpoints must not exceed n_steps")
@@ -306,5 +261,5 @@ def run(
         if n in cp:
             scale = (scale_constant * n) ** exponent
             r = rescale(d, scale)
-            out.append(RunCheckpoint(n, scale, ks(r, law), r))
+            out.append(RunCheckpoint(n, scale, ks(r, law), r, law))
     return out

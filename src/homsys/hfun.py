@@ -11,9 +11,10 @@ where g >= 0 is 1-Lipschitz, nonincreasing on [0, inf), nondecreasing on
 every evaluation goes through the correspondence above, which makes
 homogeneity and the boundary limits automatic.
 
-The module also provides the dualities (reflection, inversion, the positive
-representative ``star``), the crossing function ``t_of`` and the corner value
-``r_of`` that drive all moment integrals downstream.
+The module also provides the dualities (the ``HFunction`` methods ``swap``,
+``invert`` and the positive representative ``star``), the crossing function
+``t_of`` and the corner value ``HFunction.r`` that drive all moment integrals
+downstream.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ __all__ = [
     "g_tent",
     "g_table",
     "from_g",
-    "g_of",
-    "eval_f",
-    "star",
-    "invert",
-    "swap",
     "t_of",
-    "r_of",
     "validate",
     "F_SUM",
     "F_PARALLEL",
@@ -112,18 +107,7 @@ class GFunction:
         z = np.asarray(z, dtype=float)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
-        az = np.abs(z)
-        if self.family == "zero":
-            out = np.zeros_like(z)
-        elif self.family == "softplus":
-            (a,) = self.params
-            out = a * np.log1p(np.exp(-az / a))
-        elif self.family == "tent":
-            sp, sm = self.params
-            out = np.where(z >= 0, np.maximum(0.0, 1.0 - sp * z), np.maximum(0.0, 1.0 + sm * z))
-        else:
-            out = np.interp(z, self.grid, self.values, left=0.0, right=0.0)
-        out = np.where(np.isfinite(z), out, 0.0)
+        out = np.where(np.isfinite(z), self._eval_finite(z), 0.0)
         return float(out[0]) if scalar else out
 
     def _eval_finite(self, z: np.ndarray) -> np.ndarray:
@@ -252,13 +236,6 @@ def _dual_label(label: str, op: str) -> str:
     return f"{label}^{op}" if label else ""
 
 
-# -- functional-style wrappers (the operation surface) -----------------------
-
-
-def eval_f(f: HFunction, x: float, y: float) -> float:
-    return f(x, y)
-
-
 def from_g(g: GFunction, eps: int, label: str = "") -> HFunction:
     """Construct the unique F with the given (eps, g) pair.
 
@@ -268,26 +245,6 @@ def from_g(g: GFunction, eps: int, label: str = "") -> HFunction:
     if g.family == "table":
         g._check_table()
     return HFunction(eps, g, label)
-
-
-def g_of(f: HFunction) -> GFunction:
-    return f.g
-
-
-def star(f: HFunction) -> HFunction:
-    return f.star()
-
-
-def invert(f: HFunction) -> HFunction:
-    return f.invert()
-
-
-def swap(f: HFunction) -> HFunction:
-    return f.swap()
-
-
-def r_of(f: HFunction) -> float:
-    return f.r
 
 
 def _crossing_closed_form(g: GFunction, t: float) -> float | None:

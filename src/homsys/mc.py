@@ -15,8 +15,7 @@ import numpy as np
 
 from .dist import GridCDF, ks
 from .errors import DomainError
-from .models import ModelSpec, resolve_scaling
-from .hfun import HFunction
+from .models import ModelSpec, apply_mixture, resolve_scaling
 
 __all__ = ["SamplePool", "new_pool", "pool_step", "simulate", "hipster_direct", "CheckpointSummary"]
 
@@ -59,27 +58,12 @@ def new_pool(model: ModelSpec, init, N: int, seed: int) -> SamplePool:
     return SamplePool(vals, 0, seed, model)
 
 
-def _apply_atoms(values: np.ndarray, model: ModelSpec, rng: np.random.Generator) -> np.ndarray:
-    N = values.size
-    idx = rng.integers(0, N, 2 * N)
-    u = rng.random(N)
-    a = values[idx[:N]]
-    b = values[idx[N:]]
-    cum = np.cumsum(model.weights)
-    cum[-1] = 1.0
-    which = np.searchsorted(cum, u, side="right")
-    out = np.empty(N)
-    for k, (_, f) in enumerate(model.atoms):
-        mask = which == k
-        if mask.any():
-            out[mask] = f.log_eval_finite(a[mask], b[mask])
-    return out
-
-
 def pool_step(pool: SamplePool) -> SamplePool:
     """One resampling step: each slot is log F applied to two uniform picks."""
     rng = _gen(pool.seed, _STREAM_STEP, pool.n + 1)
-    vals = _apply_atoms(pool.values, pool.model, rng)
+    N = pool.values.size
+    idx = rng.integers(0, N, 2 * N)
+    vals = apply_mixture(pool.model, rng, pool.values[idx[:N]], pool.values[idx[N:]])
     return SamplePool(vals, pool.n + 1, pool.seed, pool.model)
 
 
@@ -111,13 +95,7 @@ def simulate(
     """
     if n < 1 or N < 2:
         raise DomainError("need n >= 1 and N >= 2")
-    if law is None or scale_constant is None or exponent is None:
-        scaling = resolve_scaling(model)
-        if scaling is None:
-            raise DomainError("no limit law known for this model; pass law/scale_constant/exponent")
-        law = law or scaling[0]
-        scale_constant = scale_constant if scale_constant is not None else scaling[1]
-        exponent = exponent if exponent is not None else scaling[2]
+    law, scale_constant, exponent = resolve_scaling(model, law, scale_constant, exponent)
     checkpoints = tuple(sorted(set(checkpoints)))
     if checkpoints and checkpoints[-1] > n:
         raise DomainError("checkpoints must not exceed n")

@@ -3,6 +3,7 @@ criticality/regime classifier."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -11,8 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hfun
-from .errors import DegenerateModelError, DomainError
+from .errors import DomainError
 from .hfun import HFunction
+from .moments import alpha, c_star, gamma
 
 __all__ = [
     "ModelSpec",
@@ -21,6 +23,8 @@ __all__ = [
     "classify",
     "sample_f",
     "sample_indices",
+    "apply_mixture",
+    "resolve_scaling",
     "invert_model",
     "parse_model",
     "model_digest",
@@ -129,9 +133,23 @@ def sample_indices(model: ModelSpec, rng: np.random.Generator, size: int) -> np.
     return np.searchsorted(cum, rng.random(size), side="right")
 
 
-# -- criticality / regime -------------------------------------------------------
+def apply_mixture(model: ModelSpec, rng: np.random.Generator, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log F(e^a, e^b) elementwise for finite arrays, with an independent atom F
+    of the mixture drawn per element.
 
-REGIMES = ("bounded", "linear", "sqrt", "cbrt", "unknown")
+    The atom indices are the only draws made here, after any draws of the
+    caller, so the caller's random stream keeps its order.
+    """
+    which = sample_indices(model, rng, a.size)
+    out = np.empty(a.size)
+    for k, f in enumerate(model.functions):
+        mask = which == k
+        if mask.any():
+            out[mask] = f.log_eval_finite(a[mask], b[mask])
+    return out
+
+
+# -- criticality / regime -------------------------------------------------------
 
 #: Proved square-root scaling constants, keyed by builtin model name.
 KNOWN_SQRT_CONSTANTS = {
@@ -171,16 +189,13 @@ def classify(model: ModelSpec, tol: float = 1e-10) -> CriticalityReport:
     (E[eps] = 0 and E[Gamma^(0,1) eps] = 0 with a nontrivial mixture); the
     other labels follow the conjectured parameter regions and are heuristic.
     """
-    from .moments import alpha as alpha_integral
-    from .moments import gamma
-
     w = model.weights
     eps = np.array([f.eps for f in model.functions], dtype=float)
     p = float(w[eps > 0].sum())
     e_eps = float((w * eps).sum())
     g01 = np.array([gamma(f, 0.0, 1.0, tol) for f in model.functions])
     e_g01_eps = float((w * eps * g01).sum())
-    ints = np.array([alpha_integral(f.g, tol) for f in model.functions])
+    ints = np.array([alpha(f.g, tol) for f in model.functions])
     wp = float(w[eps > 0].sum())
     wm = float(w[eps < 0].sum())
     a_plus = float((w * ints)[eps > 0].sum() / wp) if wp > 0 else 0.0
@@ -217,22 +232,37 @@ def classify(model: ModelSpec, tol: float = 1e-10) -> CriticalityReport:
     return CriticalityReport(p, e_eps, e_g01_eps, a_plus, a_minus, regime, nontrivial, notes)
 
 
-def resolve_scaling(model: ModelSpec, tol: float = 1e-8):
-    """(law_tag, constant, exponent) for rescaling log X_n at checkpoints.
+def resolve_scaling(
+    model: ModelSpec,
+    law: str | None = None,
+    scale_constant: float | None = None,
+    exponent: float | None = None,
+    tol: float = 1e-8,
+) -> tuple[str, float, float]:
+    """(law, constant, exponent) for rescaling log X_n by (constant n)^exponent.
 
-    cbrt models use the computed c* with exponent 1/3; sqrt models use the
-    proved constants where known.  Returns None when no limit law applies.
+    The arguments given are kept; the missing ones come from one
+    classification of the model.  cbrt models use the cubic law with the
+    computed c* and exponent 1/3; sqrt models use the y^2 law with the proved
+    constants where known and exponent 1/2.  Raises DomainError when some are
+    missing and no limit law is known for the model.
     """
-    from .moments import c_star
-
-    report = classify(model, tol)
-    if report.regime == "cbrt":
-        return "cubic", c_star(model, tol), 1.0 / 3.0
-    if report.regime == "sqrt":
-        const = KNOWN_SQRT_CONSTANTS.get(model.name)
-        if const is not None:
-            return "linear_half", const, 0.5
-    return None
+    if law is not None and scale_constant is not None and exponent is not None:
+        return law, scale_constant, exponent
+    regime = classify(model, tol).regime
+    if regime == "cbrt":
+        known = ("cubic", c_star(model, tol), 1.0 / 3.0)
+    elif regime == "sqrt" and model.name in KNOWN_SQRT_CONSTANTS:
+        known = ("linear_half", KNOWN_SQRT_CONSTANTS[model.name], 0.5)
+    else:
+        raise DomainError(
+            f"no limit law known for model {model.name!r} (regime {regime!r}); pass law, scale_constant and exponent"
+        )
+    return (
+        known[0] if law is None else law,
+        known[1] if scale_constant is None else scale_constant,
+        known[2] if exponent is None else exponent,
+    )
 
 
 # -- model spec files ----------------------------------------------------------
@@ -259,9 +289,18 @@ def parse_model(text: str) -> ModelSpec:
 
     Shorthand: ``hipster``, ``lazy_hipster``, ``resistance(0.5)``,
     ``distance(0.3)``, ``power_mean(1,-1)`` (equal weights).
-    JSON schema: ``{"name": ..., "atoms": [{"weight": w, "family": tag, ...params}]}``.
+    JSON schema: ``{"name": ..., "atoms": [{"weight": w, "family": tag, ...params}]}``,
+    the form written by ``model_to_dict``.  A malformed reference raises DomainError.
     """
-    text = text.strip()
+    try:
+        return _parse_model(text.strip())
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed model reference ({type(exc).__name__}: {exc})") from exc
+
+
+def _parse_model(text: str) -> ModelSpec:
     if os.path.isfile(text):
         with open(text) as fh:
             return _model_from_dict(json.load(fh))
@@ -294,29 +333,23 @@ def _model_from_dict(data: dict) -> ModelSpec:
 
 
 def model_to_dict(model: ModelSpec) -> dict:
+    """The JSON form that parse_model reads back (function labels are not kept)."""
     atoms = []
     for w, f in model.atoms:
         g = f.g
-        entry: dict = {"weight": w, "eps": f.eps, "profile": g.family}
-        if g.family == "softplus":
-            entry["scale"] = g.params[0]
+        if g.family == "zero":
+            entry = {"family": "max" if f.eps == +1 else "min"}
+        elif g.family == "softplus":
+            entry = {"family": "power_mean", "alpha": f.eps * g.params[0]}
         elif g.family == "tent":
-            entry["s_plus"], entry["s_minus"] = g.params
-        elif g.family == "table":
-            entry["grid"] = [float(z) for z in g.grid]
-            entry["values"] = [float(v) for v in g.values]
-        atoms.append(entry)
+            entry = {"family": "tent", "eps": f.eps, "s_plus": g.params[0], "s_minus": g.params[1]}
+        else:
+            entry = {"family": "table", "eps": f.eps, "grid": g.grid.tolist(), "values": g.values.tolist()}
+        atoms.append({"weight": w, **entry})
     return {"name": model.name, "atoms": atoms}
 
 
 def model_digest(model: ModelSpec) -> str:
-    """Stable hash of the model content, for reproducibility logs."""
-    import hashlib
-
+    """Stable hash of the model content (its model_to_dict form), for reproducibility logs."""
     blob = json.dumps(model_to_dict(model), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def ensure_nontrivial(model: ModelSpec) -> None:
-    if not model.is_nontrivial():
-        raise DegenerateModelError("every atom is max or min; all moment integrals vanish")

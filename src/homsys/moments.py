@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateModelError, DomainError
 from .hfun import GFunction, HFunction, t_of, t_support_end
-from .models import ModelSpec
-from .quadrature import adaptive_simpson, integrate_graded_left, integrate_panels, integrate_tail
+from .quadrature import adaptive_simpson, integrate_geometric, integrate_panels
+
+if TYPE_CHECKING:
+    from .models import ModelSpec
 
 __all__ = ["gamma", "m_eta", "alpha", "c_star", "check_ipp", "MomentTable", "moment_table", "model_moments"]
 
@@ -39,7 +42,7 @@ def gamma(f: HFunction, a: float, b: float, tol: float = 1e-10) -> float:
 
     t_end = t_support_end(f)
     anchor = min(1.0, r, t_end if t_end is not None else math.inf)
-    total = integrate_graded_left(h, anchor, tol / 4.0)
+    total = integrate_geometric(h, anchor, 0.5, tol / 4.0)
     if t_end is not None:
         edges = sorted({anchor, r, 1.0, t_end})
         edges = [e for e in edges if anchor <= e <= t_end]
@@ -48,7 +51,7 @@ def gamma(f: HFunction, a: float, b: float, tol: float = 1e-10) -> float:
         hi = max(2.0 * r, 2.0 * anchor, 2.0)
         edges = sorted({anchor, min(r, hi), hi})
         total += integrate_panels(h, edges, tol / 4.0)
-        total += integrate_tail(h, hi, tol / 4.0)
+        total += integrate_geometric(h, hi, 2.0, tol / 4.0)
     return total
 
 
@@ -63,16 +66,12 @@ def alpha(g: GFunction, tol: float = 1e-10) -> float:
     """One-sided area of a profile: integral of g over [0, inf)."""
     if g.is_zero:
         return 0.0
-    if g.family == "tent":
-        s_plus = g.params[0]
-        end = 1.0 / s_plus
-        return adaptive_simpson(lambda z: float(g(z)), 0.0, end, tol)
-    if g.family == "table":
-        end = float(g.grid[-1])
+    if g.family in ("tent", "table"):  # compact: g vanishes beyond its right end
+        end = 1.0 / g.params[0] if g.family == "tent" else float(g.grid[-1])
         return adaptive_simpson(lambda z: float(g(z)), 0.0, end, tol)
     hi = 4.0 * g.params[0]
     head = adaptive_simpson(lambda z: float(g(z)), 0.0, hi, tol / 2.0)
-    return head + integrate_tail(lambda z: float(g(z)), hi, tol / 2.0)
+    return head + integrate_geometric(lambda z: float(g(z)), hi, 2.0, tol / 2.0)
 
 
 def c_star(model: ModelSpec, tol: float = 1e-10) -> float:

@@ -2,10 +2,10 @@
 
 This module instantiates the deterministic schedule (tau_n, sigma_n, a_n and
 their tilde twins, beta_n, q_n), the piecewise-quadratic bridging densities,
-the per-n Lambda-condition inequality, the stochastic lower bound it yields,
-and the mixture-domination check.  Everything is computed with exact closed
-forms except the Lambda operator itself, which reuses the generic quadrature
-from the evolution module.
+the per-n Lambda-condition inequality and the stochastic lower bound it
+yields.  Everything is computed with exact closed forms except the Lambda
+operator itself, which reuses the generic quadrature from the evolution
+module.
 
 All "sufficiently large n" thresholds are outputs of numeric scans, never
 hard-coded.
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, ScheduleInfeasibleError
 from .evolve import lambda_operator
 from .models import ModelSpec
-from .quadrature import adaptive_simpson
+from .quadrature import integrate_panels
 
 __all__ = [
     "ProofParams",
@@ -35,8 +35,6 @@ __all__ = [
     "LambdaConditionReport",
     "find_n0",
     "lower_bound",
-    "domination_check",
-    "DominationReport",
     "default_v_grid",
 ]
 
@@ -197,12 +195,8 @@ def psi_n_quadrature(row: ScheduleRow, v: float, tol: float = 1e-12) -> float:
     lo = -row.sigma_tilde
     if v <= lo:
         return 0.0
-    edges = [e for e in (lo, 0.0, min(v, row.sigma)) if e <= v]
-    edges = sorted(set(edges + [min(v, row.sigma)]))
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        total += adaptive_simpson(lambda z: float(psi_n(row, z)), a, b, tol / max(len(edges) - 1, 1))
-    return min(total, 1.0)
+    edges = sorted({e for e in (lo, 0.0, min(v, row.sigma)) if e <= v})
+    return min(integrate_panels(lambda z: float(psi_n(row, z)), edges, tol), 1.0)
 
 
 # -- the Lambda condition -------------------------------------------------------
@@ -318,85 +312,3 @@ def lower_bound(params: ProofParams, n: int, x: float, c0: float = 0.0, n0: int 
         raise DomainError("need n >= n0")
     row = schedule(params, n)
     return (1.0 - row.q) * (1.0 - float(Psi_n(row, (x + params.delta) * row.tau + c0)))
-
-
-def c0_from_initial(params: ProofParams, n0: int, lambda0: float) -> float:
-    """The offset -log(lambda0) + sigma_{n0} for an initial floor P(X_0 <= lambda0) < q_{n0}."""
-    if not lambda0 > 0:
-        raise DomainError("lambda0 must be positive")
-    return -math.log(lambda0) + schedule(params, n0).sigma
-
-
-# -- domination of the mixture recursion -----------------------------------------
-
-
-@dataclass
-class DominationReport:
-    n: int
-    max_violation: float
-    ks_mc_vs_exact: float
-    v_grid: np.ndarray
-    z_next_cdf: np.ndarray
-    v_law_cdf: np.ndarray
-
-    @property
-    def dominated(self) -> bool:
-        return self.max_violation <= 0.0
-
-
-def domination_check(
-    model: ModelSpec,
-    params: ProofParams,
-    n: int,
-    N: int = 100_000,
-    seed: int = 1,
-    v_grid: np.ndarray | None = None,
-    tol: float = 1e-12,
-) -> DominationReport:
-    """Exact one-step law of the -infinity-seeded mixture vs the shifted next mixture.
-
-    Builds Z_n with CDF q_n + (1-q_n) Psi_n, computes the exact law of
-    V_n = log F(e^{Z_n}, e^{Z_n_hat}) via the mixture identity
-    q + (1-q) Psi(v) - (1-q)^2 E[Lambda](v) (valid when E[eps] = 0), checks
-    the pointwise domination CDF_{Z_{n+1}}(v + delta beta_n) >= CDF_{V_n}(v),
-    and cross-validates the exact law against a direct Monte Carlo draw.
-    """
-    eps_mean = float(sum(w * f.eps for w, f in model.atoms))
-    if abs(eps_mean) > 1e-12:
-        raise DomainError("the mixture identity requires E[eps] = 0")
-    row = schedule(params, n)
-    row1 = schedule(params, n + 1)
-    if v_grid is None:
-        v_grid = np.linspace(-row.sigma_tilde - 2.0, row.sigma + 2.0, 801)
-    v_grid = np.asarray(v_grid, dtype=float)
-    q0, q1 = row.q, row.q + q_increment(params, n)
-
-    v_cdf = np.empty_like(v_grid)
-    for i, v in enumerate(v_grid):
-        el = expected_lambda(model, row, float(v), tol)
-        v_cdf[i] = q0 + (1.0 - q0) * float(Psi_n(row, v)) - (1.0 - q0) ** 2 * el
-    z_next = q1 + (1.0 - q1) * np.asarray(Psi_n(row1, v_grid + params.delta * row.beta))
-    max_violation = float(np.max(v_cdf - z_next))
-
-    # Monte Carlo of the construction itself
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 3 << 48], dtype=np.uint64)))
-    xs = np.linspace(-row.sigma_tilde, row.sigma, 4097)
-    cdf_vals = np.asarray(Psi_n(row, xs))
-
-    def draw_z(size: int) -> np.ndarray:
-        z = np.interp(rng.random(size), cdf_vals, xs)
-        z[rng.random(size) < q0] = -np.inf
-        return z
-
-    za, zb = draw_z(N), draw_z(N)
-    cum = np.cumsum(model.weights)
-    cum[-1] = 1.0
-    which = np.searchsorted(cum, rng.random(N), side="right")
-    v_samples = np.empty(N)
-    for k, (_, f) in enumerate(model.atoms):
-        mask = which == k
-        if mask.any():
-            v_samples[mask] = f.log_eval(za[mask], zb[mask])
-    ecdf = np.searchsorted(np.sort(v_samples), v_grid, side="left") / N
-    ks_mc = float(np.max(np.abs(ecdf - v_cdf)))
-    return DominationReport(n, max_violation, ks_mc, v_grid, z_next, v_cdf)

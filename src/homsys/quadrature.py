@@ -1,8 +1,9 @@
 """Deterministic 1-d quadrature helpers.
 
-Adaptive Simpson on explicit panels, geometric grading toward an endpoint
-singularity, and geometric tail extension with a convergence guard.  All
-routines use absolute error targets; integrands are plain callables.
+Adaptive Simpson on explicit panels, and geometrically graded panels running
+from a point toward 0 (an endpoint singularity) or toward infinity (a tail),
+with a convergence guard.  All routines use absolute error targets; integrands
+are plain callables.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from .errors import IntegrationError
 __all__ = [
     "adaptive_simpson",
     "integrate_panels",
-    "integrate_graded_left",
-    "integrate_tail",
+    "integrate_geometric",
 ]
+
+_MAX_GEOMETRIC_PANELS = 120
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
@@ -56,43 +58,24 @@ def integrate_panels(f: Callable[[float], float], edges: list[float], tol: float
     return sum(adaptive_simpson(f, a, b, per) for a, b in spans)
 
 
-def integrate_graded_left(f: Callable[[float], float], b: float, tol: float, max_halvings: int = 120) -> float:
-    """Integrate f over (0, b] when f may diverge slowly (e.g. logarithmically) at 0.
+def integrate_geometric(f: Callable[[float], float], start: float, factor: float, tol: float) -> float:
+    """Integrate f from start toward 0 (factor 1/2) or toward infinity (factor 2).
 
-    Uses geometrically graded panels [b/2^{k+1}, b/2^k]; stops once a panel
+    Uses the geometrically graded panels between start * factor^k and
+    start * factor^(k+1).  Toward 0 this handles a slow (e.g. logarithmic)
+    divergence; toward infinity, a decaying tail.  Stops once a panel
     contributes less than tol/10 and the contributions shrink geometrically,
-    bounding the remainder by the tail of the geometric series.
+    bounding the remainder by the tail of the geometric series.  Raises
+    IntegrationError (with the partial sum) when the contributions grow six
+    panels in a row or the panel budget runs out.
     """
     total = 0.0
-    hi = b
-    prev = math.inf
-    for _ in range(max_halvings):
-        lo = 0.5 * hi
-        piece = adaptive_simpson(f, lo, hi, tol / 16.0)
-        total += piece
-        if abs(piece) < tol / 10.0 and abs(piece) <= 0.75 * abs(prev):
-            ratio = abs(piece) / abs(prev) if prev not in (0.0, math.inf) else 0.5
-            ratio = min(ratio, 0.9)
-            total += piece * ratio / (1.0 - ratio)
-            return total
-        prev = piece
-        hi = lo
-    raise IntegrationError("graded panels near 0 did not converge", partial=total)
-
-
-def integrate_tail(f: Callable[[float], float], a: float, tol: float, max_doublings: int = 80) -> float:
-    """Integrate f over [a, infinity) by doubling panels [a 2^k, a 2^{k+1}].
-
-    Requires the panel contributions to eventually decrease geometrically;
-    raises IntegrationError (with the partial sum) otherwise.
-    """
-    total = 0.0
-    lo = a
+    near = start
     prev = math.inf
     stall = 0
-    for _ in range(max_doublings):
-        hi = 2.0 * lo
-        piece = adaptive_simpson(f, lo, hi, tol / 16.0)
+    for _ in range(_MAX_GEOMETRIC_PANELS):
+        far = factor * near
+        piece = adaptive_simpson(f, min(near, far), max(near, far), tol / 16.0)
         total += piece
         if abs(piece) < tol / 10.0 and abs(piece) <= 0.75 * abs(prev):
             ratio = abs(piece) / abs(prev) if prev not in (0.0, math.inf) else 0.5
@@ -101,7 +84,7 @@ def integrate_tail(f: Callable[[float], float], a: float, tol: float, max_doubli
             return total
         stall = stall + 1 if abs(piece) > abs(prev) else 0
         if stall >= 6:
-            raise IntegrationError("tail panel contributions are not decreasing", partial=total)
+            raise IntegrationError("geometric panel contributions are not decreasing", partial=total)
         prev = piece
-        lo = hi
-    raise IntegrationError("tail did not converge within the doubling budget", partial=total)
+        near = far
+    raise IntegrationError("geometric panels did not converge within the panel budget", partial=total)

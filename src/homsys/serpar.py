@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import DomainError, HomsysError
 
-__all__ = ["SPGraph", "single_edge", "grow", "build", "reduce_graph", "flip", "explicit_graph", "resistance_exact", "distance_exact"]
+__all__ = ["SPGraph", "single_edge", "grow", "build", "reduce_graph", "explicit_graph", "resistance_exact", "distance_exact"]
 
 MAX_EXPLICIT_ROUNDS = 16
 _DENSE_NODE_LIMIT = 2000
@@ -63,11 +63,6 @@ def build(n: int, p: float, seed: int) -> SPGraph:
     for _ in range(n):
         g = grow(g, p, rng)
     return g
-
-
-def flip(g: SPGraph) -> SPGraph:
-    """Exchange series and parallel everywhere (resistance inverts per realization)."""
-    return SPGraph(tuple(~h for h in g.history))
 
 
 def reduce_graph(g: SPGraph) -> tuple[float, float]:

@@ -16,12 +16,7 @@ from homsys import (
     InvalidProfileError,
     asym_tent,
     from_g,
-    g_of,
-    invert,
     power_mean,
-    r_of,
-    star,
-    swap,
     t_of,
     validate,
 )
@@ -66,12 +61,12 @@ class TestCorrespondence:
         g = g_tent(1.0, 0.5)
         f = from_g(g, +1)
         z = np.linspace(-4, 4, 201)
-        assert np.max(np.abs(g_of(f)(z) - g(z))) < 1e-12
+        assert np.max(np.abs(f.g(z) - g(z))) < 1e-12
 
     def test_g_of_values(self):
-        assert g_of(F_SUM)(0.0) == pytest.approx(LOG2, abs=1e-15)
-        assert np.all(g_of(F_MIN)(np.linspace(-5, 5, 11)) == 0.0)
-        assert g_of(F_HIP_PLUS)(0.25) == pytest.approx(0.75, abs=1e-15)
+        assert F_SUM.g(0.0) == pytest.approx(LOG2, abs=1e-15)
+        assert np.all(F_MIN.g(np.linspace(-5, 5, 11)) == 0.0)
+        assert F_HIP_PLUS.g(0.25) == pytest.approx(0.75, abs=1e-15)
 
     def test_table_lipschitz_rejected(self):
         z = np.linspace(-2, 2, 5)
@@ -88,26 +83,26 @@ class TestCorrespondence:
 
 class TestDualities:
     def test_invert_sum_is_parallel(self):
-        fi = invert(F_SUM)
+        fi = F_SUM.invert()
         for x, y in [(2.0, 3.0), (1.0, 1.0), (0.2, 5.0)]:
             assert fi(x, y) == pytest.approx(F_PARALLEL(x, y), rel=1e-14)
 
     def test_star_hip_minus(self):
-        fs = star(F_HIP_MINUS)
+        fs = F_HIP_MINUS.star()
         for x, y in [(1.0, 2.0), (3.0, 0.5)]:
             assert fs(x, y) == pytest.approx(F_HIP_PLUS(x, y), rel=1e-14)
 
     def test_star_fixes_plus_side(self):
-        assert star(F_SUM) is F_SUM
+        assert F_SUM.star() is F_SUM
 
     def test_swap_is_argument_swap(self):
         f = asym_tent(1.0, 0.5)
-        fs = swap(f)
+        fs = f.swap()
         for x, y in [(2.0, 3.0), (0.3, 7.0), (1.0, 1.0)]:
             assert fs(x, y) == pytest.approx(f(y, x), rel=1e-14)
 
     def test_swap_symmetric_fixed(self):
-        fs = swap(F_SUM)
+        fs = F_SUM.swap()
         for x, y in [(2.0, 3.0), (0.3, 7.0)]:
             assert fs(x, y) == pytest.approx(F_SUM(x, y), rel=1e-14)
 
@@ -115,13 +110,13 @@ class TestDualities:
         # the defining identity, on an asymmetric profile where the profile
         # reflection is visible
         f = asym_tent(0.8, 0.3)
-        fi = invert(f)
+        fi = f.invert()
         for x, y in [(2.0, 3.0), (0.5, 4.0), (1.0, 1.0), (7.0, 0.2)]:
             assert fi(x, y) == pytest.approx(1.0 / f(1.0 / x, 1.0 / y), rel=1e-13)
 
     def test_invert_involution(self):
         f = asym_tent(0.8, 0.3)
-        fii = invert(invert(f))
+        fii = f.invert().invert()
         for x, y in [(2.0, 3.0), (0.5, 4.0)]:
             assert fii(x, y) == pytest.approx(f(x, y), rel=1e-14)
 
@@ -171,14 +166,14 @@ class TestCrossing:
 
 class TestRValue:
     def test_examples(self):
-        assert r_of(F_MIN) == 0.0
-        assert r_of(F_MAX) == 0.0
-        assert r_of(F_SUM) == pytest.approx(LOG2, abs=1e-15)
-        assert r_of(F_HIP_PLUS) == 1.0
+        assert F_MIN.r == 0.0
+        assert F_MAX.r == 0.0
+        assert F_SUM.r == pytest.approx(LOG2, abs=1e-15)
+        assert F_HIP_PLUS.r == 1.0
 
     def test_zero_iff_max_min(self):
-        assert r_of(power_mean(0.5)) > 0
-        assert r_of(asym_tent(0.9, 0.9)) > 0
+        assert power_mean(0.5).r > 0
+        assert asym_tent(0.9, 0.9).r > 0
 
 
 ALL_FUNCS = [F_SUM, F_PARALLEL, F_MAX, F_MIN, F_HIP_PLUS, F_HIP_MINUS, power_mean(1.7), power_mean(-0.6), asym_tent(1.0, 0.5)]
@@ -216,8 +211,8 @@ class TestClassAxioms:
 def test_crossing_dualities(f):
     for t in (0.2, 0.7, 1.1, 2.5):
         base = t_of(f, t)
-        assert t_of(star(f), t) == pytest.approx(base, abs=1e-9)
-        assert t_of(invert(f), t) == pytest.approx(base, abs=1e-9)
+        assert t_of(f.star(), t) == pytest.approx(base, abs=1e-9)
+        assert t_of(f.invert(), t) == pytest.approx(base, abs=1e-9)
 
 
 @pytest.mark.parametrize("f", ALL_FUNCS, ids=lambda f: f.label)
@@ -225,15 +220,15 @@ def test_crossing_swap_duality(f):
     # T_F(t) < u iff T_F#(u) < t, probed off the crossing set
     for t, u in [(0.3, 0.9), (1.2, 0.4), (2.0, 2.0), (0.6, 0.61)]:
         lhs = t_of(f, t) < u - 1e-9
-        rhs = t_of(swap(f), u) < t - 1e-9
-        mid = abs(t_of(f, t) - u) < 1e-8 or abs(t_of(swap(f), u) - t) < 1e-8
+        rhs = t_of(f.swap(), u) < t - 1e-9
+        mid = abs(t_of(f, t) - u) < 1e-8 or abs(t_of(f.swap(), u) - t) < 1e-8
         if not mid:
             assert lhs == rhs
 
 
 @pytest.mark.parametrize("f", ALL_FUNCS, ids=lambda f: f.label)
 def test_crossing_ordering(f):
-    r = r_of(f)
+    r = f.r
     ts = [r + 0.1, r + 1.0, r + 5.0]
     vals = [t_of(f, t) for t in ts]
     for v in vals:

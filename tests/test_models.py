@@ -6,6 +6,7 @@ import pytest
 
 from homsys import DomainError, ModelSpec, builtin, classify, parse_model, sample_f
 from homsys.hfun import F_HIP_PLUS, F_MAX, F_MIN, F_SUM
+from homsys.hfun import asym_tent, from_g, g_table
 from homsys.models import invert_model, model_digest, model_to_dict, sample_indices
 
 PI2_12 = math.pi**2 / 12.0
@@ -138,3 +139,44 @@ class TestParsing:
         m = builtin("power_mean", atoms=((0.25, 2.0), (0.75, -1.5)))
         d = model_to_dict(m)
         assert [a["weight"] for a in d["atoms"]] == [0.25, 0.75]
+
+
+def _round_trip_models():
+    table = g_table(np.linspace(-2.0, 2.0, 9), [0.0, 0.3, 0.8, 1.2, 1.5, 1.1, 0.6, 0.2, 0.0])
+    models = [builtin(name) for name in ("resistance", "distance", "hipster", "lazy_hipster", "power_mean")]
+    models.append(builtin("power_mean", atoms=((0.25, 2.0), (0.75, -1.5))))
+    models.append(ModelSpec(((0.5, asym_tent(0.5, 0.8, eps=-1)), (0.5, from_g(table, +1))), "tent+table"))
+    models.append(ModelSpec(((1.0, from_g(table, -1)),)))
+    return models
+
+
+class TestSchema:
+    @pytest.mark.parametrize("model", _round_trip_models(), ids=lambda m: m.name or "unnamed")
+    def test_parse_inverts_to_dict(self, model):
+        back = parse_model(json.dumps(model_to_dict(model)))
+        assert back.name == model.name
+        assert [w for w, _ in back.atoms] == [w for w, _ in model.atoms]
+        for f, g in zip(back.functions, model.functions):
+            assert f.eps == g.eps
+            assert f.g.family == g.g.family
+            assert f.g.params == g.g.params
+            if g.g.family == "table":
+                assert np.array_equal(f.g.grid, g.g.grid)
+                assert np.array_equal(f.g.values, g.g.values)
+        assert model_digest(back) == model_digest(model)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"atoms":[{"weight":1}]}',
+            '{"atoms":[{"family":"min"}]}',
+            '{"atoms":5}',
+            '{"atoms":[{"weight":"heavy","family":"min"}]}',
+            '{"atoms":[{"weight":1,"family":"power_mean"}]}',
+            '{"atoms":[',
+            "resistance(half)",
+        ],
+    )
+    def test_malformed_spec_is_domain_error(self, text):
+        with pytest.raises(DomainError):
+            parse_model(text)

@@ -17,12 +17,9 @@ from homsys import (
     c_star,
     check_ipp,
     gamma,
-    invert,
     m_eta,
     moment_table,
     power_mean,
-    r_of,
-    swap,
     t_of,
 )
 from homsys.models import builtin, invert_model
@@ -57,8 +54,8 @@ class TestGamma:
         assert gamma(f, 0, 1, 1e-10) == pytest.approx(1.5, abs=1e-9)
         assert gamma(f, 1, 1, 1e-10) == pytest.approx(7.0 / 6.0, abs=1e-9)
         assert gamma(f, 0, 2, 1e-10) == pytest.approx(4.0 / 3.0, abs=1e-9)
-        assert gamma(swap(f), 1, 1, 1e-10) == pytest.approx(2.0 / 3.0, abs=1e-9)
-        assert gamma(swap(f), 0, 2, 1e-10) == pytest.approx(7.0 / 3.0, abs=1e-9)
+        assert gamma(f.swap(), 1, 1, 1e-10) == pytest.approx(2.0 / 3.0, abs=1e-9)
+        assert gamma(f.swap(), 0, 2, 1e-10) == pytest.approx(7.0 / 3.0, abs=1e-9)
 
     def test_power_mean_scaling(self):
         # T_alpha(t) = alpha T_1(t/alpha) so gamma scales by alpha^(a+b+1)
@@ -69,7 +66,7 @@ class TestGamma:
     def test_invariance_under_invert_and_star(self):
         for f in (F_SUM, F_HIP_PLUS, asym_tent(0.9, 0.4)):
             base = gamma(f, 1, 1, 1e-9)
-            assert gamma(invert(f), 1, 1, 1e-9) == pytest.approx(base, abs=1e-8)
+            assert gamma(f.invert(), 1, 1, 1e-9) == pytest.approx(base, abs=1e-8)
 
     def test_pointwise_bound(self):
         # sup t^(a+1) T(t)^b <= (a+1) gamma(a,b)
@@ -99,7 +96,7 @@ class TestMEta:
         eta = 1.0
         for f in (F_SUM, F_HIP_PLUS, asym_tent(1.0, 0.5)):
             m = m_eta(f, eta, 1e-10)
-            r = r_of(f)
+            r = f.r
             for a, b in [(0.0, 1.0), (1.0, 1.0), (0.5, 2.0), (2.0, 1.0), (0.0, 3.0)]:
                 assert gamma(f, a, b, 1e-9) <= 2.0 * m / r ** (2.0 + eta - a - b) + 1e-8
 

@@ -1,0 +1,34 @@
+import numpy as np
+import pytest
+
+from homsys import DomainError
+from homsys import serpar
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_reduce_matches_exact_oracles(seed):
+    g = serpar.build(8, 0.5, seed)
+    r_red, d_red = serpar.reduce_graph(g)
+    assert serpar.resistance_exact(g) == pytest.approx(r_red, rel=1e-9)
+    assert serpar.distance_exact(g) == d_red
+
+
+def test_build_is_deterministic_and_sized():
+    a, b = serpar.build(6, 0.3, 4), serpar.build(6, 0.3, 4)
+    assert all(np.array_equal(x, y) for x, y in zip(a.history, b.history))
+    assert a.n_edges == 64
+    edges, n_nodes, _, _ = serpar.explicit_graph(a)
+    assert len(edges) == 64 and n_nodes == 2 + sum(int(h.sum()) for h in a.history)
+
+
+def test_all_series_and_all_parallel():
+    n = 5
+    series = serpar.SPGraph(tuple(np.ones(2**k, dtype=bool) for k in range(n)))
+    parallel = serpar.SPGraph(tuple(np.zeros(2**k, dtype=bool) for k in range(n)))
+    assert serpar.reduce_graph(series) == (32.0, 32.0)
+    assert serpar.reduce_graph(parallel) == (1.0 / 32.0, 1.0)
+
+
+def test_bad_history_rejected():
+    with pytest.raises(DomainError):
+        serpar.SPGraph((np.ones(2, dtype=bool),))
