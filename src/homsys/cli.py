@@ -2,8 +2,11 @@
 
 Every run writes a JSON summary carrying the package version, the command
 line it was given, the model name and a digest of the model content, the
-seed and the tolerances.  The model itself is not embedded: repeating a run
-whose model came from a JSON file needs that file too.  Exit codes:
+seed and the tolerances; an `evolve` summary also carries the kernel
+diagnostics through its last checkpoint (t-cells and cell groups per atom,
+summed clamp budget, largest monotonicity defect).  The model itself is not
+embedded: repeating a run whose model came from a JSON file needs that file
+too.  Exit codes:
 0 success, 1 validation failure, 2 numerical failure, 64 usage error.
 """
 
@@ -15,6 +18,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from dataclasses import asdict
 
 import numpy as np
 
@@ -160,6 +164,7 @@ def _cmd_evolve(args) -> int:
             records.append({"n": cp.n, "scale": cp.scale, "ks": cp.ks})
     payload = _base_summary(args, model)
     payload.update({"n": args.n, "grid": args.grid, "checkpoints": records})
+    payload["diagnostics"] = asdict(cps[-1].diagnostics) if cps else None
     _write_json((args.out + ".json") if args.out else None, payload)
     return 0
 

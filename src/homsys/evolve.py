@@ -6,9 +6,12 @@ One step maps a CDF Psi through the mixture of the one-step laws
     P{log F(e^Y, e^Yhat) < v} = 2 Psi(v) - Psi(v)^2 - Lam(v)     (eps = -1)
 
 where Lam is the crossing-function correction operator.  The grid step
-computes the t-quadrature with fixed composite-Simpson panels shared across
-all grid nodes, so the per-node work is a pair of constant-shift blends and
-the result is deterministic regardless of evaluation order.
+integrates over t with a product rule on fixed cells shared by all grid
+nodes: the density factor exactly through the CDF over each cell, the
+crossing bracket at the cell midpoint.  Cells whose crossing shift T(mid)/h
+has the same integer part are summed together, which turns the cell sum into
+one FIR filter of the CDF per integer shift (see ShiftFilters); the filters
+depend only on the model, the grid and tol, so a run builds them once.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ from .hfun import HFunction, t_of, t_support_end
 from .models import ModelSpec, resolve_scaling
 from .quadrature import integrate_geometric, integrate_panels
 
-__all__ = ["lambda_operator", "step", "step_detailed", "run", "StepDiagnostics", "RunCheckpoint"]
+__all__ = [
+    "lambda_operator", "step", "step_detailed", "grid_filters", "run",
+    "ShiftFilters", "StepDiagnostics", "RunDiagnostics", "RunCheckpoint",
+]
 
 _EDGE_EPS = 1e-12
 CLAMP_ABORT_BUDGET = 1e-6
@@ -82,34 +88,6 @@ def lambda_operator(
 # -- vectorized grid step -------------------------------------------------------
 
 
-def _int_shift(arr: np.ndarray, k: int, left: float, right: float) -> np.ndarray:
-    """out[i] = arr[i - k] with constant padding."""
-    n = arr.size
-    out = np.empty(n)
-    if k >= n:
-        out[:] = left
-    elif k <= -n:
-        out[:] = right
-    elif k >= 0:
-        out[:k] = left
-        out[k:] = arr[: n - k]
-    else:
-        out[n + k :] = right
-        out[: n + k] = arr[-k:]
-    return out
-
-
-def _sample_shifted(arr: np.ndarray, shift_cells: float, left: float, right: float) -> np.ndarray:
-    """Piecewise-linear value of arr at fractional index i - shift_cells."""
-    k = math.floor(shift_cells)
-    phi = shift_cells - k
-    a = _int_shift(arr, k, left, right)
-    if phi == 0.0:
-        return a
-    b = _int_shift(arr, k + 1, left, right)
-    return (1.0 - phi) * a + phi * b
-
-
 def _atom_t_cells(f: HFunction, h: float, span: float, root_tol: float):
     """Cell edges for the product-rule t-integration of one atom.
 
@@ -141,6 +119,64 @@ def _atom_t_cells(f: HFunction, h: float, span: float, root_tol: float):
     return np.asarray(edges)
 
 
+@dataclass(frozen=True)
+class ShiftFilters:
+    """The Lambda sum of one atom as one FIR filter of the CDF per integer shift.
+
+    Cell j (edges e_j < e_{j+1}, crossing shift tau_j = eps T(mid_j) / h in
+    cells) adds (S_{eps e_j/h} - S_{eps e_{j+1}/h}) (c - S_{tau_j}), where S_s
+    is the CDF linearly interpolated s cells to the right, padded with 0 and 1.
+    With k = floor(tau_j) and phi = tau_j - k, S_{tau_j} = (1 - phi) c[i-k] +
+    phi c[i-k-1], so the sum is the sum over k of (c - c[i-k]) (w_k * c)[i]:
+    the taps w_k gather 1 - phi, resp. phi, times the interpolation taps of
+    the edge terms of the cells in group k, resp. k - 1.  The k = 0 term
+    vanishes.  The taps depend only on the atom, h, the domain span and tol.
+    """
+
+    t_cells: int
+    groups: int  # distinct floor(tau_j), the cell groups sharing one integer shift
+    shifts: tuple[int, ...]  # the nonzero k with a filter
+    offsets: tuple[int, ...]  # w_k[0] multiplies c[i - offset]
+    taps: tuple[np.ndarray, ...]
+    reach: int  # largest |index offset| any filter or shift reads
+
+
+def _shift_filters(f: HFunction, h: float, span: float, root_tol: float) -> ShiftFilters | None:
+    edges = _atom_t_cells(f, h, span, root_tol)
+    if edges is None:
+        return None
+    sign = float(f.eps)
+    mids = np.maximum(0.5 * (edges[:-1] + edges[1:]), 1e-12)
+    tau = np.array([sign * t_of(f, t, root_tol) / h for t in mids])
+    k = np.floor(tau)
+    phi = tau - k
+    sigma = sign * edges / h
+    m = np.floor(sigma)
+    psi = sigma - m
+    # S_{sigma_j} - S_{sigma_{j+1}} as four (index, tap) pairs per cell
+    idx = np.stack([m[:-1], m[:-1] + 1.0, m[1:], m[1:] + 1.0], axis=1)
+    tap = np.stack([1.0 - psi[:-1], psi[:-1], psi[1:] - 1.0, -psi[1:]], axis=1)
+    shift = np.concatenate([np.repeat(k, 4), np.repeat(k + 1.0, 4)]).astype(np.int64)
+    idx = np.concatenate([idx.ravel(), idx.ravel()]).astype(np.int64)
+    tap = np.concatenate([(tap * (1.0 - phi)[:, None]).ravel(), (tap * phi[:, None]).ravel()])
+    keep = (shift != 0) & (tap != 0.0)
+    order = np.argsort(shift[keep], kind="stable")
+    shift, idx, tap = shift[keep][order], idx[keep][order], tap[keep][order]
+    shifts, starts = np.unique(shift, return_index=True)
+    offsets, taps = [], []
+    for a, b in zip(starts, np.append(starts[1:], shift.size)):
+        offsets.append(int(idx[a:b].min()))
+        taps.append(np.bincount(idx[a:b] - offsets[-1], weights=tap[a:b]))
+    reach = int(max(np.abs(idx).max(initial=0), np.abs(shift).max(initial=0)))
+    return ShiftFilters(mids.size, np.unique(k).size, tuple(shifts.tolist()), tuple(offsets), tuple(taps), reach)
+
+
+def grid_filters(model: ModelSpec, h: float, span: float, tol: float = 1e-9) -> tuple[ShiftFilters | None, ...]:
+    """The per-atom filters of step_detailed for grid spacing h and domain span hi - lo."""
+    root_tol = min(1e-12, tol / 100.0)
+    return tuple(_shift_filters(f, h, span, root_tol) for _, f in model.atoms)
+
+
 @dataclass
 class StepDiagnostics:
     clamp_budget: float
@@ -148,14 +184,18 @@ class StepDiagnostics:
     end_defect: float
 
 
-def step_detailed(d: GridCDF, model: ModelSpec, tol: float = 1e-9) -> tuple[GridCDF, StepDiagnostics]:
-    """One exact evolution step of the grid law under the mixture."""
+def step_detailed(
+    d: GridCDF, model: ModelSpec, tol: float = 1e-9, filters: tuple[ShiftFilters | None, ...] | None = None
+) -> tuple[GridCDF, StepDiagnostics]:
+    """One exact evolution step of the grid law under the mixture.
+
+    `filters` are grid_filters(model, d.h, d.hi - d.lo, tol), built here when
+    not given; a run on a fixed domain builds them once."""
     if d.atom_neg_inf != 0.0:
         raise DomainError("grid evolution requires an atomless law")
     c = d.cdf
     x = d.grid()
     h = d.h
-    root_tol = min(1e-12, tol / 100.0)
 
     # effective support and the one-step expansion margins
     inside = np.where((c > _EDGE_EPS) & (c < 1.0 - _EDGE_EPS))[0]
@@ -169,26 +209,24 @@ def step_detailed(d: GridCDF, model: ModelSpec, tol: float = 1e-9) -> tuple[Grid
             f"support [{lo_eff:.3g}, {hi_eff:.3g}] plus margins exceeds the allocated domain"
         )
 
-    span = d.hi - d.lo
+    if filters is None:
+        filters = grid_filters(model, h, d.hi - d.lo, tol)
+    pad = max((fl.reach for fl in filters if fl is not None), default=0)
+    padded = np.concatenate([np.zeros(pad), c, np.ones(pad)])
     out = np.zeros_like(c)
-    for w, f in model.atoms:
+    for (w, f), fl in zip(model.atoms, filters):
         if f.eps == +1:
             branch = c * c
         else:
             branch = 2.0 * c - c * c
-        edges = _atom_t_cells(f, h, span, root_tol)
-        if edges is not None:
+        if fl is not None:
             lam = np.zeros_like(c)
-            sign = float(f.eps)
-            prev = _sample_shifted(c, sign * edges[0] / h, 0.0, 1.0)
-            for t0, t1 in zip(edges, edges[1:]):
-                nxt = _sample_shifted(c, sign * t1 / h, 0.0, 1.0)
-                cell_mass = sign * (prev - nxt)  # integral of psi(v - eps t) over the cell
-                tt = t_of(f, max(0.5 * (t0 + t1), 1e-12), root_tol)
-                cdf_s = _sample_shifted(c, sign * tt / h, 0.0, 1.0)
-                lam += cell_mass * (sign * (c - cdf_s))
-                prev = nxt
-            branch = branch - sign * lam
+            for k, lo, taps in zip(fl.shifts, fl.offsets, fl.taps):
+                # fir[i] = sum_j taps[j] c[i - lo - j], reading the 0/1 padding outside the grid
+                start = pad - lo - taps.size + 1
+                fir = np.convolve(padded[start : start + c.size + taps.size - 1], taps, "valid")
+                lam += (c - padded[pad - k : pad - k + c.size]) * fir
+            branch = branch - f.eps * lam
         out += w * branch
 
     # the continuum map is monotone; clamp roundoff/discretization violations
@@ -208,6 +246,18 @@ def step(d: GridCDF, model: ModelSpec, tol: float = 1e-9) -> GridCDF:
     return step_detailed(d, model, tol)[0]
 
 
+@dataclass(frozen=True)
+class RunDiagnostics:
+    """Kernel diagnostics of a run through one checkpoint: t-cells and cell
+    groups per atom (0 for a max/min atom), the summed clamp budget and the
+    largest monotonicity defect of any step."""
+
+    t_cells: tuple[int, ...]
+    groups: tuple[int, ...]
+    clamp_budget: float
+    max_monotonicity_defect: float
+
+
 @dataclass
 class RunCheckpoint:
     n: int
@@ -215,6 +265,7 @@ class RunCheckpoint:
     ks: float
     dist: GridCDF
     law: str
+    diagnostics: RunDiagnostics
 
 
 def run(
@@ -250,16 +301,20 @@ def run(
     cdf[0] = 0.0 if cdf[0] < 1e-12 else cdf[0]
     d = GridCDF(lo, hi, np.maximum.accumulate(cdf), 0.0)
 
+    filters = grid_filters(model, d.h, hi - lo, tol)
+    t_cells = tuple(0 if fl is None else fl.t_cells for fl in filters)
+    groups = tuple(0 if fl is None else fl.groups for fl in filters)
     out: list[RunCheckpoint] = []
-    budget = 0.0
+    budget = defect = 0.0
     cp = set(checkpoints)
     for n in range(1, n_steps + 1):
-        d, diag = step_detailed(d, model, tol)
+        d, diag = step_detailed(d, model, tol, filters)
         budget += diag.clamp_budget
+        defect = max(defect, diag.max_monotonicity_defect)
         if budget > CLAMP_ABORT_BUDGET:
             raise ClampBudgetExceededError(f"accumulated clamp budget {budget:.3g} exceeds {CLAMP_ABORT_BUDGET}")
         if n in cp:
             scale = (scale_constant * n) ** exponent
             r = rescale(d, scale)
-            out.append(RunCheckpoint(n, scale, ks(r, law), r, law))
+            out.append(RunCheckpoint(n, scale, ks(r, law), r, law, RunDiagnostics(t_cells, groups, budget, defect)))
     return out

@@ -191,7 +191,8 @@ class HFunction:
             base = np.maximum(lx, ly)
         else:
             base = np.minimum(lx, ly)
-        diff = np.where(np.isfinite(lx) & np.isfinite(ly), lx - ly, np.inf)
+        diff = np.full(np.broadcast(lx, ly).shape, np.inf)
+        np.subtract(lx, ly, out=diff, where=np.isfinite(lx) & np.isfinite(ly))
         return base + self.eps * self.g(diff)
 
     def log_eval_finite(self, lx: np.ndarray, ly: np.ndarray) -> np.ndarray:

@@ -275,6 +275,7 @@ _FAMILY_BUILDERS = {
     "hipster+": lambda spec: hfun.F_HIP_PLUS,
     "hipster-": lambda spec: hfun.F_HIP_MINUS,
     "power_mean": lambda spec: hfun.power_mean(float(spec["alpha"])),
+    "softplus": lambda spec: hfun.from_g(hfun.g_softplus(float(spec["scale"])), int(spec.get("eps", +1))),
     "tent": lambda spec: hfun.asym_tent(
         float(spec.get("s_plus", 1.0)), float(spec.get("s_minus", 1.0)), int(spec.get("eps", +1))
     ),
@@ -339,8 +340,10 @@ def model_to_dict(model: ModelSpec) -> dict:
         g = f.g
         if g.family == "zero":
             entry = {"family": "max" if f.eps == +1 else "min"}
-        elif g.family == "softplus":
+        elif g.family == "softplus" and g.params[0] >= hfun.MIN_POWER_MEAN_SCALE:
             entry = {"family": "power_mean", "alpha": f.eps * g.params[0]}
+        elif g.family == "softplus":
+            entry = {"family": "softplus", "eps": f.eps, "scale": g.params[0]}
         elif g.family == "tent":
             entry = {"family": "tent", "eps": f.eps, "s_plus": g.params[0], "s_minus": g.params[1]}
         else:

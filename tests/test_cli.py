@@ -39,6 +39,9 @@ def test_evolve_csv_uses_the_run_law(tmp_path):
     assert np.array_equal(rows[:, 3], limit_cdf("linear_half", rows[:, 1]))
     summary = json.loads(stem.with_suffix(".json").read_text())
     assert summary["argv"] == argv and [cp["n"] for cp in summary["checkpoints"]] == [4]
+    diag = summary["diagnostics"]  # the hipster+ atom has cells, the min atom none
+    assert diag["t_cells"][0] > 0 and diag["groups"][0] == 1 and diag["t_cells"][1] == diag["groups"][1] == 0
+    assert 0.0 <= diag["max_monotonicity_defect"] and 0.0 <= diag["clamp_budget"] <= 1e-6
 
 
 def test_csv_and_summary_to_stdout(capsys):

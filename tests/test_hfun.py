@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ class TestEval:
             F_SUM(-1.0, 2.0)
         with pytest.raises(DomainError):
             F_SUM(1.0, 0.0)
+
+    def test_log_eval_infinite_arguments_warn_nothing(self):
+        inf = math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            both = F_SUM.log_eval([-inf, -inf, 0.0], [-inf, 1.0, 0.0])
+            par = F_PARALLEL.log_eval([inf, inf], [inf, 2.0])
+        assert both[0] == -inf and both[1] == 1.0 and both[2] == pytest.approx(LOG2, rel=1e-15)
+        assert par[0] == inf and par[1] == 2.0
 
 
 class TestCorrespondence:

@@ -6,7 +6,7 @@ import pytest
 
 from homsys import DomainError, ModelSpec, builtin, classify, parse_model, sample_f
 from homsys.hfun import F_HIP_PLUS, F_MAX, F_MIN, F_SUM
-from homsys.hfun import asym_tent, from_g, g_table
+from homsys.hfun import asym_tent, from_g, g_softplus, g_table
 from homsys.models import invert_model, model_digest, model_to_dict, sample_indices
 
 PI2_12 = math.pi**2 / 12.0
@@ -147,6 +147,9 @@ def _round_trip_models():
     models.append(builtin("power_mean", atoms=((0.25, 2.0), (0.75, -1.5))))
     models.append(ModelSpec(((0.5, asym_tent(0.5, 0.8, eps=-1)), (0.5, from_g(table, +1))), "tent+table"))
     models.append(ModelSpec(((1.0, from_g(table, -1)),)))
+    # softplus scales below the power_mean range, which is limited to |alpha| >= 1e-3
+    small = g_softplus(5e-4)
+    models.append(ModelSpec(((0.5, from_g(small, +1)), (0.5, from_g(small, -1))), "small softplus"))
     return models
 
 
