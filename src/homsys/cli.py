@@ -37,6 +37,21 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
+def _checkpoint_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(",") if s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _n_range(text: str) -> tuple[int, int]:
+    try:
+        lo, hi = (int(s) for s in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two integers as a:b, got {text!r}") from None
+    return lo, hi
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -124,14 +139,13 @@ def _cmd_classify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = parse_model(args.model)
-    checkpoints = tuple(int(s) for s in args.checkpoints.split(",") if s)
     summaries = mc.simulate(
         model,
         args.init,
         args.n,
         args.pool,
         args.seed,
-        checkpoints,
+        args.checkpoints,
         law=args.law,
         scale_constant=args.scale_constant,
         exponent=args.exponent,
@@ -150,11 +164,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_evolve(args) -> int:
     model = parse_model(args.model)
-    checkpoints = tuple(int(s) for s in args.checkpoints.split(",") if s)
     width = args.init_width
     x = np.linspace(-width, width, 257)
     init = dist.GridCDF(-width, width, np.clip((x + width) / (2 * width), 0.0, 1.0))
-    cps = evolve.run(init, model, args.n, checkpoints, tol=args.tol, m=args.grid)
+    cps = evolve.run(init, model, args.n, args.checkpoints, tol=args.tol, m=args.grid)
     records = []
     with _csv_out(args, "n,x,cdf,cdf_limit,density") as fh:
         for cp in cps:
@@ -206,7 +219,7 @@ def _cmd_serpar(args) -> int:
 
 def _cmd_lambda_check(args) -> int:
     model = parse_model(args.model)
-    lo, hi = (int(s) for s in args.n_range.split(":"))
+    lo, hi = args.n_range
     c = args.c_star if args.c_star is not None else moments.c_star(model, args.tol)
     params = proofcheck.ProofParams(c_star=c, eta=args.eta, delta=args.delta, delta1=args.delta1)
     n0, history = proofcheck.find_n0(model, params, n_max=hi, n_min=lo, points=args.vgrid)
@@ -264,7 +277,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--pool", type=int, required=True)
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--checkpoints", required=True, help="comma-separated step counts")
+    sp.add_argument("--checkpoints", type=_checkpoint_list, required=True, help="comma-separated step counts")
     sp.add_argument("--init", type=float, default=0.0, help="initial log value")
     sp.add_argument("--grid", type=int, default=512, help="cells of the emitted empirical CDF")
     sp.add_argument("--law", choices=dist.LIMIT_LAWS, default=None)
@@ -276,7 +289,7 @@ def build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--grid", type=int, default=8192)
-    sp.add_argument("--checkpoints", required=True)
+    sp.add_argument("--checkpoints", type=_checkpoint_list, required=True, help="comma-separated step counts")
     sp.add_argument("--init-width", dest="init_width", type=float, default=0.5, help="half-width of the uniform initial law")
     sp.set_defaults(fn=_cmd_evolve)
 
@@ -293,7 +306,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--eta", type=float, default=1.0)
     sp.add_argument("--delta", type=float, default=0.5)
     sp.add_argument("--delta1", type=float, default=0.05)
-    sp.add_argument("--n-range", dest="n_range", required=True, help="a:b")
+    sp.add_argument("--n-range", dest="n_range", type=_n_range, required=True, help="a:b")
     sp.add_argument("--vgrid", type=int, default=400)
     sp.add_argument("--c-star", dest="c_star", type=float, default=None)
     sp.set_defaults(fn=_cmd_lambda_check)

@@ -128,7 +128,7 @@ def limit_cdf(law: str, y):
     y = np.asarray(y, dtype=float)
     if law == "cubic":
         yc = np.clip(y, -1.0, 1.0)
-        out = (2.0 + 3.0 * yc - yc**3) / 4.0
+        out = (2.0 + 3.0 * yc - yc * yc * yc) / 4.0
     elif law == "linear_half":
         yc = np.clip(y, 0.0, 1.0)
         out = yc**2

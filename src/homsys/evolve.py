@@ -288,8 +288,8 @@ def run(
     """
     law, scale_constant, exponent = resolve_scaling(model, law, scale_constant, exponent)
     checkpoints = tuple(sorted(set(checkpoints)))
-    if checkpoints and checkpoints[-1] > n_steps:
-        raise DomainError("checkpoints must not exceed n_steps")
+    if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > n_steps):
+        raise DomainError("checkpoints must lie in 1..n_steps")
 
     tau_max = (scale_constant * max(n_steps, 1)) ** exponent
     half = 1.5 * tau_max + 8.0 + max(model.r_plus(), model.r_minus())

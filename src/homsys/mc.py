@@ -1,6 +1,12 @@
 """Pool Monte Carlo for the distributional recursion, plus the literal
 integer-lattice walks used for cross-validation.
 
+A pool step draws 2N parents uniformly from the pool, then the atom counts
+of the mixture as one multinomial draw, and applies atom k to the k-th
+contiguous block of parent pairs.  The pool is exchangeable (every step
+resamples it uniformly), so only the multiset of children matters, and it
+has the law it would have with an independent atom drawn per child.
+
 Reproducibility contract: every random draw comes from a Philox generator
 keyed by (seed, stream, step), and each step's draws are made in one fixed
 vectorized sequence.  Thread counts therefore cannot change any stream, and
@@ -97,8 +103,8 @@ def simulate(
         raise DomainError("need n >= 1 and N >= 2")
     law, scale_constant, exponent = resolve_scaling(model, law, scale_constant, exponent)
     checkpoints = tuple(sorted(set(checkpoints)))
-    if checkpoints and checkpoints[-1] > n:
-        raise DomainError("checkpoints must not exceed n")
+    if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > n):
+        raise DomainError("checkpoints must lie in 1..n")
     pool = new_pool(model, init, N, seed)
     out = []
     cps = set(checkpoints)

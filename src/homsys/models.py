@@ -134,18 +134,23 @@ def sample_indices(model: ModelSpec, rng: np.random.Generator, size: int) -> np.
 
 
 def apply_mixture(model: ModelSpec, rng: np.random.Generator, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log F(e^a, e^b) elementwise for finite arrays, with an independent atom F
-    of the mixture drawn per element.
+    """log F(e^a, e^b) elementwise for finite arrays, F an atom of the mixture.
 
-    The atom indices are the only draws made here, after any draws of the
-    caller, so the caller's random stream keeps its order.
+    The atom counts are one multinomial draw, and atom k fills the k-th
+    contiguous block of slots.  For exchangeable slots, such as iid (a, b)
+    pairs, the multiset of outputs then has the law of an independent atom
+    drawn per element; the pool step needs no more, since it only resamples
+    the pool uniformly.  The counts are the only draws made here, after any
+    draws of the caller, so the caller's random stream keeps its order.
     """
-    which = sample_indices(model, rng, a.size)
+    w = model.weights
+    counts = rng.multinomial(a.size, w / w.sum())
     out = np.empty(a.size)
-    for k, f in enumerate(model.functions):
-        mask = which == k
-        if mask.any():
-            out[mask] = f.log_eval_finite(a[mask], b[mask])
+    start = 0
+    for f, count in zip(model.functions, counts):
+        stop = start + count
+        out[start:stop] = f.log_eval_finite(a[start:stop], b[start:stop])
+        start = stop
     return out
 
 

@@ -51,3 +51,27 @@ def test_csv_and_summary_to_stdout(capsys):
     assert header == "seed,R_reduce,R_exact,D_reduce,D_exact"
     assert row0.startswith("0,") and row1.startswith("1,")
     assert json.loads(rest)["distance_mismatches"] == 0
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", "2,x"], 64),
+        (["evolve", "--model", "hipster", "--n", "4", "--checkpoints", "2,x"], 64),
+        (["lambda-check", "--model", "hipster", "--n-range", "64"], 64),
+        (["lambda-check", "--model", "hipster", "--n-range", "a:b"], 64),
+        (["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", "0"], 1),
+        (["evolve", "--model", "hipster", "--n", "4", "--grid", "256", "--checkpoints", "0,4"], 1),
+    ],
+)
+def test_malformed_step_lists_exit_without_traceback(argv, code, capsys):
+    assert _exit_code(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and ("usage:" in err if code == 64 else "validation error" in err)
