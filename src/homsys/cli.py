@@ -39,9 +39,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _checkpoint_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(s) for s in text.split(",") if s)
+        steps = tuple(int(s) for s in text.split(",") if s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    if not steps:
+        raise argparse.ArgumentTypeError(f"expected at least one step count, got {text!r}")
+    return steps
 
 
 def _n_range(text: str) -> tuple[int, int]:
@@ -49,6 +52,8 @@ def _n_range(text: str) -> tuple[int, int]:
         lo, hi = (int(s) for s in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected two integers as a:b, got {text!r}") from None
+    if not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"expected 1 <= a <= b, got {text!r}")
     return lo, hi
 
 

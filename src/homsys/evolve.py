@@ -25,7 +25,7 @@ from .dist import GridCDF, ks, rescale
 from .errors import ClampBudgetExceededError, DomainError, HomsysError, RegridRequiredError
 from .hfun import HFunction, t_of, t_support_end
 from .models import ModelSpec, resolve_scaling
-from .quadrature import integrate_geometric, integrate_panels
+from .quadrature import integrate_batch
 
 __all__ = [
     "lambda_operator", "step", "step_detailed", "grid_filters", "run",
@@ -36,53 +36,60 @@ _EDGE_EPS = 1e-12
 CLAMP_ABORT_BUDGET = 1e-6
 
 
-# -- generic scalar Lambda operator (shared with the proof-machinery module) ---
+# -- generic Lambda operator (shared with the proof-machinery module) ---------
 
 
 def lambda_operator(
     psi_fn,
     cdf_fn,
     f: HFunction,
-    v: float,
-    tol: float = 1e-10,
-    support: tuple[float, float] = (-math.inf, math.inf),
+    v,
+    tol: float,
+    support: tuple[float, float],
     psi_breaks: tuple[float, ...] = (),
-) -> float:
-    """Lambda_{psi, F}(v) for callable density/CDF pairs.
+) -> np.ndarray:
+    """Lambda_{psi, F}(v) for each v of an array, for vectorised density/CDF callables.
 
-    Nonnegative for eps = +1, nonpositive for eps = -1.  The t-integration is
-    split at the crossing-function kinks and at the density kinks translated
-    to the t axis, each piece handled by adaptive Simpson; an exponential
-    tail (softplus profiles) is extended by doubling panels.
+    Nonnegative for eps = +1, nonpositive for eps = -1.  The density psi_fn
+    vanishes outside the finite interval `support`, which bounds the
+    t-integration by t_psi, the distance from v to the support edge.  Each v's
+    t-range is split at 0, t_cut (the smaller of t_psi and the support end of
+    T), the corner value r and the density kinks psi_breaks translated to the
+    t axis; the pieces share tol and all of them, for every v, go through one
+    integrate_batch.
     """
+    lo, hi = support
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError("lambda_operator needs a finite density support lo < hi")
     eps = f.eps
     root_tol = min(1e-12, tol / 100.0)
+    v = np.asarray(v, dtype=float)
+    vs = v.ravel()
+    t_psi = (vs - lo) if eps == +1 else (hi - vs)
     t_zero = t_support_end(f)
-    lo, hi = support
-    t_psi = (v - lo) if eps == +1 else (hi - v)
-    if t_psi <= 0.0:
-        return 0.0
+    # a v beyond the support edge (t_psi <= 0) gets t_cut = 0: no panel, Lambda = 0
+    t_cut = np.maximum(t_psi if t_zero is None else np.minimum(t_zero, t_psi), 0.0)
+    # per v, the panel edges as one row; a kink outside (0, t_cut) becomes a NaN, sorted last
+    kinks = np.column_stack([np.full(vs.size, f.r)] + [(vs - k) if eps == +1 else (k - vs) for k in psi_breaks])
+    kinks = np.where((kinks > 0.0) & (kinks < t_cut[:, None]), kinks, np.nan)
+    edges = np.sort(np.column_stack([np.zeros(vs.size), t_cut, kinks]), axis=1)
+    a, b = edges[:, :-1], edges[:, 1:]
+    panel = b > a
+    row, col = np.nonzero(panel)
+    cv = cdf_fn(vs)
 
-    cv = cdf_fn(v)
-
-    def integrand(t: float) -> float:
-        tt = t_of(f, max(t, 1e-12), root_tol)
+    def integrand(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        r = row[k]  # the row, i.e. the v, of each node's panel
+        tt = t_of(f, np.maximum(t, 1e-12), root_tol)
         if eps == +1:
-            return psi_fn(v - t) * (cv - cdf_fn(v - tt))
-        return psi_fn(v + t) * (cdf_fn(v + tt) - cv)
+            return psi_fn(vs[r] - t) * (cv[r] - cdf_fn(vs[r] - tt))
+        return psi_fn(vs[r] + t) * (cdf_fn(vs[r] + tt) - cv[r])
 
-    t_cut = t_psi if t_zero is None else min(t_zero, t_psi)
-    edges = {0.0, t_cut}
-    if 0.0 < f.r < t_cut:
-        edges.add(f.r)
-    for k in psi_breaks:
-        tb = (v - k) if eps == +1 else (k - v)
-        if 0.0 < tb < t_cut:
-            edges.add(tb)
-    total = integrate_panels(integrand, sorted(edges), tol)
-    if t_zero is None and t_cut < t_psi:
-        total += integrate_geometric(integrand, t_cut, 2.0, tol / 4.0)
-    return total if eps == +1 else -total
+    pieces = np.zeros(a.shape)
+    per = tol / np.maximum(panel.sum(axis=1), 1)
+    pieces[row, col] = integrate_batch(integrand, a[row, col], b[row, col], per[row])
+    total = pieces.sum(axis=1)
+    return (total if eps == +1 else -total).reshape(v.shape)
 
 
 # -- vectorized grid step -------------------------------------------------------

@@ -270,18 +270,52 @@ def _crossing_closed_form(g: GFunction, t: float) -> float | None:
     return None
 
 
-def t_of(f: HFunction, t: float, tol: float = 1e-12) -> float:
+def _crossing_closed_form_array(g: GFunction, t: np.ndarray) -> np.ndarray | None:
+    """_crossing_closed_form on an array, each branch on its own subset of t."""
+    if g.family == "zero":
+        return np.zeros_like(t)
+    out = np.empty_like(t)
+    if g.family == "softplus":
+        (a,) = g.params
+        s = t / a
+        far = s >= 1.0
+        out[far] = -a * np.log1p(-np.exp(-s[far]))
+        out[~far] = -a * np.log(-np.expm1(-s[~far]))
+        return out
+    if g.family == "tent":
+        sp, sm = g.params
+        near = t < 1.0
+        out[near] = t[near] + (1.0 - t[near]) / sp
+        if sm == 1.0:
+            out[~near] = np.where(t[~near] == 1.0, 1.0, 0.0)
+        else:
+            out[~near] = np.maximum(0.0, (1.0 - sm * t[~near]) / (1.0 - sm))
+        return out
+    return None
+
+
+def t_of(f: HFunction, t, tol: float = 1e-12):
     """Crossing function T_F(t) = sup{z : F*(e^-t, e^-z) >= 1}.
 
     The map z -> log F*(e^-t, e^-z) = -min(t, z) + g*(z - t) is nonincreasing,
     so the crossing is found by bracketed bisection; profile families with an
     elementary crossing short-circuit it.  At a flat crossing the bisection
-    point (any point of the flat set) is returned.
+    point (any point of the flat set) is returned.  An ndarray t gives an
+    array: the elementary crossings are evaluated with numpy, the bisection
+    runs per element.
     """
-    if not t > 0:
-        raise DomainError("t must be positive")
     if not tol > 0:
         raise DomainError("tol must be positive")
+    if isinstance(t, np.ndarray):
+        t = np.asarray(t, dtype=float)
+        if not np.all(t > 0):
+            raise DomainError("t must be positive")
+        closed = _crossing_closed_form_array(f.g_star, t)
+        if closed is not None:
+            return closed
+        return np.array([t_of(f, x, tol) for x in t.ravel().tolist()]).reshape(t.shape)
+    if not t > 0:
+        raise DomainError("t must be positive")
     gs = f.g_star
     closed = _crossing_closed_form(gs, t)
     if closed is not None:

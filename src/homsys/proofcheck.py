@@ -4,8 +4,9 @@ This module instantiates the deterministic schedule (tau_n, sigma_n, a_n and
 their tilde twins, beta_n, q_n), the piecewise-quadratic bridging densities,
 the per-n Lambda-condition inequality and the stochastic lower bound it
 yields.  Everything is computed with exact closed forms except the Lambda
-operator itself, which reuses the generic quadrature from the evolution
-module.
+operator itself, which reuses the generic Lambda quadrature of the evolution
+module: the whole v-grid of one n goes through one batched adaptive Simpson
+per atom, with the density and its CDF evaluated on arrays.
 
 All "sufficiently large n" thresholds are outputs of numeric scans, never
 hard-coded.
@@ -227,12 +228,12 @@ def default_v_grid(params: ProofParams, n: int, points: int = 400) -> np.ndarray
     return np.linspace(-row.sigma_tilde - 2.0, right - 1e-9, points)
 
 
-def expected_lambda(model: ModelSpec, row: ScheduleRow, v: float, tol: float = 1e-12) -> float:
-    """Mixture average of the Lambda operator under the bridging density."""
+def expected_lambda(model: ModelSpec, row: ScheduleRow, v, tol: float = 1e-12) -> np.ndarray:
+    """Mixture average of the Lambda operator under the bridging density, at each v of an array."""
     support = (-row.sigma_tilde, row.sigma)
     breaks = (-row.sigma_tilde, 0.0, row.sigma)
-    psi_fn = lambda u: float(psi_n(row, u))
-    cdf_fn = lambda u: float(Psi_n(row, u))
+    psi_fn = lambda u: psi_n(row, u)
+    cdf_fn = lambda u: Psi_n(row, u)
     acc = 0.0
     for w, f in model.atoms:
         acc += w * lambda_operator(psi_fn, cdf_fn, f, v, tol, support=support, psi_breaks=breaks)
@@ -263,11 +264,9 @@ def lambda_condition(
     q0, dq = row.q, q_increment(params, n)
     q1 = q0 + dq
     omq2 = (1.0 - q0) ** 2
-    res = np.empty_like(v_grid)
-    for i, v in enumerate(v_grid):
-        el = expected_lambda(model, row, float(v), tol)
-        dpsi = float(delta_psi(params, row, row1, v))
-        res[i] = el + (1.0 - q1) / omq2 * dpsi + dq / omq2 * (1.0 - float(Psi_n(row, v)))
+    el = expected_lambda(model, row, v_grid, tol)
+    dpsi = delta_psi(params, row, row1, v_grid)
+    res = el + (1.0 - q1) / omq2 * dpsi + dq / omq2 * (1.0 - Psi_n(row, v_grid))
     i = int(np.argmin(res))
     return LambdaConditionReport(n, float(res[i]), float(v_grid[i]), v_grid, res)
 
@@ -284,9 +283,12 @@ def find_n0(
     """Scan n geometrically for the first nonnegative minimum residual.
 
     Returns (n0, reports); n0 is None when no scanned n within [n_min, n_max]
-    passes.  The reported n0 depends on the grid and tolerances; it is an
-    empirical threshold, not a certified constant.
+    passes; an empty range (n_min > n_max) raises DomainError.  The reported
+    n0 depends on the grid and tolerances; it is an empirical threshold, not a
+    certified constant.
     """
+    if n_min > n_max:
+        raise DomainError(f"empty n range: n_min={n_min} > n_max={n_max}")
     history: list[LambdaConditionReport] = []
     n = n_min
     while n <= n_max:

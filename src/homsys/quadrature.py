@@ -2,8 +2,10 @@
 
 Adaptive Simpson on explicit panels, and geometrically graded panels running
 from a point toward 0 (an endpoint singularity) or toward infinity (a tail),
-with a convergence guard.  All routines use absolute error targets; integrands
-are plain callables.
+with a convergence guard; the integrands of these are scalar callables.
+`integrate_batch` runs the same adaptive Simpson over many intervals at once,
+one vectorised integrand call per refinement level.  All routines use
+absolute error targets.
 """
 
 from __future__ import annotations
@@ -11,15 +13,19 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
+import numpy as np
+
 from .errors import IntegrationError
 
 __all__ = [
     "adaptive_simpson",
+    "integrate_batch",
     "integrate_panels",
     "integrate_geometric",
 ]
 
 _MAX_GEOMETRIC_PANELS = 120
+_MAX_DEPTH = 48
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
@@ -40,13 +46,63 @@ def _adapt(f, a, m, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float, max_depth: int = 48) -> float:
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float, max_depth: int = _MAX_DEPTH) -> float:
     """Integrate f over [a, b] to absolute tolerance tol."""
     if b <= a:
         return 0.0
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
     return _adapt(f, a, m, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), tol, max_depth)
+
+
+def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b, tol) -> np.ndarray:
+    """Integrate f over each interval [a[k], b[k]] to absolute tolerance tol[k].
+
+    adaptive_simpson run level by level over all intervals: the same nodes,
+    accept test, correction and depth limit, and the same left + right sums,
+    so each interval gets the value adaptive_simpson would return from the
+    same integrand values.  f(t, k) is vectorised: t holds the nodes of one
+    level and k the index of the interval each node belongs to.  An empty or
+    reversed interval gives 0.
+    """
+    a, b, tol = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, tol)))
+    shape = a.shape
+    a, b, tol = a.ravel(), b.ravel(), tol.ravel()
+    out = np.zeros(a.size)
+    owner = np.flatnonzero(b > a)
+    if not owner.size:
+        return out.reshape(shape)
+    k, a, b, tol = owner, a[owner], b[owner], tol[owner]
+    m = 0.5 * (a + b)
+    fa, fm, fb = np.split(f(np.concatenate([a, m, b]), np.tile(k, 3)), 3)
+    whole = _simpson(fa, fm, fb, b - a)
+
+    def halves(x, y):  # the left halves of the split intervals, then their right halves
+        return np.concatenate([x[split], y[split]])
+
+    levels = []  # per level: each interval's accepted value and whether it split
+    for depth in range(_MAX_DEPTH, -1, -1):
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm, frm = np.split(f(np.concatenate([lm, rm]), np.tile(k, 2)), 2)
+        left = _simpson(fa, flm, fm, m - a)
+        right = _simpson(fm, frm, fb, b - m)
+        err = left + right - whole
+        split = ~(np.abs(err) <= 15.0 * tol) if depth > 0 else np.zeros(k.size, dtype=bool)
+        levels.append((left + right + err / 15.0, split))
+        if not split.any():
+            break
+        a, m, b = halves(a, m), halves(lm, rm), halves(m, b)
+        fa, fm, fb = halves(fa, fm), halves(flm, frm), halves(fm, fb)
+        whole, tol, k = halves(left, right), halves(0.5 * tol, 0.5 * tol), halves(k, k)
+    # fold bottom-up: a split interval is its left half plus its right half
+    total = levels[-1][0]
+    for value, split in reversed(levels[:-1]):
+        half = total.size // 2
+        value[split] = total[:half] + total[half:]
+        total = value
+    out[owner] = total
+    return out.reshape(shape)
 
 
 def integrate_panels(f: Callable[[float], float], edges: list[float], tol: float) -> float:

@@ -22,7 +22,6 @@ from .errors import DomainError, HomsysError
 __all__ = ["SPGraph", "single_edge", "grow", "build", "reduce_graph", "explicit_graph", "resistance_exact", "distance_exact"]
 
 MAX_EXPLICIT_ROUNDS = 16
-_DENSE_NODE_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -113,9 +112,8 @@ def resistance_exact(g: SPGraph, tol: float = 1e-12) -> float:
     """Effective resistance between the terminals via the graph Laplacian.
 
     Unit current is injected at terminal a with terminal z grounded; the
-    reduced SPD system is solved densely for small graphs and by sparse LU
-    beyond (iterative solvers converge too slowly on path-like graphs at the
-    required 1e-12 residual).
+    reduced SPD system is solved by sparse LU (iterative solvers converge too
+    slowly on path-like graphs at the required 1e-12 residual).
     """
     edges, n_nodes, a, z = explicit_graph(g)
     L = _laplacian(edges, n_nodes)
@@ -124,10 +122,7 @@ def resistance_exact(g: SPGraph, tol: float = 1e-12) -> float:
     rhs = np.zeros(n_nodes - 1)
     a_r = a if a < z else a - 1
     rhs[a_r] = 1.0
-    if n_nodes <= _DENSE_NODE_LIMIT:
-        x = np.linalg.solve(Lr.toarray(), rhs)
-    else:
-        x = spla.splu(Lr.tocsc()).solve(rhs)
+    x = spla.splu(Lr.tocsc()).solve(rhs)
     residual = float(np.linalg.norm(Lr @ x - rhs))
     if residual > tol * max(1.0, float(np.linalg.norm(rhs))) * 1e3:
         raise HomsysError(f"Laplacian solve residual {residual:.3g} too large")

@@ -75,3 +75,18 @@ def test_malformed_step_lists_exit_without_traceback(argv, code, capsys):
     assert _exit_code(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err and ("usage:" in err if code == 64 else "validation error" in err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lambda-check", "--model", "hipster", "--n-range", "64:8"],
+        ["lambda-check", "--model", "hipster", "--n-range", "0:8"],
+        ["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", ","],
+        ["evolve", "--model", "hipster", "--n", "4", "--grid", "256", "--checkpoints", ","],
+    ],
+)
+def test_empty_ranges_and_step_lists_exit_64(argv, capsys):
+    assert _exit_code(argv) == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "usage:" in err

@@ -55,7 +55,7 @@ def test_no_known_law_raises():
 
 
 def _unit_density(u):
-    return 1.0 if -0.5 < u < 0.5 else 0.0
+    return np.where((-0.5 < u) & (u < 0.5), 1.0, 0.0)
 
 
 def test_lambda_operator_sign_follows_eps():
@@ -65,6 +65,27 @@ def test_lambda_operator_sign_follows_eps():
         for f in builtin("hipster").functions
     )
     assert plus > 0.0 > minus
+
+
+def test_lambda_operator_takes_an_array_of_v():
+    d = _uniform(m=256)
+    vs = np.array([-0.7, -0.2, 0.0, 0.3, 0.45])
+    for f in builtin("hipster").functions:
+        whole = evolve.lambda_operator(_unit_density, d, f, vs, 1e-9, (-0.5, 0.5), (-0.5, 0.5))
+        one_by_one = [evolve.lambda_operator(_unit_density, d, f, v, 1e-9, (-0.5, 0.5), (-0.5, 0.5)) for v in vs]
+        assert whole.shape == vs.shape
+        np.testing.assert_array_equal(whole, np.array(one_by_one))
+    # max/min atoms have no crossing correction; v below the support edge has nothing to integrate
+    assert np.all(evolve.lambda_operator(_unit_density, d, builtin("distance").functions[1], vs, 1e-9, (-0.5, 0.5)) == 0.0)
+    assert evolve.lambda_operator(_unit_density, d, builtin("hipster").functions[0], -0.7, 1e-9, (-0.5, 0.5)) == 0.0
+
+
+@pytest.mark.parametrize("support", [(-math.inf, math.inf), (-0.5, math.inf), (0.5, -0.5), (math.nan, 0.5)])
+def test_lambda_operator_needs_a_finite_support(support):
+    psi = lambda u: np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    cdf = lambda u: 0.5 * (1.0 + np.vectorize(math.erf)(np.asarray(u) / math.sqrt(2.0)))
+    with pytest.raises(DomainError):
+        evolve.lambda_operator(psi, cdf, builtin("resistance").functions[0], 0.3, 1e-8, support)
 
 
 # -- the per-cell product-rule loop that step_detailed's filters replace --------

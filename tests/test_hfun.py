@@ -24,6 +24,7 @@ from homsys import (
 from homsys.hfun import g_hip, g_table, g_tent, g_zero, t_support_end
 
 LOG2 = math.log(2.0)
+_Z31 = np.linspace(-1.5, 1.5, 31)
 
 
 class TestEval:
@@ -166,6 +167,26 @@ class TestCrossing:
         f_tab = from_g(g_table(z, prof), +1)
         for t in (0.1, 0.5, 0.9, 1.3, 2.0, 1.0 / sm - 0.05):
             assert t_of(f, t) == pytest.approx(t_of(f_tab, t, 1e-12), abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "f",
+        [F_SUM, F_PARALLEL, power_mean(0.3), F_MAX, F_MIN, F_HIP_PLUS, F_HIP_MINUS, asym_tent(0.7, 0.4),
+         asym_tent(0.5, 1.0, -1), from_g(g_table(_Z31, np.maximum(0.0, 1.0 - np.abs(_Z31))), +1)],
+    )
+    def test_array_t_matches_the_scalar_path(self, f):
+        # both branches of each closed form, the tent corner t = 1 and the far softplus tail
+        t = np.array([1e-12, 1e-3, 0.2, 0.5, 0.999, 1.0, 1.0 + 1e-12, 1.5, 2.4, 3.0, 40.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = t_of(f, t.reshape(3, 4))
+        want = np.array([t_of(f, float(x)) for x in t])
+        assert got.shape == (3, 4)
+        np.testing.assert_allclose(got.ravel(), want, rtol=4e-16, atol=0.0)
+        assert isinstance(t_of(f, 0.5), float)
+
+    def test_array_t_rejects_nonpositive_entries(self):
+        with pytest.raises(DomainError):
+            t_of(F_SUM, np.array([0.5, 0.0]))
 
     def test_support_end(self):
         assert t_support_end(F_HIP_PLUS) == 1.0

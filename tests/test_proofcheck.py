@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from homsys import DomainError
+from homsys import DomainError, builtin, parse_model
 from homsys import proofcheck
+from homsys.hfun import t_of, t_support_end
 
 PARAMS = proofcheck.ProofParams(c_star=4.5)
 
@@ -34,3 +35,116 @@ def test_parameter_intervals_checked():
         proofcheck.ProofParams(c_star=4.5, delta1=0.1)
     with pytest.raises(DomainError):
         proofcheck.ProofParams(c_star=0.0)
+
+
+def test_find_n0_rejects_an_empty_range():
+    with pytest.raises(DomainError):
+        proofcheck.find_n0(builtin("hipster"), PARAMS, n_max=8, n_min=64)
+
+
+# -- the per-v scalar loop that the batched lambda_condition replaces -----------
+
+
+def _simpson(fa, fm, fb, h):
+    return h / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def _adapt(f, a, m, b, fa, fm, fb, whole, tol, depth):
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = f(lm)
+    frm = f(rm)
+    left = _simpson(fa, flm, fm, m - a)
+    right = _simpson(fm, frm, fb, b - m)
+    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
+        return left + right + (left + right - whole) / 15.0
+    return _adapt(f, a, lm, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adapt(
+        f, m, rm, b, fm, frm, fb, right, 0.5 * tol, depth - 1
+    )
+
+
+def _adaptive_simpson(f, a, b, tol, max_depth=48):
+    if b <= a:
+        return 0.0
+    m = 0.5 * (a + b)
+    fa, fm, fb = f(a), f(m), f(b)
+    return _adapt(f, a, m, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), tol, max_depth)
+
+
+def _scalar_lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks):
+    eps = f.eps
+    root_tol = min(1e-12, tol / 100.0)
+    t_zero = t_support_end(f)
+    lo, hi = support
+    t_psi = (v - lo) if eps == +1 else (hi - v)
+    if t_psi <= 0.0:
+        return 0.0
+    cv = cdf_fn(v)
+
+    def integrand(t):
+        tt = t_of(f, max(t, 1e-12), root_tol)
+        if eps == +1:
+            return psi_fn(v - t) * (cv - cdf_fn(v - tt))
+        return psi_fn(v + t) * (cdf_fn(v + tt) - cv)
+
+    t_cut = t_psi if t_zero is None else min(t_zero, t_psi)
+    edges = {0.0, t_cut}
+    if 0.0 < f.r < t_cut:
+        edges.add(f.r)
+    for k in psi_breaks:
+        tb = (v - k) if eps == +1 else (k - v)
+        if 0.0 < tb < t_cut:
+            edges.add(tb)
+    edges = sorted(edges)
+    spans = [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
+    total = sum(_adaptive_simpson(integrand, a, b, tol / len(spans)) for a, b in spans) if spans else 0.0
+    return total if eps == +1 else -total
+
+
+def _scalar_lambda_condition(model, params, n, v_grid, tol=1e-12):
+    row = proofcheck.schedule(params, n)
+    row1 = proofcheck.schedule(params, n + 1)
+    q0, dq = row.q, proofcheck.q_increment(params, n)
+    q1 = q0 + dq
+    omq2 = (1.0 - q0) ** 2
+    support = (-row.sigma_tilde, row.sigma)
+    breaks = (-row.sigma_tilde, 0.0, row.sigma)
+    psi_fn = lambda u: float(proofcheck.psi_n(row, u))
+    cdf_fn = lambda u: float(proofcheck.Psi_n(row, u))
+    res = np.empty_like(v_grid)
+    for i, v in enumerate(v_grid):
+        el = 0.0
+        for w, f in model.atoms:
+            el += w * _scalar_lambda_operator(psi_fn, cdf_fn, f, float(v), tol, support, breaks)
+        dpsi = float(proofcheck.delta_psi(params, row, row1, v))
+        res[i] = el + (1.0 - q1) / omq2 * dpsi + dq / omq2 * (1.0 - float(proofcheck.Psi_n(row, v)))
+    i = int(np.argmin(res))
+    return proofcheck.LambdaConditionReport(n, float(res[i]), float(v_grid[i]), v_grid, res)
+
+
+@pytest.mark.parametrize(
+    "name, points",
+    [("hipster", 48), ("lazy_hipster", 48), ("resistance(0.5)", 6), ("distance(0.5)", 6), ("power_mean(0.3,-0.3)", 6)],
+)
+@pytest.mark.parametrize("n", [32, 512])
+def test_batched_residuals_match_the_per_v_loop(name, points, n):
+    model = parse_model(name)
+    grid = proofcheck.default_v_grid(PARAMS, n, points)
+    got = proofcheck.lambda_condition(model, PARAMS, n, grid)
+    want = _scalar_lambda_condition(model, PARAMS, n, grid)
+    # same nodes and accept decisions, so only last-ulp rounding differs (well under the 1e-12
+    # quadrature tolerance, so that a changed panel split or tolerance share shows)
+    np.testing.assert_allclose(got.residuals, want.residuals, rtol=0.0, atol=1e-15)
+    assert got.argmin_v == want.argmin_v
+
+
+@pytest.mark.parametrize("points, n_max", [(6, 1024), (40, 256)])
+def test_find_n0_matches_the_per_v_loop(points, n_max, monkeypatch):
+    model = builtin("hipster")
+    got = proofcheck.find_n0(model, PARAMS, n_max=n_max, n_min=16, points=points)
+    monkeypatch.setattr(proofcheck, "lambda_condition", _scalar_lambda_condition)
+    want = proofcheck.find_n0(model, PARAMS, n_max=n_max, n_min=16, points=points)
+    assert got[0] == want[0] and len(got[1]) == len(want[1])
+    for a, b in zip(got[1], want[1]):
+        assert a.n == b.n and a.argmin_v == b.argmin_v
+        assert a.min_residual == pytest.approx(b.min_residual, abs=1e-13)

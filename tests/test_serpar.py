@@ -32,3 +32,12 @@ def test_all_series_and_all_parallel():
 def test_bad_history_rejected():
     with pytest.raises(DomainError):
         serpar.SPGraph((np.ones(2, dtype=bool),))
+
+
+def test_exact_resistance_of_the_smallest_and_extreme_graphs():
+    assert serpar.resistance_exact(serpar.single_edge()) == pytest.approx(1.0, rel=1e-12)
+    n = 5
+    series = serpar.SPGraph(tuple(np.ones(2**k, dtype=bool) for k in range(n)))
+    parallel = serpar.SPGraph(tuple(np.zeros(2**k, dtype=bool) for k in range(n)))
+    assert serpar.resistance_exact(series) == pytest.approx(32.0, rel=1e-12)
+    assert serpar.resistance_exact(parallel) == pytest.approx(1.0 / 32.0, rel=1e-12)
