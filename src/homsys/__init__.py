@@ -30,7 +30,7 @@ from .hfun import (
     t_of,
     validate,
 )
-from .models import CriticalityReport, ModelSpec, builtin, classify, parse_model, sample_f
+from .models import CriticalityReport, ModelSpec, builtin, classify, parse_model
 from .moments import MomentTable, alpha, c_star, check_ipp, gamma, m_eta, moment_table
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Every run writes a JSON summary carrying the package version, the command
-line it was given, the model name and a digest of the model content, the
+line it was given, the model name, the full model (`model_spec`, the
+`model_to_dict` form, which `parse_model` reads back) and a digest of it, the
 seed and the tolerances; an `evolve` summary also carries the kernel
 diagnostics through its last checkpoint (t-cells and cell groups per atom,
-summed clamp budget, largest monotonicity defect).  The model itself is not
-embedded: repeating a run whose model came from a JSON file needs that file
-too.  Exit codes:
+summed clamp budget, largest monotonicity defect).  So a run whose model came
+from a JSON file can be repeated from its summary alone.  Exit codes:
 0 success, 1 validation failure, 2 numerical failure, 64 usage error.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, dist, evolve, mc, moments, proofcheck, serpar
 from .acceptance import run_criteria
 from .errors import DegenerateModelError, DomainError, HomsysError
-from .models import classify, model_digest, parse_model
+from .models import classify, model_digest, model_to_dict, parse_model
 
 USAGE_EXIT = 64
 
@@ -55,6 +55,22 @@ def _n_range(text: str) -> tuple[int, int]:
     if not 1 <= lo <= hi:
         raise argparse.ArgumentTypeError(f"expected 1 <= a <= b, got {text!r}")
     return lo, hi
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """An argparse type: an integer in [lo, hi), or at least lo when hi is None."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo or (hi is not None and value >= hi):
+            bound = f"{lo} <= value < {hi}" if hi is not None else f"an integer >= {lo}"
+            raise argparse.ArgumentTypeError(f"expected {bound}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _fmt(x: float) -> str:
@@ -92,6 +108,7 @@ def _base_summary(args, model=None) -> dict:
     payload = {"version": __version__, "argv": args.argv}
     if model is not None:
         payload["model"] = model.name
+        payload["model_spec"] = model_to_dict(model)
         payload["model_digest"] = model_digest(model)
     for key in ("seed", "tol", "eta", "delta", "delta1", "threads"):
         if hasattr(args, key) and getattr(args, key) is not None:
@@ -281,10 +298,10 @@ def build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--pool", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--seed", type=_int_in(0, 2**64), default=1)
     sp.add_argument("--checkpoints", type=_checkpoint_list, required=True, help="comma-separated step counts")
     sp.add_argument("--init", type=float, default=0.0, help="initial log value")
-    sp.add_argument("--grid", type=int, default=512, help="cells of the emitted empirical CDF")
+    sp.add_argument("--grid", type=_int_in(1), default=512, help="cells of the emitted empirical CDF")
     sp.add_argument("--law", choices=dist.LIMIT_LAWS, default=None)
     sp.add_argument("--scale-constant", dest="scale_constant", type=float, default=None)
     sp.add_argument("--exponent", type=float, default=None)
@@ -293,7 +310,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("evolve", help="exact grid evolution with rescaled-KS checkpoints")
     common(sp)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--grid", type=int, default=8192)
+    sp.add_argument("--grid", type=_int_in(1), default=8192)
     sp.add_argument("--checkpoints", type=_checkpoint_list, required=True, help="comma-separated step counts")
     sp.add_argument("--init-width", dest="init_width", type=float, default=0.5, help="half-width of the uniform initial law")
     sp.set_defaults(fn=_cmd_evolve)
@@ -301,8 +318,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("serpar", help="series-parallel growth with dual oracles")
     common(sp, model=False)
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seeds", type=int, required=True)
+    sp.add_argument("--n", type=_int_in(0), required=True)
+    sp.add_argument("--seeds", type=_int_in(1), required=True)
     sp.add_argument("--check-exact", dest="check_exact", action="store_true")
     sp.set_defaults(fn=_cmd_serpar)
 
@@ -312,7 +329,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--delta", type=float, default=0.5)
     sp.add_argument("--delta1", type=float, default=0.05)
     sp.add_argument("--n-range", dest="n_range", type=_n_range, required=True, help="a:b")
-    sp.add_argument("--vgrid", type=int, default=400)
+    sp.add_argument("--vgrid", type=_int_in(1), default=400)
     sp.add_argument("--c-star", dest="c_star", type=float, default=None)
     sp.set_defaults(fn=_cmd_lambda_check)
 

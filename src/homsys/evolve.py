@@ -25,7 +25,7 @@ from .dist import GridCDF, ks, rescale
 from .errors import ClampBudgetExceededError, DomainError, HomsysError, RegridRequiredError
 from .hfun import HFunction, t_of, t_support_end
 from .models import ModelSpec, resolve_scaling
-from .quadrature import integrate_batch
+from .quadrature import adaptive_simpson
 
 __all__ = [
     "lambda_operator", "step", "step_detailed", "grid_filters", "run",
@@ -56,7 +56,7 @@ def lambda_operator(
     t-range is split at 0, t_cut (the smaller of t_psi and the support end of
     T), the corner value r and the density kinks psi_breaks translated to the
     t axis; the pieces share tol and all of them, for every v, go through one
-    integrate_batch.
+    adaptive_simpson call.
     """
     lo, hi = support
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -87,7 +87,7 @@ def lambda_operator(
 
     pieces = np.zeros(a.shape)
     per = tol / np.maximum(panel.sum(axis=1), 1)
-    pieces[row, col] = integrate_batch(integrand, a[row, col], b[row, col], per[row])
+    pieces[row, col] = adaptive_simpson(integrand, a[row, col], b[row, col], per[row])
     total = pieces.sum(axis=1)
     return (total if eps == +1 else -total).reshape(v.shape)
 
@@ -154,7 +154,7 @@ def _shift_filters(f: HFunction, h: float, span: float, root_tol: float) -> Shif
         return None
     sign = float(f.eps)
     mids = np.maximum(0.5 * (edges[:-1] + edges[1:]), 1e-12)
-    tau = np.array([sign * t_of(f, t, root_tol) / h for t in mids])
+    tau = sign * t_of(f, mids, root_tol) / h
     k = np.floor(tau)
     phi = tau - k
     sigma = sign * edges / h

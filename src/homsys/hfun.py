@@ -248,36 +248,15 @@ def from_g(g: GFunction, eps: int, label: str = "") -> HFunction:
     return HFunction(eps, g, label)
 
 
-def _crossing_closed_form(g: GFunction, t: float) -> float | None:
-    """T(t) for profile families with an elementary crossing; None otherwise."""
-    if g.family == "zero":
-        return 0.0
-    if g.family == "softplus":
-        (a,) = g.params
-        s = t / a
-        # two algebraically equal forms of -a log(1 - e^-s), stable at each end
-        if s >= 1.0:
-            return -a * math.log1p(-math.exp(-s))
-        return -a * math.log(-math.expm1(-s))
-    if g.family == "tent":
-        sp, sm = g.params
-        if t < 1.0:
-            return t + (1.0 - t) / sp
-        if sm == 1.0:
-            # flat crossing exactly at t = 1; return the sup there
-            return 1.0 if t == 1.0 else 0.0
-        return max(0.0, (1.0 - sm * t) / (1.0 - sm))
-    return None
-
-
-def _crossing_closed_form_array(g: GFunction, t: np.ndarray) -> np.ndarray | None:
-    """_crossing_closed_form on an array, each branch on its own subset of t."""
+def _crossing_closed_form(g: GFunction, t: np.ndarray) -> np.ndarray | None:
+    """T(t) on a 1-d array for profile families with an elementary crossing; None otherwise."""
     if g.family == "zero":
         return np.zeros_like(t)
     out = np.empty_like(t)
     if g.family == "softplus":
         (a,) = g.params
         s = t / a
+        # two algebraically equal forms of -a log(1 - e^-s), stable at each end
         far = s >= 1.0
         out[far] = -a * np.log1p(-np.exp(-s[far]))
         out[~far] = -a * np.log(-np.expm1(-s[~far]))
@@ -287,6 +266,7 @@ def _crossing_closed_form_array(g: GFunction, t: np.ndarray) -> np.ndarray | Non
         near = t < 1.0
         out[near] = t[near] + (1.0 - t[near]) / sp
         if sm == 1.0:
+            # flat crossing exactly at t = 1; return the sup there
             out[~near] = np.where(t[~near] == 1.0, 1.0, 0.0)
         else:
             out[~near] = np.maximum(0.0, (1.0 - sm * t[~near]) / (1.0 - sm))
@@ -294,51 +274,61 @@ def _crossing_closed_form_array(g: GFunction, t: np.ndarray) -> np.ndarray | Non
     return None
 
 
-def t_of(f: HFunction, t, tol: float = 1e-12):
-    """Crossing function T_F(t) = sup{z : F*(e^-t, e^-z) >= 1}.
+def _bisect_crossing(f: HFunction, t: np.ndarray, tol: float) -> np.ndarray:
+    """T(t) on a 1-d array by bracketed bisection of s(z) = g*(z - t) - min(t, z).
 
-    The map z -> log F*(e^-t, e^-z) = -min(t, z) + g*(z - t) is nonincreasing,
-    so the crossing is found by bracketed bisection; profile families with an
-    elementary crossing short-circuit it.  At a flat crossing the bisection
-    point (any point of the flat set) is returned.  An ndarray t gives an
-    array: the elementary crossings are evaluated with numpy, the bisection
-    runs per element.
+    Each element keeps its own bracket, first doubled from max(1, r + 1) until
+    s < 0 there, then halved until narrower than tol; an element whose
+    bracket is done no longer moves, so it ends where a bisection of that
+    element alone would.
+    """
+    gs = f.g_star
+    out = np.zeros_like(t)
+    live = gs(-t) > 0.0  # elsewhere T = 0
+    t = t[live]
+
+    def s(z: np.ndarray) -> np.ndarray:
+        return gs(z - t) - np.minimum(t, z)
+
+    z_hi = np.full_like(t, max(1.0, f.r + 1.0))
+    grow = s(z_hi) >= 0.0
+    while grow.any():
+        z_hi[grow] *= 2.0
+        if z_hi.max() > 1e12:
+            raise DomainError("crossing bracket exceeded 1e12")
+        grow = s(z_hi) >= 0.0
+    z_lo = np.zeros_like(t)
+    wide = z_hi - z_lo > tol
+    while wide.any():
+        mid = 0.5 * (z_lo + z_hi)
+        up = s(mid) >= 0.0
+        z_lo = np.where(wide & up, mid, z_lo)
+        z_hi = np.where(wide & ~up, mid, z_hi)
+        wide = z_hi - z_lo > tol
+    out[live] = 0.5 * (z_lo + z_hi)
+    return out
+
+
+def t_of(f: HFunction, t, tol: float = 1e-12):
+    """Crossing function T_F(t) = sup{z : F*(e^-t, e^-z) >= 1}, elementwise.
+
+    The elementary crossings of the zero, softplus and tent families are
+    evaluated in closed form.  For a table profile the map
+    z -> log F*(e^-t, e^-z) = -min(t, z) + g*(z - t) is nonincreasing, so
+    each element's crossing is found by bracketed bisection to tol; at a flat
+    crossing the bisection point (any point of the flat set) is returned.  A
+    float t gives a float, an array t an array of its shape.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
-    if isinstance(t, np.ndarray):
-        t = np.asarray(t, dtype=float)
-        if not np.all(t > 0):
-            raise DomainError("t must be positive")
-        closed = _crossing_closed_form_array(f.g_star, t)
-        if closed is not None:
-            return closed
-        return np.array([t_of(f, x, tol) for x in t.ravel().tolist()]).reshape(t.shape)
-    if not t > 0:
+    x = np.asarray(t, dtype=float)
+    flat = x.ravel()
+    if not np.all(flat > 0):
         raise DomainError("t must be positive")
-    gs = f.g_star
-    closed = _crossing_closed_form(gs, t)
-    if closed is not None:
-        return closed
-
-    def s(z: float) -> float:
-        return gs(z - t) - min(t, z)
-
-    if gs(-t) <= 0.0:
-        return 0.0
-    z_hi = max(1.0, f.r + 1.0)
-    while s(z_hi) >= 0.0:
-        z_hi *= 2.0
-        if z_hi > 1e12:
-            raise DomainError("crossing bracket exceeded 1e12")
-    z_lo = 0.0
-    while z_hi - z_lo > tol:
-        mid = 0.5 * (z_lo + z_hi)
-        if s(mid) >= 0.0:
-            z_lo = mid
-        else:
-            z_hi = mid
-    return 0.5 * (z_lo + z_hi)
+    out = _crossing_closed_form(f.g_star, flat)
+    if out is None:
+        out = _bisect_crossing(f, flat, tol)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def t_support_end(f: HFunction, tol: float = 1e-12) -> float | None:

@@ -21,8 +21,6 @@ __all__ = [
     "CriticalityReport",
     "builtin",
     "classify",
-    "sample_f",
-    "sample_indices",
     "apply_mixture",
     "resolve_scaling",
     "invert_model",
@@ -120,17 +118,6 @@ def invert_model(model: ModelSpec) -> ModelSpec:
 
 
 # -- sampling -----------------------------------------------------------------
-
-
-def sample_f(model: ModelSpec, rng: np.random.Generator) -> int:
-    """Draw one atom index according to the mixture weights."""
-    return int(sample_indices(model, rng, 1)[0])
-
-
-def sample_indices(model: ModelSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    cum = np.cumsum(model.weights)
-    cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(size), side="right")
 
 
 def apply_mixture(model: ModelSpec, rng: np.random.Generator, a: np.ndarray, b: np.ndarray) -> np.ndarray:

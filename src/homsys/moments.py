@@ -4,7 +4,9 @@ gamma(f, a, b) integrates t^a T(t)^b over (0, inf).  T is nonincreasing, may
 diverge logarithmically at 0 and either hits zero at a finite point (compact
 profiles) or decays exponentially (softplus profiles), so the integral is
 assembled from a geometrically graded head, kink-aware middle panels, and a
-doubling tail with a convergence guard.
+doubling tail with a convergence guard.  Every piece is one batched adaptive
+Simpson call whose integrand evaluates T on the whole array of nodes of a
+refinement level; alpha integrates a profile g the same way.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import DegenerateModelError, DomainError
 from .hfun import GFunction, HFunction, t_of, t_support_end
@@ -36,9 +40,12 @@ def gamma(f: HFunction, a: float, b: float, tol: float = 1e-10) -> float:
         return 0.0
     root_tol = min(1e-12, tol / 100.0)
 
-    def h(t: float) -> float:
+    def h(t: np.ndarray, k: np.ndarray) -> np.ndarray:
         tv = t_of(f, t, root_tol)
-        return 0.0 if tv <= 0.0 else t**a * tv**b
+        out = np.zeros_like(t)
+        pos = tv > 0.0
+        out[pos] = t[pos] ** a * tv[pos] ** b
+        return out
 
     t_end = t_support_end(f)
     anchor = min(1.0, r, t_end if t_end is not None else math.inf)
@@ -68,10 +75,10 @@ def alpha(g: GFunction, tol: float = 1e-10) -> float:
         return 0.0
     if g.family in ("tent", "table"):  # compact: g vanishes beyond its right end
         end = 1.0 / g.params[0] if g.family == "tent" else float(g.grid[-1])
-        return adaptive_simpson(lambda z: float(g(z)), 0.0, end, tol)
+        return adaptive_simpson(lambda z, k: g(z), 0.0, end, tol)
     hi = 4.0 * g.params[0]
-    head = adaptive_simpson(lambda z: float(g(z)), 0.0, hi, tol / 2.0)
-    return head + integrate_geometric(lambda z: float(g(z)), hi, 2.0, tol / 2.0)
+    head = adaptive_simpson(lambda z, k: g(z), 0.0, hi, tol / 2.0)
+    return head + integrate_geometric(lambda z, k: g(z), hi, 2.0, tol / 2.0)
 
 
 def c_star(model: ModelSpec, tol: float = 1e-10) -> float:

@@ -197,7 +197,7 @@ def psi_n_quadrature(row: ScheduleRow, v: float, tol: float = 1e-12) -> float:
     if v <= lo:
         return 0.0
     edges = sorted({e for e in (lo, 0.0, min(v, row.sigma)) if e <= v})
-    return min(integrate_panels(lambda z: float(psi_n(row, z)), edges, tol), 1.0)
+    return min(integrate_panels(lambda z, k: psi_n(row, z), edges, tol), 1.0)
 
 
 # -- the Lambda condition -------------------------------------------------------

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from homsys import cli, limit_cdf
+from homsys import cli, limit_cdf, parse_model
+from homsys.models import model_digest
 
 
 def _csv(path):
@@ -29,6 +30,13 @@ def test_usage_error_exits_64(argv):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
     assert info.value.code == cli.USAGE_EXIT == 64
+
+
+def test_summary_embeds_the_model(tmp_path):
+    spec = '{"atoms":[{"weight":0.5,"family":"tent","s_plus":0.7,"s_minus":0.4},{"weight":0.5,"family":"max"}]}'
+    assert cli.main(["classify", "--model", spec, "--out", str(tmp_path / "c.json")]) == 0
+    summary = json.loads((tmp_path / "c.json").read_text())
+    assert model_digest(parse_model(json.dumps(summary["model_spec"]))) == summary["model_digest"]
 
 
 def test_evolve_csv_uses_the_run_law(tmp_path):
@@ -84,6 +92,15 @@ def test_malformed_step_lists_exit_without_traceback(argv, code, capsys):
         ["lambda-check", "--model", "hipster", "--n-range", "0:8"],
         ["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", ","],
         ["evolve", "--model", "hipster", "--n", "4", "--grid", "256", "--checkpoints", ","],
+        ["evolve", "--model", "hipster", "--n", "4", "--grid", "-5", "--checkpoints", "4"],
+        ["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", "4", "--grid", "-5"],
+        ["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", "4", "--seed", "-1"],
+        ["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", "4", "--seed", str(2**64)],
+        ["lambda-check", "--model", "hipster", "--n-range", "64:64", "--vgrid", "0"],
+        ["lambda-check", "--model", "hipster", "--n-range", "64:64", "--vgrid", "-3"],
+        ["serpar", "--p", "0.5", "--n", "-3", "--seeds", "2"],
+        ["serpar", "--p", "0.5", "--n", "3", "--seeds", "-1"],
+        ["serpar", "--p", "0.5", "--n", "3", "--seeds", "0"],
     ],
 )
 def test_empty_ranges_and_step_lists_exit_64(argv, capsys):

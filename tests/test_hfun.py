@@ -132,6 +132,34 @@ class TestDualities:
             assert fii(x, y) == pytest.approx(f(x, y), rel=1e-14)
 
 
+def _math_crossing(f, t, tol=1e-12):
+    """T_F(t) in math-module floats: the closed forms, or one bisection for a table profile."""
+    g = f.g_star
+    if g.family == "zero":
+        return 0.0
+    if g.family == "softplus":
+        (a,) = g.params
+        s = t / a
+        return -a * math.log1p(-math.exp(-s)) if s >= 1.0 else -a * math.log(-math.expm1(-s))
+    if g.family == "tent":
+        sp, sm = g.params
+        if t < 1.0:
+            return t + (1.0 - t) / sp
+        if sm == 1.0:
+            return 1.0 if t == 1.0 else 0.0
+        return max(0.0, (1.0 - sm * t) / (1.0 - sm))
+    if g(-t) <= 0.0:
+        return 0.0
+    s = lambda z: g(z - t) - min(t, z)
+    z_lo, z_hi = 0.0, max(1.0, f.r + 1.0)
+    while s(z_hi) >= 0.0:
+        z_hi *= 2.0
+    while z_hi - z_lo > tol:
+        mid = 0.5 * (z_lo + z_hi)
+        z_lo, z_hi = (mid, z_hi) if s(mid) >= 0.0 else (z_lo, mid)
+    return 0.5 * (z_lo + z_hi)
+
+
 class TestCrossing:
     def test_hip_indicator(self):
         assert t_of(F_HIP_PLUS, 0.5) == 1.0
@@ -171,15 +199,17 @@ class TestCrossing:
     @pytest.mark.parametrize(
         "f",
         [F_SUM, F_PARALLEL, power_mean(0.3), F_MAX, F_MIN, F_HIP_PLUS, F_HIP_MINUS, asym_tent(0.7, 0.4),
-         asym_tent(0.5, 1.0, -1), from_g(g_table(_Z31, np.maximum(0.0, 1.0 - np.abs(_Z31))), +1)],
+         asym_tent(0.5, 1.0, -1), from_g(g_table(_Z31, np.maximum(0.0, 1.0 - np.abs(_Z31))), +1),
+         from_g(g_table(np.linspace(-2.0, 2.0, 9), [0.0, 0.3, 0.8, 1.2, 1.5, 1.1, 0.6, 0.2, 0.0]), -1)],
     )
     def test_array_t_matches_the_scalar_path(self, f):
-        # both branches of each closed form, the tent corner t = 1 and the far softplus tail
+        # both branches of each closed form, the tent corner t = 1 and the far softplus tail,
+        # against the crossing in math-module floats, one element at a time
         t = np.array([1e-12, 1e-3, 0.2, 0.5, 0.999, 1.0, 1.0 + 1e-12, 1.5, 2.4, 3.0, 40.0, 800.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = t_of(f, t.reshape(3, 4))
-        want = np.array([t_of(f, float(x)) for x in t])
+        want = np.array([_math_crossing(f, float(x)) for x in t])
         assert got.shape == (3, 4)
         np.testing.assert_allclose(got.ravel(), want, rtol=4e-16, atol=0.0)
         assert isinstance(t_of(f, 0.5), float)

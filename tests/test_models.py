@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from homsys import DomainError, ModelSpec, builtin, classify, parse_model, sample_f
+from homsys import DomainError, ModelSpec, builtin, classify, parse_model
 from homsys.hfun import F_HIP_PLUS, F_MAX, F_MIN, F_SUM
 from homsys.hfun import asym_tent, from_g, g_softplus, g_table
-from homsys.models import invert_model, model_digest, model_to_dict, sample_indices
+from homsys.models import invert_model, model_digest, model_to_dict
 
 PI2_12 = math.pi**2 / 12.0
 
@@ -88,26 +88,6 @@ class TestClassify:
             assert b.e_gamma01_eps == pytest.approx(-a.e_gamma01_eps, abs=1e-7)
             flip = {"bounded": "bounded", "linear": "linear", "sqrt": "sqrt", "cbrt": "cbrt", "unknown": "unknown"}
             assert b.regime == flip[a.regime]
-
-
-class TestSampling:
-    def test_single_atom(self):
-        m = ModelSpec(((1.0, F_SUM),))
-        rng = np.random.default_rng(0)
-        assert all(sample_f(m, rng) == 0 for _ in range(10))
-
-    def test_deterministic_given_state(self):
-        m = builtin("hipster")
-        a = sample_indices(m, np.random.default_rng(42), 100)
-        b = sample_indices(m, np.random.default_rng(42), 100)
-        assert np.array_equal(a, b)
-
-    def test_weights_frequencies(self):
-        m = builtin("distance", p=0.3)
-        idx = sample_indices(m, np.random.default_rng(7), 1_000_000)
-        freq = float(np.mean(idx == 0))
-        sigma = math.sqrt(0.3 * 0.7 / 1_000_000)
-        assert abs(freq - 0.3) < 4 * sigma
 
 
 class TestParsing:

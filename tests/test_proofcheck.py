@@ -5,6 +5,8 @@ from homsys import DomainError, builtin, parse_model
 from homsys import proofcheck
 from homsys.hfun import t_of, t_support_end
 
+from scalar_simpson import adaptive_simpson
+
 PARAMS = proofcheck.ProofParams(c_star=4.5)
 
 
@@ -45,32 +47,6 @@ def test_find_n0_rejects_an_empty_range():
 # -- the per-v scalar loop that the batched lambda_condition replaces -----------
 
 
-def _simpson(fa, fm, fb, h):
-    return h / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adapt(f, a, m, b, fa, fm, fb, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return _adapt(f, a, lm, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adapt(
-        f, m, rm, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
-
-
-def _adaptive_simpson(f, a, b, tol, max_depth=48):
-    if b <= a:
-        return 0.0
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    return _adapt(f, a, m, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), tol, max_depth)
-
-
 def _scalar_lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks):
     eps = f.eps
     root_tol = min(1e-12, tol / 100.0)
@@ -97,7 +73,7 @@ def _scalar_lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks):
             edges.add(tb)
     edges = sorted(edges)
     spans = [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
-    total = sum(_adaptive_simpson(integrand, a, b, tol / len(spans)) for a, b in spans) if spans else 0.0
+    total = sum(adaptive_simpson(integrand, a, b, tol / len(spans)) for a, b in spans) if spans else 0.0
     return total if eps == +1 else -total
 
 
