@@ -33,11 +33,12 @@ def adaptive_simpson(f: Integrand, a, b, tol):
     """Integrate f over each interval [a[k], b[k]] to absolute tolerance tol[k].
 
     Adaptive Simpson run level by level over all intervals, one call of f per
-    level: an interval is split while |left + right - whole| > 15 tol (a NaN
-    error splits too), its tolerance halving with each split, down to depth
-    48; an accepted interval gives left + right + (left + right - whole) / 15,
-    and a split one the sum of its left and right halves.  An empty or
-    reversed interval gives 0.  Scalar a, b and tol give a float, arrays an
+    level: an interval is split while |left + right - whole| > 15 tol, its
+    tolerance halving with each split, down to depth 48; an interval whose
+    error is NaN is accepted, as its value is NaN whether or not it is refined.
+    An accepted interval gives left + right + (left + right - whole) / 15, and
+    a split one the sum of its left and right halves.  An empty or reversed
+    interval gives 0.  Scalar a, b and tol give a float, arrays an
     array of their broadcast shape.
     """
     a, b, tol = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, tol)))
@@ -66,7 +67,7 @@ def _levels(f: Integrand, k, a, b, tol) -> np.ndarray:
         left = _simpson(fa, flm, fm, m - a)
         right = _simpson(fm, frm, fb, b - m)
         err = left + right - whole
-        split = ~(np.abs(err) <= 15.0 * tol) if depth > 0 else np.zeros(n, dtype=bool)
+        split = np.abs(err) > 15.0 * tol if depth > 0 else np.zeros(n, dtype=bool)
         levels.append((left + right + err / 15.0, split))
         if not split.any():
             break

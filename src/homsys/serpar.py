@@ -4,8 +4,16 @@ The primary structure is the replacement history: round k holds one boolean
 per edge present at that round (True = the edge was replaced by two edges in
 series, False = by two parallel edges), children of edge e being 2e and 2e+1.
 Reduction is a vectorized bottom-up fold over the history; the explicit
-node/edge graph is derived only to feed the Laplacian and shortest-path
-oracles.
+node/edge graph is derived only to feed the Laplacian and breadth-first
+search oracles.
+
+Nodes are numbered in creation order (a = 0, z = 1, then each round's series
+midpoints).  Reverse creation order is a perfect elimination order: a node
+made on edge (u, v) is only ever adjacent to u, v and nodes made after it, so
+once those are eliminated its neighbours are at most u and v, and eliminating
+it adds at most the fill edge u-v.  The Laplacian oracle factors in that
+order, so its factors hold O(nodes) entries and need no fill-reducing
+ordering.
 """
 
 from __future__ import annotations
@@ -13,9 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 
 from .errors import DomainError, HomsysError
 
@@ -99,46 +104,63 @@ def explicit_graph(g: SPGraph) -> tuple[np.ndarray, int, int, int]:
     return edges, n_nodes, 0, 1
 
 
-def _laplacian(edges: np.ndarray, n_nodes: int) -> sp.csr_matrix:
-    u, v = edges[:, 0], edges[:, 1]
-    w = np.ones(len(edges))
-    rows = np.concatenate([u, v, u, v])
-    cols = np.concatenate([v, u, u, v])
-    vals = np.concatenate([-w, -w, w, w])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
-
-
 def resistance_exact(g: SPGraph, tol: float = 1e-12) -> float:
     """Effective resistance between the terminals via the graph Laplacian.
 
-    Unit current is injected at terminal a with terminal z grounded; the
-    reduced SPD system is solved by sparse LU (iterative solvers converge too
-    slowly on path-like graphs at the required 1e-12 residual).
+    Unit current is injected at terminal a with terminal z grounded.  Nodes
+    are relabelled in reverse creation order with a and z last (the perfect
+    elimination order of the module docstring), and the reduced SPD system is
+    factored by sparse LU in that natural order with diagonal pivots: each
+    elimination adds at most one fill entry, and an SPD matrix needs no
+    pivoting.
     """
+    # imported here so that commands which never call an oracle start without scipy
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     edges, n_nodes, a, z = explicit_graph(g)
-    L = _laplacian(edges, n_nodes)
-    keep = np.arange(n_nodes) != z
-    Lr = L[keep][:, keep]
-    rhs = np.zeros(n_nodes - 1)
-    a_r = a if a < z else a - 1
+    m = n_nodes - 1
+    label = np.arange(m, -1, -1)
+    label[a], label[z] = m - 1, m
+    u, v = label[edges[:, 0]], label[edges[:, 1]]
+    # z has the last label m: dropping its row and column grounds it
+    keep_u, keep_v = u < m, v < m
+    inner = keep_u & keep_v
+    rows = np.concatenate([u[keep_u], v[keep_v], u[inner], v[inner]])
+    cols = np.concatenate([u[keep_u], v[keep_v], v[inner], u[inner]])
+    vals = np.concatenate([np.ones(keep_u.sum() + keep_v.sum()), np.full(2 * inner.sum(), -1.0)])
+    Lr = sp.csc_matrix((vals, (rows, cols)), shape=(m, m))
+    rhs = np.zeros(m)
+    a_r = m - 1
     rhs[a_r] = 1.0
-    x = spla.splu(Lr.tocsc()).solve(rhs)
+    lu = spla.splu(Lr, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}, panel_size=1, relax=1)
+    x = lu.solve(rhs)
     residual = float(np.linalg.norm(Lr @ x - rhs))
     if residual > tol * max(1.0, float(np.linalg.norm(rhs))) * 1e3:
         raise HomsysError(f"Laplacian solve residual {residual:.3g} too large")
-    v = float(x[a_r])
-    if not np.isfinite(v) or v <= 0:
+    r = float(x[a_r])
+    if not np.isfinite(r) or r <= 0:
         raise HomsysError("singular Laplacian system; graph disconnected?")
-    return v
+    return r
 
 
 def distance_exact(g: SPGraph) -> float:
-    """Terminal-to-terminal hop distance (all edges have unit length)."""
+    """Terminal-to-terminal hop distance (all edges have unit length).
+
+    A breadth-first search from a; the hops are counted along its
+    predecessor tree from z back to a.
+    """
+    # imported here so that commands which never call an oracle start without scipy
+    import scipy.sparse as sp
+    import scipy.sparse.csgraph as csgraph
+
     edges, n_nodes, a, z = explicit_graph(g)
-    u, v = edges[:, 0], edges[:, 1]
-    adj = sp.coo_matrix((np.ones(len(edges)), (u, v)), shape=(n_nodes, n_nodes)).tocsr()
-    d = csgraph.shortest_path(adj, method="D", directed=False, unweighted=True, indices=a)
-    out = float(d[z])
-    if not np.isfinite(out):
-        raise HomsysError("terminals are disconnected")
-    return out
+    adj = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n_nodes, n_nodes))
+    _, pred = csgraph.breadth_first_order(adj, a, directed=False, return_predecessors=True)
+    hops, node = 0, z
+    while node != a:
+        node = pred[node]
+        if node < 0:
+            raise HomsysError("terminals are disconnected")
+        hops += 1
+    return float(hops)

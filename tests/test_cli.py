@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import homsys
 from homsys import cli, limit_cdf, parse_model
 from homsys.models import model_digest
 
@@ -107,3 +112,13 @@ def test_empty_ranges_and_step_lists_exit_64(argv, capsys):
     assert _exit_code(argv) == 64
     err = capsys.readouterr().err
     assert "Traceback" not in err and "usage:" in err
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # only the serpar oracles use scipy; they import it when called, so commands
+    # that never call them start without loading it
+    src = str(Path(homsys.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, homsys.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -89,6 +89,25 @@ def test_batch_matches_adaptive_simpson(scalar, vector):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
+def test_nan_error_is_accepted_not_refined():
+    # f is NaN on [0, 0.5): an interval whose error is NaN is accepted with its NaN
+    # value instead of doubling its nodes at every level; a finite interval of the
+    # same call gets the value it gets alone
+    sizes = []
+
+    def f(t, k):
+        sizes.append(t.size)
+        if t.size > 1000:
+            raise AssertionError("NaN intervals are being refined")
+        return np.where(t < 0.5, np.nan, np.sin(t))
+
+    got = adaptive_simpson(f, [0.0, 1.0], [1.0, 2.0], 1e-12)
+    assert math.isnan(got[0])
+    assert got[1] == adaptive_simpson(f, 1.0, 2.0, 1e-12)
+    assert math.isnan(adaptive_simpson(f, 0.0, 1.0, 1e-12))
+    assert max(sizes) <= 500
+
+
 def test_batch_passes_each_node_its_interval():
     # f(t, k) = k: the integral over interval k is k times its length
     a = np.array([0.0, 1.0, 5.0])

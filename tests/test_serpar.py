@@ -41,3 +41,22 @@ def test_exact_resistance_of_the_smallest_and_extreme_graphs():
     parallel = serpar.SPGraph(tuple(np.zeros(2**k, dtype=bool) for k in range(n)))
     assert serpar.resistance_exact(series) == pytest.approx(32.0, rel=1e-12)
     assert serpar.resistance_exact(parallel) == pytest.approx(1.0 / 32.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_oracles_at_the_criterion_5_size(p, seed):
+    g = serpar.build(12, p, seed)
+    r_red, d_red = serpar.reduce_graph(g)
+    assert serpar.resistance_exact(g) == pytest.approx(r_red, rel=1e-10)
+    assert serpar.distance_exact(g) == d_red
+
+
+def test_exact_oracles_of_the_n12_extremes():
+    n = 12
+    series = serpar.SPGraph(tuple(np.ones(2**k, dtype=bool) for k in range(n)))
+    parallel = serpar.SPGraph(tuple(np.zeros(2**k, dtype=bool) for k in range(n)))
+    assert serpar.resistance_exact(series) == pytest.approx(4096.0, rel=1e-12)
+    assert serpar.distance_exact(series) == 4096.0
+    assert serpar.resistance_exact(parallel) == pytest.approx(2.0**-12, rel=1e-12)
+    assert serpar.distance_exact(parallel) == 1.0
