@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _EDGE_EPS = 1e-12
+_MAX_HALVINGS = 120  # of min(r, 1), toward the log singularity of T at 0
 CLAMP_ABORT_BUDGET = 1e-6
 
 
@@ -52,10 +53,24 @@ def lambda_operator(
 
     Nonnegative for eps = +1, nonpositive for eps = -1.  The density psi_fn
     vanishes outside the finite interval `support`, which bounds the
-    t-integration by t_psi, the distance from v to the support edge.  Each v's
-    t-range is split at 0, t_cut (the smaller of t_psi and the support end of
-    T), the corner value r and the density kinks psi_breaks translated to the
-    t axis; the pieces share tol and all of them, for every v, go through one
+    t-integration by t_psi, the distance from v to the support edge.  The
+    integrand psi(v -+ t) (C(v) - C(v -+ T(t))) is split into panels on which
+    it is smooth.  Each v's t-range [0, t_cut] (t_cut the smaller of t_psi
+    and the support end of T) is cut at
+      - the corner value r;
+      - each density break k (psi_breaks and the support ends) translated to
+        the t axis, t = +-(v - k);
+      - each t where C(v -+ T(t)) crosses a break, t = T_{F#}(+-(v - k)),
+        since T_{F#} inverts T.  Below the crossing of the far support end C
+        is saturated (0 or 1) and the integrand is a polynomial;
+      - when T has no support end (it then diverges like log(1/t) at 0),
+        the halvings of min(r, 1) above that saturation edge, as in
+        moments.gamma.
+    Every node is evaluated as a limit from inside its panel: the density
+    argument is kept within the panel's piece between two breaks, one float
+    inside each break, and t = 0 gives T(0+), the right end of T's range.
+    So adaptive Simpson meets no jump and converges in a few levels.  The
+    panels of one v share tol; all of them, for every v, go through one
     adaptive_simpson call.
     """
     lo, hi = support
@@ -69,25 +84,47 @@ def lambda_operator(
     t_zero = t_support_end(f)
     # a v beyond the support edge (t_psi <= 0) gets t_cut = 0: no panel, Lambda = 0
     t_cut = np.maximum(t_psi if t_zero is None else np.minimum(t_zero, t_psi), 0.0)
-    # per v, the panel edges as one row; a kink outside (0, t_cut) becomes a NaN, sorted last
-    kinks = np.column_stack([np.full(vs.size, f.r)] + [(vs - k) if eps == +1 else (k - vs) for k in psi_breaks])
-    kinks = np.where((kinks > 0.0) & (kinks < t_cut[:, None]), kinks, np.nan)
-    edges = np.sort(np.column_stack([np.zeros(vs.size), t_cut, kinks]), axis=1)
+    breaks = np.unique(np.array([lo, hi, *psi_breaks], dtype=float))
+    # per v and break k: reach = +-(v - k), where the density factor meets k, and
+    # cross = T_{F#}(reach), where the argument v -+ T(t) of C meets it
+    reach = (vs[:, None] - breaks) if eps == +1 else (breaks - vs[:, None])
+    swap = f.swap()
+    cross = np.zeros_like(reach)
+    cross[reach > 0.0] = t_of(swap, reach[reach > 0.0], root_tol)
+    cand = [np.full((vs.size, 1), f.r), reach, cross]
+    if t_zero is None:
+        t_sat = cross[:, np.searchsorted(breaks, lo if eps == +1 else hi)]  # C saturated below
+        halvings = min(f.r, 1.0) * 0.5 ** np.arange(1, _MAX_HALVINGS + 1)
+        cand.append(np.where(halvings > t_sat[:, None], halvings, np.nan))
+    # per v, the panel edges as one row; an edge outside (0, t_cut) becomes a NaN, sorted last
+    cand = np.concatenate(cand, axis=1)
+    cand = np.where((cand > 0.0) & (cand < t_cut[:, None]), cand, np.nan)
+    edges = np.sort(np.column_stack([np.zeros(vs.size), t_cut, cand]), axis=1)
     a, b = edges[:, :-1], edges[:, 1:]
     panel = b > a
     row, col = np.nonzero(panel)
+    a, b = a[row, col], b[row, col]
+    # the piece of the density each panel covers, one float inside its bounding breaks
+    piece = np.searchsorted(breaks, (vs[row] - 0.5 * (a + b)) if eps == +1 else (vs[row] + 0.5 * (a + b)))
+    bounds = np.concatenate([[-np.inf], breaks, [np.inf]])
+    u_lo = np.nextafter(bounds[piece], np.inf)
+    u_hi = np.nextafter(bounds[piece + 1], -np.inf)
+    t_end = t_support_end(swap)
+    t_zero_plus = np.inf if t_end is None else t_end  # T(0+)
     cv = cdf_fn(vs)
 
     def integrand(t: np.ndarray, k: np.ndarray) -> np.ndarray:
         r = row[k]  # the row, i.e. the v, of each node's panel
-        tt = t_of(f, np.maximum(t, 1e-12), root_tol)
+        tt = np.full_like(t, t_zero_plus)
+        inner = t > 0.0  # t = 0 only starts a panel
+        tt[inner] = t_of(f, t[inner], root_tol)
         if eps == +1:
-            return psi_fn(vs[r] - t) * (cv[r] - cdf_fn(vs[r] - tt))
-        return psi_fn(vs[r] + t) * (cdf_fn(vs[r] + tt) - cv[r])
+            return psi_fn(np.clip(vs[r] - t, u_lo[k], u_hi[k])) * (cv[r] - cdf_fn(vs[r] - tt))
+        return psi_fn(np.clip(vs[r] + t, u_lo[k], u_hi[k])) * (cdf_fn(vs[r] + tt) - cv[r])
 
-    pieces = np.zeros(a.shape)
+    pieces = np.zeros(panel.shape)
     per = tol / np.maximum(panel.sum(axis=1), 1)
-    pieces[row, col] = adaptive_simpson(integrand, a[row, col], b[row, col], per[row])
+    pieces[row, col] = adaptive_simpson(integrand, a, b, per[row])
     total = pieces.sum(axis=1)
     return (total if eps == +1 else -total).reshape(v.shape)
 

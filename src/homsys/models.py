@@ -14,7 +14,7 @@ import numpy as np
 from . import hfun
 from .errors import DomainError
 from .hfun import HFunction
-from .moments import alpha, c_star, gamma
+from .moments import alpha, c_star, gammas
 
 __all__ = [
     "ModelSpec",
@@ -185,7 +185,7 @@ def classify(model: ModelSpec, tol: float = 1e-10) -> CriticalityReport:
     eps = np.array([f.eps for f in model.functions], dtype=float)
     p = float(w[eps > 0].sum())
     e_eps = float((w * eps).sum())
-    g01 = np.array([gamma(f, 0.0, 1.0, tol) for f in model.functions])
+    g01 = np.array(gammas(model.functions, 0.0, 1.0, tol))
     e_g01_eps = float((w * eps * g01).sum())
     ints = np.array([alpha(f.g, tol) for f in model.functions])
     wp = float(w[eps > 0].sum())

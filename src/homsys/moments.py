@@ -24,7 +24,7 @@ from .quadrature import adaptive_simpson, integrate_geometric, integrate_panels
 if TYPE_CHECKING:
     from .models import ModelSpec
 
-__all__ = ["gamma", "m_eta", "alpha", "c_star", "check_ipp", "MomentTable", "moment_table", "model_moments"]
+__all__ = ["gamma", "gammas", "m_eta", "alpha", "c_star", "check_ipp", "MomentTable", "moment_table", "model_moments"]
 
 
 def gamma(f: HFunction, a: float, b: float, tol: float = 1e-10) -> float:
@@ -62,6 +62,28 @@ def gamma(f: HFunction, a: float, b: float, tol: float = 1e-10) -> float:
     return total
 
 
+def _profile_key(g: GFunction) -> tuple:
+    """A profile by value; GFunction == ignores a table's grid and values."""
+    table = () if g.grid is None else (g.grid.tobytes(), g.values.tobytes())
+    return (g.family, g.params, *table)
+
+
+def gammas(functions, a: float, b: float, tol: float = 1e-10) -> list[float]:
+    """gamma(f, a, b, tol) for each f, computed once per distinct crossing function.
+
+    Gamma depends on f only through the profile g* of star(f), so atoms that
+    share it (a sum and a parallel atom, hipster+ and hipster-) share one
+    value."""
+    memo: dict[tuple, float] = {}
+    out = []
+    for f in functions:
+        key = _profile_key(f.g_star)
+        if key not in memo:
+            memo[key] = gamma(f, a, b, tol)
+        out.append(memo[key])
+    return out
+
+
 def m_eta(f: HFunction, eta: float = 1.0, tol: float = 1e-10) -> float:
     """max of the two minimal-integrability moments."""
     if not 0.0 < eta <= 1.0:
@@ -85,9 +107,11 @@ def c_star(model: ModelSpec, tol: float = 1e-10) -> float:
     """(9/4) E[Gamma^(0,2) + 2 Gamma^(1,1)] over the mixture; positive by nontriviality."""
     if not model.is_nontrivial():
         raise DegenerateModelError("every atom is max or min; the scaling constant would vanish")
+    g02 = gammas(model.functions, 0.0, 2.0, tol)
+    g11 = gammas(model.functions, 1.0, 1.0, tol)
     acc = 0.0
-    for w, f in model.atoms:
-        acc += w * (gamma(f, 0.0, 2.0, tol) + 2.0 * gamma(f, 1.0, 1.0, tol))
+    for (w, _), x02, x11 in zip(model.atoms, g02, g11):
+        acc += w * (x02 + 2.0 * x11)
     return 2.25 * acc
 
 

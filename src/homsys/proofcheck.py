@@ -179,9 +179,9 @@ def Psi_n(row: ScheduleRow, v) -> np.ndarray | float:
     """Exact CDF of psi_n: cubic polynomials on each side, 1/2 at zero."""
     v = np.asarray(v, dtype=float)
     vn = np.clip(v, -row.sigma_tilde, 0.0)
-    neg = row.a_tilde * (row.tau_tilde**2 * (vn + row.sigma_tilde) - (vn**3 + row.sigma_tilde**3) / 3.0)
+    neg = row.a_tilde * (row.tau_tilde**2 * (vn + row.sigma_tilde) - (vn * vn * vn + row.sigma_tilde**3) / 3.0)
     vp = np.clip(v, 0.0, row.sigma)
-    pos = 0.5 + row.a * (row.tau**2 * vp - vp**3 / 3.0)
+    pos = 0.5 + row.a * (row.tau**2 * vp - vp * vp * vp / 3.0)
     out = np.clip(np.where(v < 0, neg, pos), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 

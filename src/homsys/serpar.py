@@ -19,12 +19,13 @@ ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, HomsysError
 
-__all__ = ["SPGraph", "single_edge", "grow", "build", "reduce_graph", "explicit_graph", "resistance_exact", "distance_exact"]
+__all__ = ["SPGraph", "single_edge", "grow", "build", "reduce_graph", "resistance_exact", "distance_exact"]
 
 MAX_EXPLICIT_ROUNDS = 16
 
@@ -47,6 +48,29 @@ class SPGraph:
         for k, h in enumerate(self.history):
             if h.dtype != np.bool_ or h.shape != (2**k,):
                 raise DomainError(f"round {k} must hold 2^{k} boolean choices")
+
+    @cached_property
+    def explicit(self) -> tuple[np.ndarray, int, int, int]:
+        """The node/edge graph: (edges array [E, 2], n_nodes, a, z).
+
+        Derived on first use and kept, so the oracles share one derivation;
+        the edges array is read-only."""
+        if self.rounds > MAX_EXPLICIT_ROUNDS:
+            raise DomainError(f"explicit builds are capped at {MAX_EXPLICIT_ROUNDS} rounds")
+        edges = np.array([[0, 1]], dtype=np.int64)
+        n_nodes = 2
+        for series in self.history:
+            mids = n_nodes + np.cumsum(series) - 1
+            u, v = edges[:, 0], edges[:, 1]
+            out = np.empty((2 * len(edges), 2), dtype=np.int64)
+            out[0::2, 0] = u
+            out[0::2, 1] = np.where(series, mids, v)
+            out[1::2, 0] = np.where(series, mids, u)
+            out[1::2, 1] = v
+            edges = out
+            n_nodes += int(series.sum())
+        edges.flags.writeable = False
+        return edges, n_nodes, 0, 1
 
 
 def single_edge() -> SPGraph:
@@ -85,25 +109,6 @@ def reduce_graph(g: SPGraph) -> tuple[float, float]:
     return float(r[0]), float(d[0])
 
 
-def explicit_graph(g: SPGraph) -> tuple[np.ndarray, int, int, int]:
-    """Derive the node/edge graph: (edges array [E, 2], n_nodes, a, z)."""
-    if g.rounds > MAX_EXPLICIT_ROUNDS:
-        raise DomainError(f"explicit builds are capped at {MAX_EXPLICIT_ROUNDS} rounds")
-    edges = np.array([[0, 1]], dtype=np.int64)
-    n_nodes = 2
-    for series in g.history:
-        mids = n_nodes + np.cumsum(series) - 1
-        u, v = edges[:, 0], edges[:, 1]
-        out = np.empty((2 * len(edges), 2), dtype=np.int64)
-        out[0::2, 0] = u
-        out[0::2, 1] = np.where(series, mids, v)
-        out[1::2, 0] = np.where(series, mids, u)
-        out[1::2, 1] = v
-        edges = out
-        n_nodes += int(series.sum())
-    return edges, n_nodes, 0, 1
-
-
 def resistance_exact(g: SPGraph, tol: float = 1e-12) -> float:
     """Effective resistance between the terminals via the graph Laplacian.
 
@@ -118,7 +123,7 @@ def resistance_exact(g: SPGraph, tol: float = 1e-12) -> float:
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    edges, n_nodes, a, z = explicit_graph(g)
+    edges, n_nodes, a, z = g.explicit
     m = n_nodes - 1
     label = np.arange(m, -1, -1)
     label[a], label[z] = m - 1, m
@@ -154,7 +159,7 @@ def distance_exact(g: SPGraph) -> float:
     import scipy.sparse as sp
     import scipy.sparse.csgraph as csgraph
 
-    edges, n_nodes, a, z = explicit_graph(g)
+    edges, n_nodes, a, z = g.explicit
     adj = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n_nodes, n_nodes))
     _, pred = csgraph.breadth_first_order(adj, a, directed=False, return_predecessors=True)
     hops, node = 0, z

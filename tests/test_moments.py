@@ -22,7 +22,9 @@ from homsys import (
     power_mean,
     t_of,
 )
-from homsys.models import builtin, invert_model
+from homsys import moments
+from homsys.hfun import from_g, g_table
+from homsys.models import builtin, classify, invert_model
 
 # frozen oracle values (series / high-precision quadrature)
 ZETA2 = 1.6449340668482264365  # sum 1/k^2
@@ -132,6 +134,25 @@ class TestCStar:
     def test_invariant_under_model_inversion(self):
         m = builtin("lazy_hipster")
         assert c_star(invert_model(m), 1e-9) == pytest.approx(c_star(m, 1e-9), abs=1e-7)
+
+
+class TestGammas:
+    def test_atoms_sharing_a_crossing_function_share_one_gamma(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(moments, "gamma", lambda f, a, b, tol: calls.append(f) or float(len(calls)))
+        assert moments.gammas([F_SUM, F_PARALLEL, power_mean(0.3), power_mean(-0.3)], 0.0, 1.0) == [1.0, 1.0, 2.0, 2.0]
+        assert moments.gammas([F_HIP_PLUS, F_HIP_MINUS], 0.0, 1.0) == [3.0, 3.0]
+
+    def test_two_table_atoms_keep_their_own_gamma(self):
+        grid = [-1.0, -0.5, 0.0, 0.5, 1.0]
+        tall = from_g(g_table(grid, [0.0, 0.5, 1.0, 0.5, 0.0]), +1, "tall")
+        low = from_g(g_table(grid, [0.0, 0.25, 0.5, 0.25, 0.0]), -1, "low")
+        assert tall.g_star == low.g_star  # GFunction == does not compare table values
+        model = ModelSpec(((0.5, tall), (0.5, low)))
+        each = [(gamma(f, 0.0, 2.0), gamma(f, 1.0, 1.0), gamma(f, 0.0, 1.0)) for f in (tall, low)]
+        assert each[0] != each[1]
+        assert c_star(model) == 2.25 * (0.5 * (each[0][0] + 2.0 * each[0][1]) + 0.5 * (each[1][0] + 2.0 * each[1][1]))
+        assert classify(model).e_gamma01_eps == 0.5 * each[0][2] - 0.5 * each[1][2]
 
 
 class TestIPP:

@@ -1,10 +1,14 @@
+import bisect
+import math
+
 import numpy as np
 import pytest
 
-from homsys import DomainError, builtin, parse_model
+from homsys import DomainError, builtin, evolve, moments, parse_model
 from homsys import proofcheck
 from homsys.hfun import t_of, t_support_end
 
+import kink_panel_lambda
 from scalar_simpson import adaptive_simpson
 
 PARAMS = proofcheck.ProofParams(c_star=4.5)
@@ -48,6 +52,7 @@ def test_find_n0_rejects_an_empty_range():
 
 
 def _scalar_lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks):
+    """The panel rule of evolve.lambda_operator, one v and one panel at a time."""
     eps = f.eps
     root_tol = min(1e-12, tol / 100.0)
     t_zero = t_support_end(f)
@@ -56,24 +61,36 @@ def _scalar_lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks):
     if t_psi <= 0.0:
         return 0.0
     cv = cdf_fn(v)
-
-    def integrand(t):
-        tt = t_of(f, max(t, 1e-12), root_tol)
-        if eps == +1:
-            return psi_fn(v - t) * (cv - cdf_fn(v - tt))
-        return psi_fn(v + t) * (cdf_fn(v + tt) - cv)
-
+    swap = f.swap()
+    t_end = t_support_end(swap)
+    t_zero_plus = math.inf if t_end is None else t_end
     t_cut = t_psi if t_zero is None else min(t_zero, t_psi)
-    edges = {0.0, t_cut}
-    if 0.0 < f.r < t_cut:
-        edges.add(f.r)
-    for k in psi_breaks:
+    breaks = sorted({lo, hi, *psi_breaks})
+    cuts = {f.r}
+    for k in breaks:
         tb = (v - k) if eps == +1 else (k - v)
-        if 0.0 < tb < t_cut:
-            edges.add(tb)
-    edges = sorted(edges)
+        cuts.add(tb)
+        if tb > 0.0:
+            cuts.add(t_of(swap, tb, root_tol))
+    if t_zero is None:
+        t_sat = t_of(swap, t_psi, root_tol)
+        top = min(f.r, 1.0)
+        cuts.update(top * 0.5**j for j in range(1, evolve._MAX_HALVINGS + 1) if top * 0.5**j > t_sat)
+    edges = sorted({0.0, t_cut} | {e for e in cuts if 0.0 < e < t_cut})
     spans = [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
-    total = sum(adaptive_simpson(integrand, a, b, tol / len(spans)) for a, b in spans) if spans else 0.0
+    bounds = [-math.inf, *breaks, math.inf]
+    total = 0.0
+    for a, b in spans:
+        j = bisect.bisect_left(breaks, (v - 0.5 * (a + b)) if eps == +1 else (v + 0.5 * (a + b)))
+        u_lo, u_hi = math.nextafter(bounds[j], math.inf), math.nextafter(bounds[j + 1], -math.inf)
+
+        def integrand(t):
+            tt = t_of(f, t, root_tol) if t > 0.0 else t_zero_plus
+            if eps == +1:
+                return psi_fn(min(max(v - t, u_lo), u_hi)) * (cv - cdf_fn(v - tt))
+            return psi_fn(min(max(v + t, u_lo), u_hi)) * (cdf_fn(v + tt) - cv)
+
+        total += adaptive_simpson(integrand, a, b, tol / len(spans))
     return total if eps == +1 else -total
 
 
@@ -98,10 +115,13 @@ def _scalar_lambda_condition(model, params, n, v_grid, tol=1e-12):
     return proofcheck.LambdaConditionReport(n, float(res[i]), float(v_grid[i]), v_grid, res)
 
 
-@pytest.mark.parametrize(
+SCANS = pytest.mark.parametrize(
     "name, points",
     [("hipster", 48), ("lazy_hipster", 48), ("resistance(0.5)", 6), ("distance(0.5)", 6), ("power_mean(0.3,-0.3)", 6)],
 )
+
+
+@SCANS
 @pytest.mark.parametrize("n", [32, 512])
 def test_batched_residuals_match_the_per_v_loop(name, points, n):
     model = parse_model(name)
@@ -124,3 +144,45 @@ def test_find_n0_matches_the_per_v_loop(points, n_max, monkeypatch):
     for a, b in zip(got[1], want[1]):
         assert a.n == b.n and a.argmin_v == b.argmin_v
         assert a.min_residual == pytest.approx(b.min_residual, abs=1e-13)
+
+
+@SCANS
+@pytest.mark.parametrize("n", [32, 512])
+def test_residuals_agree_with_the_kink_panel_rule(name, points, n, monkeypatch):
+    # crossing edges and one-sided panel ends change how the integrals converge, not their values
+    model = parse_model(name)
+    grid = proofcheck.default_v_grid(PARAMS, n, points)
+    got = proofcheck.lambda_condition(model, PARAMS, n, grid)
+    monkeypatch.setattr(proofcheck, "lambda_operator", kink_panel_lambda.lambda_operator)
+    want = proofcheck.lambda_condition(model, PARAMS, n, grid)
+    np.testing.assert_allclose(got.residuals, want.residuals, rtol=0.0, atol=1e-10)
+    assert got.argmin_v == want.argmin_v
+
+
+@pytest.mark.parametrize(
+    "name, n, points",
+    [("hipster", 64, 400), ("hipster", 4096, 25), ("lazy_hipster", 64, 400), ("lazy_hipster", 4096, 25),
+     ("resistance(0.5)", 4096, 4)],
+)
+def test_lambda_quadrature_stays_above_the_depth_limit(name, n, points, monkeypatch):
+    # the integrand is called once for the first nodes and once per refinement level, so a call
+    # that refines an interval 48 times (the depth limit) calls it 50 times
+    calls = []
+    simpson = evolve.adaptive_simpson
+
+    def counted(f, a, b, tol):
+        count = [0]
+
+        def g(t, k):
+            count[0] += 1
+            return f(t, k)
+
+        out = simpson(g, a, b, tol)
+        calls.append(count[0])
+        return out
+
+    monkeypatch.setattr(evolve, "adaptive_simpson", counted)
+    model = parse_model(name)
+    params = proofcheck.ProofParams(c_star=moments.c_star(model))
+    proofcheck.lambda_condition(model, params, n, proofcheck.default_v_grid(params, n, points))
+    assert calls and max(calls) - 2 < 48

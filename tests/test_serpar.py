@@ -17,8 +17,18 @@ def test_build_is_deterministic_and_sized():
     a, b = serpar.build(6, 0.3, 4), serpar.build(6, 0.3, 4)
     assert all(np.array_equal(x, y) for x, y in zip(a.history, b.history))
     assert a.n_edges == 64
-    edges, n_nodes, _, _ = serpar.explicit_graph(a)
+    edges, n_nodes, _, _ = a.explicit
     assert len(edges) == 64 and n_nodes == 2 + sum(int(h.sum()) for h in a.history)
+
+
+def test_the_explicit_graph_is_derived_once_and_read_only():
+    g = serpar.build(6, 0.5, 1)
+    r, d = serpar.resistance_exact(g), serpar.distance_exact(g)
+    edges = g.explicit[0]
+    assert g.explicit[0] is edges and not edges.flags.writeable
+    assert (serpar.resistance_exact(g), serpar.distance_exact(g)) == (r, d)
+    with pytest.raises(DomainError):
+        serpar.build(17, 0.5, 1).explicit
 
 
 def test_all_series_and_all_parallel():
