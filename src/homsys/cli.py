@@ -1,13 +1,17 @@
 """Command-line front end.
 
-Every run writes a JSON summary carrying the package version, the command
-line it was given, the model name, the full model (`model_spec`, the
-`model_to_dict` form, which `parse_model` reads back) and a digest of it, the
-seed and the tolerances; an `evolve` summary also carries the kernel
-diagnostics through its last checkpoint (t-cells and cell groups per atom,
-summed clamp budget, largest monotonicity defect).  So a run whose model came
-from a JSON file can be repeated from its summary alone.  Exit codes:
-0 success, 1 validation failure, 2 numerical failure, 64 usage error.
+Every run writes a JSON summary of its results: the package version, the
+model name, the full model (`model_spec`, the `model_to_dict` form, which
+`parse_model` reads back) and a digest of it, the seed and, for the
+subcommands that take `--tol` (`gamma`, `classify`, `lambda-check`), the
+tolerance; an `evolve` summary also carries the kernel diagnostics through
+its last checkpoint (t-cells and cell groups per atom, summed clamp budget,
+largest monotonicity defect).  So a run whose model came from a JSON file can
+be repeated from its summary alone.  How the run was executed is kept apart,
+so that results compare byte for byte: with `--out`, the version, the command
+line and the `--threads` value go to `<stem>.run.json`, stem being `--out`
+without a trailing `.json`.  Exit codes: 0 success, 1 validation failure,
+2 numerical failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -105,15 +109,24 @@ def _threads(args) -> int:
 
 
 def _base_summary(args, model=None) -> dict:
-    payload = {"version": __version__, "argv": args.argv}
+    payload = {"version": __version__}
     if model is not None:
         payload["model"] = model.name
         payload["model_spec"] = model_to_dict(model)
         payload["model_digest"] = model_digest(model)
-    for key in ("seed", "tol", "eta", "delta", "delta1", "threads"):
+    for key in ("seed", "tol", "eta", "delta", "delta1"):
         if hasattr(args, key) and getattr(args, key) is not None:
             payload[key] = getattr(args, key)
     return payload
+
+
+def _write_run_record(args, argv: list[str]) -> None:
+    """Execution metadata of a run, apart from its results: <stem>.run.json."""
+    stem = args.out[: -len(".json")] if args.out.endswith(".json") else args.out
+    record = {"version": __version__, "argv": argv}
+    if getattr(args, "threads", None) is not None:
+        record["threads"] = args.threads
+    _write_json(stem + ".run.json", record)
 
 
 def _quantiles(values: np.ndarray) -> dict:
@@ -189,7 +202,7 @@ def _cmd_evolve(args) -> int:
     width = args.init_width
     x = np.linspace(-width, width, 257)
     init = dist.GridCDF(-width, width, np.clip((x + width) / (2 * width), 0.0, 1.0))
-    cps = evolve.run(init, model, args.n, args.checkpoints, tol=args.tol, m=args.grid)
+    cps = evolve.run(init, model, args.n, args.checkpoints, m=args.grid)
     records = []
     with _csv_out(args, "n,x,cdf,cdf_limit,density") as fh:
         for cp in cps:
@@ -276,10 +289,11 @@ def build_parser() -> _Parser:
     p = _Parser(prog="homsys", description="Random 1-homogeneous systems: moments, simulation, verification.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=True):
+    def common(sp, model=True, tol=True):
         if model:
             sp.add_argument("--model", required=True, help="builtin name, shorthand, JSON literal, or JSON file")
-        sp.add_argument("--tol", type=float, default=1e-9)
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-9)
         sp.add_argument("--out", default=None, help="output path (stem for commands writing .csv/.json pairs)")
         sp.add_argument("--threads", type=int, default=None, help="worker threads (results are identical regardless)")
 
@@ -295,7 +309,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_classify)
 
     sp = sub.add_parser("simulate", help="pool Monte Carlo with rescaled-KS checkpoints")
-    common(sp)
+    common(sp, tol=False)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--pool", type=int, required=True)
     sp.add_argument("--seed", type=_int_in(0, 2**64), default=1)
@@ -308,7 +322,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_simulate)
 
     sp = sub.add_parser("evolve", help="exact grid evolution with rescaled-KS checkpoints")
-    common(sp)
+    common(sp, tol=False)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--grid", type=_int_in(1), default=8192)
     sp.add_argument("--checkpoints", type=_checkpoint_list, required=True, help="comma-separated step counts")
@@ -316,7 +330,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_evolve)
 
     sp = sub.add_parser("serpar", help="series-parallel growth with dual oracles")
-    common(sp, model=False)
+    common(sp, model=False, tol=False)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--n", type=_int_in(0), required=True)
     sp.add_argument("--seeds", type=_int_in(1), required=True)
@@ -344,9 +358,11 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        if args.out:
+            _write_run_record(args, sys.argv[1:] if argv is None else list(argv))
+        return code
     except (DomainError, DegenerateModelError) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return 1

@@ -17,14 +17,12 @@ _MONO_TOL = 1e-12
 class GridCDF:
     """CDF of log X on a uniform grid.
 
-    ``cdf`` holds m+1 nondecreasing values; ``cdf[0]`` equals the mass placed
-    at -infinity (zero except in proof-machinery mixtures) and ``cdf[m]`` is 1.
+    ``cdf`` holds m+1 nondecreasing values from ``cdf[0]`` = 0 to ``cdf[m]`` = 1.
     """
 
     lo: float
     hi: float
     cdf: np.ndarray
-    atom_neg_inf: float = 0.0
     degenerate: bool = field(default=False, compare=False)
 
     def __post_init__(self):
@@ -36,8 +34,8 @@ class GridCDF:
             raise DomainError("cdf needs at least two nodes")
         if np.any(np.diff(c) < -_MONO_TOL):
             raise DomainError("cdf must be nondecreasing")
-        if abs(c[0] - self.atom_neg_inf) > _MONO_TOL:
-            raise DomainError("cdf[0] must equal the atom at -infinity")
+        if abs(c[0]) > _MONO_TOL:
+            raise DomainError("cdf must start at 0")
         if abs(c[-1] - 1.0) > _MONO_TOL:
             raise DomainError("cdf must reach 1")
 
@@ -53,9 +51,9 @@ class GridCDF:
         return np.linspace(self.lo, self.hi, self.m + 1)
 
     def __call__(self, v):
-        """Piecewise-linear CDF value(s); atom mass below lo, 1 above hi."""
+        """Piecewise-linear CDF value(s); 0 below lo, 1 above hi."""
         v = np.asarray(v, dtype=float)
-        out = np.interp(v, self.grid(), self.cdf, left=self.atom_neg_inf, right=1.0)
+        out = np.interp(v, self.grid(), self.cdf, left=0.0, right=1.0)
         return float(out) if out.ndim == 0 else out
 
     def density(self) -> np.ndarray:
@@ -88,14 +86,12 @@ def rescale(d: GridCDF, s: float) -> GridCDF:
     """Distribution of (log X)/s: support mapped x -> x/s, values unchanged."""
     if not s > 0:
         raise DomainError("scale must be positive")
-    return GridCDF(d.lo / s, d.hi / s, d.cdf.copy(), d.atom_neg_inf, d.degenerate)
+    return GridCDF(d.lo / s, d.hi / s, d.cdf.copy(), d.degenerate)
 
 
 def reflect(d: GridCDF) -> GridCDF:
-    """Law of -log X for an atomless law: cdf(v) = 1 - cdf(-v)."""
-    if d.atom_neg_inf != 0.0:
-        raise DomainError("cannot reflect a law with mass at -infinity")
-    return GridCDF(-d.hi, -d.lo, 1.0 - d.cdf[::-1], 0.0)
+    """Law of -log X: cdf(v) = 1 - cdf(-v)."""
+    return GridCDF(-d.hi, -d.lo, 1.0 - d.cdf[::-1])
 
 
 def from_samples(samples, m: int, pad: float = 0.5) -> GridCDF:
@@ -114,7 +110,7 @@ def from_samples(samples, m: int, pad: float = 0.5) -> GridCDF:
     x = np.linspace(lo, hi, m + 1)
     cdf = np.searchsorted(s, x, side="right") / s.size
     cdf[-1] = 1.0
-    return GridCDF(lo, hi, cdf, 0.0, degenerate)
+    return GridCDF(lo, hi, cdf, degenerate)
 
 
 # -- limit laws ---------------------------------------------------------------

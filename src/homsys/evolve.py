@@ -11,7 +11,7 @@ nodes: the density factor exactly through the CDF over each cell, the
 crossing bracket at the cell midpoint.  Cells whose crossing shift T(mid)/h
 has the same integer part are summed together, which turns the cell sum into
 one FIR filter of the CDF per integer shift (see ShiftFilters); the filters
-depend only on the model, the grid and tol, so a run builds them once.
+depend only on the model and the grid, so a run builds them once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .dist import GridCDF, ks, rescale
 from .errors import ClampBudgetExceededError, DomainError, HomsysError, RegridRequiredError
-from .hfun import HFunction, t_of, t_support_end
+from .hfun import HFunction, t_kinks, t_of, t_support_end
 from .models import ModelSpec, resolve_scaling
 from .quadrature import adaptive_simpson
 
@@ -57,7 +57,7 @@ def lambda_operator(
     integrand psi(v -+ t) (C(v) - C(v -+ T(t))) is split into panels on which
     it is smooth.  Each v's t-range [0, t_cut] (t_cut the smaller of t_psi
     and the support end of T) is cut at
-      - the corner value r;
+      - the corner value r, and for a table profile every kink of T;
       - each density break k (psi_breaks and the support ends) translated to
         the t axis, t = +-(v - k);
       - each t where C(v -+ T(t)) crosses a break, t = T_{F#}(+-(v - k)),
@@ -77,7 +77,6 @@ def lambda_operator(
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError("lambda_operator needs a finite density support lo < hi")
     eps = f.eps
-    root_tol = min(1e-12, tol / 100.0)
     v = np.asarray(v, dtype=float)
     vs = v.ravel()
     t_psi = (vs - lo) if eps == +1 else (hi - vs)
@@ -90,8 +89,9 @@ def lambda_operator(
     reach = (vs[:, None] - breaks) if eps == +1 else (breaks - vs[:, None])
     swap = f.swap()
     cross = np.zeros_like(reach)
-    cross[reach > 0.0] = t_of(swap, reach[reach > 0.0], root_tol)
-    cand = [np.full((vs.size, 1), f.r), reach, cross]
+    cross[reach > 0.0] = t_of(swap, reach[reach > 0.0])
+    kinks = np.append(f.r, t_kinks(f))
+    cand = [np.broadcast_to(kinks, (vs.size, kinks.size)), reach, cross]
     if t_zero is None:
         t_sat = cross[:, np.searchsorted(breaks, lo if eps == +1 else hi)]  # C saturated below
         halvings = min(f.r, 1.0) * 0.5 ** np.arange(1, _MAX_HALVINGS + 1)
@@ -117,7 +117,7 @@ def lambda_operator(
         r = row[k]  # the row, i.e. the v, of each node's panel
         tt = np.full_like(t, t_zero_plus)
         inner = t > 0.0  # t = 0 only starts a panel
-        tt[inner] = t_of(f, t[inner], root_tol)
+        tt[inner] = t_of(f, t[inner])
         if eps == +1:
             return psi_fn(np.clip(vs[r] - t, u_lo[k], u_hi[k])) * (cv[r] - cdf_fn(vs[r] - tt))
         return psi_fn(np.clip(vs[r] + t, u_lo[k], u_hi[k])) * (cdf_fn(vs[r] + tt) - cv[r])
@@ -132,7 +132,7 @@ def lambda_operator(
 # -- vectorized grid step -------------------------------------------------------
 
 
-def _atom_t_cells(f: HFunction, h: float, span: float, root_tol: float):
+def _atom_t_cells(f: HFunction, h: float, span: float):
     """Cell edges for the product-rule t-integration of one atom.
 
     The density factor is integrated exactly through the CDF over each cell,
@@ -145,7 +145,7 @@ def _atom_t_cells(f: HFunction, h: float, span: float, root_tol: float):
         t_cut = t_zero
     else:
         t_cut = max(1.0, 2.0 * f.r)
-        while t_of(f, t_cut, root_tol) > 1e-3 * h and t_cut < 4.0 * span:
+        while t_of(f, t_cut) > 1e-3 * h and t_cut < 4.0 * span:
             t_cut *= 2.0
     t_cut = min(t_cut, span)
     panel_edges = {0.0, t_cut}
@@ -174,7 +174,7 @@ class ShiftFilters:
     phi c[i-k-1], so the sum is the sum over k of (c - c[i-k]) (w_k * c)[i]:
     the taps w_k gather 1 - phi, resp. phi, times the interpolation taps of
     the edge terms of the cells in group k, resp. k - 1.  The k = 0 term
-    vanishes.  The taps depend only on the atom, h, the domain span and tol.
+    vanishes.  The taps depend only on the atom, h and the domain span.
     """
 
     t_cells: int
@@ -185,13 +185,13 @@ class ShiftFilters:
     reach: int  # largest |index offset| any filter or shift reads
 
 
-def _shift_filters(f: HFunction, h: float, span: float, root_tol: float) -> ShiftFilters | None:
-    edges = _atom_t_cells(f, h, span, root_tol)
+def _shift_filters(f: HFunction, h: float, span: float) -> ShiftFilters | None:
+    edges = _atom_t_cells(f, h, span)
     if edges is None:
         return None
     sign = float(f.eps)
     mids = np.maximum(0.5 * (edges[:-1] + edges[1:]), 1e-12)
-    tau = sign * t_of(f, mids, root_tol) / h
+    tau = sign * t_of(f, mids) / h
     k = np.floor(tau)
     phi = tau - k
     sigma = sign * edges / h
@@ -215,10 +215,9 @@ def _shift_filters(f: HFunction, h: float, span: float, root_tol: float) -> Shif
     return ShiftFilters(mids.size, np.unique(k).size, tuple(shifts.tolist()), tuple(offsets), tuple(taps), reach)
 
 
-def grid_filters(model: ModelSpec, h: float, span: float, tol: float = 1e-9) -> tuple[ShiftFilters | None, ...]:
+def grid_filters(model: ModelSpec, h: float, span: float) -> tuple[ShiftFilters | None, ...]:
     """The per-atom filters of step_detailed for grid spacing h and domain span hi - lo."""
-    root_tol = min(1e-12, tol / 100.0)
-    return tuple(_shift_filters(f, h, span, root_tol) for _, f in model.atoms)
+    return tuple(_shift_filters(f, h, span) for _, f in model.atoms)
 
 
 @dataclass
@@ -229,14 +228,13 @@ class StepDiagnostics:
 
 
 def step_detailed(
-    d: GridCDF, model: ModelSpec, tol: float = 1e-9, filters: tuple[ShiftFilters | None, ...] | None = None
+    d: GridCDF, model: ModelSpec, filters: tuple[ShiftFilters | None, ...] | None = None
 ) -> tuple[GridCDF, StepDiagnostics]:
     """One exact evolution step of the grid law under the mixture.
 
-    `filters` are grid_filters(model, d.h, d.hi - d.lo, tol), built here when
-    not given; a run on a fixed domain builds them once."""
-    if d.atom_neg_inf != 0.0:
-        raise DomainError("grid evolution requires an atomless law")
+    `filters` are grid_filters(model, d.h, d.hi - d.lo), which depend on the
+    model and the grid only; they are built here when not given, and a run on
+    a fixed domain builds them once."""
     c = d.cdf
     x = d.grid()
     h = d.h
@@ -254,7 +252,7 @@ def step_detailed(
         )
 
     if filters is None:
-        filters = grid_filters(model, h, d.hi - d.lo, tol)
+        filters = grid_filters(model, h, d.hi - d.lo)
     pad = max((fl.reach for fl in filters if fl is not None), default=0)
     padded = np.concatenate([np.zeros(pad), c, np.ones(pad)])
     out = np.zeros_like(c)
@@ -283,11 +281,11 @@ def step_detailed(
         raise HomsysError(f"evolved CDF misses 1 by {end_defect:.3g}; support check was too permissive")
     mono[-1] = 1.0
     mono[0] = 0.0 if mono[0] < 1e-9 else mono[0]
-    return GridCDF(d.lo, d.hi, mono, 0.0), StepDiagnostics(budget, defect, end_defect)
+    return GridCDF(d.lo, d.hi, mono), StepDiagnostics(budget, defect, end_defect)
 
 
-def step(d: GridCDF, model: ModelSpec, tol: float = 1e-9) -> GridCDF:
-    return step_detailed(d, model, tol)[0]
+def step(d: GridCDF, model: ModelSpec) -> GridCDF:
+    return step_detailed(d, model)[0]
 
 
 @dataclass(frozen=True)
@@ -317,7 +315,6 @@ def run(
     model: ModelSpec,
     n_steps: int,
     checkpoints: tuple[int, ...],
-    tol: float = 1e-9,
     m: int = 8192,
     law: str | None = None,
     scale_constant: float | None = None,
@@ -343,16 +340,16 @@ def run(
     cdf = init(x)
     cdf[-1] = 1.0
     cdf[0] = 0.0 if cdf[0] < 1e-12 else cdf[0]
-    d = GridCDF(lo, hi, np.maximum.accumulate(cdf), 0.0)
+    d = GridCDF(lo, hi, np.maximum.accumulate(cdf))
 
-    filters = grid_filters(model, d.h, hi - lo, tol)
+    filters = grid_filters(model, d.h, hi - lo)
     t_cells = tuple(0 if fl is None else fl.t_cells for fl in filters)
     groups = tuple(0 if fl is None else fl.groups for fl in filters)
     out: list[RunCheckpoint] = []
     budget = defect = 0.0
     cp = set(checkpoints)
     for n in range(1, n_steps + 1):
-        d, diag = step_detailed(d, model, tol, filters)
+        d, diag = step_detailed(d, model, filters)
         budget += diag.clamp_budget
         defect = max(defect, diag.max_monotonicity_defect)
         if budget > CLAMP_ABORT_BUDGET:

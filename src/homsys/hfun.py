@@ -14,7 +14,8 @@ homogeneity and the boundary limits automatic.
 The module also provides the dualities (the ``HFunction`` methods ``swap``,
 ``invert`` and the positive representative ``star``), the crossing function
 ``t_of`` and the corner value ``HFunction.r`` that drive all moment integrals
-downstream.
+downstream.  ``t_of`` is exact for every profile family (closed forms, and a
+piecewise-linear inverse for tables) and returns the sup at a flat crossing.
 """
 
 from __future__ import annotations
@@ -248,10 +249,32 @@ def from_g(g: GFunction, eps: int, label: str = "") -> HFunction:
     return HFunction(eps, g, label)
 
 
-def _crossing_closed_form(g: GFunction, t: np.ndarray) -> np.ndarray | None:
-    """T(t) on a 1-d array for profile families with an elementary crossing; None otherwise."""
+def _h_nodes(g: GFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (u_i, H_i) of H(u) = g(u) - min(u, 0) for a table profile g: piecewise linear between the
+    grid and 0, -u left of the grid, 0 right of it, and nonincreasing because g is 1-Lipschitz (the
+    running minimum removes the rise of up to 1e-12 that the slope check admits)."""
+    u = np.union1d(g.grid, [0.0])
+    return u, np.minimum.accumulate(g(u) - np.minimum(u, 0.0))
+
+
+def _table_crossing(g: GFunction, t: np.ndarray) -> np.ndarray:
+    """T(t) = t + sup{u : H(u) >= t}, since log F*(e^-t, e^-(t+u)) = H(u) - t: the last node with
+    H_j >= t, then linear interpolation toward the next one."""
+    u, hv = _h_nodes(g)
+    j = np.searchsorted(-hv, -t, side="right") - 1  # -1 if none: H = -u there, so T = 0
+    jc = np.clip(j, 0, u.size - 2)
+    drop = hv[jc] - hv[jc + 1]
+    frac = np.divide(hv[jc] - t, drop, out=np.zeros_like(t), where=drop > 0.0)
+    sup = np.where(j < 0, -t, np.where(j == u.size - 1, u[-1], u[jc] + frac * (u[jc + 1] - u[jc])))
+    return np.maximum(t + sup, 0.0)
+
+
+def _crossing(g: GFunction, t: np.ndarray) -> np.ndarray:
+    """T(t) on a 1-d array, in closed form for every profile family."""
     if g.family == "zero":
         return np.zeros_like(t)
+    if g.family == "table":
+        return _table_crossing(g, t)
     out = np.empty_like(t)
     if g.family == "softplus":
         (a,) = g.params
@@ -261,77 +284,43 @@ def _crossing_closed_form(g: GFunction, t: np.ndarray) -> np.ndarray | None:
         out[far] = -a * np.log1p(-np.exp(-s[far]))
         out[~far] = -a * np.log(-np.expm1(-s[~far]))
         return out
-    if g.family == "tent":
-        sp, sm = g.params
-        near = t < 1.0
-        out[near] = t[near] + (1.0 - t[near]) / sp
-        if sm == 1.0:
-            # flat crossing exactly at t = 1; return the sup there
-            out[~near] = np.where(t[~near] == 1.0, 1.0, 0.0)
-        else:
-            out[~near] = np.maximum(0.0, (1.0 - sm * t[~near]) / (1.0 - sm))
-        return out
-    return None
-
-
-def _bisect_crossing(f: HFunction, t: np.ndarray, tol: float) -> np.ndarray:
-    """T(t) on a 1-d array by bracketed bisection of s(z) = g*(z - t) - min(t, z).
-
-    Each element keeps its own bracket, first doubled from max(1, r + 1) until
-    s < 0 there, then halved until narrower than tol; an element whose
-    bracket is done no longer moves, so it ends where a bisection of that
-    element alone would.
-    """
-    gs = f.g_star
-    out = np.zeros_like(t)
-    live = gs(-t) > 0.0  # elsewhere T = 0
-    t = t[live]
-
-    def s(z: np.ndarray) -> np.ndarray:
-        return gs(z - t) - np.minimum(t, z)
-
-    z_hi = np.full_like(t, max(1.0, f.r + 1.0))
-    grow = s(z_hi) >= 0.0
-    while grow.any():
-        z_hi[grow] *= 2.0
-        if z_hi.max() > 1e12:
-            raise DomainError("crossing bracket exceeded 1e12")
-        grow = s(z_hi) >= 0.0
-    z_lo = np.zeros_like(t)
-    wide = z_hi - z_lo > tol
-    while wide.any():
-        mid = 0.5 * (z_lo + z_hi)
-        up = s(mid) >= 0.0
-        z_lo = np.where(wide & up, mid, z_lo)
-        z_hi = np.where(wide & ~up, mid, z_hi)
-        wide = z_hi - z_lo > tol
-    out[live] = 0.5 * (z_lo + z_hi)
+    sp, sm = g.params  # tent
+    near = t < 1.0
+    out[near] = t[near] + (1.0 - t[near]) / sp
+    if sm == 1.0:
+        # flat crossing exactly at t = 1; return the sup there
+        out[~near] = np.where(t[~near] == 1.0, 1.0, 0.0)
+    else:
+        out[~near] = np.maximum(0.0, (1.0 - sm * t[~near]) / (1.0 - sm))
     return out
 
 
-def t_of(f: HFunction, t, tol: float = 1e-12):
+def t_of(f: HFunction, t):
     """Crossing function T_F(t) = sup{z : F*(e^-t, e^-z) >= 1}, elementwise.
 
-    The elementary crossings of the zero, softplus and tent families are
-    evaluated in closed form.  For a table profile the map
-    z -> log F*(e^-t, e^-z) = -min(t, z) + g*(z - t) is nonincreasing, so
-    each element's crossing is found by bracketed bisection to tol; at a flat
-    crossing the bisection point (any point of the flat set) is returned.  A
-    float t gives a float, an array t an array of its shape.
+    Exact for every profile family: the zero, softplus and tent crossings are
+    elementary, and for a table profile T(t) = t + sup{u : H(u) >= t} with
+    the piecewise-linear H(u) = g*(u) - min(u, 0).  At a flat crossing (a
+    wing of slope 1) the sup of the flat set is returned.  A float t gives a
+    float, an array t an array of its shape.
     """
-    if not tol > 0:
-        raise DomainError("tol must be positive")
     x = np.asarray(t, dtype=float)
     flat = x.ravel()
     if not np.all(flat > 0):
         raise DomainError("t must be positive")
-    out = _crossing_closed_form(f.g_star, flat)
-    if out is None:
-        out = _bisect_crossing(f, flat, tol)
+    out = _crossing(f.g_star, flat)
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
-def t_support_end(f: HFunction, tol: float = 1e-12) -> float | None:
+def t_kinks(f: HFunction) -> np.ndarray:
+    """The t > 0 where a table profile's T kinks, t = H(u_i); empty for the other families."""
+    if f.g_star.family != "table":
+        return np.empty(0)
+    _, hv = _h_nodes(f.g_star)
+    return np.unique(hv[hv > 0.0])
+
+
+def t_support_end(f: HFunction) -> float | None:
     """Smallest t beyond which T_F vanishes identically, or None if T > 0 everywhere.
 
     T is nonincreasing, and T(t) = 0 exactly when g*(-t) = 0, so the support

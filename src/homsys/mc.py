@@ -55,8 +55,6 @@ class SamplePool:
 def new_pool(model: ModelSpec, init, N: int, seed: int) -> SamplePool:
     """Initial pool from a point value (log scale) or a GridCDF (inverse sampling)."""
     if isinstance(init, GridCDF):
-        if init.atom_neg_inf != 0.0:
-            raise DomainError("cannot sample a pool from a law with mass at -infinity")
         u = _gen(seed, _STREAM_INIT, 0).random(N)
         vals = np.interp(u, init.cdf, init.grid())
     else:

@@ -38,10 +38,9 @@ def gamma(f: HFunction, a: float, b: float, tol: float = 1e-10) -> float:
     r = f.r
     if r == 0.0:
         return 0.0
-    root_tol = min(1e-12, tol / 100.0)
 
     def h(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        tv = t_of(f, t, root_tol)
+        tv = t_of(f, t)
         out = np.zeros_like(t)
         pos = tv > 0.0
         out[pos] = t[pos] ** a * tv[pos] ** b

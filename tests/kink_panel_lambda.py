@@ -25,7 +25,6 @@ def lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks=()):
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError("lambda_operator needs a finite density support lo < hi")
     eps = f.eps
-    root_tol = min(1e-12, tol / 100.0)
     v = np.asarray(v, dtype=float)
     vs = v.ravel()
     t_psi = (vs - lo) if eps == +1 else (hi - vs)
@@ -41,7 +40,7 @@ def lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks=()):
 
     def integrand(t, k):
         r = row[k]
-        tt = t_of(f, np.maximum(t, 1e-12), root_tol)
+        tt = t_of(f, np.maximum(t, 1e-12))
         if eps == +1:
             return psi_fn(vs[r] - t) * (cv[r] - cdf_fn(vs[r] - tt))
         return psi_fn(vs[r] + t) * (cdf_fn(vs[r] + tt) - cv[r])

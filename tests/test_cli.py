@@ -21,7 +21,7 @@ def test_success_records_the_given_argv(tmp_path):
     assert cli.main(argv) == 0
     summary = json.loads((tmp_path / "c.json").read_text())
     assert summary["regime"] == "cbrt"
-    assert summary["argv"] == argv
+    assert json.loads((tmp_path / "c.run.json").read_text())["argv"] == argv
 
 
 @pytest.mark.parametrize("model", ["no_such_model", '{"atoms":[{"weight":1}]}', "resistance(2)"])
@@ -51,10 +51,23 @@ def test_evolve_csv_uses_the_run_law(tmp_path):
     rows = _csv(f"{stem}.csv")
     assert np.array_equal(rows[:, 3], limit_cdf("linear_half", rows[:, 1]))
     summary = json.loads(stem.with_suffix(".json").read_text())
-    assert summary["argv"] == argv and [cp["n"] for cp in summary["checkpoints"]] == [4]
+    assert [cp["n"] for cp in summary["checkpoints"]] == [4]
+    assert json.loads(stem.with_suffix(".run.json").read_text())["argv"] == argv
     diag = summary["diagnostics"]  # the hipster+ atom has cells, the min atom none
     assert diag["t_cells"][0] > 0 and diag["groups"][0] == 1 and diag["t_cells"][1] == diag["groups"][1] == 0
     assert 0.0 <= diag["max_monotonicity_defect"] and 0.0 <= diag["clamp_budget"] <= 1e-6
+
+
+def test_results_are_byte_identical_across_thread_counts(tmp_path):
+    # criterion 9 at a small size: the thread count and the output path go to the .run.json
+    # sidecar, so the results themselves compare byte for byte
+    base = ["simulate", "--model", "hipster", "--n", "20", "--pool", "2000", "--seed", "7", "--checkpoints", "10,20"]
+    for threads in (1, 4):
+        assert cli.main(base + ["--threads", str(threads), "--out", str(tmp_path / f"t{threads}")]) == 0
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"t1{suffix}").read_bytes() == (tmp_path / f"t4{suffix}").read_bytes()
+    run = json.loads((tmp_path / "t4.run.json").read_text())
+    assert run["threads"] == 4 and run["argv"][-1] == str(tmp_path / "t4")
 
 
 def test_csv_and_summary_to_stdout(capsys):
@@ -106,6 +119,10 @@ def test_malformed_step_lists_exit_without_traceback(argv, code, capsys):
         ["serpar", "--p", "0.5", "--n", "-3", "--seeds", "2"],
         ["serpar", "--p", "0.5", "--n", "3", "--seeds", "-1"],
         ["serpar", "--p", "0.5", "--n", "3", "--seeds", "0"],
+        # --tol is taken only by the subcommands that read it
+        ["evolve", "--model", "hipster", "--n", "4", "--checkpoints", "4", "--tol", "1e-9"],
+        ["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", "4", "--tol", "1e-9"],
+        ["serpar", "--p", "0.5", "--n", "3", "--seeds", "2", "--tol", "1e-9"],
     ],
 )
 def test_empty_ranges_and_step_lists_exit_64(argv, capsys):

@@ -68,7 +68,7 @@ class TestGridCDF:
         with pytest.raises(DomainError):
             GridCDF(0.0, 1.0, np.array([0.0, 0.5, 0.9]))
         with pytest.raises(DomainError):
-            GridCDF(0.0, 1.0, np.array([0.1, 0.5, 1.0]))  # atom mismatch
+            GridCDF(0.0, 1.0, np.array([0.1, 0.5, 1.0]))  # does not start at 0
 
     def test_from_samples_step(self):
         d = from_samples([0.0], m=16, pad=0.5)

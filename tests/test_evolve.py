@@ -142,21 +142,20 @@ def _sample_shifted(arr, shift_cells, left, right):
     return (1.0 - phi) * a + phi * b
 
 
-def _per_cell_step(d, model, tol=1e-9):
+def _per_cell_step(d, model):
     """One step summing the product rule cell by cell, before the monotone clamp."""
     c, h = d.cdf, d.h
-    root_tol = min(1e-12, tol / 100.0)
     out = np.zeros_like(c)
     for w, f in model.atoms:
         branch = c * c if f.eps == +1 else 2.0 * c - c * c
-        edges = evolve._atom_t_cells(f, h, d.hi - d.lo, root_tol)
+        edges = evolve._atom_t_cells(f, h, d.hi - d.lo)
         if edges is not None:
             lam = np.zeros_like(c)
             sign = float(f.eps)
             prev = _sample_shifted(c, sign * edges[0] / h, 0.0, 1.0)
             for t0, t1 in zip(edges, edges[1:]):
                 nxt = _sample_shifted(c, sign * t1 / h, 0.0, 1.0)
-                tt = t_of(f, max(0.5 * (t0 + t1), 1e-12), root_tol)
+                tt = t_of(f, max(0.5 * (t0 + t1), 1e-12))
                 lam += (prev - nxt) * (c - _sample_shifted(c, sign * tt / h, 0.0, 1.0))
                 prev = nxt
             branch = branch - sign * lam

@@ -21,7 +21,7 @@ from homsys import (
     t_of,
     validate,
 )
-from homsys.hfun import g_hip, g_table, g_tent, g_zero, t_support_end
+from homsys.hfun import g_hip, g_table, g_tent, g_zero, t_kinks, t_support_end
 
 LOG2 = math.log(2.0)
 _Z31 = np.linspace(-1.5, 1.5, 31)
@@ -132,6 +132,19 @@ class TestDualities:
             assert fii(x, y) == pytest.approx(f(x, y), rel=1e-14)
 
 
+_PROBES = np.array([1e-12, 1e-3, 0.2, 0.5, 0.999, 1.0, 1.0 + 1e-12, 1.5, 2.4, 3.0, 40.0, 800.0])
+
+
+def _flat_levels(f):
+    """The t where a table profile's crossing set is an interval: the levels of H(u) = g*(u) - min(u, 0)
+    on its flat pieces (wings of slope 1 left of 0, plateaus right of it)."""
+    g = f.g_star
+    u = np.union1d(g.grid, [0.0])
+    h = g(u) - np.minimum(u, 0.0)
+    flat = np.isclose(h[1:], h[:-1], rtol=0.0, atol=1e-12) & (h[1:] > 0.0)
+    return h[1:][flat]
+
+
 def _math_crossing(f, t, tol=1e-12):
     """T_F(t) in math-module floats: the closed forms, or one bisection for a table profile."""
     g = f.g_star
@@ -184,7 +197,7 @@ class TestCrossing:
         z = np.linspace(-1.5, 1.5, 3001)
         f_tab = from_g(g_table(z, np.maximum(0.0, 1.0 - np.abs(z))), +1)
         for t in (0.3, 0.8, 0.999, 1.2, 2.0):
-            assert t_of(f_tab, t, 1e-12) == pytest.approx(t_of(F_HIP_PLUS, t), abs=1e-9)
+            assert t_of(f_tab, t) == pytest.approx(t_of(F_HIP_PLUS, t), abs=1e-9)
 
     def test_tent_closed_form_vs_bisection(self):
         sp, sm = 0.7, 0.4
@@ -194,7 +207,7 @@ class TestCrossing:
         prof = np.where(z >= 0, np.maximum(0.0, 1 - sp * z), np.maximum(0.0, 1 + sm * z))
         f_tab = from_g(g_table(z, prof), +1)
         for t in (0.1, 0.5, 0.9, 1.3, 2.0, 1.0 / sm - 0.05):
-            assert t_of(f, t) == pytest.approx(t_of(f_tab, t, 1e-12), abs=1e-8)
+            assert t_of(f, t) == pytest.approx(t_of(f_tab, t), abs=1e-8)
 
     @pytest.mark.parametrize(
         "f",
@@ -205,14 +218,33 @@ class TestCrossing:
     def test_array_t_matches_the_scalar_path(self, f):
         # both branches of each closed form, the tent corner t = 1 and the far softplus tail,
         # against the crossing in math-module floats, one element at a time
-        t = np.array([1e-12, 1e-3, 0.2, 0.5, 0.999, 1.0, 1.0 + 1e-12, 1.5, 2.4, 3.0, 40.0, 800.0])
+        t = _PROBES
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = t_of(f, t.reshape(3, 4))
         want = np.array([_math_crossing(f, float(x)) for x in t])
         assert got.shape == (3, 4)
-        np.testing.assert_allclose(got.ravel(), want, rtol=4e-16, atol=0.0)
+        if f.g_star.family == "table":
+            # the exact table crossing against the scalar bisection, to its tolerance, away from
+            # the flat crossings, where the bisection returns an inner point and t_of the sup
+            away = np.min(np.abs(t[:, None] - _flat_levels(f)), axis=1, initial=np.inf) > 1e-9
+            np.testing.assert_allclose(got.ravel()[away], want[away], rtol=0.0, atol=1e-12)
+        else:
+            np.testing.assert_allclose(got.ravel(), want, rtol=4e-16, atol=0.0)
         assert isinstance(t_of(f, 0.5), float)
+
+    def test_tent_shaped_table_is_the_hipster_crossing(self):
+        # the table's nodes are not the tent's decimals, yet its crossing is the same floats,
+        # the sup 1 at the flat crossing t = 1 included
+        f_tab = from_g(g_table(_Z31, np.maximum(0.0, 1.0 - np.abs(_Z31))), +1)
+        assert np.array_equal(t_of(f_tab, _PROBES), t_of(F_HIP_PLUS, _PROBES))
+        assert t_of(f_tab, 1.0) == 1.0
+
+    def test_table_kinks_are_the_node_levels_of_h(self):
+        f = from_g(g_table(np.linspace(-2.0, 2.0, 5), [0.0, 0.5, 1.0, 0.25, 0.0]), +1)
+        # H(u) = g(u) - min(u, 0) at u = -2, -1, 0, 1, 2 is 2, 1.5, 1, 0.25, 0
+        np.testing.assert_allclose(t_kinks(f), [0.25, 1.0, 1.5, 2.0], rtol=1e-15)
+        assert t_kinks(F_HIP_PLUS).size == t_kinks(F_SUM).size == 0
 
     def test_array_t_rejects_nonpositive_entries(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,7 @@ import pytest
 
 from homsys import DomainError, builtin, evolve, moments, parse_model
 from homsys import proofcheck
-from homsys.hfun import t_of, t_support_end
+from homsys.hfun import t_kinks, t_of, t_support_end
 
 import kink_panel_lambda
 from scalar_simpson import adaptive_simpson
@@ -54,7 +54,6 @@ def test_find_n0_rejects_an_empty_range():
 def _scalar_lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks):
     """The panel rule of evolve.lambda_operator, one v and one panel at a time."""
     eps = f.eps
-    root_tol = min(1e-12, tol / 100.0)
     t_zero = t_support_end(f)
     lo, hi = support
     t_psi = (v - lo) if eps == +1 else (hi - v)
@@ -66,14 +65,14 @@ def _scalar_lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks):
     t_zero_plus = math.inf if t_end is None else t_end
     t_cut = t_psi if t_zero is None else min(t_zero, t_psi)
     breaks = sorted({lo, hi, *psi_breaks})
-    cuts = {f.r}
+    cuts = {f.r, *t_kinks(f).tolist()}
     for k in breaks:
         tb = (v - k) if eps == +1 else (k - v)
         cuts.add(tb)
         if tb > 0.0:
-            cuts.add(t_of(swap, tb, root_tol))
+            cuts.add(t_of(swap, tb))
     if t_zero is None:
-        t_sat = t_of(swap, t_psi, root_tol)
+        t_sat = t_of(swap, t_psi)
         top = min(f.r, 1.0)
         cuts.update(top * 0.5**j for j in range(1, evolve._MAX_HALVINGS + 1) if top * 0.5**j > t_sat)
     edges = sorted({0.0, t_cut} | {e for e in cuts if 0.0 < e < t_cut})
@@ -85,7 +84,7 @@ def _scalar_lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks):
         u_lo, u_hi = math.nextafter(bounds[j], math.inf), math.nextafter(bounds[j + 1], -math.inf)
 
         def integrand(t):
-            tt = t_of(f, t, root_tol) if t > 0.0 else t_zero_plus
+            tt = t_of(f, t) if t > 0.0 else t_zero_plus
             if eps == +1:
                 return psi_fn(min(max(v - t, u_lo), u_hi)) * (cv - cdf_fn(v - tt))
             return psi_fn(min(max(v + t, u_lo), u_hi)) * (cdf_fn(v + tt) - cv)
@@ -115,9 +114,18 @@ def _scalar_lambda_condition(model, params, n, v_grid, tol=1e-12):
     return proofcheck.LambdaConditionReport(n, float(res[i]), float(v_grid[i]), v_grid, res)
 
 
+# two table profiles with wing slopes below 1, so T is continuous with a kink at every node level
+TWO_TABLES = (
+    '{"name":"two_tables","atoms":['
+    '{"weight":0.5,"family":"table","eps":1,"grid":[-1,-0.75,-0.5,-0.25,0,0.25,0.5,0.75,1],'
+    '"values":[0,0.15,0.35,0.5,0.6,0.45,0.3,0.12,0]},'
+    '{"weight":0.5,"family":"table","eps":-1,"grid":[-1,-0.75,-0.5,-0.25,0,0.25,0.5,0.75,1],'
+    '"values":[0,0.1,0.3,0.45,0.55,0.4,0.2,0.05,0]}]}'
+)
 SCANS = pytest.mark.parametrize(
     "name, points",
-    [("hipster", 48), ("lazy_hipster", 48), ("resistance(0.5)", 6), ("distance(0.5)", 6), ("power_mean(0.3,-0.3)", 6)],
+    [("hipster", 48), ("lazy_hipster", 48), ("resistance(0.5)", 6), ("distance(0.5)", 6), ("power_mean(0.3,-0.3)", 6),
+     pytest.param(TWO_TABLES, 6, id="two_tables-6")],
 )
 
 
@@ -162,7 +170,8 @@ def test_residuals_agree_with_the_kink_panel_rule(name, points, n, monkeypatch):
 @pytest.mark.parametrize(
     "name, n, points",
     [("hipster", 64, 400), ("hipster", 4096, 25), ("lazy_hipster", 64, 400), ("lazy_hipster", 4096, 25),
-     ("resistance(0.5)", 4096, 4)],
+     ("resistance(0.5)", 4096, 4), pytest.param(TWO_TABLES, 64, 60, id="two_tables-64-60"),
+     pytest.param(TWO_TABLES, 512, 60, id="two_tables-512-60")],
 )
 def test_lambda_quadrature_stays_above_the_depth_limit(name, n, points, monkeypatch):
     # the integrand is called once for the first nodes and once per refinement level, so a call
@@ -186,3 +195,5 @@ def test_lambda_quadrature_stays_above_the_depth_limit(name, n, points, monkeypa
     params = proofcheck.ProofParams(c_star=moments.c_star(model))
     proofcheck.lambda_condition(model, params, n, proofcheck.default_v_grid(params, n, points))
     assert calls and max(calls) - 2 < 48
+    if name == TWO_TABLES:  # the kinks of a table's T are panel edges, so its panels converge as fast
+        assert max(calls) <= 8
