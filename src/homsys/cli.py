@@ -5,8 +5,9 @@ model name, the full model (`model_spec`, the `model_to_dict` form, which
 `parse_model` reads back) and a digest of it, the seed and, for the
 subcommands that take `--tol` (`gamma`, `classify`, `lambda-check`), the
 tolerance; an `evolve` summary also carries the kernel diagnostics through
-its last checkpoint (t-cells and cell groups per atom, summed clamp budget,
-largest monotonicity defect).  So a run whose model came from a JSON file can
+its last checkpoint (t-cells, cell groups and FIR taps per atom, summed clamp
+budget, largest monotonicity defect, mean fraction of grid rows the Lambda
+sums touched per step).  So a run whose model came from a JSON file can
 be repeated from its summary alone.  How the run was executed is kept apart,
 so that results compare byte for byte: with `--out`, the version, the command
 line and the `--threads` value go to `<stem>.run.json`, stem being `--out`
@@ -139,8 +140,8 @@ def _emit_checkpoint_csv(fh, n: int, x: np.ndarray, cdf: np.ndarray, law: str) -
     ref = dist.limit_cdf(law, x)
     h = x[1] - x[0]
     dens = np.gradient(cdf, h)
-    for xi, ci, ri, di in zip(x, cdf, ref, dens):
-        fh.write(f"{n},{_fmt(xi)},{_fmt(ci)},{_fmt(ri)},{_fmt(di)}\n")
+    row = f"{n},%.17g,%.17g,%.17g,%.17g\n"  # %.17g formats a float as _fmt does
+    fh.write("".join([row % r for r in zip(x.tolist(), cdf.tolist(), ref.tolist(), dens.tolist())]))
 
 
 # -- subcommands ---------------------------------------------------------------

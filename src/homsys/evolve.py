@@ -11,7 +11,13 @@ nodes: the density factor exactly through the CDF over each cell, the
 crossing bracket at the cell midpoint.  Cells whose crossing shift T(mid)/h
 has the same integer part are summed together, which turns the cell sum into
 one FIR filter of the CDF per integer shift (see ShiftFilters); the filters
-depend only on the model and the grid, so a run builds them once.
+depend only on the model and the grid, so a run builds them once.  A filter
+keeps only its runs of nonzero taps: where cells sharing one shift telescope,
+their interior taps are exact zeros.  The term of shift k is exactly zero on
+every row where the CDF equals its own value k rows away, which holds outside
+the rows where the law moves (from the first value other than 0 to the last
+value other than 1) widened by k; so each shift is evaluated on that window
+only, with the same numbers as over the whole grid.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from .dist import GridCDF, ks, rescale
 from .errors import ClampBudgetExceededError, DomainError, HomsysError, RegridRequiredError
-from .hfun import HFunction, t_kinks, t_of, t_support_end
+from .hfun import HFunction, t_jumps, t_kinks, t_of, t_support_end
 from .models import ModelSpec, resolve_scaling
 from .quadrature import adaptive_simpson
 
@@ -68,7 +74,9 @@ def lambda_operator(
         moments.gamma.
     Every node is evaluated as a limit from inside its panel: the density
     argument is kept within the panel's piece between two breaks, one float
-    inside each break, and t = 0 gives T(0+), the right end of T's range.
+    inside each break; t = 0 gives T(0+), the right end of T's range; and a
+    panel that starts at a level where a table's T jumps reads T one float
+    above that level.
     So adaptive Simpson meets no jump and converges in a few levels.  The
     panels of one v share tol; all of them, for every v, go through one
     adaptive_simpson call.
@@ -111,13 +119,17 @@ def lambda_operator(
     u_hi = np.nextafter(bounds[piece + 1], -np.inf)
     t_end = t_support_end(swap)
     t_zero_plus = np.inf if t_end is None else t_end  # T(0+)
+    jumps = t_jumps(f)
+    # where each panel's start reads T: one float up where T jumps (only a table's T does)
+    a_up = np.where(np.isin(a, jumps), np.nextafter(a, np.inf), a) if jumps.size else None
     cv = cdf_fn(vs)
 
     def integrand(t: np.ndarray, k: np.ndarray) -> np.ndarray:
         r = row[k]  # the row, i.e. the v, of each node's panel
         tt = np.full_like(t, t_zero_plus)
         inner = t > 0.0  # t = 0 only starts a panel
-        tt[inner] = t_of(f, t[inner])
+        t_read = t if a_up is None else np.where(t == a[k], a_up[k], t)
+        tt[inner] = t_of(f, t_read[inner])
         if eps == +1:
             return psi_fn(np.clip(vs[r] - t, u_lo[k], u_hi[k])) * (cv[r] - cdf_fn(vs[r] - tt))
         return psi_fn(np.clip(vs[r] + t, u_lo[k], u_hi[k])) * (cdf_fn(vs[r] + tt) - cv[r])
@@ -174,14 +186,17 @@ class ShiftFilters:
     phi c[i-k-1], so the sum is the sum over k of (c - c[i-k]) (w_k * c)[i]:
     the taps w_k gather 1 - phi, resp. phi, times the interpolation taps of
     the edge terms of the cells in group k, resp. k - 1.  The k = 0 term
-    vanishes.  The taps depend only on the atom, h and the domain span.
+    vanishes.  Where the cells of a group share one shift, the edge terms of
+    neighbouring cells cancel, so w_k has exact zeros inside; each shift keeps
+    its runs of nonzero taps, w_k * c being the sum of the runs' convolutions.
+    The taps depend only on the atom, h and the domain span.
     """
 
     t_cells: int
     groups: int  # distinct floor(tau_j), the cell groups sharing one integer shift
+    taps: int  # nonzero taps over all shifts
     shifts: tuple[int, ...]  # the nonzero k with a filter
-    offsets: tuple[int, ...]  # w_k[0] multiplies c[i - offset]
-    taps: tuple[np.ndarray, ...]
+    runs: tuple[tuple[tuple[int, np.ndarray], ...], ...]  # per shift, (offset, taps): taps[0] multiplies c[i - offset]
     reach: int  # largest |index offset| any filter or shift reads
 
 
@@ -207,12 +222,18 @@ def _shift_filters(f: HFunction, h: float, span: float) -> ShiftFilters | None:
     order = np.argsort(shift[keep], kind="stable")
     shift, idx, tap = shift[keep][order], idx[keep][order], tap[keep][order]
     shifts, starts = np.unique(shift, return_index=True)
-    offsets, taps = [], []
-    for a, b in zip(starts, np.append(starts[1:], shift.size)):
-        offsets.append(int(idx[a:b].min()))
-        taps.append(np.bincount(idx[a:b] - offsets[-1], weights=tap[a:b]))
+    kept, runs = [], []
+    for s, a, b in zip(shifts.tolist(), starts, np.append(starts[1:], shift.size)):
+        lo = int(idx[a:b].min())
+        w = np.bincount(idx[a:b] - lo, weights=tap[a:b])
+        nonzero = np.flatnonzero(w)
+        if nonzero.size:
+            pieces = np.split(nonzero, np.flatnonzero(np.diff(nonzero) > 1) + 1)
+            kept.append(s)
+            runs.append(tuple((lo + int(p[0]), w[p[0] : p[-1] + 1]) for p in pieces))
+    taps = sum(t.size for rs in runs for _, t in rs)
     reach = int(max(np.abs(idx).max(initial=0), np.abs(shift).max(initial=0)))
-    return ShiftFilters(mids.size, np.unique(k).size, tuple(shifts.tolist()), tuple(offsets), tuple(taps), reach)
+    return ShiftFilters(mids.size, np.unique(k).size, taps, tuple(kept), tuple(runs), reach)
 
 
 def grid_filters(model: ModelSpec, h: float, span: float) -> tuple[ShiftFilters | None, ...]:
@@ -225,6 +246,7 @@ class StepDiagnostics:
     clamp_budget: float
     max_monotonicity_defect: float
     end_defect: float
+    lambda_rows: float  # rows the shift terms were evaluated on, as a fraction of shifts x grid rows
 
 
 def step_detailed(
@@ -234,7 +256,14 @@ def step_detailed(
 
     `filters` are grid_filters(model, d.h, d.hi - d.lo), which depend on the
     model and the grid only; they are built here when not given, and a run on
-    a fixed domain builds them once."""
+    a fixed domain builds them once.
+
+    The term (c[i] - c[i-k]) fir_k[i] of shift k is evaluated on the rows
+    [i0 + min(k, 0), i1 + max(k, 0)] clipped to the grid, i0 being the first
+    row with c != 0 and i1 the last with c != 1 (the padding reads 0 left of
+    the grid and 1 right of it; i0 <= i1 + 1, so the window is never empty).  Outside them c[i] and c[i-k] are both exactly 0 or
+    both exactly 1, so the term is an exact zero there: the window changes
+    no bit of the result, only the work."""
     c = d.cdf
     x = d.grid()
     h = d.h
@@ -255,6 +284,9 @@ def step_detailed(
         filters = grid_filters(model, h, d.hi - d.lo)
     pad = max((fl.reach for fl in filters if fl is not None), default=0)
     padded = np.concatenate([np.zeros(pad), c, np.ones(pad)])
+    i0 = int(np.argmax(c != 0.0))  # c[-1] is near 1 and c[0] near 0, so both rows exist
+    i1 = c.size - 1 - int(np.argmax(c[::-1] != 1.0))
+    touched = evaluated = 0
     out = np.zeros_like(c)
     for (w, f), fl in zip(model.atoms, filters):
         if f.eps == +1:
@@ -263,11 +295,17 @@ def step_detailed(
             branch = 2.0 * c - c * c
         if fl is not None:
             lam = np.zeros_like(c)
-            for k, lo, taps in zip(fl.shifts, fl.offsets, fl.taps):
-                # fir[i] = sum_j taps[j] c[i - lo - j], reading the 0/1 padding outside the grid
-                start = pad - lo - taps.size + 1
-                fir = np.convolve(padded[start : start + c.size + taps.size - 1], taps, "valid")
-                lam += (c - padded[pad - k : pad - k + c.size]) * fir
+            evaluated += len(fl.shifts) * c.size
+            for k, runs in zip(fl.shifts, fl.runs):
+                a, b = max(i0 + min(k, 0), 0), min(i1 + max(k, 0) + 1, c.size)
+                touched += b - a
+                # fir[i] = sum over runs and j of taps[j] c[i - lo - j], reading the 0/1 padding outside the grid
+                first, *rest = (
+                    np.convolve(padded[pad - lo - taps.size + 1 + a : pad - lo + b], taps, "valid")
+                    for lo, taps in runs
+                )
+                fir = sum(rest, start=first)
+                lam[a:b] += (c[a:b] - padded[pad - k + a : pad - k + b]) * fir
             branch = branch - f.eps * lam
         out += w * branch
 
@@ -281,7 +319,8 @@ def step_detailed(
         raise HomsysError(f"evolved CDF misses 1 by {end_defect:.3g}; support check was too permissive")
     mono[-1] = 1.0
     mono[0] = 0.0 if mono[0] < 1e-9 else mono[0]
-    return GridCDF(d.lo, d.hi, mono), StepDiagnostics(budget, defect, end_defect)
+    rows = touched / evaluated if evaluated else 0.0
+    return GridCDF(d.lo, d.hi, mono), StepDiagnostics(budget, defect, end_defect, rows)
 
 
 def step(d: GridCDF, model: ModelSpec) -> GridCDF:
@@ -290,14 +329,17 @@ def step(d: GridCDF, model: ModelSpec) -> GridCDF:
 
 @dataclass(frozen=True)
 class RunDiagnostics:
-    """Kernel diagnostics of a run through one checkpoint: t-cells and cell
-    groups per atom (0 for a max/min atom), the summed clamp budget and the
-    largest monotonicity defect of any step."""
+    """Kernel diagnostics of a run through one checkpoint: t-cells, cell
+    groups and nonzero FIR taps per atom (0 for a max/min atom), the summed
+    clamp budget, the largest monotonicity defect of any step, and the mean
+    over steps of the fraction of grid rows the shift terms were evaluated on."""
 
     t_cells: tuple[int, ...]
     groups: tuple[int, ...]
+    taps: tuple[int, ...]
     clamp_budget: float
     max_monotonicity_defect: float
+    lambda_rows: float
 
 
 @dataclass
@@ -343,19 +385,21 @@ def run(
     d = GridCDF(lo, hi, np.maximum.accumulate(cdf))
 
     filters = grid_filters(model, d.h, hi - lo)
-    t_cells = tuple(0 if fl is None else fl.t_cells for fl in filters)
-    groups = tuple(0 if fl is None else fl.groups for fl in filters)
+    t_cells, groups, taps = (tuple(0 if fl is None else getattr(fl, key) for fl in filters)
+                             for key in ("t_cells", "groups", "taps"))
     out: list[RunCheckpoint] = []
-    budget = defect = 0.0
+    budget = defect = rows = 0.0
     cp = set(checkpoints)
     for n in range(1, n_steps + 1):
         d, diag = step_detailed(d, model, filters)
         budget += diag.clamp_budget
         defect = max(defect, diag.max_monotonicity_defect)
+        rows += diag.lambda_rows
         if budget > CLAMP_ABORT_BUDGET:
             raise ClampBudgetExceededError(f"accumulated clamp budget {budget:.3g} exceeds {CLAMP_ABORT_BUDGET}")
         if n in cp:
             scale = (scale_constant * n) ** exponent
             r = rescale(d, scale)
-            out.append(RunCheckpoint(n, scale, ks(r, law), r, law, RunDiagnostics(t_cells, groups, budget, defect)))
+            diagnostics = RunDiagnostics(t_cells, groups, taps, budget, defect, rows / n)
+            out.append(RunCheckpoint(n, scale, ks(r, law), r, law, diagnostics))
     return out

@@ -320,6 +320,17 @@ def t_kinks(f: HFunction) -> np.ndarray:
     return np.unique(hv[hv > 0.0])
 
 
+def t_jumps(f: HFunction) -> np.ndarray:
+    """The t > 0 where a table profile's T jumps down: the levels of the flat pieces of H (a slope-1
+    piece of g*'s left wing, a plateau of its right wing), at which t_of gives the value from the left.
+    Empty for the other families."""
+    if f.g_star.family != "table":
+        return np.empty(0)
+    _, hv = _h_nodes(f.g_star)
+    flat = (hv[:-1] == hv[1:]) & (hv[1:] > 0.0)
+    return np.unique(hv[1:][flat])
+
+
 def t_support_end(f: HFunction) -> float | None:
     """Smallest t beyond which T_F vanishes identically, or None if T > 0 everywhere.
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -55,7 +56,24 @@ def test_evolve_csv_uses_the_run_law(tmp_path):
     assert json.loads(stem.with_suffix(".run.json").read_text())["argv"] == argv
     diag = summary["diagnostics"]  # the hipster+ atom has cells, the min atom none
     assert diag["t_cells"][0] > 0 and diag["groups"][0] == 1 and diag["t_cells"][1] == diag["groups"][1] == 0
+    assert 0 < diag["taps"][0] < diag["t_cells"][0] and diag["taps"][1] == 0 and 0.0 < diag["lambda_rows"] < 1.0
     assert 0.0 <= diag["max_monotonicity_defect"] and 0.0 <= diag["clamp_budget"] <= 1e-6
+
+
+def test_checkpoint_csv_rows_match_the_per_row_format():
+    # the joined %-format must give the bytes of one f-string per row, special values included
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, 1.0 / 3.0, -1e300, 2.0**-1074 * 3]
+    x = np.array([-1.0, -0.5, *special, 7.25])
+    cdf = np.array([*special[::-1], 0.1, 0.9, 1.0])
+    fh = io.StringIO()
+    with np.errstate(all="ignore"):
+        cli._emit_checkpoint_csv(fh, 12, x, cdf, "cubic")
+        ref, dens = limit_cdf("cubic", x), np.gradient(cdf, x[1] - x[0])
+    want = "".join(
+        f"12,{float(a):.17g},{float(b):.17g},{float(c):.17g},{float(d):.17g}\n" for a, b, c, d in zip(x, cdf, ref, dens)
+    )
+    assert fh.getvalue() == want
+    assert {"-0", "inf", "-inf", "nan", "4.9406564584124654e-324"} <= set(want.replace("\n", ",").split(","))
 
 
 def test_results_are_byte_identical_across_thread_counts(tmp_path):

@@ -9,6 +9,8 @@ from homsys.dist import rescale
 from homsys.hfun import asym_tent, from_g, g_softplus, g_table, t_of
 from homsys.models import resolve_scaling
 
+import full_grid_step
+
 
 def _uniform(m=512, width=0.5, pad=4.0):
     x = np.linspace(-width - pad, width + pad, m + 1)
@@ -186,18 +188,85 @@ def test_grouped_filters_match_the_per_cell_sum(name):
     assert np.max(np.abs(new - old)) <= 1e-12
 
 
+def _smooth_law(lo, hi, m, left_tail=False, right_tail=False):
+    """A smoothstep CDF on [-0.5, 0.5] over [lo, hi]; a tail keeps it 1e-13 off 0 (resp. 1) up to the end row."""
+    x = np.linspace(lo, hi, m + 1)
+    u = np.clip(x + 0.5, 0.0, 1.0)
+    c = u * u * (3.0 - 2.0 * u)
+    if left_tail:
+        c[1:] = np.maximum(c[1:], 1e-13)
+    if right_tail:
+        c[:-1] = np.minimum(c[:-1], 1.0 - 1e-13)
+    return GridCDF(lo, hi, c)
+
+
+def _normal_law(half, m):
+    """A normal CDF whose end values are 3e-16 off 0 and 1: no row is exactly 0 or 1."""
+    x = np.linspace(-half, half, m + 1)
+    return GridCDF(-half, half, 0.5 * np.vectorize(math.erfc)(-x / (half / 8.1) / math.sqrt(2.0)))
+
+
+WINDOW_LAWS = {
+    # positive shifts read past the last row: their windows are clipped at the right end
+    "right_tail": _smooth_law(-1.6, 1.6, 1024, right_tail=True),
+    # the negative shifts of the eps = -1 atoms are clipped at row 0
+    "left_tail": _smooth_law(-1.6, 1.6, 1024, left_tail=True),
+    # no exact 0/1 tail: every window is the whole grid
+    "no_exact_tail": _normal_law(10.0, 1024),
+}
+
+
+@pytest.mark.parametrize("law", WINDOW_LAWS)
+@pytest.mark.parametrize("name", KERNEL_MODELS)
+def test_windowed_step_matches_the_full_grid_loop(name, law):
+    model, d = KERNEL_MODELS[name], WINDOW_LAWS[law]
+    filters = evolve.grid_filters(model, d.h, d.hi - d.lo)
+    want = full_grid_step.step(d.cdf, model, full_grid_step.dense(filters))
+    # with the zero taps kept, the window changes no bit
+    got, diag = evolve.step_detailed(d, model, full_grid_step.dense(filters))
+    assert np.array_equal(got.cdf, want)
+    if law == "no_exact_tail":
+        assert d.cdf[0] != 0.0 and d.cdf[-1] != 1.0 and diag.lambda_rows == 1.0
+    else:
+        assert 0.0 < diag.lambda_rows < 1.0
+    # the split sums each shift's filter in pieces
+    got, split_diag = evolve.step_detailed(d, model, filters)
+    assert np.max(np.abs(got.cdf - want)) <= 1e-15
+    assert split_diag.lambda_rows == diag.lambda_rows
+
+
+@pytest.mark.parametrize("name", KERNEL_MODELS)
+def test_split_filters_keep_only_the_nonzero_taps(name):
+    model = KERNEL_MODELS[name]
+    filters = evolve.grid_filters(model, 24.0 / 2048, 24.0)
+    for fl, whole in zip(filters, full_grid_step.dense(filters)):
+        if fl is None:
+            continue
+        runs = [t for pieces in fl.runs for _, t in pieces]
+        assert all(np.all(t != 0.0) for t in runs) and fl.taps == sum(t.size for t in runs)
+        assert fl.taps == sum(np.count_nonzero(w) for ((_, w),) in whole.runs)
+        if name == "hipster":  # T is constant on its one cell group, so the group's edge terms telescope
+            assert fl.taps <= 3 * len(fl.shifts) < whole.taps / 20
+        if name == "resistance(0.5)":  # a softplus T moves on every cell: no zero taps, one run per shift
+            assert fl.taps == whole.taps and all(len(pieces) == 1 for pieces in fl.runs)
+
+
 def test_run_with_prebuilt_filters_equals_repeated_steps():
     model = builtin("resistance", p=0.5)
     init = _uniform(m=512, pad=20.0)  # wider than run's domain, so run keeps this grid
     (cp,) = evolve.run(init, model, 3, (3,), m=512)
-    d, budget = init, 0.0
+    d, budget, rows = init, 0.0, 0.0
     for _ in range(3):
         d, diag = evolve.step_detailed(d, model)
         budget += diag.clamp_budget
+        rows += diag.lambda_rows
     stepped = rescale(d, cp.scale)
     assert (stepped.lo, stepped.hi) == (cp.dist.lo, cp.dist.hi)
     assert np.array_equal(stepped.cdf, cp.dist.cdf)
     filters = evolve.grid_filters(model, d.h, d.hi - d.lo)
     assert cp.diagnostics.t_cells == tuple(f.t_cells for f in filters)
     assert cp.diagnostics.groups == tuple(f.groups for f in filters)
+    assert cp.diagnostics.taps == tuple(f.taps for f in filters)
     assert cp.diagnostics.clamp_budget == budget
+    # a law spreading from a width-1 ramp on a 48-wide grid: the shift terms touch a fraction of the rows
+    assert cp.diagnostics.lambda_rows == rows / 3 and 0.0 < rows / 3 < 1.0

@@ -21,7 +21,7 @@ from homsys import (
     t_of,
     validate,
 )
-from homsys.hfun import g_hip, g_table, g_tent, g_zero, t_kinks, t_support_end
+from homsys.hfun import g_hip, g_table, g_tent, g_zero, t_jumps, t_kinks, t_support_end
 
 LOG2 = math.log(2.0)
 _Z31 = np.linspace(-1.5, 1.5, 31)
@@ -245,6 +245,15 @@ class TestCrossing:
         # H(u) = g(u) - min(u, 0) at u = -2, -1, 0, 1, 2 is 2, 1.5, 1, 0.25, 0
         np.testing.assert_allclose(t_kinks(f), [0.25, 1.0, 1.5, 2.0], rtol=1e-15)
         assert t_kinks(F_HIP_PLUS).size == t_kinks(F_SUM).size == 0
+
+    def test_table_jumps_are_the_flat_levels_of_h(self):
+        # H at u = -3..3 is 3, 2.5, 2.5, 2, 2, 1, 0: flat on [-2, -1] (a slope-1 piece of the left wing)
+        # and on [0, 1] (a plateau of the right wing); T drops there by the flat piece's length
+        f = from_g(g_table(np.linspace(-3.0, 3.0, 7), [0.0, 0.5, 1.5, 2.0, 2.0, 1.0, 0.0]), +1)
+        assert t_jumps(f).tolist() == [2.0, 2.5]
+        assert t_of(f, np.array([2.0, 2.5])).tolist() == [3.0, 1.5]  # the value from the left
+        np.testing.assert_allclose(t_of(f, np.nextafter([2.0, 2.5], 3.0)), [2.0, 0.5], rtol=0.0, atol=1e-15)
+        assert t_jumps(F_HIP_PLUS).size == t_jumps(F_SUM).size == 0
 
     def test_array_t_rejects_nonpositive_entries(self):
         with pytest.raises(DomainError):

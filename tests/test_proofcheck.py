@@ -6,7 +6,7 @@ import pytest
 
 from homsys import DomainError, builtin, evolve, moments, parse_model
 from homsys import proofcheck
-from homsys.hfun import t_kinks, t_of, t_support_end
+from homsys.hfun import t_jumps, t_kinks, t_of, t_support_end
 
 import kink_panel_lambda
 from scalar_simpson import adaptive_simpson
@@ -66,6 +66,7 @@ def _scalar_lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks):
     t_cut = t_psi if t_zero is None else min(t_zero, t_psi)
     breaks = sorted({lo, hi, *psi_breaks})
     cuts = {f.r, *t_kinks(f).tolist()}
+    jumps = set(t_jumps(f).tolist())
     for k in breaks:
         tb = (v - k) if eps == +1 else (k - v)
         cuts.add(tb)
@@ -82,9 +83,10 @@ def _scalar_lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks):
     for a, b in spans:
         j = bisect.bisect_left(breaks, (v - 0.5 * (a + b)) if eps == +1 else (v + 0.5 * (a + b)))
         u_lo, u_hi = math.nextafter(bounds[j], math.inf), math.nextafter(bounds[j + 1], -math.inf)
+        a_up = math.nextafter(a, math.inf) if a in jumps else a  # where T jumps, the panel reads it just above
 
         def integrand(t):
-            tt = t_of(f, t) if t > 0.0 else t_zero_plus
+            tt = t_of(f, a_up if t == a else t) if t > 0.0 else t_zero_plus
             if eps == +1:
                 return psi_fn(min(max(v - t, u_lo), u_hi)) * (cv - cdf_fn(v - tt))
             return psi_fn(min(max(v + t, u_lo), u_hi)) * (cdf_fn(v + tt) - cv)
@@ -122,10 +124,19 @@ TWO_TABLES = (
     '{"weight":0.5,"family":"table","eps":-1,"grid":[-1,-0.75,-0.5,-0.25,0,0.25,0.5,0.75,1],'
     '"values":[0,0.1,0.3,0.45,0.55,0.4,0.2,0.05,0]}]}'
 )
+# the eps=+1 atom's left wing has slope 1 on [-0.5, -0.25], inside the support: H is flat at 0.85 there,
+# and T jumps down at t = 0.85
+TABLE_JUMP = (
+    '{"name":"table_jump","atoms":['
+    '{"weight":0.5,"family":"table","eps":1,"grid":[-1,-0.75,-0.5,-0.25,0,0.25,0.5,0.75,1],'
+    '"values":[0,0.1,0.35,0.6,0.7,0.5,0.3,0.1,0]},'
+    '{"weight":0.5,"family":"table","eps":-1,"grid":[-1,-0.75,-0.5,-0.25,0,0.25,0.5,0.75,1],'
+    '"values":[0,0.1,0.3,0.45,0.55,0.4,0.2,0.05,0]}]}'
+)
 SCANS = pytest.mark.parametrize(
     "name, points",
     [("hipster", 48), ("lazy_hipster", 48), ("resistance(0.5)", 6), ("distance(0.5)", 6), ("power_mean(0.3,-0.3)", 6),
-     pytest.param(TWO_TABLES, 6, id="two_tables-6")],
+     pytest.param(TWO_TABLES, 6, id="two_tables-6"), pytest.param(TABLE_JUMP, 6, id="table_jump-6")],
 )
 
 
@@ -171,7 +182,8 @@ def test_residuals_agree_with_the_kink_panel_rule(name, points, n, monkeypatch):
     "name, n, points",
     [("hipster", 64, 400), ("hipster", 4096, 25), ("lazy_hipster", 64, 400), ("lazy_hipster", 4096, 25),
      ("resistance(0.5)", 4096, 4), pytest.param(TWO_TABLES, 64, 60, id="two_tables-64-60"),
-     pytest.param(TWO_TABLES, 512, 60, id="two_tables-512-60")],
+     pytest.param(TWO_TABLES, 512, 60, id="two_tables-512-60"), pytest.param(TABLE_JUMP, 64, 60, id="table_jump-64-60"),
+     pytest.param(TABLE_JUMP, 512, 60, id="table_jump-512-60")],
 )
 def test_lambda_quadrature_stays_above_the_depth_limit(name, n, points, monkeypatch):
     # the integrand is called once for the first nodes and once per refinement level, so a call
@@ -195,5 +207,6 @@ def test_lambda_quadrature_stays_above_the_depth_limit(name, n, points, monkeypa
     params = proofcheck.ProofParams(c_star=moments.c_star(model))
     proofcheck.lambda_condition(model, params, n, proofcheck.default_v_grid(params, n, points))
     assert calls and max(calls) - 2 < 48
-    if name == TWO_TABLES:  # the kinks of a table's T are panel edges, so its panels converge as fast
+    # the kinks and jumps of a table's T are panel edges, read one-sided, so its panels converge as fast
+    if name in (TWO_TABLES, TABLE_JUMP):
         assert max(calls) <= 8
