@@ -10,7 +10,6 @@ from .errors import (
     DegenerateModelError,
     DomainError,
     HomsysError,
-    IntegrationError,
     InvalidProfileError,
     RegridRequiredError,
     ScheduleInfeasibleError,

@@ -3,16 +3,19 @@
 Every run writes a JSON summary of its results: the package version, the
 model name, the full model (`model_spec`, the `model_to_dict` form, which
 `parse_model` reads back) and a digest of it, the seed and, for the
-subcommands that take `--tol` (`gamma`, `classify`, `lambda-check`), the
-tolerance; an `evolve` summary also carries the kernel diagnostics through
+subcommands that take `--tol` (`gamma`, `lambda-check`), the tolerance; an
+`evolve` summary also carries the kernel diagnostics through
 its last checkpoint (t-cells, cell groups and FIR taps per atom, summed clamp
 budget, largest monotonicity defect, mean fraction of grid rows the Lambda
 sums touched per step).  So a run whose model came from a JSON file can
 be repeated from its summary alone.  How the run was executed is kept apart,
 so that results compare byte for byte: with `--out`, the version, the command
 line and the `--threads` value go to `<stem>.run.json`, stem being `--out`
-without a trailing `.json`.  Exit codes: 0 success, 1 validation failure,
-2 numerical failure, 64 usage error.
+without a trailing `.json`.  `--threads` is taken by `serpar`, which builds
+and solves its seeds on that many worker threads (default: the
+`HOMSYS_THREADS` environment variable, else 1), and by `simulate`, which runs
+on one thread and only records the value.  Exit codes: 0 success, 1
+validation failure, 2 numerical failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_classify(args) -> int:
     model = parse_model(args.model)
-    rep = classify(model, tol=args.tol)
+    rep = classify(model)
     payload = rep.to_dict()
     payload.update(_base_summary(args, model))
     _write_json(args.out, payload)
@@ -290,16 +293,18 @@ def build_parser() -> _Parser:
     p = _Parser(prog="homsys", description="Random 1-homogeneous systems: moments, simulation, verification.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=True, tol=True):
+    def common(sp, model=True, tol=None, threads=None):
+        """The shared options; tol and threads are the help texts of --tol and --threads, if taken."""
         if model:
             sp.add_argument("--model", required=True, help="builtin name, shorthand, JSON literal, or JSON file")
         if tol:
-            sp.add_argument("--tol", type=float, default=1e-9)
+            sp.add_argument("--tol", type=float, default=1e-9, help=tol)
         sp.add_argument("--out", default=None, help="output path (stem for commands writing .csv/.json pairs)")
-        sp.add_argument("--threads", type=int, default=None, help="worker threads (results are identical regardless)")
+        if threads:
+            sp.add_argument("--threads", type=int, default=None, help=threads)
 
     sp = sub.add_parser("gamma", help="moment report for a model")
-    common(sp)
+    common(sp, tol="absolute tolerance of each moment integral")
     sp.add_argument("--a", type=float, default=None)
     sp.add_argument("--b", type=float, default=None)
     sp.add_argument("--eta", type=float, default=1.0)
@@ -310,7 +315,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_classify)
 
     sp = sub.add_parser("simulate", help="pool Monte Carlo with rescaled-KS checkpoints")
-    common(sp, tol=False)
+    common(sp, threads="recorded in the run record; the pool step runs on one thread")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--pool", type=int, required=True)
     sp.add_argument("--seed", type=_int_in(0, 2**64), default=1)
@@ -323,7 +328,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_simulate)
 
     sp = sub.add_parser("evolve", help="exact grid evolution with rescaled-KS checkpoints")
-    common(sp, tol=False)
+    common(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--grid", type=_int_in(1), default=8192)
     sp.add_argument("--checkpoints", type=_checkpoint_list, required=True, help="comma-separated step counts")
@@ -331,7 +336,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_evolve)
 
     sp = sub.add_parser("serpar", help="series-parallel growth with dual oracles")
-    common(sp, model=False, tol=False)
+    common(sp, model=False, threads="worker threads over the seeds (results are identical regardless)")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--n", type=_int_in(0), required=True)
     sp.add_argument("--seeds", type=_int_in(1), required=True)
@@ -339,7 +344,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_serpar)
 
     sp = sub.add_parser("lambda-check", help="scan the Lambda-condition residual over n")
-    common(sp)
+    common(sp, tol="absolute tolerance of the c* quadrature only; the Lambda scan runs at 1e-12")
     sp.add_argument("--eta", type=float, default=1.0)
     sp.add_argument("--delta", type=float, default=0.5)
     sp.add_argument("--delta1", type=float, default=0.05)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["GridCDF", "LIMIT_LAWS", "limit_cdf", "limit_density", "ks", "from_samples", "rescale", "reflect"]
+__all__ = ["GridCDF", "LIMIT_LAWS", "limit_cdf", "limit_density", "ks", "from_samples", "rescale"]
 
 _MONO_TOL = 1e-12
 
@@ -87,11 +87,6 @@ def rescale(d: GridCDF, s: float) -> GridCDF:
     if not s > 0:
         raise DomainError("scale must be positive")
     return GridCDF(d.lo / s, d.hi / s, d.cdf.copy(), d.degenerate)
-
-
-def reflect(d: GridCDF) -> GridCDF:
-    """Law of -log X: cdf(v) = 1 - cdf(-v)."""
-    return GridCDF(-d.hi, -d.lo, 1.0 - d.cdf[::-1])
 
 
 def from_samples(samples, m: int, pad: float = 0.5) -> GridCDF:

@@ -13,14 +13,6 @@ class InvalidProfileError(DomainError):
     """A log-scale profile violates the class-G axioms (Lipschitz, monotonicity, sign)."""
 
 
-class IntegrationError(HomsysError, ArithmeticError):
-    """A quadrature failed to converge.  Carries the partial sum, if any."""
-
-    def __init__(self, message: str, partial: float | None = None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class DegenerateModelError(HomsysError, ValueError):
     """Every atom of the mixture is max or min, so all moment integrals vanish."""
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dist import GridCDF, ks, rescale
 from .errors import ClampBudgetExceededError, DomainError, HomsysError, RegridRequiredError
-from .hfun import HFunction, t_jumps, t_kinks, t_of, t_support_end
+from .hfun import HFunction, t_breaks, t_halvings, t_jumps, t_of, t_support_end
 from .models import ModelSpec, resolve_scaling
 from .quadrature import adaptive_simpson
 
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _EDGE_EPS = 1e-12
-_MAX_HALVINGS = 120  # of min(r, 1), toward the log singularity of T at 0
 CLAMP_ABORT_BUDGET = 1e-6
 
 
@@ -63,14 +62,15 @@ def lambda_operator(
     integrand psi(v -+ t) (C(v) - C(v -+ T(t))) is split into panels on which
     it is smooth.  Each v's t-range [0, t_cut] (t_cut the smaller of t_psi
     and the support end of T) is cut at
-      - the corner value r, and for a table profile every kink of T;
+      - T's break levels t_breaks(f): the corner value r, and for a table
+        profile every kink of T;
       - each density break k (psi_breaks and the support ends) translated to
         the t axis, t = +-(v - k);
       - each t where C(v -+ T(t)) crosses a break, t = T_{F#}(+-(v - k)),
         since T_{F#} inverts T.  Below the crossing of the far support end C
         is saturated (0 or 1) and the integrand is a polynomial;
       - when T has no support end (it then diverges like log(1/t) at 0),
-        the halvings of min(r, 1) above that saturation edge, as in
+        the halvings t_halvings(f) above that saturation edge, as in
         moments.gamma.
     Every node is evaluated as a limit from inside its panel: the density
     argument is kept within the panel's piece between two breaks, one float
@@ -98,11 +98,11 @@ def lambda_operator(
     swap = f.swap()
     cross = np.zeros_like(reach)
     cross[reach > 0.0] = t_of(swap, reach[reach > 0.0])
-    kinks = np.append(f.r, t_kinks(f))
+    kinks = t_breaks(f)
     cand = [np.broadcast_to(kinks, (vs.size, kinks.size)), reach, cross]
     if t_zero is None:
         t_sat = cross[:, np.searchsorted(breaks, lo if eps == +1 else hi)]  # C saturated below
-        halvings = min(f.r, 1.0) * 0.5 ** np.arange(1, _MAX_HALVINGS + 1)
+        halvings = t_halvings(f)
         cand.append(np.where(halvings > t_sat[:, None], halvings, np.nan))
     # per v, the panel edges as one row; an edge outside (0, t_cut) becomes a NaN, sorted last
     cand = np.concatenate(cand, axis=1)

@@ -16,6 +16,10 @@ The module also provides the dualities (the ``HFunction`` methods ``swap``,
 ``t_of`` and the corner value ``HFunction.r`` that drive all moment integrals
 downstream.  ``t_of`` is exact for every profile family (closed forms, and a
 piecewise-linear inverse for tables) and returns the sup at a flat crossing.
+Where T is not smooth is known in advance, and every t-integral takes its
+panel edges from here: the break levels (``t_breaks``, with the jumps
+``t_jumps`` among them), the halvings toward T's log singularity at 0
+(``t_halvings``) and the support end (``t_support_end``).
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ __all__ = [
 
 _LIP_TOL = 1e-12
 MIN_POWER_MEAN_SCALE = 1e-3
+_MAX_HALVINGS = 120
 
 
 @dataclass(frozen=True)
@@ -329,6 +334,18 @@ def t_jumps(f: HFunction) -> np.ndarray:
     _, hv = _h_nodes(f.g_star)
     flat = (hv[:-1] == hv[1:]) & (hv[1:] > 0.0)
     return np.unique(hv[1:][flat])
+
+
+def t_breaks(f: HFunction) -> np.ndarray:
+    """The levels that cut a t-integral of T into smooth panels: the corner value r and, for a table
+    profile, every kink t_kinks(f), the jumps t_jumps(f) among them."""
+    return np.append(f.r, t_kinks(f))
+
+
+def t_halvings(f: HFunction) -> np.ndarray:
+    """The panel edges min(r, 1) 2^-j, j = 1.._MAX_HALVINGS, toward 0, where T may diverge like
+    log(1/t); what a t-integral of T gathers below the last one is far below any tolerance."""
+    return min(f.r, 1.0) * 0.5 ** np.arange(1, _MAX_HALVINGS + 1)
 
 
 def t_support_end(f: HFunction) -> float | None:

@@ -143,6 +143,10 @@ def apply_mixture(model: ModelSpec, rng: np.random.Generator, a: np.ndarray, b: 
 
 # -- criticality / regime -------------------------------------------------------
 
+#: Absolute tolerance of the moment integrals behind a classification; the
+#: regime thresholds on E[Gamma^(0,1) eps] and on the one-sided areas are 100x it.
+CLASSIFY_TOL = 1e-10
+
 #: Proved square-root scaling constants, keyed by builtin model name.
 KNOWN_SQRT_CONSTANTS = {
     "lazy_hipster": 2.0,
@@ -174,20 +178,22 @@ class CriticalityReport:
         }
 
 
-def classify(model: ModelSpec, tol: float = 1e-10) -> CriticalityReport:
+def classify(model: ModelSpec) -> CriticalityReport:
     """Compute the criticality parameters and the conjectured growth regime.
 
     The cube-root label is applied only under the proved hypotheses
     (E[eps] = 0 and E[Gamma^(0,1) eps] = 0 with a nontrivial mixture); the
     other labels follow the conjectured parameter regions and are heuristic.
+    The moments are integrated to CLASSIFY_TOL, so every caller gets the same
+    regime for one model.
     """
     w = model.weights
     eps = np.array([f.eps for f in model.functions], dtype=float)
     p = float(w[eps > 0].sum())
     e_eps = float((w * eps).sum())
-    g01 = np.array(gammas(model.functions, 0.0, 1.0, tol))
+    g01 = np.array(gammas(model.functions, 0.0, 1.0, CLASSIFY_TOL))
     e_g01_eps = float((w * eps * g01).sum())
-    ints = np.array([alpha(f.g, tol) for f in model.functions])
+    ints = np.array([alpha(f.g) for f in model.functions])
     wp = float(w[eps > 0].sum())
     wm = float(w[eps < 0].sum())
     a_plus = float((w * ints)[eps > 0].sum() / wp) if wp > 0 else 0.0
@@ -196,8 +202,7 @@ def classify(model: ModelSpec, tol: float = 1e-10) -> CriticalityReport:
     notes: list[str] = []
     nontrivial = model.is_nontrivial()
     eps_tol = 1e-12
-    g01_tol = 100.0 * tol
-    alpha_tol = 100.0 * tol
+    g01_tol = alpha_tol = 100.0 * CLASSIFY_TOL
 
     if not nontrivial:
         regime = "unknown"
@@ -229,21 +234,20 @@ def resolve_scaling(
     law: str | None = None,
     scale_constant: float | None = None,
     exponent: float | None = None,
-    tol: float = 1e-8,
 ) -> tuple[str, float, float]:
     """(law, constant, exponent) for rescaling log X_n by (constant n)^exponent.
 
     The arguments given are kept; the missing ones come from one
-    classification of the model.  cbrt models use the cubic law with the
-    computed c* and exponent 1/3; sqrt models use the y^2 law with the proved
-    constants where known and exponent 1/2.  Raises DomainError when some are
-    missing and no limit law is known for the model.
+    classification of the model.  cbrt models use the cubic law with c*
+    computed to CLASSIFY_TOL and exponent 1/3; sqrt models use the y^2 law
+    with the proved constants where known and exponent 1/2.  Raises
+    DomainError when some are missing and no limit law is known for the model.
     """
     if law is not None and scale_constant is not None and exponent is not None:
         return law, scale_constant, exponent
-    regime = classify(model, tol).regime
+    regime = classify(model).regime
     if regime == "cbrt":
-        known = ("cubic", c_star(model, tol), 1.0 / 3.0)
+        known = ("cubic", c_star(model, CLASSIFY_TOL), 1.0 / 3.0)
     elif regime == "sqrt" and model.name in KNOWN_SQRT_CONSTANTS:
         known = ("linear_half", KNOWN_SQRT_CONSTANTS[model.name], 0.5)
     else:

@@ -2,11 +2,11 @@
 
 gamma(f, a, b) integrates t^a T(t)^b over (0, inf).  T is nonincreasing, may
 diverge logarithmically at 0 and either hits zero at a finite point (compact
-profiles) or decays exponentially (softplus profiles), so the integral is
-assembled from a geometrically graded head, kink-aware middle panels, and a
-doubling tail with a convergence guard.  Every piece is one batched adaptive
-Simpson call whose integrand evaluates T on the whole array of nodes of a
-refinement level; alpha integrates a profile g the same way.
+profiles) or decays exponentially (softplus profiles).  Its breakpoints are
+known in advance (hfun), so the integral is one integrate_panels call over
+fixed edges, with no tolerance-driven stopping rule; the integrand evaluates
+T on the whole array of nodes of a refinement level.  alpha, the one-sided
+area of a profile, is in closed form.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegenerateModelError, DomainError
-from .hfun import GFunction, HFunction, t_of, t_support_end
-from .quadrature import adaptive_simpson, integrate_geometric, integrate_panels
+from .hfun import GFunction, HFunction, t_breaks, t_halvings, t_jumps, t_of, t_support_end
+from .quadrature import integrate_panels
 
 if TYPE_CHECKING:
     from .models import ModelSpec
@@ -28,37 +28,45 @@ __all__ = ["gamma", "gammas", "m_eta", "alpha", "c_star", "check_ipp", "MomentTa
 
 
 def gamma(f: HFunction, a: float, b: float, tol: float = 1e-10) -> float:
-    """Moment integral of the crossing function, to absolute tolerance tol."""
+    """Moment integral of the crossing function, to absolute tolerance tol.
+
+    The panel edges are the halvings t_halvings(f), so T is never read at 0;
+    1, which tops the halvings when r > 1; the break levels t_breaks(f); and
+    the top end: the support end of a compact T, or for a softplus T the first
+    of the doublings of 2r at which T is exactly 0, exp(-t/scale) having
+    underflowed.  A panel that starts where a table's T jumps reads T one
+    float above that level.
+    """
     if a < 0:
         raise DomainError("a must be nonnegative")
     if not b > 0:
         raise DomainError("b must be positive")
     if not tol > 0:
         raise DomainError("tol must be positive")
-    r = f.r
-    if r == 0.0:
+    if f.r == 0.0:
         return 0.0
+    top = t_support_end(f)
+    if top is None:
+        doublings = [2.0 * f.r]
+        while t_of(f, doublings[-1]) > 0.0:
+            doublings.append(2.0 * doublings[-1])
+        top = doublings[-1]
+    else:
+        doublings = [top]
+    edges = np.unique(np.concatenate([t_halvings(f), t_breaks(f), [1.0], doublings]))
+    edges = edges[edges <= top]
+    start = edges[:-1]
+    # where each panel's start reads T: one float up where T jumps (only a table's T does)
+    start_up = np.where(np.isin(start, t_jumps(f)), np.nextafter(start, np.inf), start)
 
     def h(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        tv = t_of(f, t)
+        tv = t_of(f, np.where(t == start[k], start_up[k], t))
         out = np.zeros_like(t)
         pos = tv > 0.0
         out[pos] = t[pos] ** a * tv[pos] ** b
         return out
 
-    t_end = t_support_end(f)
-    anchor = min(1.0, r, t_end if t_end is not None else math.inf)
-    total = integrate_geometric(h, anchor, 0.5, tol / 4.0)
-    if t_end is not None:
-        edges = sorted({anchor, r, 1.0, t_end})
-        edges = [e for e in edges if anchor <= e <= t_end]
-        total += integrate_panels(h, edges, tol / 4.0)
-    else:
-        hi = max(2.0 * r, 2.0 * anchor, 2.0)
-        edges = sorted({anchor, min(r, hi), hi})
-        total += integrate_panels(h, edges, tol / 4.0)
-        total += integrate_geometric(h, hi, 2.0, tol / 4.0)
-    return total
+    return integrate_panels(h, edges.tolist(), tol)
 
 
 def _profile_key(g: GFunction) -> tuple:
@@ -90,16 +98,16 @@ def m_eta(f: HFunction, eta: float = 1.0, tol: float = 1e-10) -> float:
     return max(gamma(f, 1.0 + eta, 1.0, tol), gamma(f, 0.0, 2.0 + eta, tol))
 
 
-def alpha(g: GFunction, tol: float = 1e-10) -> float:
-    """One-sided area of a profile: integral of g over [0, inf)."""
-    if g.is_zero:
-        return 0.0
-    if g.family in ("tent", "table"):  # compact: g vanishes beyond its right end
-        end = 1.0 / g.params[0] if g.family == "tent" else float(g.grid[-1])
-        return adaptive_simpson(lambda z, k: g(z), 0.0, end, tol)
-    hi = 4.0 * g.params[0]
-    head = adaptive_simpson(lambda z, k: g(z), 0.0, hi, tol / 2.0)
-    return head + integrate_geometric(lambda z, k: g(z), hi, 2.0, tol / 2.0)
+def alpha(g: GFunction) -> float:
+    """One-sided area of a profile: the integral of g over [0, inf), in closed form."""
+    if g.family == "softplus":
+        return g.params[0] ** 2 * math.pi**2 / 12.0
+    if g.family == "tent":
+        return 0.5 / g.params[0]
+    if g.family == "table":  # piecewise linear between the nodes at or above 0 and z = 0, zero past the grid
+        z = np.union1d(g.grid[g.grid >= 0.0], [0.0])
+        return float(np.trapezoid(g(z), z))
+    return 0.0
 
 
 def c_star(model: ModelSpec, tol: float = 1e-10) -> float:

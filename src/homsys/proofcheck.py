@@ -39,6 +39,8 @@ __all__ = [
     "default_v_grid",
 ]
 
+_TOL = 1e-12  # absolute target of the Psi_n and Lambda quadratures
+
 
 @dataclass(frozen=True)
 class ProofParams:
@@ -191,13 +193,13 @@ def delta_psi(params: ProofParams, row_n: ScheduleRow, row_n1: ScheduleRow, v) -
     return Psi_n(row_n1, np.asarray(v, dtype=float) + params.delta * row_n.beta) - Psi_n(row_n, v)
 
 
-def psi_n_quadrature(row: ScheduleRow, v: float, tol: float = 1e-12) -> float:
+def psi_n_quadrature(row: ScheduleRow, v: float) -> float:
     """Independent numeric CDF (quadrature of psi_n); test oracle for Psi_n."""
     lo = -row.sigma_tilde
     if v <= lo:
         return 0.0
     edges = sorted({e for e in (lo, 0.0, min(v, row.sigma)) if e <= v})
-    return min(integrate_panels(lambda z, k: psi_n(row, z), edges, tol), 1.0)
+    return min(integrate_panels(lambda z, k: psi_n(row, z), edges, _TOL), 1.0)
 
 
 # -- the Lambda condition -------------------------------------------------------
@@ -228,7 +230,7 @@ def default_v_grid(params: ProofParams, n: int, points: int = 400) -> np.ndarray
     return np.linspace(-row.sigma_tilde - 2.0, right - 1e-9, points)
 
 
-def expected_lambda(model: ModelSpec, row: ScheduleRow, v, tol: float = 1e-12) -> np.ndarray:
+def expected_lambda(model: ModelSpec, row: ScheduleRow, v) -> np.ndarray:
     """Mixture average of the Lambda operator under the bridging density, at each v of an array."""
     support = (-row.sigma_tilde, row.sigma)
     breaks = (-row.sigma_tilde, 0.0, row.sigma)
@@ -236,7 +238,7 @@ def expected_lambda(model: ModelSpec, row: ScheduleRow, v, tol: float = 1e-12) -
     cdf_fn = lambda u: Psi_n(row, u)
     acc = 0.0
     for w, f in model.atoms:
-        acc += w * lambda_operator(psi_fn, cdf_fn, f, v, tol, support=support, psi_breaks=breaks)
+        acc += w * lambda_operator(psi_fn, cdf_fn, f, v, _TOL, support=support, psi_breaks=breaks)
     return acc
 
 
@@ -245,7 +247,6 @@ def lambda_condition(
     params: ProofParams,
     n: int,
     v_grid: np.ndarray | None = None,
-    tol: float = 1e-12,
 ) -> LambdaConditionReport:
     """Evaluate the per-n inequality and report its minimum over the grid.
 
@@ -264,7 +265,7 @@ def lambda_condition(
     q0, dq = row.q, q_increment(params, n)
     q1 = q0 + dq
     omq2 = (1.0 - q0) ** 2
-    el = expected_lambda(model, row, v_grid, tol)
+    el = expected_lambda(model, row, v_grid)
     dpsi = delta_psi(params, row, row1, v_grid)
     res = el + (1.0 - q1) / omq2 * dpsi + dq / omq2 * (1.0 - Psi_n(row, v_grid))
     i = int(np.argmin(res))
@@ -277,15 +278,14 @@ def find_n0(
     n_max: int,
     n_min: int = 64,
     points: int = 400,
-    tol: float = 1e-12,
     growth: float = 2.0,
 ) -> tuple[int | None, list[LambdaConditionReport]]:
     """Scan n geometrically for the first nonnegative minimum residual.
 
     Returns (n0, reports); n0 is None when no scanned n within [n_min, n_max]
     passes; an empty range (n_min > n_max) raises DomainError.  The reported
-    n0 depends on the grid and tolerances; it is an empirical threshold, not a
-    certified constant.
+    n0 depends on the grid and the quadrature tolerance; it is an empirical
+    threshold, not a certified constant.
     """
     if n_min > n_max:
         raise DomainError(f"empty n range: n_min={n_min} > n_max={n_max}")
@@ -293,7 +293,7 @@ def find_n0(
     n = n_min
     while n <= n_max:
         try:
-            rep = lambda_condition(model, params, n, default_v_grid(params, n, points), tol)
+            rep = lambda_condition(model, params, n, default_v_grid(params, n, points))
         except ScheduleInfeasibleError:
             n = max(n + 1, int(n * growth))
             continue

@@ -1,8 +1,9 @@
 """Deterministic 1-d quadrature helpers.
 
-Adaptive Simpson over many intervals at once, on explicit panels, and on
-geometrically graded panels running from a point toward 0 (an endpoint
-singularity) or toward infinity (a tail), with a convergence guard.  Every
+Adaptive Simpson over many intervals at once, and over explicit panels that
+share one error budget.  The caller chooses the panel edges from what it
+knows of the integrand (its kinks, jumps and singular ends; see
+hfun.t_breaks), so no stopping rule is needed beyond Simpson's own.  Every
 integrand is vectorised: f(t, k) gets an array of nodes t and, for each node,
 the index k of the interval (panel) it belongs to.  All routines use absolute
 error targets.
@@ -10,18 +11,14 @@ error targets.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 
 import numpy as np
 
-from .errors import IntegrationError
-
-__all__ = ["adaptive_simpson", "integrate_panels", "integrate_geometric"]
+__all__ = ["adaptive_simpson", "integrate_panels"]
 
 Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-_MAX_GEOMETRIC_PANELS = 120
 _MAX_DEPTH = 48
 
 
@@ -98,36 +95,3 @@ def integrate_panels(f: Integrand, edges: list[float], tol: float) -> float:
     a, b = np.array(spans).T
     return sum(adaptive_simpson(f, a, b, tol / len(spans)).tolist())
 
-
-def integrate_geometric(f: Integrand, start: float, factor: float, tol: float) -> float:
-    """Integrate f from start toward 0 (factor 1/2) or toward infinity (factor 2).
-
-    Uses the geometrically graded panels between start * factor^k and
-    start * factor^(k+1), k numbering them.  Toward 0 this handles a slow
-    (e.g. logarithmic) divergence; toward infinity, a decaying tail.  All
-    panels of the budget are integrated in one adaptive_simpson call, then
-    summed in order until one contributes less than tol/10 while the
-    contributions shrink geometrically; the remainder is bounded by the tail
-    of the geometric series.  Raises IntegrationError (with the partial sum)
-    when the contributions grow six panels in a row or the panel budget runs
-    out.  The panels past the stopping point are integrated but not summed,
-    so f must be finite on all of them.
-    """
-    edges = np.cumprod(np.concatenate([[start], np.full(_MAX_GEOMETRIC_PANELS, factor)]))
-    near, far = edges[:-1], edges[1:]
-    pieces = adaptive_simpson(f, np.minimum(near, far), np.maximum(near, far), tol / 16.0)
-    total = 0.0
-    prev = math.inf
-    stall = 0
-    for piece in pieces.tolist():
-        total += piece
-        if abs(piece) < tol / 10.0 and abs(piece) <= 0.75 * abs(prev):
-            ratio = abs(piece) / abs(prev) if prev not in (0.0, math.inf) else 0.5
-            ratio = min(ratio, 0.9)
-            total += piece * ratio / (1.0 - ratio)
-            return total
-        stall = stall + 1 if abs(piece) > abs(prev) else 0
-        if stall >= 6:
-            raise IntegrationError("geometric panel contributions are not decreasing", partial=total)
-        prev = piece
-    raise IntegrationError("geometric panels did not converge within the panel budget", partial=total)

@@ -28,6 +28,7 @@ from .errors import DomainError, HomsysError
 __all__ = ["SPGraph", "single_edge", "grow", "build", "reduce_graph", "resistance_exact", "distance_exact"]
 
 MAX_EXPLICIT_ROUNDS = 16
+_RESIDUAL_TOL = 1e-9  # largest Laplacian solve residual accepted, relative to max(1, |rhs|)
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ def reduce_graph(g: SPGraph) -> tuple[float, float]:
     return float(r[0]), float(d[0])
 
 
-def resistance_exact(g: SPGraph, tol: float = 1e-12) -> float:
+def resistance_exact(g: SPGraph) -> float:
     """Effective resistance between the terminals via the graph Laplacian.
 
     Unit current is injected at terminal a with terminal z grounded.  Nodes
@@ -141,7 +142,7 @@ def resistance_exact(g: SPGraph, tol: float = 1e-12) -> float:
     lu = spla.splu(Lr, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}, panel_size=1, relax=1)
     x = lu.solve(rhs)
     residual = float(np.linalg.norm(Lr @ x - rhs))
-    if residual > tol * max(1.0, float(np.linalg.norm(rhs))) * 1e3:
+    if residual > _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(rhs))):
         raise HomsysError(f"Laplacian solve residual {residual:.3g} too large")
     r = float(x[a_r])
     if not np.isfinite(r) or r <= 0:

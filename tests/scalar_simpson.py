@@ -1,13 +1,8 @@
-"""Test oracles: the recursive scalar adaptive Simpson and the sequential
-geometric-panel loop over it, one panel at a time.
+"""Test oracle: the recursive scalar adaptive Simpson.
 
 homsys.quadrature runs the same rule level by level over arrays of intervals;
 given integrands that return the same values, the two agree bit for bit.
 """
-
-import math
-
-from homsys import IntegrationError
 
 
 def _simpson(fa, fm, fb, h):
@@ -36,25 +31,3 @@ def adaptive_simpson(f, a, b, tol, max_depth=48):
     fa, fm, fb = f(a), f(m), f(b)
     return _adapt(f, a, m, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), tol, max_depth)
 
-
-def integrate_geometric(f, start, factor, tol, max_panels=120):
-    """The geometric-panel rule of homsys.quadrature, integrating each panel only when it is reached."""
-    total = 0.0
-    near = start
-    prev = math.inf
-    stall = 0
-    for _ in range(max_panels):
-        far = factor * near
-        piece = adaptive_simpson(f, min(near, far), max(near, far), tol / 16.0)
-        total += piece
-        if abs(piece) < tol / 10.0 and abs(piece) <= 0.75 * abs(prev):
-            ratio = abs(piece) / abs(prev) if prev not in (0.0, math.inf) else 0.5
-            ratio = min(ratio, 0.9)
-            total += piece * ratio / (1.0 - ratio)
-            return total
-        stall = stall + 1 if abs(piece) > abs(prev) else 0
-        if stall >= 6:
-            raise IntegrationError("geometric panel contributions are not decreasing", partial=total)
-        prev = piece
-        near = far
-    raise IntegrationError("geometric panels did not converge within the panel budget", partial=total)

@@ -38,6 +38,18 @@ def test_usage_error_exits_64(argv):
     assert info.value.code == cli.USAGE_EXIT == 64
 
 
+def test_classify_and_evolve_agree_on_the_regime(tmp_path, capsys):
+    # E[Gamma^(0,1) eps] = 4.9e-7: one tolerance decides the regime for classify and for the rescaling
+    spec = ('{"atoms":[{"weight":0.5,"family":"softplus","eps":1,"scale":1.0},'
+            '{"weight":0.5,"family":"softplus","eps":-1,"scale":0.9999997}]}')
+    assert cli.main(["classify", "--model", spec, "--out", str(tmp_path / "c.json")]) == 0
+    summary = json.loads((tmp_path / "c.json").read_text())
+    assert summary["regime"] == "sqrt" and summary["e_gamma01_eps"] == pytest.approx(4.9e-7, abs=5e-9)
+    capsys.readouterr()
+    assert cli.main(["evolve", "--model", spec, "--n", "2", "--grid", "256", "--checkpoints", "2"]) == 1
+    assert "no limit law known" in capsys.readouterr().err
+
+
 def test_summary_embeds_the_model(tmp_path):
     spec = '{"atoms":[{"weight":0.5,"family":"tent","s_plus":0.7,"s_minus":0.4},{"weight":0.5,"family":"max"}]}'
     assert cli.main(["classify", "--model", spec, "--out", str(tmp_path / "c.json")]) == 0
@@ -141,6 +153,12 @@ def test_malformed_step_lists_exit_without_traceback(argv, code, capsys):
         ["evolve", "--model", "hipster", "--n", "4", "--checkpoints", "4", "--tol", "1e-9"],
         ["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", "4", "--tol", "1e-9"],
         ["serpar", "--p", "0.5", "--n", "3", "--seeds", "2", "--tol", "1e-9"],
+        ["classify", "--model", "hipster", "--tol", "1e-9"],
+        # --threads is taken only by simulate and serpar
+        ["gamma", "--model", "hipster", "--threads", "2"],
+        ["classify", "--model", "hipster", "--threads", "2"],
+        ["evolve", "--model", "hipster", "--n", "4", "--checkpoints", "4", "--threads", "2"],
+        ["lambda-check", "--model", "hipster", "--n-range", "64:64", "--threads", "2"],
     ],
 )
 def test_empty_ranges_and_step_lists_exit_64(argv, capsys):

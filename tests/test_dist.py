@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from homsys import DomainError, GridCDF, from_samples, ks, limit_cdf, limit_density, rescale
-from homsys.dist import reflect
 
 
 def cubic_grid(m=4096, lo=-1.5, hi=1.5) -> GridCDF:
@@ -97,13 +96,6 @@ class TestGridCDF:
         base = ks(g, other)
         h_bound = 2.0 * (g.h + other.h)
         assert abs(ks(rescale(g, 3.0), rescale(other, 3.0)) - base) <= h_bound
-
-    def test_reflect(self):
-        rng = np.random.default_rng(3)
-        d = from_samples(rng.normal(0.3, 1.0, 5000), m=256, pad=0.5)
-        r = reflect(d)
-        for v in (-1.0, 0.0, 0.7):
-            assert r(v) == pytest.approx(1.0 - d(-v), abs=1e-9)
 
     def test_density_integrates_to_one(self):
         g = cubic_grid()

@@ -24,7 +24,8 @@ from homsys import (
 )
 from homsys import moments
 from homsys.hfun import from_g, g_table
-from homsys.models import builtin, classify, invert_model
+from homsys.models import builtin, classify, invert_model, parse_model
+from test_proofcheck import TABLE_JUMP, TWO_TABLES
 
 # frozen oracle values (series / high-precision quadrature)
 ZETA2 = 1.6449340668482264365  # sum 1/k^2
@@ -70,6 +71,50 @@ class TestGamma:
             base = gamma(f, 1, 1, 1e-9)
             assert gamma(f.invert(), 1, 1, 1e-9) == pytest.approx(base, abs=1e-8)
 
+    @pytest.mark.parametrize("scale", [1e-3, 0.3, 1.0, 2.5, 5.0])
+    def test_softplus_top_edge_is_where_t_underflows(self, scale, monkeypatch):
+        # the last panel edge is the first doubling of 2r where T is exactly 0; below it T > 0
+        edges = []
+        monkeypatch.setattr(moments, "integrate_panels", lambda h, e, tol: edges.append(e) or 0.0)
+        gamma(power_mean(scale), 0.0, 1.0)
+        top = edges[0][-1]
+        assert t_of(power_mean(scale), top) == 0.0 < t_of(power_mean(scale), 0.5 * top)
+
+    @pytest.mark.parametrize(
+        "f",
+        [F_SUM, F_PARALLEL, F_MAX, F_MIN, F_HIP_PLUS, F_HIP_MINUS, power_mean(1.7), power_mean(-0.001),
+         asym_tent(1.0, 0.5), asym_tent(0.3, 0.8, -1)]
+        + [f for spec in (TWO_TABLES, TABLE_JUMP) for _, f in parse_model(spec).atoms],
+        ids=repr,
+    )
+    def test_gamma01_is_the_area_of_the_profile(self, f):
+        # Gamma^(0,1) is the area under T, which the shear u = z - t maps onto the area under g
+        assert gamma(f, 0.0, 1.0, 1e-10) == pytest.approx(alpha(f.g) + alpha(f.g.reflected()), abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "spec", [pytest.param(TWO_TABLES, id="two_tables"), pytest.param(TABLE_JUMP, id="table_jump")]
+    )
+    def test_table_panels_stay_above_the_depth_limit(self, spec, monkeypatch):
+        # a table's kinks and jumps are panel edges, and a panel starting at a jump reads T just above
+        # it, so Simpson refines a few levels; refining to its depth limit 48 takes 50 integrand calls
+        calls = []
+        panels = moments.integrate_panels
+
+        def counted(h, edges, tol):
+            calls.append(0)
+
+            def g(t, k):
+                calls[-1] += 1
+                return h(t, k)
+
+            return panels(g, edges, tol)
+
+        monkeypatch.setattr(moments, "integrate_panels", counted)
+        for _, f in parse_model(spec).atoms:
+            for a, b in [(0.0, 1.0), (0.0, 2.0), (1.0, 1.0), (1.5, 1.0)]:
+                gamma(f, a, b, 1e-11)
+        assert max(calls) <= 10
+
     def test_pointwise_bound(self):
         # sup t^(a+1) T(t)^b <= (a+1) gamma(a,b)
         for f in (F_SUM, F_HIP_PLUS, asym_tent(1.0, 0.5)):
@@ -111,7 +156,20 @@ class TestAlpha:
         assert alpha(F_MAX.g) == 0.0
 
     def test_sum(self):
-        assert alpha(F_SUM.g, 1e-11) == pytest.approx(ALPHA_SUM, abs=1e-9)
+        assert alpha(F_SUM.g) == pytest.approx(ALPHA_SUM, abs=1e-9)
+
+    def test_closed_forms(self):
+        # softplus a log(1 + e^-z/a): a^2 pi^2/12; tent: the triangle 1/(2 s_plus); a table: its polygon
+        for scale in (1e-3, 0.3, 2.5):
+            assert alpha(power_mean(scale).g) == pytest.approx(scale**2 * math.pi**2 / 12.0, rel=1e-15)
+        assert alpha(asym_tent(0.4, 0.9).g) == 1.25
+        assert alpha(asym_tent(0.4, 0.9).g.reflected()) == pytest.approx(1.0 / 1.8, rel=1e-15)
+        odd = g_table([-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.5, 0.8, 0.3, 0.0])  # 0 a node: 0.25 (0.8 + 0.3) + 0.25 0.3
+        assert alpha(odd) == pytest.approx(0.35, rel=1e-15)
+        assert alpha(odd.reflected()) == pytest.approx(0.25 * 1.3 + 0.25 * 0.5, rel=1e-15)
+        even = g_table([-1.5, -0.5, 0.5, 1.5], [0.0, 0.6, 0.4, 0.0])  # 0 mid-cell, where g = 0.5
+        assert alpha(even) == pytest.approx(0.25 * (0.5 + 0.4) + 0.5 * 0.4, rel=1e-15)
+        assert alpha(g_table([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])) == 0.0
 
 
 class TestCStar:

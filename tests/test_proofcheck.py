@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from homsys import DomainError, builtin, evolve, moments, parse_model
-from homsys import proofcheck
+from homsys import hfun, proofcheck
 from homsys.hfun import t_jumps, t_kinks, t_of, t_support_end
 
 import kink_panel_lambda
@@ -75,7 +75,7 @@ def _scalar_lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks):
     if t_zero is None:
         t_sat = t_of(swap, t_psi)
         top = min(f.r, 1.0)
-        cuts.update(top * 0.5**j for j in range(1, evolve._MAX_HALVINGS + 1) if top * 0.5**j > t_sat)
+        cuts.update(top * 0.5**j for j in range(1, hfun._MAX_HALVINGS + 1) if top * 0.5**j > t_sat)
     edges = sorted({0.0, t_cut} | {e for e in cuts if 0.0 < e < t_cut})
     spans = [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
     bounds = [-math.inf, *breaks, math.inf]

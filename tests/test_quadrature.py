@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import scalar_simpson
-from homsys import IntegrationError
-from homsys.quadrature import adaptive_simpson, integrate_geometric, integrate_panels
+from homsys.quadrature import adaptive_simpson, integrate_panels
 
 
 def test_simpson_exact_on_cubics():
@@ -19,54 +18,18 @@ def test_panels_share_the_budget_and_skip_empty_spans():
 
 
 def test_toward_zero_log_singularity():
-    got = integrate_geometric(lambda t, k: np.log(1.0 / t), 1.0, 0.5, 1e-10)
-    assert got == pytest.approx(1.0, abs=1e-8)
+    # halvings of 1 toward 0: below the last one, log(1/t) adds 2^-120 (120 log 2 + 1), far under tol
+    edges = 0.5 ** np.arange(120, -1, -1)
+    got = integrate_panels(lambda t, k: np.log(1.0 / t), edges.tolist(), 1e-10)
+    assert got == pytest.approx(1.0, abs=1e-10)
 
 
 def test_toward_infinity_exponential_tail():
-    got = integrate_geometric(lambda t, k: np.exp(-t), 1.0, 2.0, 1e-10)
-    assert got == pytest.approx(math.exp(-1.0), abs=1e-9)
-
-
-def test_non_decaying_tail_raises_with_partial_sum():
-    with pytest.raises(IntegrationError) as info:
-        integrate_geometric(lambda t, k: np.ones_like(t), 1.0, 2.0, 1e-6)
-    # panels [2^k, 2^(k+1)] contribute 2^k; the sixth growth in a row stops the loop
-    assert info.value.partial == pytest.approx(127.0, rel=1e-12)
-
-
-def test_equal_panels_exhaust_the_budget():
-    # 1/t toward 0: every panel [2^-(k+1), 2^-k] contributes the same log 2, so the
-    # contributions neither shrink nor grow and all 120 panels are summed
-    with pytest.raises(IntegrationError, match="panel budget") as info:
-        integrate_geometric(lambda t, k: 1.0 / t, 1.0, 0.5, 1e-10)
-    piece = adaptive_simpson(lambda t, k: 1.0 / t, 0.5, 1.0, 1e-10 / 16.0)
-    assert piece == pytest.approx(math.log(2.0), rel=1e-12)
-    assert info.value.partial == pytest.approx(120 * piece, rel=1e-14)
-    with pytest.raises(IntegrationError) as oracle:
-        scalar_simpson.integrate_geometric(lambda t: 1.0 / t, 1.0, 0.5, 1e-10)
-    assert info.value.partial == oracle.value.partial
-
-
-@pytest.mark.parametrize(
-    "vector, scalar, start, factor",
-    [
-        (lambda t: 1.0 / (1.0 + t * t), lambda t: 1.0 / (1.0 + t * t), 1.0, 2.0),  # stops on a decaying tail
-        (lambda t: t * t, lambda t: t * t, 1.0, 0.5),  # stops toward 0
-        (lambda t: t, lambda t: t, 1.0, 2.0),  # stalls: the contributions grow
-    ],
-)
-def test_geometric_matches_the_sequential_loop_bitwise(vector, scalar, start, factor):
-    # rational integrands take the same values as numpy arrays and as floats, so the
-    # result (or the partial sum of the error) must equal the panel-by-panel loop's
-    def run(integrate, f):
-        try:
-            return integrate(f, start, factor, 1e-10)
-        except IntegrationError as exc:
-            return ("raised", exc.partial)
-
-    got = run(integrate_geometric, lambda t, k: vector(t))
-    assert got == run(scalar_simpson.integrate_geometric, scalar)
+    # doublings of 1 up to the first t where exp(-t) underflows to 0.0: nothing lies beyond it
+    edges = 2.0 ** np.arange(11)
+    assert np.exp(-edges[-1]) == 0.0 < np.exp(-edges[-2])
+    got = integrate_panels(lambda t, k: np.exp(-t), edges.tolist(), 1e-10)
+    assert got == pytest.approx(math.exp(-1.0), abs=1e-10)
 
 
 @pytest.mark.parametrize(
