@@ -119,14 +119,9 @@ def _c5_serpar():
     return ok, f"200 seeds, n=12: max relative resistance error {worst_r:.3g}; distances exact"
 
 
-def _ks_trace(model, n, N, checkpoints, seed, law=None, const=None, expo=None):
-    summaries = mc.simulate(model, 0.0, n, N, seed, checkpoints, law=law, scale_constant=const, exponent=expo)
-    return [(s.n, s.ks) for s in summaries]
-
-
-def _check_trace(name, trace, final_budget=0.1):
+def _check_trace(name, summaries, final_budget=0.1):
     bad = []
-    ks_vals = [k for _, k in trace]
+    ks_vals = [s.ks for s in summaries]
     if not all(a > b for a, b in zip(ks_vals, ks_vals[1:])):
         bad.append(f"{name}: KS not strictly decreasing {['%.4f' % k for k in ks_vals]}")
     if ks_vals[-1] >= final_budget:
@@ -144,7 +139,7 @@ def _c6_cbrt_convergence():
         summaries = mc.simulate(model, 0.0, 10_000, N, SEED + 10 + i, cps)
         if name == "hipster":
             hip_final = summaries[-1]
-        b, d = _check_trace(model.name, [(s.n, s.ks) for s in summaries])
+        b, d = _check_trace(model.name, summaries)
         bad += b
         details.append(d)
     # literal integer walk vs the framework pool, two-sample
@@ -161,16 +156,12 @@ def _c7_sqrt_convergence():
     N = 100_000
     cps = (100, 1000, 10_000)
     bad, details = [], []
-    b, d = _check_trace(
-        "lazy_hipster", _ks_trace(builtin("lazy_hipster"), 10_000, N, cps, SEED + 30, "linear_half", 2.0, 0.5)
-    )
-    bad += b
-    details.append(d)
-    b, d = _check_trace(
-        "distance(0.5)", _ks_trace(builtin("distance"), 10_000, N, cps, SEED + 31, "linear_half", PI2_6, 0.5)
-    )
-    bad += b
-    details.append(d)
+    for name, seed, constant in (("lazy_hipster", SEED + 30, 2.0), ("distance", SEED + 31, PI2_6)):
+        model = builtin(name)
+        summaries = mc.simulate(model, 0.0, 10_000, N, seed, cps, ("linear_half", constant, 0.5))
+        b, d = _check_trace(model.name, summaries)
+        bad += b
+        details.append(d)
     return not bad, "; ".join(bad) or "; ".join(details)
 
 

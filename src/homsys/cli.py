@@ -12,10 +12,21 @@ be repeated from its summary alone.  How the run was executed is kept apart,
 so that results compare byte for byte: with `--out`, the version, the command
 line and the `--threads` value go to `<stem>.run.json`, stem being `--out`
 without a trailing `.json`.  `--threads` is taken by `serpar`, which builds
-and solves its seeds on that many worker threads (default: the
-`HOMSYS_THREADS` environment variable, else 1), and by `simulate`, which runs
-on one thread and only records the value.  Exit codes: 0 success, 1
-validation failure, 2 numerical failure, 64 usage error.
+and solves its seeds on that many worker threads, and by `simulate`, which
+runs on one thread and only records the value.  Both default to the
+`HOMSYS_THREADS` environment variable (`serpar` then to 1); a thread count
+from either source that is not an integer >= 1 is a usage error.
+
+The `simulate` and `evolve` summaries carry the `scaling` the run used,
+{law, constant, exponent}: each checkpoint's log X_n is divided by
+(constant n)^exponent and compared to the limit law.  It comes from the
+classification of the model (`models.resolve_scaling`), unless `simulate` is
+given `--law`, `--scale-constant` and `--exponent`: all three or none, a
+partial set being a usage error.  A given constant or exponent that is not
+finite and > 0 is a validation failure, reported before any output.
+
+Exit codes: 0 success, 1 validation failure, 2 numerical failure, 64 usage
+error.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ import numpy as np
 from . import __version__, dist, evolve, mc, moments, proofcheck, serpar
 from .acceptance import run_criteria
 from .errors import DegenerateModelError, DomainError, HomsysError
-from .models import classify, model_digest, model_to_dict, parse_model
+from .models import classify, model_digest, model_to_dict, parse_model, resolve_scaling
 
 USAGE_EXIT = 64
 
@@ -106,12 +117,6 @@ def _csv_out(args, header: str):
             fh.close()
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("HOMSYS_THREADS", "1"))
-
-
 def _base_summary(args, model=None) -> dict:
     payload = {"version": __version__}
     if model is not None:
@@ -170,25 +175,21 @@ def _cmd_gamma(args) -> int:
 def _cmd_classify(args) -> int:
     model = parse_model(args.model)
     rep = classify(model)
-    payload = rep.to_dict()
+    payload = asdict(rep)
     payload.update(_base_summary(args, model))
     _write_json(args.out, payload)
     return 0
 
 
+def _scaling_summary(scaling: tuple[str, float, float]) -> dict:
+    return dict(zip(("law", "constant", "exponent"), scaling))
+
+
 def _cmd_simulate(args) -> int:
     model = parse_model(args.model)
-    summaries = mc.simulate(
-        model,
-        args.init,
-        args.n,
-        args.pool,
-        args.seed,
-        args.checkpoints,
-        law=args.law,
-        scale_constant=args.scale_constant,
-        exponent=args.exponent,
-    )
+    given = (args.law, args.scale_constant, args.exponent)
+    scaling = resolve_scaling(model, None if given[0] is None else given)
+    summaries = mc.simulate(model, args.init, args.n, args.pool, args.seed, args.checkpoints, scaling)
     records = []
     with _csv_out(args, "n,x,cdf,cdf_limit,density") as fh:
         for s in summaries:
@@ -196,7 +197,8 @@ def _cmd_simulate(args) -> int:
             _emit_checkpoint_csv(fh, s.n, emp.grid(), emp.cdf, s.law)
             records.append({"n": s.n, "scale": s.scale, "ks": s.ks, "quantiles": _quantiles(s.rescaled)})
     payload = _base_summary(args, model)
-    payload.update({"n": args.n, "pool": args.pool, "init": args.init, "checkpoints": records})
+    payload.update({"n": args.n, "pool": args.pool, "init": args.init, "checkpoints": records,
+                    "scaling": _scaling_summary(scaling)})
     _write_json((args.out + ".json") if args.out else None, payload)
     return 0
 
@@ -206,7 +208,8 @@ def _cmd_evolve(args) -> int:
     width = args.init_width
     x = np.linspace(-width, width, 257)
     init = dist.GridCDF(-width, width, np.clip((x + width) / (2 * width), 0.0, 1.0))
-    cps = evolve.run(init, model, args.n, args.checkpoints, m=args.grid)
+    scaling = resolve_scaling(model)
+    cps = evolve.run(init, model, args.n, args.checkpoints, m=args.grid, scaling=scaling)
     records = []
     with _csv_out(args, "n,x,cdf,cdf_limit,density") as fh:
         for cp in cps:
@@ -215,7 +218,7 @@ def _cmd_evolve(args) -> int:
             _emit_checkpoint_csv(fh, cp.n, g.grid()[::stride], g.cdf[::stride], cp.law)
             records.append({"n": cp.n, "scale": cp.scale, "ks": cp.ks})
     payload = _base_summary(args, model)
-    payload.update({"n": args.n, "grid": args.grid, "checkpoints": records})
+    payload.update({"n": args.n, "grid": args.grid, "checkpoints": records, "scaling": _scaling_summary(scaling)})
     payload["diagnostics"] = asdict(cps[-1].diagnostics) if cps else None
     _write_json((args.out + ".json") if args.out else None, payload)
     return 0
@@ -230,7 +233,7 @@ def _cmd_serpar(args) -> int:
         return seed, r_red, None, d_red, None
 
     seeds = range(args.seeds)
-    workers = max(1, _threads(args))
+    workers = args.threads or 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(one, seeds))
@@ -301,7 +304,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--tol", type=float, default=1e-9, help=tol)
         sp.add_argument("--out", default=None, help="output path (stem for commands writing .csv/.json pairs)")
         if threads:
-            sp.add_argument("--threads", type=int, default=None, help=threads)
+            sp.add_argument("--threads", type=_int_in(1), default=os.environ.get("HOMSYS_THREADS"), help=threads)
 
     sp = sub.add_parser("gamma", help="moment report for a model")
     common(sp, tol="absolute tolerance of each moment integral")
@@ -315,14 +318,14 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_classify)
 
     sp = sub.add_parser("simulate", help="pool Monte Carlo with rescaled-KS checkpoints")
-    common(sp, threads="recorded in the run record; the pool step runs on one thread")
+    common(sp, threads="recorded in the run record (default: HOMSYS_THREADS); the pool step runs on one thread")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--pool", type=int, required=True)
     sp.add_argument("--seed", type=_int_in(0, 2**64), default=1)
     sp.add_argument("--checkpoints", type=_checkpoint_list, required=True, help="comma-separated step counts")
     sp.add_argument("--init", type=float, default=0.0, help="initial log value")
     sp.add_argument("--grid", type=_int_in(1), default=512, help="cells of the emitted empirical CDF")
-    sp.add_argument("--law", choices=dist.LIMIT_LAWS, default=None)
+    sp.add_argument("--law", choices=dist.LIMIT_LAWS, default=None, help="with --scale-constant and --exponent")
     sp.add_argument("--scale-constant", dest="scale_constant", type=float, default=None)
     sp.add_argument("--exponent", type=float, default=None)
     sp.set_defaults(fn=_cmd_simulate)
@@ -336,7 +339,8 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_evolve)
 
     sp = sub.add_parser("serpar", help="series-parallel growth with dual oracles")
-    common(sp, model=False, threads="worker threads over the seeds (results are identical regardless)")
+    common(sp, model=False, threads="worker threads over the seeds (default: HOMSYS_THREADS, else 1; "
+                                    "results are identical regardless)")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--n", type=_int_in(0), required=True)
     sp.add_argument("--seeds", type=_int_in(1), required=True)
@@ -364,6 +368,9 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    scaling_flags = [getattr(args, key, None) for key in ("law", "scale_constant", "exponent")]
+    if None in scaling_flags and any(flag is not None for flag in scaling_flags):
+        parser.error("--law, --scale-constant and --exponent are given all three or none")
     try:
         code = args.fn(args)
         if args.out:

@@ -358,23 +358,22 @@ def run(
     n_steps: int,
     checkpoints: tuple[int, ...],
     m: int = 8192,
-    law: str | None = None,
-    scale_constant: float | None = None,
-    exponent: float | None = None,
+    scaling: tuple[str, float, float] | None = None,
 ) -> list[RunCheckpoint]:
     """Evolve the grid law n_steps times, recording rescaled checkpoints.
 
-    The domain is allocated once, sized from the growth (scale_constant *
-    n_steps)^exponent of the support, so no regridding happens mid-run.
-    Checkpoint laws are rescaled by (scale_constant * n)^exponent and compared
-    to the limit CDF; missing scaling arguments are filled by resolve_scaling.
+    scaling = (law, constant, exponent) is checked by resolve_scaling, which
+    derives it from the model when it is None.  The domain is allocated once,
+    sized from the growth (constant * n_steps)^exponent of the support, so no
+    regridding happens mid-run.  Checkpoint laws are rescaled by
+    (constant * n)^exponent and compared to the limit CDF of law.
     """
-    law, scale_constant, exponent = resolve_scaling(model, law, scale_constant, exponent)
+    law, constant, exponent = resolve_scaling(model, scaling)
     checkpoints = tuple(sorted(set(checkpoints)))
     if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > n_steps):
         raise DomainError("checkpoints must lie in 1..n_steps")
 
-    tau_max = (scale_constant * max(n_steps, 1)) ** exponent
+    tau_max = (constant * max(n_steps, 1)) ** exponent
     half = 1.5 * tau_max + 8.0 + max(model.r_plus(), model.r_minus())
     lo = min(init.lo, -half)
     hi = max(init.hi, half)
@@ -398,7 +397,7 @@ def run(
         if budget > CLAMP_ABORT_BUDGET:
             raise ClampBudgetExceededError(f"accumulated clamp budget {budget:.3g} exceeds {CLAMP_ABORT_BUDGET}")
         if n in cp:
-            scale = (scale_constant * n) ** exponent
+            scale = (constant * n) ** exponent
             r = rescale(d, scale)
             diagnostics = RunDiagnostics(t_cells, groups, taps, budget, defect, rows / n)
             out.append(RunCheckpoint(n, scale, ks(r, law), r, law, diagnostics))

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import GridCDF, ks
+from .dist import ks
 from .errors import DomainError
 from .models import ModelSpec, apply_mixture, resolve_scaling
 
 __all__ = ["SamplePool", "new_pool", "pool_step", "simulate", "hipster_direct", "CheckpointSummary"]
 
-_STREAM_INIT = 0
 _STREAM_STEP = 1
 _STREAM_WALK = 2
 
@@ -52,14 +51,9 @@ class SamplePool:
             raise DomainError("pool values must be finite")
 
 
-def new_pool(model: ModelSpec, init, N: int, seed: int) -> SamplePool:
-    """Initial pool from a point value (log scale) or a GridCDF (inverse sampling)."""
-    if isinstance(init, GridCDF):
-        u = _gen(seed, _STREAM_INIT, 0).random(N)
-        vals = np.interp(u, init.cdf, init.grid())
-    else:
-        vals = np.full(N, float(init))
-    return SamplePool(vals, 0, seed, model)
+def new_pool(model: ModelSpec, init: float, N: int, seed: int) -> SamplePool:
+    """Initial pool of N copies of the point value init (log scale); draws nothing."""
+    return SamplePool(np.full(N, float(init)), 0, seed, model)
 
 
 def pool_step(pool: SamplePool) -> SamplePool:
@@ -82,24 +76,24 @@ class CheckpointSummary:
 
 def simulate(
     model: ModelSpec,
-    init,
+    init: float,
     n: int,
     N: int,
     seed: int,
     checkpoints: tuple[int, ...],
-    law: str | None = None,
-    scale_constant: float | None = None,
-    exponent: float | None = None,
+    scaling: tuple[str, float, float] | None = None,
 ) -> list[CheckpointSummary]:
-    """Pool simulation with rescaled-KS summaries at the checkpoints.
+    """Pool simulation from the point value init, with rescaled-KS summaries at the checkpoints.
 
-    The limit law and scale default to the classification of the model:
-    cubic with (c* n)^(1/3) in the cube-root regime, y^2 with the proved
-    constants for the known square-root models.
+    The checkpoint pools are rescaled by (constant n)^exponent and compared to
+    the limit law of scaling = (law, constant, exponent), which
+    resolve_scaling checks, or, when None, derives from the classification of
+    the model: cubic with (c* n)^(1/3) in the cube-root regime, y^2 with the
+    proved constants for the known square-root models.
     """
     if n < 1 or N < 2:
         raise DomainError("need n >= 1 and N >= 2")
-    law, scale_constant, exponent = resolve_scaling(model, law, scale_constant, exponent)
+    law, constant, exponent = resolve_scaling(model, scaling)
     checkpoints = tuple(sorted(set(checkpoints)))
     if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > n):
         raise DomainError("checkpoints must lie in 1..n")
@@ -109,21 +103,21 @@ def simulate(
     for _ in range(n):
         pool = pool_step(pool)
         if pool.n in cps:
-            scale = (scale_constant * pool.n) ** exponent
+            scale = (constant * pool.n) ** exponent
             resc = pool.values / scale
             out.append(CheckpointSummary(pool.n, scale, ks(resc, law), resc, law))
     return out
 
 
-def hipster_direct(kind: str, n: int, N: int, seed: int, init: int = 0) -> np.ndarray:
-    """Literal integer walk by the pool method.
+def hipster_direct(kind: str, n: int, N: int, seed: int) -> np.ndarray:
+    """Literal integer walk by the pool method, started from 0.
 
     kind='symmetric': pick one of two independent copies uniformly and add
     +-1 (fair) on ties.  kind='lazy': add +1 with probability 1/2 on ties.
     """
     if kind not in ("symmetric", "lazy"):
         raise DomainError("kind must be 'symmetric' or 'lazy'")
-    vals = np.full(N, int(init), dtype=np.int64)
+    vals = np.zeros(N, dtype=np.int64)
     for step in range(1, n + 1):
         rng = _gen(seed, _STREAM_WALK, step)
         idx = rng.integers(0, N, 2 * N)

@@ -6,12 +6,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import hfun
+from .dist import LIMIT_LAWS
 from .errors import DomainError
 from .hfun import HFunction
 from .moments import alpha, c_star, gammas
@@ -165,18 +167,6 @@ class CriticalityReport:
     nontrivial: bool
     notes: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "e_eps": self.e_eps,
-            "e_gamma01_eps": self.e_gamma01_eps,
-            "alpha_plus": self.alpha_plus,
-            "alpha_minus": self.alpha_minus,
-            "regime": self.regime,
-            "nontrivial": self.nontrivial,
-            "notes": self.notes,
-        }
-
 
 def classify(model: ModelSpec) -> CriticalityReport:
     """Compute the criticality parameters and the conjectured growth regime.
@@ -229,36 +219,33 @@ def classify(model: ModelSpec) -> CriticalityReport:
     return CriticalityReport(p, e_eps, e_g01_eps, a_plus, a_minus, regime, nontrivial, notes)
 
 
-def resolve_scaling(
-    model: ModelSpec,
-    law: str | None = None,
-    scale_constant: float | None = None,
-    exponent: float | None = None,
-) -> tuple[str, float, float]:
-    """(law, constant, exponent) for rescaling log X_n by (constant n)^exponent.
+def resolve_scaling(model: ModelSpec, scaling: tuple[str, float, float] | None = None) -> tuple[str, float, float]:
+    """The (law, constant, exponent) that rescale log X_n by (constant n)^exponent.
 
-    The arguments given are kept; the missing ones come from one
-    classification of the model.  cbrt models use the cubic law with c*
-    computed to CLASSIFY_TOL and exponent 1/3; sqrt models use the y^2 law
-    with the proved constants where known and exponent 1/2.  Raises
-    DomainError when some are missing and no limit law is known for the model.
+    With `scaling` None, the triple comes from one classification of the
+    model: cbrt models use the cubic law with c* computed to CLASSIFY_TOL and
+    exponent 1/3; sqrt models use the y^2 law with the proved constants where
+    known and exponent 1/2; any other model raises DomainError.  A given
+    `scaling` is returned as it is once checked: a 3-tuple whose law is in
+    dist.LIMIT_LAWS and whose constant and exponent are finite and > 0, else
+    DomainError.
     """
-    if law is not None and scale_constant is not None and exponent is not None:
-        return law, scale_constant, exponent
+    if scaling is not None:
+        if not (isinstance(scaling, tuple) and len(scaling) == 3):
+            raise DomainError(f"scaling must be a (law, constant, exponent) triple, got {scaling!r}")
+        law, constant, exponent = scaling
+        if law not in LIMIT_LAWS:
+            raise DomainError(f"scaling law must be one of {LIMIT_LAWS}, got {law!r}")
+        for name, value in (("constant", constant), ("exponent", exponent)):
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise DomainError(f"scaling {name} must be finite and > 0, got {value!r}")
+        return scaling
     regime = classify(model).regime
     if regime == "cbrt":
-        known = ("cubic", c_star(model, CLASSIFY_TOL), 1.0 / 3.0)
-    elif regime == "sqrt" and model.name in KNOWN_SQRT_CONSTANTS:
-        known = ("linear_half", KNOWN_SQRT_CONSTANTS[model.name], 0.5)
-    else:
-        raise DomainError(
-            f"no limit law known for model {model.name!r} (regime {regime!r}); pass law, scale_constant and exponent"
-        )
-    return (
-        known[0] if law is None else law,
-        known[1] if scale_constant is None else scale_constant,
-        known[2] if exponent is None else exponent,
-    )
+        return "cubic", c_star(model, CLASSIFY_TOL), 1.0 / 3.0
+    if regime == "sqrt" and model.name in KNOWN_SQRT_CONSTANTS:
+        return "linear_half", KNOWN_SQRT_CONSTANTS[model.name], 0.5
+    raise DomainError(f"no limit law known for model {model.name!r} (regime {regime!r}); pass a scaling triple")
 
 
 # -- model spec files ----------------------------------------------------------

@@ -12,7 +12,7 @@ area of a profile, is in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -151,9 +151,6 @@ class MomentTable:
         if self.r ** (3.0 + self.eta) > self.m_eta * (1 + 1e-9) + 1e-12:
             raise DomainError("corner bound r^(3+eta) <= m_eta violated")
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def moment_table(f: HFunction, eta: float = 1.0, tol: float = 1e-10) -> MomentTable:
     g11 = gamma(f, 1.0, 1.0, tol)
@@ -176,7 +173,7 @@ def model_moments(model: ModelSpec, eta: float = 1.0, tol: float = 1e-10) -> dic
     tables = [moment_table(f, eta, tol) for f in model.functions]
     return {
         "atoms": [
-            {"weight": float(w), "label": f.label or f.g.family, "eps": f.eps, **t.to_dict()}
+            {"weight": float(w), "label": f.label or f.g.family, "eps": f.eps, **asdict(t)}
             for (w, f), t in zip(model.atoms, tables)
         ],
         "c_star": c_star(model, tol) if model.is_nontrivial() else 0.0,

@@ -278,13 +278,14 @@ def find_n0(
     n_max: int,
     n_min: int = 64,
     points: int = 400,
-    growth: float = 2.0,
 ) -> tuple[int | None, list[LambdaConditionReport]]:
-    """Scan n geometrically for the first nonnegative minimum residual.
+    """Scan n = n_min, 2 n_min, 4 n_min, ... for the first nonnegative minimum residual.
 
-    Returns (n0, reports); n0 is None when no scanned n within [n_min, n_max]
-    passes; an empty range (n_min > n_max) raises DomainError.  The reported
-    n0 depends on the grid and the quadrature tolerance; it is an empirical
+    Each scanned n uses default_v_grid(params, n, points); an n whose schedule
+    is infeasible is skipped.  Returns (n0, reports); n0 is None when no
+    scanned n within [n_min, n_max] passes; an empty range (n_min > n_max)
+    raises DomainError, as does n_min < 1 (from schedule).  The reported n0
+    depends on the grid and the quadrature tolerance; it is an empirical
     threshold, not a certified constant.
     """
     if n_min > n_max:
@@ -295,22 +296,23 @@ def find_n0(
         try:
             rep = lambda_condition(model, params, n, default_v_grid(params, n, points))
         except ScheduleInfeasibleError:
-            n = max(n + 1, int(n * growth))
+            n *= 2
             continue
         history.append(rep)
         if rep.passed:
             return n, history
-        n = max(n + 1, int(n * growth))
+        n *= 2
     return None, history
 
 
 # -- the stochastic lower bound --------------------------------------------------
 
 
-def lower_bound(params: ProofParams, n: int, x: float, c0: float = 0.0, n0: int = 1) -> float:
-    """(1 - q_n) [1 - Psi_n((x + delta) tau_n + c0)]: the probability floor for
-    P(X_{n-n0} >= e^{x tau_n}) once the Lambda condition holds from n0 on."""
-    if n < n0:
-        raise DomainError("need n >= n0")
+def lower_bound(params: ProofParams, n: int, x: float) -> float:
+    """(1 - q_n) [1 - Psi_n((x + delta) tau_n)]: the probability floor for
+    P(X_{n-n0} >= e^{x tau_n}) once the Lambda condition holds from n0 on.
+
+    The value does not depend on n0, so keeping n >= n0 is the caller's part;
+    n < 1 raises DomainError."""
     row = schedule(params, n)
-    return (1.0 - row.q) * (1.0 - float(Psi_n(row, (x + params.delta) * row.tau + c0)))
+    return (1.0 - row.q) * (1.0 - float(Psi_n(row, (x + params.delta) * row.tau)))

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import homsys
-from homsys import cli, limit_cdf, parse_model
-from homsys.models import model_digest
+from homsys import builtin, cli, limit_cdf, parse_model
+from homsys.models import model_digest, resolve_scaling
 
 
 def _csv(path):
@@ -65,6 +65,7 @@ def test_evolve_csv_uses_the_run_law(tmp_path):
     assert np.array_equal(rows[:, 3], limit_cdf("linear_half", rows[:, 1]))
     summary = json.loads(stem.with_suffix(".json").read_text())
     assert [cp["n"] for cp in summary["checkpoints"]] == [4]
+    assert summary["scaling"] == {"law": "linear_half", "constant": 2.0, "exponent": 0.5}
     assert json.loads(stem.with_suffix(".run.json").read_text())["argv"] == argv
     diag = summary["diagnostics"]  # the hipster+ atom has cells, the min atom none
     assert diag["t_cells"][0] > 0 and diag["groups"][0] == 1 and diag["t_cells"][1] == diag["groups"][1] == 0
@@ -159,12 +160,76 @@ def test_malformed_step_lists_exit_without_traceback(argv, code, capsys):
         ["classify", "--model", "hipster", "--threads", "2"],
         ["evolve", "--model", "hipster", "--n", "4", "--checkpoints", "4", "--threads", "2"],
         ["lambda-check", "--model", "hipster", "--n-range", "64:64", "--threads", "2"],
+        # the scaling flags go all three or none
+        ["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", "4", "--law", "cubic"],
+        ["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", "4",
+         "--scale-constant", "2", "--exponent", "0.5"],
+        # a thread count is an integer >= 1
+        ["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", "4", "--threads", "-3"],
+        ["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", "4", "--threads", "0"],
+        ["serpar", "--p", "0.5", "--n", "3", "--seeds", "2", "--threads", "-3"],
+        ["serpar", "--p", "0.5", "--n", "3", "--seeds", "2", "--threads", "x"],
     ],
 )
 def test_empty_ranges_and_step_lists_exit_64(argv, capsys):
     assert _exit_code(argv) == 64
     err = capsys.readouterr().err
     assert "Traceback" not in err and "usage:" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serpar", "--p", "0.5", "--n", "3", "--seeds", "2"],
+        ["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", "4"],
+    ],
+)
+def test_bad_thread_variable_exits_64(argv, value, monkeypatch, capsys):
+    monkeypatch.setenv("HOMSYS_THREADS", value)
+    assert _exit_code(argv) == 64
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "usage:" in captured.err and not captured.out
+
+
+def test_thread_variable_is_the_default_thread_count(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOMSYS_THREADS", "2")
+    argv = ["serpar", "--p", "0.5", "--n", "3", "--seeds", "2", "--out", str(tmp_path / "s")]
+    assert cli.main(argv) == 0
+    assert json.loads((tmp_path / "s.run.json").read_text())["threads"] == 2
+    assert cli.main(argv + ["--threads", "3"]) == 0
+    assert json.loads((tmp_path / "s.run.json").read_text())["threads"] == 3
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--law", "cubic", "--scale-constant", "-1", "--exponent", "0.5"],
+        ["--law", "cubic", "--scale-constant", "0", "--exponent", "0.5"],
+        ["--law", "cubic", "--scale-constant", "nan", "--exponent", "0.5"],
+        ["--law", "cubic", "--scale-constant", "2", "--exponent", "0"],
+        ["--law", "cubic", "--scale-constant", "2", "--exponent", "inf"],
+    ],
+)
+def test_bad_scaling_exits_1_before_any_output(flags, tmp_path, capsys):
+    argv = ["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", "4", *flags]
+    assert _exit_code(argv) == 1
+    assert _exit_code(argv + ["--out", str(tmp_path / "s")]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "validation error" in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
+
+
+def test_explicit_scaling_equal_to_the_resolved_one_changes_nothing(tmp_path):
+    base = ["simulate", "--model", "hipster", "--n", "6", "--pool", "500", "--seed", "3", "--checkpoints", "3,6"]
+    law, constant, exponent = resolve_scaling(builtin("hipster"))
+    flags = ["--law", law, "--scale-constant", repr(constant), "--exponent", repr(exponent)]
+    assert cli.main(base + ["--out", str(tmp_path / "auto")]) == 0
+    assert cli.main(base + flags + ["--out", str(tmp_path / "given")]) == 0
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"auto{suffix}").read_bytes() == (tmp_path / f"given{suffix}").read_bytes()
+    summary = json.loads((tmp_path / "given.json").read_text())
+    assert summary["scaling"] == {"law": law, "constant": constant, "exponent": exponent}
 
 
 def test_importing_the_cli_does_not_load_scipy():

@@ -49,11 +49,37 @@ def test_no_known_law_raises():
         evolve.run(init, model, 2, (2,), m=256)
     with pytest.raises(DomainError):
         mc.simulate(model, 0.0, 2, 200, 1, (2,))
-    # a partial override does not fall back to the cubic law
+    # a malformed triple does not fall back to the cubic law
     with pytest.raises(DomainError):
-        evolve.run(init, model, 2, (2,), m=256, law="cubic", scale_constant=1.0)
-    (cp,) = evolve.run(init, model, 2, (2,), m=256, law="cubic", scale_constant=1.0, exponent=0.5)
+        evolve.run(init, model, 2, (2,), m=256, scaling=("cubic", 1.0))
+    (cp,) = evolve.run(init, model, 2, (2,), m=256, scaling=("cubic", 1.0, 0.5))
     assert cp.law == "cubic" and cp.scale == 2.0**0.5
+
+
+@pytest.mark.parametrize(
+    "scaling",
+    [
+        ("cubic", 1.0),
+        ["cubic", 1.0, 0.5],
+        ("normal", 1.0, 0.5),
+        ("cubic", -1.0, 0.5),
+        ("cubic", 0.0, 0.5),
+        ("cubic", math.inf, 0.5),
+        ("cubic", math.nan, 0.5),
+        ("cubic", "2", 0.5),
+        ("cubic", 1.0, 0.0),
+        ("cubic", 1.0, -0.5),
+        ("cubic", 1.0, math.inf),
+    ],
+)
+def test_malformed_scaling_raises(scaling):
+    model = builtin("hipster")
+    with pytest.raises(DomainError):
+        resolve_scaling(model, scaling)
+    with pytest.raises(DomainError):
+        evolve.run(_uniform(m=64), model, 2, (2,), m=256, scaling=scaling)
+    with pytest.raises(DomainError):
+        mc.simulate(model, 0.0, 2, 200, 1, (2,), scaling)
 
 
 def _unit_density(u):

@@ -91,6 +91,15 @@ class TestCorrespondence:
         with pytest.raises(InvalidProfileError):
             g_table(z, v)
 
+    def test_table_cell_across_zero_rejected(self):
+        # with an even node count one cell holds z = 0: this one rises on [0, 0.5]
+        with pytest.raises(InvalidProfileError):
+            g_table([-1.5, -0.5, 0.5, 1.5], [0.0, 0.0, 0.4, 0.0])
+
+    def test_table_flat_top_across_zero_accepted(self):
+        f = from_g(g_table([-1.5, -0.5, 0.5, 1.5], [0.0, 0.5, 0.5, 0.0]), +1)
+        assert f.g(0.0) == 0.5 and f.r == 0.5
+
 
 class TestDualities:
     def test_invert_sum_is_parallel(self):

@@ -167,8 +167,9 @@ class TestAlpha:
         odd = g_table([-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.5, 0.8, 0.3, 0.0])  # 0 a node: 0.25 (0.8 + 0.3) + 0.25 0.3
         assert alpha(odd) == pytest.approx(0.35, rel=1e-15)
         assert alpha(odd.reflected()) == pytest.approx(0.25 * 1.3 + 0.25 * 0.5, rel=1e-15)
-        even = g_table([-1.5, -0.5, 0.5, 1.5], [0.0, 0.6, 0.4, 0.0])  # 0 mid-cell, where g = 0.5
-        assert alpha(even) == pytest.approx(0.25 * (0.5 + 0.4) + 0.5 * 0.4, rel=1e-15)
+        # 0 mid-cell; a valid profile is flat on the cell that holds 0 (a rise there breaks a side's monotonicity)
+        even = g_table([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5], [0.0, 0.3, 0.7, 0.7, 0.2, 0.0])
+        assert alpha(even) == pytest.approx(0.5 * 0.7 + 0.5 * (0.7 + 0.2) + 0.5 * 0.2, rel=1e-15)
         assert alpha(g_table([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])) == 0.0
 
 
