@@ -27,12 +27,12 @@ class GridCDF:
 
     def __post_init__(self):
         object.__setattr__(self, "cdf", np.asarray(self.cdf, dtype=float))
-        if not self.lo < self.hi:
-            raise DomainError("need lo < hi")
+        if not -np.inf < self.lo < self.hi < np.inf:
+            raise DomainError("need finite lo < hi")
         c = self.cdf
         if c.ndim != 1 or len(c) < 2:
             raise DomainError("cdf needs at least two nodes")
-        if np.any(np.diff(c) < -_MONO_TOL):
+        if not np.all(np.diff(c) >= -_MONO_TOL):  # a NaN fails this too
             raise DomainError("cdf must be nondecreasing")
         if abs(c[0]) > _MONO_TOL:
             raise DomainError("cdf must start at 0")

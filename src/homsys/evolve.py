@@ -11,13 +11,16 @@ nodes: the density factor exactly through the CDF over each cell, the
 crossing bracket at the cell midpoint.  Cells whose crossing shift T(mid)/h
 has the same integer part are summed together, which turns the cell sum into
 one FIR filter of the CDF per integer shift (see ShiftFilters); the filters
-depend only on the model and the grid, so a run builds them once.  A filter
-keeps only its runs of nonzero taps: where cells sharing one shift telescope,
-their interior taps are exact zeros.  The term of shift k is exactly zero on
-every row where the CDF equals its own value k rows away, which holds outside
-the rows where the law moves (from the first value other than 0 to the last
-value other than 1) widened by k; so each shift is evaluated on that window
-only, with the same numbers as over the whole grid.
+depend only on the model and the grid, so a run builds them once, in one
+vectorised pass over all shifts.  A filter keeps only its runs of nonzero
+taps: where cells sharing one shift telescope, their interior taps are exact
+zeros.  Each run is stored as a contiguous correlation kernel, reversed once,
+so the step applies it with np.correlate and makes no copy per call.  The
+term of shift k is exactly zero on every row where the CDF equals its own
+value k rows away, which holds outside the rows where the law moves (from
+the first value other than 0 to the last value other than 1) widened by k;
+so each shift is evaluated on that window only, with the same numbers as
+over the whole grid, in four numpy calls (see step_detailed).
 """
 
 from __future__ import annotations
@@ -183,20 +186,24 @@ class ShiftFilters:
     cells) adds (S_{eps e_j/h} - S_{eps e_{j+1}/h}) (c - S_{tau_j}), where S_s
     is the CDF linearly interpolated s cells to the right, padded with 0 and 1.
     With k = floor(tau_j) and phi = tau_j - k, S_{tau_j} = (1 - phi) c[i-k] +
-    phi c[i-k-1], so the sum is the sum over k of (c - c[i-k]) (w_k * c)[i]:
-    the taps w_k gather 1 - phi, resp. phi, times the interpolation taps of
+    phi c[i-k-1], so the sum is the sum over k of (c - c[i-k]) fir_k[i]: the
+    taps of fir_k gather 1 - phi, resp. phi, times the interpolation taps of
     the edge terms of the cells in group k, resp. k - 1.  The k = 0 term
     vanishes.  Where the cells of a group share one shift, the edge terms of
-    neighbouring cells cancel, so w_k has exact zeros inside; each shift keeps
-    its runs of nonzero taps, w_k * c being the sum of the runs' convolutions.
-    The taps depend only on the atom, h and the domain span.
+    neighbouring cells cancel, so fir_k has exact zeros inside; each shift
+    keeps its runs of nonzero taps, fir_k being the sum of the runs' terms.
+    A run is stored as step_detailed reads it, (lo, hi, kernel) with the
+    kernel contiguous and reversed into correlation order: it adds
+    sum over q of kernel[q] c[i - hi + q] to fir_k[i], which on the rows
+    a..b-1 is np.correlate(c[a - hi : b - lo], kernel, "valid").  The taps
+    depend only on the atom, h and the domain span.
     """
 
     t_cells: int
     groups: int  # distinct floor(tau_j), the cell groups sharing one integer shift
     taps: int  # nonzero taps over all shifts
     shifts: tuple[int, ...]  # the nonzero k with a filter
-    runs: tuple[tuple[tuple[int, np.ndarray], ...], ...]  # per shift, (offset, taps): taps[0] multiplies c[i - offset]
+    runs: tuple[tuple[tuple[int, int, np.ndarray], ...], ...]  # per shift, its runs (lo, hi, kernel)
     reach: int  # largest |index offset| any filter or shift reads
 
 
@@ -221,19 +228,27 @@ def _shift_filters(f: HFunction, h: float, span: float) -> ShiftFilters | None:
     keep = (shift != 0) & (tap != 0.0)
     order = np.argsort(shift[keep], kind="stable")
     shift, idx, tap = shift[keep][order], idx[keep][order], tap[keep][order]
-    shifts, starts = np.unique(shift, return_index=True)
-    kept, runs = [], []
-    for s, a, b in zip(shifts.tolist(), starts, np.append(starts[1:], shift.size)):
-        lo = int(idx[a:b].min())
-        w = np.bincount(idx[a:b] - lo, weights=tap[a:b])
-        nonzero = np.flatnonzero(w)
-        if nonzero.size:
-            pieces = np.split(nonzero, np.flatnonzero(np.diff(nonzero) > 1) + 1)
-            kept.append(s)
-            runs.append(tuple((lo + int(p[0]), w[p[0] : p[-1] + 1]) for p in pieces))
-    taps = sum(t.size for rs in runs for _, t in rs)
+    # every shift's dense filter over its index span and one zero after it, laid end
+    # to end: one bincount sums each tap in the order above, as one per shift would
+    shifts, starts, counts = np.unique(shift, return_index=True, return_counts=True)
+    lo = np.minimum.reduceat(idx, starts)
+    size = np.maximum.reduceat(idx, starts) - lo + 2
+    base = np.cumsum(size) - size
+    w = np.bincount(idx + np.repeat(base - lo, counts), weights=tap, minlength=int(size.sum()))
+    # the runs of nonzero taps [first, stop); the zero after each filter ends its last run
+    first, stop = np.flatnonzero(np.diff(w != 0.0, prepend=False)).reshape(-1, 2).T
+    owner = np.searchsorted(base, first, side="right") - 1
+    run_lo = (lo - base)[owner] + first
+    reverse = w[::-1].copy()  # every kernel is a contiguous slice of it
+    runs = []
+    for new, a, b, r_lo in zip(np.diff(owner, prepend=-1).tolist(), first.tolist(), stop.tolist(), run_lo.tolist()):
+        if new:
+            runs.append([])
+        runs[-1].append((r_lo, r_lo + b - a - 1, reverse[w.size - b : w.size - a]))
+    kept = tuple(shifts[np.unique(owner)].tolist())
+    taps = int(np.sum(stop - first))
     reach = int(max(np.abs(idx).max(initial=0), np.abs(shift).max(initial=0)))
-    return ShiftFilters(mids.size, np.unique(k).size, taps, tuple(kept), tuple(runs), reach)
+    return ShiftFilters(mids.size, np.unique(k).size, taps, kept, tuple(map(tuple, runs)), reach)
 
 
 def grid_filters(model: ModelSpec, h: float, span: float) -> tuple[ShiftFilters | None, ...]:
@@ -261,20 +276,25 @@ def step_detailed(
     The term (c[i] - c[i-k]) fir_k[i] of shift k is evaluated on the rows
     [i0 + min(k, 0), i1 + max(k, 0)] clipped to the grid, i0 being the first
     row with c != 0 and i1 the last with c != 1 (the padding reads 0 left of
-    the grid and 1 right of it; i0 <= i1 + 1, so the window is never empty).  Outside them c[i] and c[i-k] are both exactly 0 or
-    both exactly 1, so the term is an exact zero there: the window changes
-    no bit of the result, only the work."""
+    the grid and 1 right of it; i0 <= i1 + 1, so the window is never empty).
+    Outside them c[i] and c[i-k] are both exactly 0 or both exactly 1, so the
+    term is an exact zero there: the window changes no bit of the result,
+    only the work.  On its window a shift costs four numpy calls: np.correlate
+    of the padded CDF with its kernel (one more per extra run), np.subtract
+    into a buffer reused by every shift, an in-place product and one slice
+    addition.
+
+    The monotone clamp (a running maximum) runs only when the clipped output
+    decreases somewhere; otherwise it would change nothing, and the defect
+    and the clamp budget are exactly 0."""
     c = d.cdf
-    x = d.grid()
     h = d.h
+    n = c.size
 
     # effective support and the one-step expansion margins
-    inside = np.where((c > _EDGE_EPS) & (c < 1.0 - _EDGE_EPS))[0]
-    if inside.size:
-        lo_eff, hi_eff = x[inside[0]], x[inside[-1]]
-    else:
-        jump = int(np.argmax(c >= 0.5))
-        lo_eff = hi_eff = x[jump]
+    inside = np.flatnonzero((c > _EDGE_EPS) & (c < 1.0 - _EDGE_EPS))
+    ends = (inside[0], inside[-1]) if inside.size else (np.argmax(c >= 0.5),) * 2
+    lo_eff, hi_eff = (d.hi if j == n - 1 else j * h + d.lo for j in ends)  # grid()[j], without the grid
     if hi_eff + model.r_plus() + h > d.hi or lo_eff - model.r_minus() - h < d.lo:
         raise RegridRequiredError(
             f"support [{lo_eff:.3g}, {hi_eff:.3g}] plus margins exceeds the allocated domain"
@@ -285,9 +305,10 @@ def step_detailed(
     pad = max((fl.reach for fl in filters if fl is not None), default=0)
     padded = np.concatenate([np.zeros(pad), c, np.ones(pad)])
     i0 = int(np.argmax(c != 0.0))  # c[-1] is near 1 and c[0] near 0, so both rows exist
-    i1 = c.size - 1 - int(np.argmax(c[::-1] != 1.0))
+    i1 = n - 1 - int(np.argmax(c[::-1] != 1.0))
     touched = evaluated = 0
     out = np.zeros_like(c)
+    diff = np.empty_like(c)
     for (w, f), fl in zip(model.atoms, filters):
         if f.eps == +1:
             branch = c * c
@@ -295,26 +316,31 @@ def step_detailed(
             branch = 2.0 * c - c * c
         if fl is not None:
             lam = np.zeros_like(c)
-            evaluated += len(fl.shifts) * c.size
+            evaluated += len(fl.shifts) * n
             for k, runs in zip(fl.shifts, fl.runs):
-                a, b = max(i0 + min(k, 0), 0), min(i1 + max(k, 0) + 1, c.size)
+                a, b = (max(i0 + k, 0), i1 + 1) if k < 0 else (i0, min(i1 + 1 + k, n))
                 touched += b - a
-                # fir[i] = sum over runs and j of taps[j] c[i - lo - j], reading the 0/1 padding outside the grid
-                first, *rest = (
-                    np.convolve(padded[pad - lo - taps.size + 1 + a : pad - lo + b], taps, "valid")
-                    for lo, taps in runs
-                )
-                fir = sum(rest, start=first)
-                lam[a:b] += (c[a:b] - padded[pad - k + a : pad - k + b]) * fir
+                # fir[i], i in [a, b): its runs' correlations, reading the 0/1 padding outside the grid
+                lo, hi, kernel = runs[0]
+                fir = np.correlate(padded[pad + a - hi : pad + b - lo], kernel, "valid")
+                for lo, hi, kernel in runs[1:]:
+                    fir += np.correlate(padded[pad + a - hi : pad + b - lo], kernel, "valid")
+                dk = diff[: b - a]
+                np.subtract(c[a:b], padded[pad - k + a : pad - k + b], dk)
+                fir *= dk
+                lam[a:b] += fir
             branch = branch - f.eps * lam
         out += w * branch
 
     # the continuum map is monotone; clamp roundoff/discretization violations
-    raw = np.clip(out, 0.0, 1.0)
-    mono = np.maximum.accumulate(raw)
-    defect = float(np.max(mono - raw))
-    budget = float(np.sum(mono - raw) * h)
-    end_defect = abs(mono[-1] - 1.0)
+    mono = np.clip(out, 0.0, 1.0)
+    defect = budget = 0.0
+    if not np.all(mono[1:] >= mono[:-1]):
+        raw, mono = mono, np.maximum.accumulate(mono)
+        gap = mono - raw
+        defect = float(np.max(gap))
+        budget = float(np.sum(gap) * h)
+    end_defect = float(abs(mono[-1] - 1.0))
     if end_defect > 1e-6:
         raise HomsysError(f"evolved CDF misses 1 by {end_defect:.3g}; support check was too permissive")
     mono[-1] = 1.0

@@ -23,17 +23,17 @@ def dense(filters: tuple[ShiftFilters | None, ...]) -> tuple[ShiftFilters | None
             continue
         runs = []
         for pieces in fl.runs:
-            lo = pieces[0][0]
-            w = np.zeros(pieces[-1][0] + pieces[-1][1].size - lo)
-            for offset, taps in pieces:
-                w[offset - lo : offset - lo + taps.size] = taps
-            runs.append(((lo, w),))
-        out.append(replace(fl, runs=tuple(runs), taps=sum(w.size for ((_, w),) in runs)))
+            lo, top = pieces[0][0], pieces[-1][1]
+            w = np.zeros(top - lo + 1)
+            for _, hi, kernel in pieces:
+                w[top - hi : top - hi + kernel.size] = kernel
+            runs.append(((lo, top, w),))
+        out.append(replace(fl, runs=tuple(runs), taps=sum(w.size for ((_, _, w),) in runs)))
     return tuple(out)
 
 
-def step(c: np.ndarray, model, filters) -> np.ndarray:
-    """The evolved CDF values after the monotone clamp, as step_detailed computes them."""
+def raw(c: np.ndarray, model, filters) -> np.ndarray:
+    """The evolved CDF values clipped to [0, 1], before the monotone clamp."""
     pad = max((fl.reach for fl in filters if fl is not None), default=0)
     padded = np.concatenate([np.zeros(pad), c, np.ones(pad)])
     out = np.zeros_like(c)
@@ -43,13 +43,17 @@ def step(c: np.ndarray, model, filters) -> np.ndarray:
             lam = np.zeros_like(c)
             for k, pieces in zip(fl.shifts, fl.runs):
                 fir = np.zeros_like(c)
-                for lo, taps in pieces:
-                    start = pad - lo - taps.size + 1
-                    fir += np.convolve(padded[start : start + c.size + taps.size - 1], taps, "valid")
+                for lo, hi, kernel in pieces:
+                    fir += np.convolve(padded[pad - hi : pad - lo + c.size], kernel[::-1], "valid")
                 lam += (c - padded[pad - k : pad - k + c.size]) * fir
             branch = branch - f.eps * lam
         out += w * branch
-    mono = np.maximum.accumulate(np.clip(out, 0.0, 1.0))
+    return np.clip(out, 0.0, 1.0)
+
+
+def step(c: np.ndarray, model, filters) -> np.ndarray:
+    """The evolved CDF values after the monotone clamp, as step_detailed computes them."""
+    mono = np.maximum.accumulate(raw(c, model, filters))
     mono[-1] = 1.0
     mono[0] = 0.0 if mono[0] < 1e-9 else mono[0]
     return mono

@@ -220,6 +220,17 @@ def test_bad_scaling_exits_1_before_any_output(flags, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("width", ["inf", "0", "-1", "nan"])
+def test_bad_init_width_exits_1_before_any_output(width, tmp_path, capsys):
+    # a RuntimeWarning would fail the test: pytest turns them into errors here
+    argv = ["evolve", "--model", "hipster", "--n", "4", "--checkpoints", "4", "--init-width", width]
+    assert _exit_code(argv) == 1
+    assert _exit_code(argv + ["--out", str(tmp_path / "e")]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "--init-width" in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
+
+
 def test_explicit_scaling_equal_to_the_resolved_one_changes_nothing(tmp_path):
     base = ["simulate", "--model", "hipster", "--n", "6", "--pool", "500", "--seed", "3", "--checkpoints", "3,6"]
     law, constant, exponent = resolve_scaling(builtin("hipster"))

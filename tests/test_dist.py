@@ -69,6 +69,16 @@ class TestGridCDF:
         with pytest.raises(DomainError):
             GridCDF(0.0, 1.0, np.array([0.1, 0.5, 1.0]))  # does not start at 0
 
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan), (1.0, 1.0)])
+    def test_finite_bounds_enforced(self, lo, hi):
+        with pytest.raises(DomainError):
+            GridCDF(lo, hi, np.array([0.0, 0.5, 1.0]))
+
+    @pytest.mark.parametrize("cdf", [[0.0, np.nan, 1.0], [0.0, 0.5, np.nan, 1.0], [np.nan, 1.0]])
+    def test_nan_values_rejected(self, cdf):
+        with pytest.raises(DomainError):
+            GridCDF(0.0, 1.0, np.array(cdf))
+
     def test_from_samples_step(self):
         d = from_samples([0.0], m=16, pad=0.5)
         assert d.degenerate

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from homsys.hfun import asym_tent, from_g, g_softplus, g_table, t_of
 from homsys.models import resolve_scaling
 
 import full_grid_step
+import per_shift_filters
 
 
 def _uniform(m=512, width=0.5, pad=4.0):
@@ -232,20 +234,45 @@ def _normal_law(half, m):
     return GridCDF(-half, half, 0.5 * np.vectorize(math.erfc)(-x / (half / 8.1) / math.sqrt(2.0)))
 
 
+@functools.cache
+def _run_laws(name: str, n: int, m: int) -> tuple[GridCDF, ...]:
+    """The laws that run hands to steps 1..n, from the initial law of `homsys evolve`."""
+    x = np.linspace(-0.5, 0.5, 257)
+    seen = []
+    step_detailed = evolve.step_detailed
+
+    def spy(d, model, filters=None):
+        seen.append(d)
+        return step_detailed(d, model, filters)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolve, "step_detailed", spy)
+        evolve.run(GridCDF(-0.5, 0.5, np.clip(x + 0.5, 0.0, 1.0)), KERNEL_MODELS[name], n, (n,), m=m)
+    return tuple(seen)
+
+
+# the two runs of the grid_evolve benchmark workload
+GRID_EVOLVE_RUNS = {
+    "hipster n=100 M=4096": ("hipster", 100, 4096),
+    "resistance(0.5) n=30 M=2048": ("resistance(0.5)", 30, 2048),
+}
+
 WINDOW_LAWS = {
     # positive shifts read past the last row: their windows are clipped at the right end
-    "right_tail": _smooth_law(-1.6, 1.6, 1024, right_tail=True),
+    "right_tail": lambda: _smooth_law(-1.6, 1.6, 1024, right_tail=True),
     # the negative shifts of the eps = -1 atoms are clipped at row 0
-    "left_tail": _smooth_law(-1.6, 1.6, 1024, left_tail=True),
+    "left_tail": lambda: _smooth_law(-1.6, 1.6, 1024, left_tail=True),
     # no exact 0/1 tail: every window is the whole grid
-    "no_exact_tail": _normal_law(10.0, 1024),
+    "no_exact_tail": lambda: _normal_law(10.0, 1024),
+    # a law run evolves, on run's domain: windows far inside the grid
+    "resistance_step_30": lambda: _run_laws("resistance(0.5)", 30, 2048)[29],
 }
 
 
 @pytest.mark.parametrize("law", WINDOW_LAWS)
 @pytest.mark.parametrize("name", KERNEL_MODELS)
 def test_windowed_step_matches_the_full_grid_loop(name, law):
-    model, d = KERNEL_MODELS[name], WINDOW_LAWS[law]
+    model, d = KERNEL_MODELS[name], WINDOW_LAWS[law]()
     filters = evolve.grid_filters(model, d.h, d.hi - d.lo)
     want = full_grid_step.step(d.cdf, model, full_grid_step.dense(filters))
     # with the zero taps kept, the window changes no bit
@@ -261,6 +288,51 @@ def test_windowed_step_matches_the_full_grid_loop(name, law):
     assert split_diag.lambda_rows == diag.lambda_rows
 
 
+@pytest.mark.parametrize(
+    "name, law, monotone",
+    [("resistance(0.5)", _uniform, False), ("hipster", WINDOW_LAWS["no_exact_tail"], True)],
+)
+def test_clamp_matches_the_full_grid_loop(name, law, monotone):
+    # one step from a ramp decreases somewhere before the clamp; from a smooth law it does not
+    model, d = KERNEL_MODELS[name], law()
+    filters = full_grid_step.dense(evolve.grid_filters(model, d.h, d.hi - d.lo))
+    raw = full_grid_step.raw(d.cdf, model, filters)
+    gap = np.maximum.accumulate(raw) - raw
+    got, diag = evolve.step_detailed(d, model, filters)
+    assert np.array_equal(got.cdf, full_grid_step.step(d.cdf, model, filters))
+    assert diag.max_monotonicity_defect == float(np.max(gap))
+    assert diag.clamp_budget == float(np.sum(gap) * d.h)
+    assert (diag.max_monotonicity_defect == 0.0) == monotone
+    assert all(type(v) is float for v in (diag.clamp_budget, diag.max_monotonicity_defect, diag.end_defect))
+
+
+def _domain(key: str) -> tuple[float, float]:
+    """Grid spacing h and span of a filter domain: 24 wide with M=2048, or a benchmark run's own."""
+    if key == "24/2048":
+        return 24.0 / 2048, 24.0
+    d = _run_laws(*GRID_EVOLVE_RUNS[key])[0]
+    return d.h, d.hi - d.lo
+
+
+@pytest.mark.parametrize("domain", ["24/2048", *GRID_EVOLVE_RUNS])
+@pytest.mark.parametrize("name", KERNEL_MODELS)
+def test_one_pass_filters_match_the_per_shift_build(name, domain):
+    model = KERNEL_MODELS[name]
+    h, span = _domain(domain)
+    for fl, (_, f) in zip(evolve.grid_filters(model, h, span), model.atoms):
+        want = per_shift_filters.shift_filters(f, h, span)
+        if want is None:
+            assert fl is None
+            continue
+        for key in ("t_cells", "groups", "taps", "shifts", "reach"):
+            assert getattr(fl, key) == getattr(want, key), key
+        assert len(fl.runs) == len(want.runs)
+        for got_runs, want_runs in zip(fl.runs, want.runs):
+            assert [(lo, hi) for lo, hi, _ in got_runs] == [(lo, hi) for lo, hi, _ in want_runs]
+            for (_, _, kernel), (_, _, want_kernel) in zip(got_runs, want_runs):
+                assert kernel.flags.c_contiguous and kernel.tobytes() == want_kernel.tobytes()
+
+
 @pytest.mark.parametrize("name", KERNEL_MODELS)
 def test_split_filters_keep_only_the_nonzero_taps(name):
     model = KERNEL_MODELS[name]
@@ -268,9 +340,9 @@ def test_split_filters_keep_only_the_nonzero_taps(name):
     for fl, whole in zip(filters, full_grid_step.dense(filters)):
         if fl is None:
             continue
-        runs = [t for pieces in fl.runs for _, t in pieces]
+        runs = [t for pieces in fl.runs for _, _, t in pieces]
         assert all(np.all(t != 0.0) for t in runs) and fl.taps == sum(t.size for t in runs)
-        assert fl.taps == sum(np.count_nonzero(w) for ((_, w),) in whole.runs)
+        assert fl.taps == sum(np.count_nonzero(w) for ((_, _, w),) in whole.runs)
         if name == "hipster":  # T is constant on its one cell group, so the group's edge terms telescope
             assert fl.taps <= 3 * len(fl.shifts) < whole.taps / 20
         if name == "resistance(0.5)":  # a softplus T moves on every cell: no zero taps, one run per shift
