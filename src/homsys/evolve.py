@@ -282,19 +282,19 @@ def step_detailed(
     only the work.  On its window a shift costs four numpy calls: np.correlate
     of the padded CDF with its kernel (one more per extra run), np.subtract
     into a buffer reused by every shift, an in-place product and one slice
-    addition.
-
-    The monotone clamp (a running maximum) runs only when the clipped output
-    decreases somewhere; otherwise it would change nothing, and the defect
-    and the clamp budget are exactly 0."""
+    addition."""
     c = d.cdf
+    x = d.grid()
     h = d.h
     n = c.size
 
     # effective support and the one-step expansion margins
-    inside = np.flatnonzero((c > _EDGE_EPS) & (c < 1.0 - _EDGE_EPS))
-    ends = (inside[0], inside[-1]) if inside.size else (np.argmax(c >= 0.5),) * 2
-    lo_eff, hi_eff = (d.hi if j == n - 1 else j * h + d.lo for j in ends)  # grid()[j], without the grid
+    inside = np.where((c > _EDGE_EPS) & (c < 1.0 - _EDGE_EPS))[0]
+    if inside.size:
+        lo_eff, hi_eff = x[inside[0]], x[inside[-1]]
+    else:
+        jump = int(np.argmax(c >= 0.5))
+        lo_eff = hi_eff = x[jump]
     if hi_eff + model.r_plus() + h > d.hi or lo_eff - model.r_minus() - h < d.lo:
         raise RegridRequiredError(
             f"support [{lo_eff:.3g}, {hi_eff:.3g}] plus margins exceeds the allocated domain"
@@ -333,13 +333,10 @@ def step_detailed(
         out += w * branch
 
     # the continuum map is monotone; clamp roundoff/discretization violations
-    mono = np.clip(out, 0.0, 1.0)
-    defect = budget = 0.0
-    if not np.all(mono[1:] >= mono[:-1]):
-        raw, mono = mono, np.maximum.accumulate(mono)
-        gap = mono - raw
-        defect = float(np.max(gap))
-        budget = float(np.sum(gap) * h)
+    raw = np.clip(out, 0.0, 1.0)
+    mono = np.maximum.accumulate(raw)
+    defect = float(np.max(mono - raw))
+    budget = float(np.sum(mono - raw) * h)
     end_defect = float(abs(mono[-1] - 1.0))
     if end_defect > 1e-6:
         raise HomsysError(f"evolved CDF misses 1 by {end_defect:.3g}; support check was too permissive")
