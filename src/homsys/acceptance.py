@@ -35,18 +35,18 @@ class CriterionResult:
 def _c1_closed_form_moments():
     checks = []
     for f in (F_HIP_PLUS, F_HIP_MINUS):
-        checks.append((f"gamma({f.label},0,2)", moments.gamma(f, 0, 2, 1e-11), 1.0, 1e-9))
-        checks.append((f"gamma({f.label},1,1)", moments.gamma(f, 1, 1, 1e-11), 0.5, 1e-9))
-    checks.append(("gamma(sum,0,1)", moments.gamma(F_SUM, 0, 1, 1e-10), PI2_6, 1e-8))
-    checks.append(("gamma(sum,1,1)", moments.gamma(F_SUM, 1, 1, 1e-10), ZETA3, 1e-8))
+        checks.append((f"gamma({f.label},0,2)", moments.gamma(f, 0, 2), 1.0, 1e-9))
+        checks.append((f"gamma({f.label},1,1)", moments.gamma(f, 1, 1), 0.5, 1e-9))
+    checks.append(("gamma(sum,0,1)", moments.gamma(F_SUM, 0, 1), PI2_6, 1e-8))
+    checks.append(("gamma(sum,1,1)", moments.gamma(F_SUM, 1, 1), ZETA3, 1e-8))
     bad = [f"{n}={v:.12g} (want {w:.12g} +- {t:g})" for n, v, w, t in checks if abs(v - w) > t]
     return not bad, "; ".join(bad) or f"all {len(checks)} closed-form moments within tolerance"
 
 
 def _c2_constants():
-    c_hip = moments.c_star(builtin("hipster"), 1e-10)
-    c_res = moments.c_star(builtin("resistance", p=0.5), 1e-9)
-    c_pm = moments.c_star(builtin("power_mean", atoms=((0.5, 1.0), (0.5, -1.0))), 1e-9)
+    c_hip = moments.c_star(builtin("hipster"))
+    c_res = moments.c_star(builtin("resistance", p=0.5))
+    c_pm = moments.c_star(builtin("power_mean", atoms=((0.5, 1.0), (0.5, -1.0))))
     bad = []
     if abs(c_hip - 4.5) > 1e-8:
         bad.append(f"c*(hipster)={c_hip!r} != 4.5")
@@ -66,7 +66,7 @@ def _c3_ipp():
     where = ""
     for f in funcs:
         for a, b in pairs:
-            r = abs(moments.check_ipp(f, a, b, 1e-9))
+            r = abs(moments.check_ipp(f, a, b))
             if r > worst:
                 worst, where = r, f"{f.label} (a={a:g},b={b:g})"
     return worst < 1e-7, f"max |IPP residual| = {worst:.3g} at {where}"
@@ -143,7 +143,7 @@ def _c6_cbrt_convergence():
         bad += b
         details.append(d)
     # literal integer walk vs the framework pool, two-sample
-    direct = mc.hipster_direct("symmetric", 10_000, N, SEED + 21)
+    direct = mc.hipster_direct(10_000, N, SEED + 21)
     d2 = dist.ks(hip_final.rescaled, direct / hip_final.scale)
     budget2 = 3.0 * math.sqrt(2.0 / N)
     details.append(f"direct-vs-framework two-sample KS={d2:.4f} (budget {budget2:.4f})")

@@ -2,13 +2,13 @@
 
 Every run writes a JSON summary of its results: the package version, the
 model name, the full model (`model_spec`, the `model_to_dict` form, which
-`parse_model` reads back) and a digest of it, the seed and, for the
-subcommands that take `--tol` (`gamma`, `lambda-check`), the tolerance; an
-`evolve` summary also carries the kernel diagnostics through
-its last checkpoint (t-cells, cell groups and FIR taps per atom, summed clamp
-budget, largest monotonicity defect, mean fraction of grid rows the Lambda
-sums touched per step).  So a run whose model came from a JSON file can
-be repeated from its summary alone.  How the run was executed is kept apart,
+`parse_model` reads back), a digest of it and the seed; a `gamma` summary
+also carries the fixed tolerance of the moment integrals, and an `evolve`
+summary the kernel diagnostics through its last checkpoint (t-cells, cell
+groups and FIR taps per atom, summed clamp budget, largest monotonicity
+defect, mean fraction of grid rows the Lambda sums touched per step).  So a
+run whose model came from a JSON file can be repeated from its summary
+alone.  How the run was executed is kept apart,
 so that results compare byte for byte: with `--out`, the version, the command
 line and the `--threads` value go to `<stem>.run.json`, stem being `--out`
 without a trailing `.json`.  `--threads` is taken by `serpar`, which builds
@@ -123,7 +123,7 @@ def _base_summary(args, model=None) -> dict:
         payload["model"] = model.name
         payload["model_spec"] = model_to_dict(model)
         payload["model_digest"] = model_digest(model)
-    for key in ("seed", "tol", "eta", "delta", "delta1"):
+    for key in ("seed", "eta", "delta", "delta1"):
         if hasattr(args, key) and getattr(args, key) is not None:
             payload[key] = getattr(args, key)
     return payload
@@ -157,13 +157,13 @@ def _emit_checkpoint_csv(fh, n: int, x: np.ndarray, cdf: np.ndarray, law: str) -
 
 def _cmd_gamma(args) -> int:
     model = parse_model(args.model)
-    report = moments.model_moments(model, eta=args.eta, tol=args.tol)
+    report = moments.model_moments(model, eta=args.eta)
     if args.a is not None and args.b is not None:
         report["gamma_ab"] = {
             "a": args.a,
             "b": args.b,
             "atoms": [
-                {"label": f.label or f.g.family, "value": moments.gamma(f, args.a, args.b, args.tol)}
+                {"label": f.label or f.g.family, "value": moments.gamma(f, args.a, args.b)}
                 for _, f in model.atoms
             ],
         }
@@ -264,7 +264,7 @@ def _cmd_serpar(args) -> int:
 def _cmd_lambda_check(args) -> int:
     model = parse_model(args.model)
     lo, hi = args.n_range
-    c = args.c_star if args.c_star is not None else moments.c_star(model, args.tol)
+    c = args.c_star if args.c_star is not None else moments.c_star(model)
     params = proofcheck.ProofParams(c_star=c, eta=args.eta, delta=args.delta, delta1=args.delta1)
     n0, history = proofcheck.find_n0(model, params, n_max=hi, n_min=lo, points=args.vgrid)
     with _csv_out(args, "n,min_residual,argmin_v") as fh:
@@ -298,18 +298,16 @@ def build_parser() -> _Parser:
     p = _Parser(prog="homsys", description="Random 1-homogeneous systems: moments, simulation, verification.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=True, tol=None, threads=None):
-        """The shared options; tol and threads are the help texts of --tol and --threads, if taken."""
+    def common(sp, model=True, threads=None):
+        """The shared options; threads is the help text of --threads, if taken."""
         if model:
             sp.add_argument("--model", required=True, help="builtin name, shorthand, JSON literal, or JSON file")
-        if tol:
-            sp.add_argument("--tol", type=float, default=1e-9, help=tol)
         sp.add_argument("--out", default=None, help="output path (stem for commands writing .csv/.json pairs)")
         if threads:
             sp.add_argument("--threads", type=_int_in(1), default=os.environ.get("HOMSYS_THREADS"), help=threads)
 
     sp = sub.add_parser("gamma", help="moment report for a model")
-    common(sp, tol="absolute tolerance of each moment integral")
+    common(sp)
     sp.add_argument("--a", type=float, default=None)
     sp.add_argument("--b", type=float, default=None)
     sp.add_argument("--eta", type=float, default=1.0)
@@ -350,7 +348,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_serpar)
 
     sp = sub.add_parser("lambda-check", help="scan the Lambda-condition residual over n")
-    common(sp, tol="absolute tolerance of the c* quadrature only; the Lambda scan runs at 1e-12")
+    common(sp)
     sp.add_argument("--eta", type=float, default=1.0)
     sp.add_argument("--delta", type=float, default=0.5)
     sp.add_argument("--delta1", type=float, default=0.05)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class GridCDF:
     lo: float
     hi: float
     cdf: np.ndarray
-    degenerate: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cdf", np.asarray(self.cdf, dtype=float))
@@ -56,15 +55,6 @@ class GridCDF:
         out = np.interp(v, self.grid(), self.cdf, left=0.0, right=1.0)
         return float(out) if out.ndim == 0 else out
 
-    def density(self) -> np.ndarray:
-        """Central-difference density at the nodes (one-sided at the ends)."""
-        c, h = self.cdf, self.h
-        psi = np.empty_like(c)
-        psi[1:-1] = (c[2:] - c[:-2]) / (2.0 * h)
-        psi[0] = (c[1] - c[0]) / h
-        psi[-1] = (c[-1] - c[-2]) / h
-        return psi
-
     def quantile(self, q: float) -> float:
         if not 0.0 <= q <= 1.0:
             raise DomainError("quantile level must lie in [0, 1]")
@@ -86,26 +76,24 @@ def rescale(d: GridCDF, s: float) -> GridCDF:
     """Distribution of (log X)/s: support mapped x -> x/s, values unchanged."""
     if not s > 0:
         raise DomainError("scale must be positive")
-    return GridCDF(d.lo / s, d.hi / s, d.cdf.copy(), d.degenerate)
+    return GridCDF(d.lo / s, d.hi / s, d.cdf.copy())
 
 
 def from_samples(samples, m: int, pad: float = 0.5) -> GridCDF:
     """Empirical CDF of a sample on a padded uniform grid.
 
-    All-equal samples produce a step at the common value with a warning flag.
+    All-equal samples produce a step at the common value.
     """
     s = np.sort(np.asarray(samples, dtype=float))
     if s.size == 0:
         raise DomainError("empty sample")
     if not pad > 0:
         raise DomainError("pad must be positive")
-    lo, hi = float(s[0]), float(s[-1])
-    degenerate = lo == hi
-    lo, hi = lo - pad, hi + pad
+    lo, hi = float(s[0]) - pad, float(s[-1]) + pad
     x = np.linspace(lo, hi, m + 1)
     cdf = np.searchsorted(s, x, side="right") / s.size
     cdf[-1] = 1.0
-    return GridCDF(lo, hi, cdf, degenerate)
+    return GridCDF(lo, hi, cdf)
 
 
 # -- limit laws ---------------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 from .dist import GridCDF, ks, rescale
 from .errors import ClampBudgetExceededError, DomainError, HomsysError, RegridRequiredError
 from .hfun import HFunction, t_breaks, t_halvings, t_jumps, t_of, t_support_end
-from .models import ModelSpec, resolve_scaling
+from .models import ModelSpec, checkpoint_scales, resolve_scaling
 from .quadrature import adaptive_simpson
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
 
 _EDGE_EPS = 1e-12
 CLAMP_ABORT_BUDGET = 1e-6
+LAMBDA_TOL = 1e-12  # absolute tolerance of lambda_operator at each v
 
 
 # -- generic Lambda operator (shared with the proof-machinery module) ---------
@@ -53,7 +54,6 @@ def lambda_operator(
     cdf_fn,
     f: HFunction,
     v,
-    tol: float,
     support: tuple[float, float],
     psi_breaks: tuple[float, ...] = (),
 ) -> np.ndarray:
@@ -81,8 +81,8 @@ def lambda_operator(
     panel that starts at a level where a table's T jumps reads T one float
     above that level.
     So adaptive Simpson meets no jump and converges in a few levels.  The
-    panels of one v share tol; all of them, for every v, go through one
-    adaptive_simpson call.
+    panels of one v share the absolute tolerance LAMBDA_TOL; all of them, for
+    every v, go through one adaptive_simpson call.
     """
     lo, hi = support
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -138,7 +138,7 @@ def lambda_operator(
         return psi_fn(np.clip(vs[r] + t, u_lo[k], u_hi[k])) * (cdf_fn(vs[r] + tt) - cv[r])
 
     pieces = np.zeros(panel.shape)
-    per = tol / np.maximum(panel.sum(axis=1), 1)
+    per = LAMBDA_TOL / np.maximum(panel.sum(axis=1), 1)
     pieces[row, col] = adaptive_simpson(integrand, a, b, per[row])
     total = pieces.sum(axis=1)
     return (total if eps == +1 else -total).reshape(v.shape)
@@ -391,12 +391,9 @@ def run(
     regridding happens mid-run.  Checkpoint laws are rescaled by
     (constant * n)^exponent and compared to the limit CDF of law.
     """
-    law, constant, exponent = resolve_scaling(model, scaling)
-    checkpoints = tuple(sorted(set(checkpoints)))
-    if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > n_steps):
-        raise DomainError("checkpoints must lie in 1..n_steps")
-
-    tau_max = (constant * max(n_steps, 1)) ** exponent
+    scaling = resolve_scaling(model, scaling)
+    scales, tau_max = checkpoint_scales(scaling, n_steps, checkpoints)
+    law = scaling[0]
     half = 1.5 * tau_max + 8.0 + max(model.r_plus(), model.r_minus())
     lo = min(init.lo, -half)
     hi = max(init.hi, half)
@@ -411,7 +408,6 @@ def run(
                              for key in ("t_cells", "groups", "taps"))
     out: list[RunCheckpoint] = []
     budget = defect = rows = 0.0
-    cp = set(checkpoints)
     for n in range(1, n_steps + 1):
         d, diag = step_detailed(d, model, filters)
         budget += diag.clamp_budget
@@ -419,9 +415,8 @@ def run(
         rows += diag.lambda_rows
         if budget > CLAMP_ABORT_BUDGET:
             raise ClampBudgetExceededError(f"accumulated clamp budget {budget:.3g} exceeds {CLAMP_ABORT_BUDGET}")
-        if n in cp:
-            scale = (constant * n) ** exponent
-            r = rescale(d, scale)
+        if n in scales:
+            r = rescale(d, scales[n])
             diagnostics = RunDiagnostics(t_cells, groups, taps, budget, defect, rows / n)
-            out.append(RunCheckpoint(n, scale, ks(r, law), r, law, diagnostics))
+            out.append(RunCheckpoint(n, scales[n], ks(r, law), r, law, diagnostics))
     return out

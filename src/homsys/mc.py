@@ -21,7 +21,7 @@ import numpy as np
 
 from .dist import ks
 from .errors import DomainError
-from .models import ModelSpec, apply_mixture, resolve_scaling
+from .models import ModelSpec, apply_mixture, checkpoint_scales, resolve_scaling
 
 __all__ = ["SamplePool", "new_pool", "pool_step", "simulate", "hipster_direct", "CheckpointSummary"]
 
@@ -93,30 +93,23 @@ def simulate(
     """
     if n < 1 or N < 2:
         raise DomainError("need n >= 1 and N >= 2")
-    law, constant, exponent = resolve_scaling(model, scaling)
-    checkpoints = tuple(sorted(set(checkpoints)))
-    if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > n):
-        raise DomainError("checkpoints must lie in 1..n")
+    scaling = resolve_scaling(model, scaling)
+    scales, _ = checkpoint_scales(scaling, n, checkpoints)
+    law = scaling[0]
     pool = new_pool(model, init, N, seed)
     out = []
-    cps = set(checkpoints)
     for _ in range(n):
         pool = pool_step(pool)
-        if pool.n in cps:
-            scale = (constant * pool.n) ** exponent
-            resc = pool.values / scale
-            out.append(CheckpointSummary(pool.n, scale, ks(resc, law), resc, law))
+        if pool.n in scales:
+            resc = pool.values / scales[pool.n]
+            out.append(CheckpointSummary(pool.n, scales[pool.n], ks(resc, law), resc, law))
     return out
 
 
-def hipster_direct(kind: str, n: int, N: int, seed: int) -> np.ndarray:
-    """Literal integer walk by the pool method, started from 0.
-
-    kind='symmetric': pick one of two independent copies uniformly and add
-    +-1 (fair) on ties.  kind='lazy': add +1 with probability 1/2 on ties.
-    """
-    if kind not in ("symmetric", "lazy"):
-        raise DomainError("kind must be 'symmetric' or 'lazy'")
+def hipster_direct(n: int, N: int, seed: int) -> np.ndarray:
+    """Literal integer walk of the hipster model by the pool method, started
+    from 0: pick one of two independent copies uniformly and add +-1 (fair)
+    on ties."""
     vals = np.zeros(N, dtype=np.int64)
     for step in range(1, n + 1):
         rng = _gen(seed, _STREAM_WALK, step)
@@ -125,7 +118,5 @@ def hipster_direct(kind: str, n: int, N: int, seed: int) -> np.ndarray:
         a = vals[idx[:N]]
         b = vals[idx[N:]]
         chosen = np.where(bits & 1, a, b)
-        bump = bits >> 1
-        d = 2 * bump - 1 if kind == "symmetric" else bump
-        vals = chosen + d * (a == b)
+        vals = chosen + (2 * (bits >> 1) - 1) * (a == b)
     return vals

@@ -16,7 +16,7 @@ from . import hfun
 from .dist import LIMIT_LAWS
 from .errors import DomainError
 from .hfun import HFunction
-from .moments import alpha, c_star, gammas
+from .moments import MOMENT_TOL, alpha, c_star, gammas
 
 __all__ = [
     "ModelSpec",
@@ -25,6 +25,7 @@ __all__ = [
     "classify",
     "apply_mixture",
     "resolve_scaling",
+    "checkpoint_scales",
     "invert_model",
     "parse_model",
     "model_digest",
@@ -145,10 +146,6 @@ def apply_mixture(model: ModelSpec, rng: np.random.Generator, a: np.ndarray, b: 
 
 # -- criticality / regime -------------------------------------------------------
 
-#: Absolute tolerance of the moment integrals behind a classification; the
-#: regime thresholds on E[Gamma^(0,1) eps] and on the one-sided areas are 100x it.
-CLASSIFY_TOL = 1e-10
-
 #: Proved square-root scaling constants, keyed by builtin model name.
 KNOWN_SQRT_CONSTANTS = {
     "lazy_hipster": 2.0,
@@ -174,14 +171,14 @@ def classify(model: ModelSpec) -> CriticalityReport:
     The cube-root label is applied only under the proved hypotheses
     (E[eps] = 0 and E[Gamma^(0,1) eps] = 0 with a nontrivial mixture); the
     other labels follow the conjectured parameter regions and are heuristic.
-    The moments are integrated to CLASSIFY_TOL, so every caller gets the same
-    regime for one model.
+    The thresholds on E[Gamma^(0,1) eps] and on the one-sided areas are 100x
+    the tolerance moments.MOMENT_TOL of the moment integrals.
     """
     w = model.weights
     eps = np.array([f.eps for f in model.functions], dtype=float)
     p = float(w[eps > 0].sum())
     e_eps = float((w * eps).sum())
-    g01 = np.array(gammas(model.functions, 0.0, 1.0, CLASSIFY_TOL))
+    g01 = np.array(gammas(model.functions, 0.0, 1.0))
     e_g01_eps = float((w * eps * g01).sum())
     ints = np.array([alpha(f.g) for f in model.functions])
     wp = float(w[eps > 0].sum())
@@ -192,7 +189,7 @@ def classify(model: ModelSpec) -> CriticalityReport:
     notes: list[str] = []
     nontrivial = model.is_nontrivial()
     eps_tol = 1e-12
-    g01_tol = alpha_tol = 100.0 * CLASSIFY_TOL
+    g01_tol = alpha_tol = 100.0 * MOMENT_TOL
 
     if not nontrivial:
         regime = "unknown"
@@ -223,7 +220,7 @@ def resolve_scaling(model: ModelSpec, scaling: tuple[str, float, float] | None =
     """The (law, constant, exponent) that rescale log X_n by (constant n)^exponent.
 
     With `scaling` None, the triple comes from one classification of the
-    model: cbrt models use the cubic law with c* computed to CLASSIFY_TOL and
+    model: cbrt models use the cubic law with c* = moments.c_star(model) and
     exponent 1/3; sqrt models use the y^2 law with the proved constants where
     known and exponent 1/2; any other model raises DomainError.  A given
     `scaling` is returned as it is once checked: a 3-tuple whose law is in
@@ -242,10 +239,33 @@ def resolve_scaling(model: ModelSpec, scaling: tuple[str, float, float] | None =
         return scaling
     regime = classify(model).regime
     if regime == "cbrt":
-        return "cubic", c_star(model, CLASSIFY_TOL), 1.0 / 3.0
+        return "cubic", c_star(model), 1.0 / 3.0
     if regime == "sqrt" and model.name in KNOWN_SQRT_CONSTANTS:
         return "linear_half", KNOWN_SQRT_CONSTANTS[model.name], 0.5
     raise DomainError(f"no limit law known for model {model.name!r} (regime {regime!r}); pass a scaling triple")
+
+
+def checkpoint_scales(scaling: tuple[str, float, float], n_steps: int, checkpoints) -> tuple[dict[int, float], float]:
+    """The scale (constant n)^exponent at each checkpoint, in order, and at max(n_steps, 1).
+
+    The checkpoints must lie in 1..n_steps.  A scale that overflows, or
+    underflows to 0, raises DomainError, so a run fails before its first step.
+    """
+    _, constant, exponent = scaling
+    cps = sorted(set(checkpoints))
+    if cps and not 1 <= cps[0] <= cps[-1] <= n_steps:
+        raise DomainError(f"checkpoints must lie in 1..{n_steps}")
+
+    def scale(n: int) -> float:
+        try:
+            s = (constant * n) ** exponent
+        except OverflowError:
+            s = math.inf
+        if not (math.isfinite(s) and s > 0.0):
+            raise DomainError(f"scale ({constant!r} * {n}) ** {exponent!r} is not finite and > 0")
+        return s
+
+    return {n: scale(n) for n in cps}, scale(max(n_steps, 1))
 
 
 # -- model spec files ----------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ScheduleInfeasibleError
-from .evolve import lambda_operator
+from .evolve import LAMBDA_TOL, lambda_operator
 from .models import ModelSpec
 from .quadrature import integrate_panels
 
@@ -38,8 +38,6 @@ __all__ = [
     "lower_bound",
     "default_v_grid",
 ]
-
-_TOL = 1e-12  # absolute target of the Psi_n and Lambda quadratures
 
 
 @dataclass(frozen=True)
@@ -194,12 +192,12 @@ def delta_psi(params: ProofParams, row_n: ScheduleRow, row_n1: ScheduleRow, v) -
 
 
 def psi_n_quadrature(row: ScheduleRow, v: float) -> float:
-    """Independent numeric CDF (quadrature of psi_n); test oracle for Psi_n."""
+    """Independent numeric CDF (quadrature of psi_n to LAMBDA_TOL); test oracle for Psi_n."""
     lo = -row.sigma_tilde
     if v <= lo:
         return 0.0
     edges = sorted({e for e in (lo, 0.0, min(v, row.sigma)) if e <= v})
-    return min(integrate_panels(lambda z, k: psi_n(row, z), edges, _TOL), 1.0)
+    return min(integrate_panels(lambda z, k: psi_n(row, z), edges, LAMBDA_TOL), 1.0)
 
 
 # -- the Lambda condition -------------------------------------------------------
@@ -238,7 +236,7 @@ def expected_lambda(model: ModelSpec, row: ScheduleRow, v) -> np.ndarray:
     cdf_fn = lambda u: Psi_n(row, u)
     acc = 0.0
     for w, f in model.atoms:
-        acc += w * lambda_operator(psi_fn, cdf_fn, f, v, _TOL, support=support, psi_breaks=breaks)
+        acc += w * lambda_operator(psi_fn, cdf_fn, f, v, support=support, psi_breaks=breaks)
     return acc
 
 
@@ -283,10 +281,11 @@ def find_n0(
 
     Each scanned n uses default_v_grid(params, n, points); an n whose schedule
     is infeasible is skipped.  Returns (n0, reports); n0 is None when no
-    scanned n within [n_min, n_max] passes; an empty range (n_min > n_max)
-    raises DomainError, as does n_min < 1 (from schedule).  The reported n0
-    depends on the grid and the quadrature tolerance; it is an empirical
-    threshold, not a certified constant.
+    scanned n within [n_min, n_max] passes.  An empty range (n_min > n_max),
+    a range in which no scanned n has a feasible schedule, and n_min < 1
+    (from schedule) raise DomainError.  The reported n0 depends on the grid
+    and the quadrature tolerance; it is an empirical threshold, not a
+    certified constant.
     """
     if n_min > n_max:
         raise DomainError(f"empty n range: n_min={n_min} > n_max={n_max}")
@@ -302,6 +301,8 @@ def find_n0(
         if rep.passed:
             return n, history
         n *= 2
+    if not history:
+        raise DomainError(f"no n scanned in [{n_min}, {n_max}] has a feasible schedule")
     return None, history
 
 

@@ -6,7 +6,7 @@ T(1e-12)).
 An end node of a panel that starts at a translated break can land on the
 wrong side of the density's jump, and T(1e-12) is not T(0+), so adaptive
 Simpson refines those ends to its depth limit, and its values can miss the
-integral by a few times the 1e-12 tolerance.  homsys.evolve.lambda_operator
+integral by a few times the tolerance LAMBDA_TOL.  homsys.evolve.lambda_operator
 adds the crossing edges and one-sided ends; the two rules must agree to far
 less than the residuals they decide on.
 """
@@ -16,11 +16,12 @@ import math
 import numpy as np
 
 from homsys import DomainError
+from homsys.evolve import LAMBDA_TOL
 from homsys.hfun import t_of, t_support_end
 from homsys.quadrature import adaptive_simpson
 
 
-def lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks=()):
+def lambda_operator(psi_fn, cdf_fn, f, v, support, psi_breaks=()):
     lo, hi = support
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError("lambda_operator needs a finite density support lo < hi")
@@ -46,7 +47,7 @@ def lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks=()):
         return psi_fn(vs[r] + t) * (cdf_fn(vs[r] + tt) - cv[r])
 
     pieces = np.zeros(a.shape)
-    per = tol / np.maximum(panel.sum(axis=1), 1)
+    per = LAMBDA_TOL / np.maximum(panel.sum(axis=1), 1)
     pieces[row, col] = adaptive_simpson(integrand, a[row, col], b[row, col], per[row])
     total = pieces.sum(axis=1)
     return (total if eps == +1 else -total).reshape(v.shape)

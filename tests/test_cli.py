@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import homsys
-from homsys import builtin, cli, limit_cdf, parse_model
+from homsys import builtin, cli, limit_cdf, moments, parse_model
 from homsys.models import model_digest, resolve_scaling
 
 
@@ -150,11 +150,13 @@ def test_malformed_step_lists_exit_without_traceback(argv, code, capsys):
         ["serpar", "--p", "0.5", "--n", "-3", "--seeds", "2"],
         ["serpar", "--p", "0.5", "--n", "3", "--seeds", "-1"],
         ["serpar", "--p", "0.5", "--n", "3", "--seeds", "0"],
-        # --tol is taken only by the subcommands that read it
+        # no subcommand takes --tol: every integral has its tolerance fixed beside it
         ["evolve", "--model", "hipster", "--n", "4", "--checkpoints", "4", "--tol", "1e-9"],
         ["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", "4", "--tol", "1e-9"],
         ["serpar", "--p", "0.5", "--n", "3", "--seeds", "2", "--tol", "1e-9"],
         ["classify", "--model", "hipster", "--tol", "1e-9"],
+        ["gamma", "--model", "hipster", "--tol", "1e-9"],
+        ["lambda-check", "--model", "hipster", "--n-range", "64:64", "--tol", "1e-9"],
         # --threads is taken only by simulate and serpar
         ["gamma", "--model", "hipster", "--threads", "2"],
         ["classify", "--model", "hipster", "--threads", "2"],
@@ -209,6 +211,9 @@ def test_thread_variable_is_the_default_thread_count(tmp_path, monkeypatch):
         ["--law", "cubic", "--scale-constant", "nan", "--exponent", "0.5"],
         ["--law", "cubic", "--scale-constant", "2", "--exponent", "0"],
         ["--law", "cubic", "--scale-constant", "2", "--exponent", "inf"],
+        # a valid triple whose scale overflows, or underflows to 0, at a checkpoint
+        ["--law", "cubic", "--scale-constant", "1", "--exponent", "1e308"],
+        ["--law", "cubic", "--scale-constant", "1e-300", "--exponent", "2"],
     ],
 )
 def test_bad_scaling_exits_1_before_any_output(flags, tmp_path, capsys):
@@ -218,6 +223,23 @@ def test_bad_scaling_exits_1_before_any_output(flags, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err and "validation error" in captured.err and not captured.out
     assert not list(tmp_path.iterdir())
+
+
+def test_lambda_check_without_a_feasible_schedule_exits_1(tmp_path, capsys):
+    # the hipster schedule is infeasible at n = 1, 2 and 4, feasible (and failing) at 8 and 16
+    argv = ["lambda-check", "--model", "hipster", "--n-range", "1:4", "--vgrid", "4", "--out", str(tmp_path / "l")]
+    assert _exit_code(argv) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "validation error" in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
+    argv = ["lambda-check", "--model", "hipster", "--n-range", "4:16", "--vgrid", "4", "--out", str(tmp_path / "l")]
+    assert cli.main(argv) == 0
+    assert _csv(tmp_path / "l.csv")[:, 0].tolist() == [8, 16]
+
+
+def test_gamma_summary_reports_the_fixed_tolerance(tmp_path):
+    assert cli.main(["gamma", "--model", "hipster", "--out", str(tmp_path / "g.json")]) == 0
+    assert json.loads((tmp_path / "g.json").read_text())["tol"] == moments.MOMENT_TOL
 
 
 @pytest.mark.parametrize("width", ["inf", "0", "-1", "nan"])

@@ -84,6 +84,18 @@ def test_malformed_scaling_raises(scaling):
         mc.simulate(model, 0.0, 2, 200, 1, (2,), scaling)
 
 
+@pytest.mark.parametrize("scaling", [("cubic", 1.0, 1e308), ("cubic", 1e-300, 2.0)])
+def test_a_scale_that_overflows_or_underflows_raises_before_any_step(scaling, monkeypatch):
+    # a valid triple whose (constant n)^exponent is inf, or 0, at n = 4; a step would raise TypeError
+    model = builtin("hipster")
+    monkeypatch.setattr(evolve, "step_detailed", None)
+    monkeypatch.setattr(mc, "pool_step", None)
+    with pytest.raises(DomainError):
+        evolve.run(_uniform(m=64), model, 4, (4,), m=256, scaling=scaling)
+    with pytest.raises(DomainError):
+        mc.simulate(model, 0.0, 4, 200, 1, (4,), scaling)
+
+
 def _unit_density(u):
     return np.where((-0.5 < u) & (u < 0.5), 1.0, 0.0)
 
@@ -91,7 +103,7 @@ def _unit_density(u):
 def test_lambda_operator_sign_follows_eps():
     d = _uniform(m=256)
     plus, minus = (
-        evolve.lambda_operator(_unit_density, d, f, 0.2, 1e-9, (-0.5, 0.5), (-0.5, 0.5))
+        evolve.lambda_operator(_unit_density, d, f, 0.2, (-0.5, 0.5), (-0.5, 0.5))
         for f in builtin("hipster").functions
     )
     assert plus > 0.0 > minus
@@ -101,13 +113,13 @@ def test_lambda_operator_takes_an_array_of_v():
     d = _uniform(m=256)
     vs = np.array([-0.7, -0.2, 0.0, 0.3, 0.45])
     for f in builtin("hipster").functions:
-        whole = evolve.lambda_operator(_unit_density, d, f, vs, 1e-9, (-0.5, 0.5), (-0.5, 0.5))
-        one_by_one = [evolve.lambda_operator(_unit_density, d, f, v, 1e-9, (-0.5, 0.5), (-0.5, 0.5)) for v in vs]
+        whole = evolve.lambda_operator(_unit_density, d, f, vs, (-0.5, 0.5), (-0.5, 0.5))
+        one_by_one = [evolve.lambda_operator(_unit_density, d, f, v, (-0.5, 0.5), (-0.5, 0.5)) for v in vs]
         assert whole.shape == vs.shape
         np.testing.assert_array_equal(whole, np.array(one_by_one))
     # max/min atoms have no crossing correction; v below the support edge has nothing to integrate
-    assert np.all(evolve.lambda_operator(_unit_density, d, builtin("distance").functions[1], vs, 1e-9, (-0.5, 0.5)) == 0.0)
-    assert evolve.lambda_operator(_unit_density, d, builtin("hipster").functions[0], -0.7, 1e-9, (-0.5, 0.5)) == 0.0
+    assert np.all(evolve.lambda_operator(_unit_density, d, builtin("distance").functions[1], vs, (-0.5, 0.5)) == 0.0)
+    assert evolve.lambda_operator(_unit_density, d, builtin("hipster").functions[0], -0.7, (-0.5, 0.5)) == 0.0
 
 
 def _panels(monkeypatch, f, v):
@@ -120,7 +132,7 @@ def _panels(monkeypatch, f, v):
 
     monkeypatch.setattr(evolve, "adaptive_simpson", capture)
     unit_cdf = lambda u: np.clip(np.asarray(u, dtype=float) + 0.5, 0.0, 1.0)
-    evolve.lambda_operator(_unit_density, unit_cdf, f, v, 1e-9, (-0.5, 0.5), (-0.5, 0.5))
+    evolve.lambda_operator(_unit_density, unit_cdf, f, v, (-0.5, 0.5), (-0.5, 0.5))
     return got["g"], got["a"], got["b"]
 
 
@@ -140,7 +152,7 @@ def test_lambda_operator_needs_a_finite_support(support):
     psi = lambda u: np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
     cdf = lambda u: 0.5 * (1.0 + np.vectorize(math.erf)(np.asarray(u) / math.sqrt(2.0)))
     with pytest.raises(DomainError):
-        evolve.lambda_operator(psi, cdf, builtin("resistance").functions[0], 0.3, 1e-8, support)
+        evolve.lambda_operator(psi, cdf, builtin("resistance").functions[0], 0.3, support)
 
 
 # -- the per-cell product-rule loop that step_detailed's filters replace --------

@@ -7,7 +7,8 @@ import pytest
 from homsys import DomainError, ModelSpec, builtin, classify, parse_model
 from homsys.hfun import F_HIP_PLUS, F_MAX, F_MIN, F_SUM
 from homsys.hfun import asym_tent, from_g, g_softplus, g_table
-from homsys.models import invert_model, model_digest, model_to_dict
+from homsys.models import invert_model, model_digest, model_to_dict, resolve_scaling
+from homsys.moments import c_star
 
 PI2_12 = math.pi**2 / 12.0
 
@@ -88,6 +89,11 @@ class TestClassify:
             assert b.e_gamma01_eps == pytest.approx(-a.e_gamma01_eps, abs=1e-7)
             flip = {"bounded": "bounded", "linear": "linear", "sqrt": "sqrt", "cbrt": "cbrt", "unknown": "unknown"}
             assert b.regime == flip[a.regime]
+
+    def test_resolved_constant_is_c_star(self):
+        # evolve and simulate rescale by the c* that gamma and lambda-check report, bit for bit
+        model = builtin("resistance", p=0.5)
+        assert resolve_scaling(model)[1] == c_star(model)
 
 
 class TestParsing:

@@ -46,12 +46,15 @@ def test_parameter_intervals_checked():
 def test_find_n0_rejects_an_empty_range():
     with pytest.raises(DomainError):
         proofcheck.find_n0(builtin("hipster"), PARAMS, n_max=8, n_min=64)
+    # so is a range whose every scanned n (1, 2, 4) has an infeasible schedule
+    with pytest.raises(DomainError):
+        proofcheck.find_n0(builtin("hipster"), PARAMS, n_max=4, n_min=1)
 
 
 # -- the per-v scalar loop that the batched lambda_condition replaces -----------
 
 
-def _scalar_lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks):
+def _scalar_lambda_operator(psi_fn, cdf_fn, f, v, support, psi_breaks):
     """The panel rule of evolve.lambda_operator, one v and one panel at a time."""
     eps = f.eps
     t_zero = t_support_end(f)
@@ -91,11 +94,11 @@ def _scalar_lambda_operator(psi_fn, cdf_fn, f, v, tol, support, psi_breaks):
                 return psi_fn(min(max(v - t, u_lo), u_hi)) * (cv - cdf_fn(v - tt))
             return psi_fn(min(max(v + t, u_lo), u_hi)) * (cdf_fn(v + tt) - cv)
 
-        total += adaptive_simpson(integrand, a, b, tol / len(spans))
+        total += adaptive_simpson(integrand, a, b, evolve.LAMBDA_TOL / len(spans))
     return total if eps == +1 else -total
 
 
-def _scalar_lambda_condition(model, params, n, v_grid, tol=1e-12):
+def _scalar_lambda_condition(model, params, n, v_grid):
     row = proofcheck.schedule(params, n)
     row1 = proofcheck.schedule(params, n + 1)
     q0, dq = row.q, proofcheck.q_increment(params, n)
@@ -109,7 +112,7 @@ def _scalar_lambda_condition(model, params, n, v_grid, tol=1e-12):
     for i, v in enumerate(v_grid):
         el = 0.0
         for w, f in model.atoms:
-            el += w * _scalar_lambda_operator(psi_fn, cdf_fn, f, float(v), tol, support, breaks)
+            el += w * _scalar_lambda_operator(psi_fn, cdf_fn, f, float(v), support, breaks)
         dpsi = float(proofcheck.delta_psi(params, row, row1, v))
         res[i] = el + (1.0 - q1) / omq2 * dpsi + dq / omq2 * (1.0 - float(proofcheck.Psi_n(row, v)))
     i = int(np.argmin(res))
