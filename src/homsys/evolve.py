@@ -32,9 +32,9 @@ import numpy as np
 
 from .dist import GridCDF, ks, rescale
 from .errors import ClampBudgetExceededError, DomainError, HomsysError, RegridRequiredError
-from .hfun import HFunction, t_breaks, t_halvings, t_jumps, t_of, t_support_end
+from .hfun import HFunction, t_breaks, t_halvings, t_of, t_support_end
 from .models import ModelSpec, checkpoint_scales, resolve_scaling
-from .quadrature import adaptive_simpson
+from .quadrature import integrate_intervals
 
 __all__ = [
     "lambda_operator", "step", "step_detailed", "grid_filters", "run",
@@ -75,14 +75,11 @@ def lambda_operator(
       - when T has no support end (it then diverges like log(1/t) at 0),
         the halvings t_halvings(f) above that saturation edge, as in
         moments.gamma.
-    Every node is evaluated as a limit from inside its panel: the density
-    argument is kept within the panel's piece between two breaks, one float
-    inside each break; t = 0 gives T(0+), the right end of T's range; and a
-    panel that starts at a level where a table's T jumps reads T one float
-    above that level.
-    So adaptive Simpson meets no jump and converges in a few levels.  The
-    panels of one v share the absolute tolerance LAMBDA_TOL; all of them, for
-    every v, go through one adaptive_simpson call.
+    The Gauss-Kronrod nodes lie strictly inside each panel, so T is never
+    read at 0 or at a jump; the density argument is clipped into the panel's
+    piece between two breaks, one float inside each, since v -+ t may round
+    onto a break.  So the rule meets no jump and converges in a few levels.  The panels of one v share the absolute tolerance LAMBDA_TOL; all
+    of them, for every v, go through one integrate_intervals call.
     """
     lo, hi = support
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -115,31 +112,23 @@ def lambda_operator(
     panel = b > a
     row, col = np.nonzero(panel)
     a, b = a[row, col], b[row, col]
+    v_p, cv_p = vs[row], cdf_fn(vs)[row]  # each panel's v and C(v)
     # the piece of the density each panel covers, one float inside its bounding breaks
-    piece = np.searchsorted(breaks, (vs[row] - 0.5 * (a + b)) if eps == +1 else (vs[row] + 0.5 * (a + b)))
+    piece = np.searchsorted(breaks, (v_p - 0.5 * (a + b)) if eps == +1 else (v_p + 0.5 * (a + b)))
     bounds = np.concatenate([[-np.inf], breaks, [np.inf]])
     u_lo = np.nextafter(bounds[piece], np.inf)
     u_hi = np.nextafter(bounds[piece + 1], -np.inf)
-    t_end = t_support_end(swap)
-    t_zero_plus = np.inf if t_end is None else t_end  # T(0+)
-    jumps = t_jumps(f)
-    # where each panel's start reads T: one float up where T jumps (only a table's T does)
-    a_up = np.where(np.isin(a, jumps), np.nextafter(a, np.inf), a) if jumps.size else None
-    cv = cdf_fn(vs)
 
     def integrand(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        r = row[k]  # the row, i.e. the v, of each node's panel
-        tt = np.full_like(t, t_zero_plus)
-        inner = t > 0.0  # t = 0 only starts a panel
-        t_read = t if a_up is None else np.where(t == a[k], a_up[k], t)
-        tt[inner] = t_of(f, t_read[inner])
+        v = v_p[k]  # the v of each node's panel
+        tt = t_of(f, t)
         if eps == +1:
-            return psi_fn(np.clip(vs[r] - t, u_lo[k], u_hi[k])) * (cv[r] - cdf_fn(vs[r] - tt))
-        return psi_fn(np.clip(vs[r] + t, u_lo[k], u_hi[k])) * (cdf_fn(vs[r] + tt) - cv[r])
+            return psi_fn(np.clip(v - t, u_lo[k], u_hi[k])) * (cv_p[k] - cdf_fn(v - tt))
+        return psi_fn(np.clip(v + t, u_lo[k], u_hi[k])) * (cdf_fn(v + tt) - cv_p[k])
 
     pieces = np.zeros(panel.shape)
     per = LAMBDA_TOL / np.maximum(panel.sum(axis=1), 1)
-    pieces[row, col] = adaptive_simpson(integrand, a, b, per[row])
+    pieces[row, col] = integrate_intervals(integrand, a, b, per[row])
     total = pieces.sum(axis=1)
     return (total if eps == +1 else -total).reshape(v.shape)
 

@@ -17,8 +17,8 @@ The module also provides the dualities (the ``HFunction`` methods ``swap``,
 downstream.  ``t_of`` is exact for every profile family (closed forms, and a
 piecewise-linear inverse for tables) and returns the sup at a flat crossing.
 Where T is not smooth is known in advance, and every t-integral takes its
-panel edges from here: the break levels (``t_breaks``, with the jumps
-``t_jumps`` among them), the halvings toward T's log singularity at 0
+panel edges from here: the break levels (``t_breaks``, a table's kinks and
+jumps among them), the halvings toward T's log singularity at 0
 (``t_halvings``) and the support end (``t_support_end``).
 """
 
@@ -319,27 +319,19 @@ def t_of(f: HFunction, t):
 
 
 def t_kinks(f: HFunction) -> np.ndarray:
-    """The t > 0 where a table profile's T kinks, t = H(u_i); empty for the other families."""
+    """The t > 0 where a table profile's T kinks, t = H(u_i); empty for the other families.
+
+    T jumps down at the levels of the flat pieces of H (a slope-1 piece of g*'s left wing, a plateau
+    of its right wing), which are among these; there t_of gives the value from the left."""
     if f.g_star.family != "table":
         return np.empty(0)
     _, hv = _h_nodes(f.g_star)
     return np.unique(hv[hv > 0.0])
 
 
-def t_jumps(f: HFunction) -> np.ndarray:
-    """The t > 0 where a table profile's T jumps down: the levels of the flat pieces of H (a slope-1
-    piece of g*'s left wing, a plateau of its right wing), at which t_of gives the value from the left.
-    Empty for the other families."""
-    if f.g_star.family != "table":
-        return np.empty(0)
-    _, hv = _h_nodes(f.g_star)
-    flat = (hv[:-1] == hv[1:]) & (hv[1:] > 0.0)
-    return np.unique(hv[1:][flat])
-
-
 def t_breaks(f: HFunction) -> np.ndarray:
     """The levels that cut a t-integral of T into smooth panels: the corner value r and, for a table
-    profile, every kink t_kinks(f), the jumps t_jumps(f) among them."""
+    profile, every kink t_kinks(f), the jumps among them."""
     return np.append(f.r, t_kinks(f))
 
 

@@ -5,8 +5,9 @@ their tilde twins, beta_n, q_n), the piecewise-quadratic bridging densities,
 the per-n Lambda-condition inequality and the stochastic lower bound it
 yields.  Everything is computed with exact closed forms except the Lambda
 operator itself, which reuses the generic Lambda quadrature of the evolution
-module: the whole v-grid of one n goes through one batched adaptive Simpson
-per atom, with the density and its CDF evaluated on arrays.
+module: the whole v-grid of one n goes through one batched adaptive
+Gauss-Kronrod call per atom, with the density and its CDF evaluated on
+arrays.
 
 All "sufficiently large n" thresholds are outputs of numeric scans, never
 hard-coded.
@@ -169,8 +170,9 @@ def schedule(params: ProofParams, n: int) -> ScheduleRow:
 def psi_n(row: ScheduleRow, v) -> np.ndarray | float:
     """Piecewise-quadratic bridging density: wide bump for v<0, narrow for v>=0."""
     v = np.asarray(v, dtype=float)
-    pos = row.a * (row.tau**2 - v * v) * (np.abs(v) < row.sigma)
-    neg = row.a_tilde * (row.tau_tilde**2 - v * v) * (np.abs(v) < row.sigma_tilde)
+    v2, av = v * v, np.abs(v)
+    pos = row.a * (row.tau**2 - v2) * (av < row.sigma)
+    neg = row.a_tilde * (row.tau_tilde**2 - v2) * (av < row.sigma_tilde)
     out = np.where(v >= 0, pos, neg)
     return float(out) if out.ndim == 0 else out
 
@@ -178,10 +180,10 @@ def psi_n(row: ScheduleRow, v) -> np.ndarray | float:
 def Psi_n(row: ScheduleRow, v) -> np.ndarray | float:
     """Exact CDF of psi_n: cubic polynomials on each side, 1/2 at zero."""
     v = np.asarray(v, dtype=float)
-    vn = np.clip(v, -row.sigma_tilde, 0.0)
-    neg = row.a_tilde * (row.tau_tilde**2 * (vn + row.sigma_tilde) - (vn * vn * vn + row.sigma_tilde**3) / 3.0)
-    vp = np.clip(v, 0.0, row.sigma)
-    pos = 0.5 + row.a * (row.tau**2 * vp - vp * vp * vp / 3.0)
+    w = np.clip(v, -row.sigma_tilde, row.sigma)  # each side's polynomial reads w only where it is selected
+    w3 = w * w * w
+    neg = row.a_tilde * (row.tau_tilde**2 * (w + row.sigma_tilde) - (w3 + row.sigma_tilde**3) / 3.0)
+    pos = 0.5 + row.a * (row.tau**2 * w - w3 / 3.0)
     out = np.clip(np.where(v < 0, neg, pos), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 

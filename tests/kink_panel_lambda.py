@@ -3,12 +3,11 @@ t-range only at 0, the corner value r, t_cut and the density breaks
 translated to the t axis, and evaluates every node where it falls (t = 0 as
 T(1e-12)).
 
-An end node of a panel that starts at a translated break can land on the
-wrong side of the density's jump, and T(1e-12) is not T(0+), so adaptive
-Simpson refines those ends to its depth limit, and its values can miss the
-integral by a few times the tolerance LAMBDA_TOL.  homsys.evolve.lambda_operator
-adds the crossing edges and one-sided ends; the two rules must agree to far
-less than the residuals they decide on.
+Such a panel can hold a jump of the density or of C(v -+ T(t)), so the
+quadrature refines there to its depth limit, and its values can miss the
+integral by a few times the tolerance LAMBDA_TOL.
+homsys.evolve.lambda_operator adds the crossing edges and the halvings; the
+two rules must agree to far less than the residuals they decide on.
 """
 
 import math
@@ -18,7 +17,7 @@ import numpy as np
 from homsys import DomainError
 from homsys.evolve import LAMBDA_TOL
 from homsys.hfun import t_of, t_support_end
-from homsys.quadrature import adaptive_simpson
+from homsys.quadrature import integrate_intervals
 
 
 def lambda_operator(psi_fn, cdf_fn, f, v, support, psi_breaks=()):
@@ -48,6 +47,6 @@ def lambda_operator(psi_fn, cdf_fn, f, v, support, psi_breaks=()):
 
     pieces = np.zeros(a.shape)
     per = LAMBDA_TOL / np.maximum(panel.sum(axis=1), 1)
-    pieces[row, col] = adaptive_simpson(integrand, a[row, col], b[row, col], per[row])
+    pieces[row, col] = integrate_intervals(integrand, a[row, col], b[row, col], per[row])
     total = pieces.sum(axis=1)
     return (total if eps == +1 else -total).reshape(v.shape)

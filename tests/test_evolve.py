@@ -123,28 +123,30 @@ def test_lambda_operator_takes_an_array_of_v():
 
 
 def _panels(monkeypatch, f, v):
-    """The integrand and panel ends that lambda_operator hands to adaptive_simpson, for one v."""
+    """The integrand and panel ends that lambda_operator hands to integrate_intervals, for one v."""
     got = {}
 
     def capture(g, a, b, tol):
         got.update(g=g, a=a, b=b)
         return np.zeros_like(a)
 
-    monkeypatch.setattr(evolve, "adaptive_simpson", capture)
+    monkeypatch.setattr(evolve, "integrate_intervals", capture)
     unit_cdf = lambda u: np.clip(np.asarray(u, dtype=float) + 0.5, 0.0, 1.0)
     evolve.lambda_operator(_unit_density, unit_cdf, f, v, (-0.5, 0.5), (-0.5, 0.5))
     return got["g"], got["a"], got["b"]
 
 
 def test_lambda_panel_ends_are_limits_from_inside(monkeypatch):
-    # at t = 0 a softplus T is T(0+) = inf, so C(v - T) = 0 there; T(1e-12) = 0.28 would give C = 0.57
+    # the quadrature never reads t = 0 (t_of rejects it); toward 0 a softplus T diverges, so C(v - T) -> 0,
+    # and at the smallest float T = 7.4 puts v - T below the support
     g, a, _ = _panels(monkeypatch, from_g(g_softplus(0.01), +1), 0.3)
-    assert a[0] == 0.0 and g(np.array([0.0]), np.array([0]))[0] == pytest.approx(0.8, abs=1e-15)
+    tiny = np.nextafter(0.0, 1.0)
+    assert a[0] == 0.0 and g(np.array([tiny]), np.array([0]))[0] == pytest.approx(0.8, abs=1e-15)
     # hipster+ at v = 0.3 has the one panel [0, 0.8]; at its end the density is read just inside
     # its jump at -0.5, whichever side 0.3 - 0.8 rounds to
     g, a, b = _panels(monkeypatch, builtin("hipster").functions[0], 0.3)
     assert (a.tolist(), b.tolist()) == ([0.0], [0.3 + 0.5])
-    assert g(np.array([0.0, b[0]]), np.array([0, 0])) == pytest.approx([0.8, 0.8], abs=1e-15)
+    assert g(np.array([tiny, b[0]]), np.array([0, 0])) == pytest.approx([0.8, 0.8], abs=1e-15)
 
 
 @pytest.mark.parametrize("support", [(-math.inf, math.inf), (-0.5, math.inf), (0.5, -0.5), (math.nan, 0.5)])

@@ -95,8 +95,8 @@ class TestGamma:
         "spec", [pytest.param(TWO_TABLES, id="two_tables"), pytest.param(TABLE_JUMP, id="table_jump")]
     )
     def test_table_panels_stay_above_the_depth_limit(self, spec, monkeypatch):
-        # a table's kinks and jumps are panel edges, and a panel starting at a jump reads T just above
-        # it, so Simpson refines a few levels; refining to its depth limit 48 takes 50 integrand calls
+        # a table's kinks and jumps are panel edges, so the quadrature refines a few levels at most;
+        # refining to its depth limit 48 takes 49 integrand calls
         calls = []
         panels = moments.integrate_panels
 
@@ -114,6 +114,28 @@ class TestGamma:
             for a, b in [(0.0, 1.0), (0.0, 2.0), (1.0, 1.0), (1.5, 1.0)]:
                 gamma(f, a, b)
         assert max(calls) <= 10
+
+    def test_sum_atom_lands_on_its_closed_forms(self):
+        # on panels where T is smooth the quadrature is far more accurate than MOMENT_TOL
+        assert abs(gamma(F_SUM, 0, 1) - ZETA2) <= 1e-14
+        assert abs(c_star(builtin("resistance", p=0.5)) - 9.0 * ZETA3) <= 1e-13
+
+    def test_c_star_of_resistance_takes_few_integrand_calls(self, monkeypatch):
+        # Gamma^(0,2) and Gamma^(1,1), once each (both atoms share them), at a level or two each;
+        # 20 integrand calls under Simpson
+        calls = []
+        panels = moments.integrate_panels
+
+        def counted(h, edges, tol):
+            def g(t, k):
+                calls.append(t.size)
+                return h(t, k)
+
+            return panels(g, edges, tol)
+
+        monkeypatch.setattr(moments, "integrate_panels", counted)
+        c_star(builtin("resistance", p=0.5))
+        assert len(calls) <= 10
 
     def test_pointwise_bound(self):
         # sup t^(a+1) T(t)^b <= (a+1) gamma(a,b)

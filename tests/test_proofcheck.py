@@ -6,10 +6,10 @@ import pytest
 
 from homsys import DomainError, builtin, evolve, moments, parse_model
 from homsys import hfun, proofcheck
-from homsys.hfun import t_jumps, t_kinks, t_of, t_support_end
+from homsys.hfun import t_kinks, t_of, t_support_end
 
 import kink_panel_lambda
-from scalar_simpson import adaptive_simpson
+import scalar_gauss_kronrod
 
 PARAMS = proofcheck.ProofParams(c_star=4.5)
 
@@ -64,12 +64,9 @@ def _scalar_lambda_operator(psi_fn, cdf_fn, f, v, support, psi_breaks):
         return 0.0
     cv = cdf_fn(v)
     swap = f.swap()
-    t_end = t_support_end(swap)
-    t_zero_plus = math.inf if t_end is None else t_end
     t_cut = t_psi if t_zero is None else min(t_zero, t_psi)
     breaks = sorted({lo, hi, *psi_breaks})
     cuts = {f.r, *t_kinks(f).tolist()}
-    jumps = set(t_jumps(f).tolist())
     for k in breaks:
         tb = (v - k) if eps == +1 else (k - v)
         cuts.add(tb)
@@ -86,15 +83,14 @@ def _scalar_lambda_operator(psi_fn, cdf_fn, f, v, support, psi_breaks):
     for a, b in spans:
         j = bisect.bisect_left(breaks, (v - 0.5 * (a + b)) if eps == +1 else (v + 0.5 * (a + b)))
         u_lo, u_hi = math.nextafter(bounds[j], math.inf), math.nextafter(bounds[j + 1], -math.inf)
-        a_up = math.nextafter(a, math.inf) if a in jumps else a  # where T jumps, the panel reads it just above
 
         def integrand(t):
-            tt = t_of(f, a_up if t == a else t) if t > 0.0 else t_zero_plus
+            tt = t_of(f, t)
             if eps == +1:
                 return psi_fn(min(max(v - t, u_lo), u_hi)) * (cv - cdf_fn(v - tt))
             return psi_fn(min(max(v + t, u_lo), u_hi)) * (cdf_fn(v + tt) - cv)
 
-        total += adaptive_simpson(integrand, a, b, evolve.LAMBDA_TOL / len(spans))
+        total += scalar_gauss_kronrod.integrate(integrand, a, b, evolve.LAMBDA_TOL / len(spans))
     return total if eps == +1 else -total
 
 
@@ -184,15 +180,15 @@ def test_residuals_agree_with_the_kink_panel_rule(name, points, n, monkeypatch):
 @pytest.mark.parametrize(
     "name, n, points",
     [("hipster", 64, 400), ("hipster", 4096, 25), ("lazy_hipster", 64, 400), ("lazy_hipster", 4096, 25),
-     ("resistance(0.5)", 4096, 4), pytest.param(TWO_TABLES, 64, 60, id="two_tables-64-60"),
+     ("resistance(0.5)", 4096, 4), ("resistance(0.5)", 64, 400), pytest.param(TWO_TABLES, 64, 60, id="two_tables-64-60"),
      pytest.param(TWO_TABLES, 512, 60, id="two_tables-512-60"), pytest.param(TABLE_JUMP, 64, 60, id="table_jump-64-60"),
      pytest.param(TABLE_JUMP, 512, 60, id="table_jump-512-60")],
 )
 def test_lambda_quadrature_stays_above_the_depth_limit(name, n, points, monkeypatch):
-    # the integrand is called once for the first nodes and once per refinement level, so a call
-    # that refines an interval 48 times (the depth limit) calls it 50 times
+    # the integrand is called once per level, so a call that refines an interval 48 times (the
+    # depth limit) calls it 49 times
     calls = []
-    simpson = evolve.adaptive_simpson
+    rule = evolve.integrate_intervals
 
     def counted(f, a, b, tol):
         count = [0]
@@ -201,15 +197,19 @@ def test_lambda_quadrature_stays_above_the_depth_limit(name, n, points, monkeypa
             count[0] += 1
             return f(t, k)
 
-        out = simpson(g, a, b, tol)
+        out = rule(g, a, b, tol)
         calls.append(count[0])
         return out
 
-    monkeypatch.setattr(evolve, "adaptive_simpson", counted)
+    monkeypatch.setattr(evolve, "integrate_intervals", counted)
     model = parse_model(name)
     params = proofcheck.ProofParams(c_star=moments.c_star(model))
     proofcheck.lambda_condition(model, params, n, proofcheck.default_v_grid(params, n, points))
-    assert calls and max(calls) - 2 < 48
-    # the kinks and jumps of a table's T are panel edges, read one-sided, so its panels converge as fast
+    assert calls and max(calls) - 1 < 48
+    # the kinks and jumps of a table's T are panel edges, so its panels converge as fast
     if name in (TWO_TABLES, TABLE_JUMP):
         assert max(calls) <= 8
+    # the softplus scan takes a handful of levels per atom (24 integrand calls in all under Simpson)
+    if (name, n, points) == ("resistance(0.5)", 64, 400):
+        assert sum(calls) <= 12
+

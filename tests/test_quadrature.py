@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
-import scalar_simpson
-from homsys.quadrature import adaptive_simpson, integrate_panels
+import scalar_gauss_kronrod
+from homsys import DomainError
+from homsys.quadrature import integrate_intervals, integrate_panels
 
 
-def test_simpson_exact_on_cubics():
-    assert adaptive_simpson(lambda t, k: t**3 - 2.0 * t, 0.0, 2.0, 1e-12) == pytest.approx(0.0, abs=1e-12)
+def test_polynomials_up_to_degree_13_take_one_level():
+    # K15 and G7 both integrate a polynomial of degree <= 13 exactly, so their difference is rounding
+    calls = []
+    f = lambda t, k: calls.append(t.size) or t**13 - 2.0 * t**3 + 1.0
+    assert integrate_intervals(f, -1.0, 2.0, 1e-12) == pytest.approx(2.0**14 / 14 - 1.0 / 14 - 7.5 + 3.0, abs=1e-11)
+    assert calls == [15]
 
 
 def test_panels_share_the_budget_and_skip_empty_spans():
@@ -43,12 +48,12 @@ def test_toward_infinity_exponential_tail():
     ],
 )
 def test_batch_matches_adaptive_simpson(scalar, vector):
-    # the recursive scalar Simpson is the oracle; numpy and libm may differ in the last ulp
+    # the recursive scalar rule is the oracle; numpy and libm may differ in the last ulp
     a = np.array([0.0, -1.0, 0.25, 2.0, -3.0])
     b = np.array([1.0, 2.0, 0.75, 7.0, 0.3])
     tol = np.array([1e-12, 1e-10, 1e-8, 1e-12, 1e-9])
-    got = adaptive_simpson(lambda t, k: vector(t), a, b, tol)
-    want = np.array([scalar_simpson.adaptive_simpson(scalar, x, y, e) for x, y, e in zip(a, b, tol)])
+    got = integrate_intervals(lambda t, k: vector(t), a, b, tol)
+    want = np.array([scalar_gauss_kronrod.integrate(scalar, x, y, e) for x, y, e in zip(a, b, tol)])
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
@@ -64,10 +69,10 @@ def test_nan_error_is_accepted_not_refined():
             raise AssertionError("NaN intervals are being refined")
         return np.where(t < 0.5, np.nan, np.sin(t))
 
-    got = adaptive_simpson(f, [0.0, 1.0], [1.0, 2.0], 1e-12)
+    got = integrate_intervals(f, [0.0, 1.0], [1.0, 2.0], 1e-12)
     assert math.isnan(got[0])
-    assert got[1] == adaptive_simpson(f, 1.0, 2.0, 1e-12)
-    assert math.isnan(adaptive_simpson(f, 0.0, 1.0, 1e-12))
+    assert got[1] == integrate_intervals(f, 1.0, 2.0, 1e-12)
+    assert math.isnan(integrate_intervals(f, 0.0, 1.0, 1e-12))
     assert max(sizes) <= 500
 
 
@@ -75,14 +80,28 @@ def test_batch_passes_each_node_its_interval():
     # f(t, k) = k: the integral over interval k is k times its length
     a = np.array([0.0, 1.0, 5.0])
     b = np.array([1.0, 3.0, 5.5])
-    got = adaptive_simpson(lambda t, k: k.astype(float), a, b, 1e-12)
+    got = integrate_intervals(lambda t, k: k.astype(float), a, b, 1e-12)
     np.testing.assert_allclose(got, [0.0, 2.0, 1.0], rtol=1e-15)
 
 
 def test_batch_empty_and_zero_width_intervals_give_zero():
     calls = []
     f = lambda t, k: calls.append(t.size) or np.ones_like(t)
-    assert adaptive_simpson(f, np.array([]), np.array([]), 1e-12).shape == (0,)
-    np.testing.assert_array_equal(adaptive_simpson(f, [1.0, 2.0, 0.0], [1.0, 1.0, 2.0], 1e-12), [0.0, 0.0, 2.0])
-    assert adaptive_simpson(f, 0.5, 0.5, 1e-12) == 0.0 and calls == [3, 2]
-    assert isinstance(adaptive_simpson(f, 0.0, 1.0, 1e-12), float)
+    assert integrate_intervals(f, np.array([]), np.array([]), 1e-12).shape == (0,)
+    np.testing.assert_array_equal(integrate_intervals(f, [1.0, 2.0, 0.0], [1.0, 1.0, 2.0], 1e-12), [0.0, 0.0, 2.0])
+    assert integrate_intervals(f, 0.5, 0.5, 1e-12) == 0.0 and calls == [15]
+    assert isinstance(integrate_intervals(f, 0.0, 1.0, 1e-12), float)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, [1e-12, -1e-12]])
+def test_a_tolerance_that_is_not_finite_and_positive_is_rejected_before_any_call(tol):
+    # a negative tol split every interval down to the depth limit, and a NaN tol returned the first
+    # estimate unchecked
+    def never(t, k):
+        raise AssertionError("the integrand was called")
+
+    with pytest.raises(DomainError):
+        integrate_intervals(never, [0.0, 1.0], [1.0, 2.0], tol)
+    if np.ndim(tol) == 0:
+        with pytest.raises(DomainError):
+            integrate_panels(never, [0.0, 0.5, 1.0], tol)
