@@ -342,7 +342,7 @@ def build_parser() -> _Parser:
     common(sp, model=False, threads="worker threads over the seeds (default: HOMSYS_THREADS, else 1; "
                                     "results are identical regardless)")
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--n", type=_int_in(0), required=True)
+    sp.add_argument("--n", type=_int_in(0, serpar.MAX_ROUNDS + 1), required=True)
     sp.add_argument("--seeds", type=_int_in(1), required=True)
     sp.add_argument("--check-exact", dest="check_exact", action="store_true")
     sp.set_defaults(fn=_cmd_serpar)

@@ -5,7 +5,7 @@ per edge present at that round (True = the edge was replaced by two edges in
 series, False = by two parallel edges), children of edge e being 2e and 2e+1.
 Reduction is a vectorized bottom-up fold over the history; the explicit
 node/edge graph is derived only to feed the Laplacian and breadth-first
-search oracles.
+search oracles, which never read the fold.
 
 Nodes are numbered in creation order (a = 0, z = 1, then each round's series
 midpoints).  Reverse creation order is a perfect elimination order: a node
@@ -14,6 +14,12 @@ once those are eliminated its neighbours are at most u and v, and eliminating
 it adds at most the fill edge u-v.  The Laplacian oracle factors in that
 order, so its factors hold O(nodes) entries and need no fill-reducing
 ordering.
+
+Each graph derives its Laplacian once, in that order with a and z last, as
+sorted CSC arrays (`SPGraph.laplacian`).  Both oracles read it: the
+resistance oracle factors its grounded block, and the distance oracle
+searches its symmetric pattern as a directed graph, so neither builds a
+matrix of its own from the edge list.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ import numpy as np
 
 from .errors import DomainError, HomsysError
 
-__all__ = ["SPGraph", "single_edge", "grow", "build", "reduce_graph", "resistance_exact", "distance_exact"]
+__all__ = ["SPGraph", "single_edge", "build", "reduce_graph", "resistance_exact", "distance_exact"]
 
+MAX_ROUNDS = 24  # 2^24 edges: one build and its fold peak at 0.56 GB resident
 MAX_EXPLICIT_ROUNDS = 16
 _RESIDUAL_TOL = 1e-9  # largest Laplacian solve residual accepted, relative to max(1, |rhs|)
 
@@ -54,8 +61,7 @@ class SPGraph:
     def explicit(self) -> tuple[np.ndarray, int, int, int]:
         """The node/edge graph: (edges array [E, 2], n_nodes, a, z).
 
-        Derived on first use and kept, so the oracles share one derivation;
-        the edges array is read-only."""
+        Derived on first use and kept; the edges array is read-only."""
         if self.rounds > MAX_EXPLICIT_ROUNDS:
             raise DomainError(f"explicit builds are capped at {MAX_EXPLICIT_ROUNDS} rounds")
         edges = np.array([[0, 1]], dtype=np.int64)
@@ -73,25 +79,44 @@ class SPGraph:
         edges.flags.writeable = False
         return edges, n_nodes, 0, 1
 
+    @cached_property
+    def laplacian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The graph Laplacian as sorted CSC arrays: (data, row indices, indptr).
+
+        Nodes carry reverse creation labels with a and z last (a = n_nodes - 2,
+        z = n_nodes - 1); each column holds its rows in increasing order, once
+        each: minus the edge multiplicity off the diagonal, the degree on it.
+        The matrix is symmetric, so the same arrays are also its CSR form.
+        Derived from `explicit` on first use and kept, read-only."""
+        edges, n, a, z = self.explicit
+        label = np.arange(n - 1, -1, -1)
+        label[a], label[z] = n - 2, n - 1
+        u, v = label[edges[:, 0]], label[edges[:, 1]]
+        # one key col * n + row per entry, sorted; parallel edges repeat a key
+        keys, mult = np.unique(np.concatenate([u * n + v, v * n + u, np.arange(0, n * n, n + 1)]), return_counts=True)
+        col, row = np.divmod(keys, n)
+        indptr = np.searchsorted(keys, np.arange(0, n * n + 1, n)).astype(np.int32)
+        rows = row.astype(np.int32)
+        data = -mult.astype(np.float64)
+        # every column holds its diagonal key once; its other run lengths sum to the degree
+        data[row == col] = np.add.reduceat(mult, indptr[:-1]) - 1
+        for arr in (data, rows, indptr):
+            arr.flags.writeable = False
+        return data, rows, indptr
+
 
 def single_edge() -> SPGraph:
     return SPGraph(())
 
 
-def grow(g: SPGraph, p: float, rng: np.random.Generator) -> SPGraph:
-    """Replace each edge by a series pair (prob p) or a parallel pair (prob 1-p)."""
+def build(n: int, p: float, seed: int) -> SPGraph:
+    """n rounds of replacing each edge by a series pair (prob p) or a parallel pair (prob 1-p)."""
+    if not 0 <= n <= MAX_ROUNDS:
+        raise DomainError(f"n must lie in [0, {MAX_ROUNDS}]")
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
-    choices = rng.random(g.n_edges) < p
-    return SPGraph(g.history + (choices,))
-
-
-def build(n: int, p: float, seed: int) -> SPGraph:
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    g = single_edge()
-    for _ in range(n):
-        g = grow(g, p, rng)
-    return g
+    return SPGraph(tuple(rng.random(2**k) < p for k in range(n)))
 
 
 def reduce_graph(g: SPGraph) -> tuple[float, float]:
@@ -113,10 +138,11 @@ def reduce_graph(g: SPGraph) -> tuple[float, float]:
 def resistance_exact(g: SPGraph) -> float:
     """Effective resistance between the terminals via the graph Laplacian.
 
-    Unit current is injected at terminal a with terminal z grounded.  Nodes
-    are relabelled in reverse creation order with a and z last (the perfect
-    elimination order of the module docstring), and the reduced SPD system is
-    factored by sparse LU in that natural order with diagonal pivots: each
+    Unit current is injected at terminal a with terminal z grounded.  The
+    grounded block is the graph's sorted Laplacian (`SPGraph.laplacian`,
+    reverse creation order with a and z last: the perfect elimination order
+    of the module docstring) without z's row and column, and it is factored
+    by sparse LU in that natural order with diagonal pivots: each
     elimination adds at most one fill entry, and an SPD matrix needs no
     pivoting.
     """
@@ -124,18 +150,13 @@ def resistance_exact(g: SPGraph) -> float:
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    edges, n_nodes, a, z = g.explicit
-    m = n_nodes - 1
-    label = np.arange(m, -1, -1)
-    label[a], label[z] = m - 1, m
-    u, v = label[edges[:, 0]], label[edges[:, 1]]
-    # z has the last label m: dropping its row and column grounds it
-    keep_u, keep_v = u < m, v < m
-    inner = keep_u & keep_v
-    rows = np.concatenate([u[keep_u], v[keep_v], u[inner], v[inner]])
-    cols = np.concatenate([u[keep_u], v[keep_v], v[inner], u[inner]])
-    vals = np.concatenate([np.ones(keep_u.sum() + keep_v.sum()), np.full(2 * inner.sum(), -1.0)])
-    Lr = sp.csc_matrix((vals, (rows, cols)), shape=(m, m))
+    data, rows, indptr = g.laplacian
+    # z has the last label m: dropping its column and its (last) row entries grounds it
+    m = indptr.size - 2
+    end = indptr[m]
+    keep = rows[:end] < m
+    kept = np.concatenate([[0], np.cumsum(keep, dtype=np.int32)])
+    Lr = sp.csc_matrix((data[:end][keep], rows[:end][keep], kept[indptr[: m + 1]]), shape=(m, m))
     rhs = np.zeros(m)
     a_r = m - 1
     rhs[a_r] = 1.0
@@ -153,16 +174,19 @@ def resistance_exact(g: SPGraph) -> float:
 def distance_exact(g: SPGraph) -> float:
     """Terminal-to-terminal hop distance (all edges have unit length).
 
-    A breadth-first search from a; the hops are counted along its
-    predecessor tree from z back to a.
+    A breadth-first search from a over the graph's sorted Laplacian pattern
+    (`SPGraph.laplacian`), which is symmetric and so read as directed; the
+    hops are counted along its predecessor tree from z back to a.
     """
     # imported here so that commands which never call an oracle start without scipy
     import scipy.sparse as sp
     import scipy.sparse.csgraph as csgraph
 
-    edges, n_nodes, a, z = g.explicit
-    adj = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n_nodes, n_nodes))
-    _, pred = csgraph.breadth_first_order(adj, a, directed=False, return_predecessors=True)
+    data, rows, indptr = g.laplacian
+    n = indptr.size - 1
+    a, z = n - 2, n - 1
+    adj = sp.csr_matrix((data, rows, indptr), shape=(n, n))
+    _, pred = csgraph.breadth_first_order(adj, a, directed=True, return_predecessors=True)
     hops, node = 0, z
     while node != a:
         node = pred[node]

@@ -1,0 +1,50 @@
+"""Test oracle: the serpar resistance and distance oracles built the COO way.
+
+`resistance_exact` assembles the grounded Laplacian from (row, col, value)
+triplets, one per edge end, and lets scipy sort them and sum the duplicates
+from parallel edges; `distance_exact` searches a one-direction adjacency of
+the creation-order node labels as undirected.  homsys.serpar derives one
+sorted Laplacian per graph and shares it between both oracles; its grounded
+matrix equals the canonical one built here entry for entry, so the two must
+give the same bits.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
+import scipy.sparse.linalg as spla
+
+
+def grounded_laplacian(g):
+    """The Laplacian without z's row and column, reverse creation labels, a last."""
+    edges, n_nodes, a, z = g.explicit
+    m = n_nodes - 1
+    label = np.arange(m, -1, -1)
+    label[a], label[z] = m - 1, m
+    u, v = label[edges[:, 0]], label[edges[:, 1]]
+    keep_u, keep_v = u < m, v < m
+    inner = keep_u & keep_v
+    rows = np.concatenate([u[keep_u], v[keep_v], u[inner], v[inner]])
+    cols = np.concatenate([u[keep_u], v[keep_v], v[inner], u[inner]])
+    vals = np.concatenate([np.ones(keep_u.sum() + keep_v.sum()), np.full(2 * inner.sum(), -1.0)])
+    return sp.csc_matrix((vals, (rows, cols)), shape=(m, m))
+
+
+def resistance_exact(g):
+    Lr = grounded_laplacian(g)
+    m = Lr.shape[0]
+    rhs = np.zeros(m)
+    rhs[m - 1] = 1.0
+    lu = spla.splu(Lr, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}, panel_size=1, relax=1)
+    return float(lu.solve(rhs)[m - 1])
+
+
+def distance_exact(g):
+    edges, n_nodes, a, z = g.explicit
+    adj = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n_nodes, n_nodes))
+    _, pred = csgraph.breadth_first_order(adj, a, directed=False, return_predecessors=True)
+    hops, node = 0, z
+    while node != a:
+        node = pred[node]
+        hops += 1
+    return float(hops)

@@ -150,6 +150,9 @@ def test_malformed_step_lists_exit_without_traceback(argv, code, capsys):
         ["serpar", "--p", "0.5", "--n", "-3", "--seeds", "2"],
         ["serpar", "--p", "0.5", "--n", "3", "--seeds", "-1"],
         ["serpar", "--p", "0.5", "--n", "3", "--seeds", "0"],
+        # 2^25 edges and more are refused before anything is drawn
+        ["serpar", "--p", "0.5", "--n", "25", "--seeds", "1"],
+        ["serpar", "--p", "0.5", "--n", "40", "--seeds", "1"],
         # no subcommand takes --tol: every integral has its tolerance fixed beside it
         ["evolve", "--model", "hipster", "--n", "4", "--checkpoints", "4", "--tol", "1e-9"],
         ["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", "4", "--tol", "1e-9"],
@@ -192,6 +195,19 @@ def test_bad_thread_variable_exits_64(argv, value, monkeypatch, capsys):
     assert _exit_code(argv) == 64
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err and "usage:" in captured.err and not captured.out
+
+
+def test_serpar_takes_up_to_max_rounds():
+    args = cli.build_parser().parse_args(["serpar", "--p", "0.5", "--n", "24", "--seeds", "1"])
+    assert args.n == 24
+
+
+def test_serpar_threads_give_the_same_bytes(tmp_path):
+    base = ["serpar", "--p", "0.5", "--n", "8", "--seeds", "6", "--check-exact"]
+    for threads in (1, 2):
+        assert cli.main(base + ["--threads", str(threads), "--out", str(tmp_path / f"t{threads}")]) == 0
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"t1{suffix}").read_bytes() == (tmp_path / f"t2{suffix}").read_bytes()
 
 
 def test_thread_variable_is_the_default_thread_count(tmp_path, monkeypatch):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from homsys import DomainError
 from homsys import serpar
+
+import coo_laplacian_oracles
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -24,11 +27,60 @@ def test_build_is_deterministic_and_sized():
 def test_the_explicit_graph_is_derived_once_and_read_only():
     g = serpar.build(6, 0.5, 1)
     r, d = serpar.resistance_exact(g), serpar.distance_exact(g)
-    edges = g.explicit[0]
+    edges, laplacian = g.explicit[0], g.laplacian
     assert g.explicit[0] is edges and not edges.flags.writeable
+    assert not any(x.flags.writeable for x in laplacian)
     assert (serpar.resistance_exact(g), serpar.distance_exact(g)) == (r, d)
+    assert all(x is y for x, y in zip(g.laplacian, laplacian))
     with pytest.raises(DomainError):
         serpar.build(17, 0.5, 1).explicit
+
+
+@pytest.mark.parametrize("n, p, seed", [(0, 0.5, 0), (1, 0.5, 3), (7, 0.3, 4), (12, 0.5, 2), (5, 0.0, 1), (5, 1.0, 1)])
+def test_build_draws_every_round_from_one_stream(n, p, seed):
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    expected = [rng.random(2**k) < p for k in range(n)]
+    history = serpar.build(n, p, seed).history
+    assert len(history) == n and all(np.array_equal(h, e) for h, e in zip(history, expected))
+
+
+@pytest.mark.parametrize("n, p", [(3, -0.1), (3, 1.5), (0, float("nan")), (-1, 0.5), (serpar.MAX_ROUNDS + 1, 0.5)])
+def test_build_rejects_bad_rounds_and_probabilities(n, p):
+    with pytest.raises(DomainError):
+        serpar.build(n, p, 0)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [serpar.build(12, p, seed) for p in (0.0, 0.3, 0.5, 0.7, 1.0) for seed in range(3)]
+    + [serpar.single_edge(), serpar.build(16, 0.5, 0)],
+)
+def test_oracles_give_the_bits_of_the_coo_path(g):
+    assert serpar.resistance_exact(g) == coo_laplacian_oracles.resistance_exact(g)
+    assert serpar.distance_exact(g) == coo_laplacian_oracles.distance_exact(g)
+
+
+@pytest.mark.parametrize(
+    "g", [serpar.single_edge(), serpar.build(6, 0.5, 1), serpar.build(12, 0.3, 2),
+          serpar.SPGraph(tuple(np.ones(2**k, dtype=bool) for k in range(16)))]
+)
+def test_the_laplacian_is_sorted_symmetric_and_canonical(g):
+    data, rows, indptr = g.laplacian
+    edges, n, a, z = g.explicit
+    L = sp.csc_matrix((data, rows, indptr), shape=(n, n))
+    assert (L != L.T).nnz == 0
+    assert not np.any(L @ np.ones(n))
+    label = np.arange(n - 1, -1, -1)
+    label[a], label[z] = n - 2, n - 1
+    degree = np.zeros(n)
+    degree[label] = np.bincount(edges.ravel(), minlength=n)
+    assert np.array_equal(L.diagonal(), degree)
+    assert all(np.all(np.diff(rows[lo:hi]) > 0) for lo, hi in zip(indptr[:-1], indptr[1:]))
+    # without z's row and column, the very arrays scipy makes from the edge triplets
+    ref = coo_laplacian_oracles.grounded_laplacian(g)
+    grounded = L[: n - 1, : n - 1]
+    for got, want in [(grounded.data, ref.data), (grounded.indices, ref.indices), (grounded.indptr, ref.indptr)]:
+        assert np.array_equal(got, want)
 
 
 def test_all_series_and_all_parallel():
@@ -46,6 +98,7 @@ def test_bad_history_rejected():
 
 def test_exact_resistance_of_the_smallest_and_extreme_graphs():
     assert serpar.resistance_exact(serpar.single_edge()) == pytest.approx(1.0, rel=1e-12)
+    assert serpar.distance_exact(serpar.single_edge()) == 1.0
     n = 5
     series = serpar.SPGraph(tuple(np.ones(2**k, dtype=bool) for k in range(n)))
     parallel = serpar.SPGraph(tuple(np.zeros(2**k, dtype=bool) for k in range(n)))
