@@ -117,19 +117,41 @@ class GFunction:
         out = np.where(np.isfinite(z), self._eval_finite(z), 0.0)
         return float(out[0]) if scalar else out
 
-    def _eval_finite(self, z: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation for finite float arrays (hot path, no checks)."""
-        if self.family == "zero":
-            return np.zeros_like(z)
+    def _eval_finite(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Vectorized evaluation for finite float arrays (hot path, no checks).
+
+        With ``out`` (which may be z itself) the result is written there.  The
+        zero, softplus and symmetric tent profiles are computed inside it, one
+        ufunc at a time; the asymmetric tent and the table copy their result
+        into it.
+        """
         if self.family == "softplus":
             (a,) = self.params
-            return a * np.log1p(np.exp(-np.abs(z) / a))
+            out = np.abs(z, out=out)
+            np.negative(out, out=out)
+            np.divide(out, a, out=out)
+            np.exp(out, out=out)
+            np.log1p(out, out=out)
+            return np.multiply(a, out, out=out)
+        if self.family == "tent" and self.params[0] == self.params[1]:
+            out = np.abs(z, out=out)
+            np.multiply(self.params[0], out, out=out)
+            np.subtract(1.0, out, out=out)
+            return np.maximum(0.0, out, out=out)
+        if self.family == "zero":
+            if out is None:
+                return np.zeros_like(z)
+            out.fill(0.0)
+            return out
         if self.family == "tent":
             sp, sm = self.params
-            if sp == sm:
-                return np.maximum(0.0, 1.0 - sp * np.abs(z))
-            return np.where(z >= 0, np.maximum(0.0, 1.0 - sp * z), np.maximum(0.0, 1.0 + sm * z))
-        return np.interp(z, self.grid, self.values, left=0.0, right=0.0)
+            g = np.where(z >= 0, np.maximum(0.0, 1.0 - sp * z), np.maximum(0.0, 1.0 + sm * z))
+        else:
+            g = np.interp(z, self.grid, self.values, left=0.0, right=0.0)
+        if out is None:
+            return g
+        out[...] = g
+        return out
 
     @property
     def peak(self) -> float:
@@ -202,10 +224,20 @@ class HFunction:
         np.subtract(lx, ly, out=diff, where=np.isfinite(lx) & np.isfinite(ly))
         return base + self.eps * self.g(diff)
 
-    def log_eval_finite(self, lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
-        """log F(e^lx, e^ly) for finite float arrays (hot path)."""
-        base = np.maximum(lx, ly) if self.eps == +1 else np.minimum(lx, ly)
-        return base + self.eps * self.g._eval_finite(lx - ly)
+    def log_eval_finite(self, lx: np.ndarray, ly: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """log F(e^lx, e^ly) for finite float arrays (hot path).
+
+        With ``out``, an array of the inputs' shape that overlaps neither, the
+        result is written there and returned: g(lx - ly) is computed inside
+        it, then added to max(lx, ly) or subtracted from min(lx, ly).  The
+        operations are the same with or without ``out``, so are the bits; lx
+        and ly are never written.
+        """
+        z = np.subtract(lx, ly, out=out)
+        g = self.g._eval_finite(z, out=z)
+        if self.eps == +1:
+            return np.add(np.maximum(lx, ly), g, out=g)
+        return np.subtract(np.minimum(lx, ly), g, out=g)
 
     def __call__(self, x: float, y: float) -> float:
         if not (x > 0 and y > 0):

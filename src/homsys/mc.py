@@ -11,6 +11,15 @@ Reproducibility contract: every random draw comes from a Philox generator
 keyed by (seed, stream, step), and each step's draws are made in one fixed
 vectorized sequence.  Thread counts therefore cannot change any stream, and
 identical (seed, model, n, N) produce bit-identical pools.
+
+Buffers: `simulate` owns and recycles every pool it steps.  It allocates
+one spare pool array and one 2N parent buffer per run; each step gathers
+its parents into the parent buffer and writes the new pool into the spare,
+and the array of the pool it replaced becomes the next spare.  A step thus
+allocates little beyond the index array that the parent draw returns.  The
+draws and the arithmetic are those of `pool_step(pool)` on new arrays, so
+the reproducibility contract is unchanged, and no caller's array is ever
+written; each checkpoint keeps its own sorted copy of the pool.
 """
 
 from __future__ import annotations
@@ -56,12 +65,20 @@ def new_pool(model: ModelSpec, init: float, N: int, seed: int) -> SamplePool:
     return SamplePool(np.full(N, float(init)), 0, seed, model)
 
 
-def pool_step(pool: SamplePool) -> SamplePool:
-    """One resampling step: each slot is log F applied to two uniform picks."""
+def pool_step(pool: SamplePool, out: np.ndarray | None = None, parents: np.ndarray | None = None) -> SamplePool:
+    """One resampling step: each slot is log F applied to two uniform picks.
+
+    ``out`` (N floats) receives the new pool and ``parents`` (2N floats) the
+    gathered parent pairs; either may be None for a new array.  Neither may
+    overlap ``pool.values``, which is only read.
+    """
     rng = _gen(pool.seed, _STREAM_STEP, pool.n + 1)
     N = pool.values.size
     idx = rng.integers(0, N, 2 * N)
-    vals = apply_mixture(pool.model, rng, pool.values[idx[:N]], pool.values[idx[N:]])
+    # the indices are in range, and unlike the default "raise", "wrap" gathers without buffering
+    parents = pool.values.take(idx, out=parents, mode="wrap")
+    del idx  # freed before the atoms allocate, so a step's peak stays at the 2N indices
+    vals = apply_mixture(pool.model, rng, parents[:N], parents[N:], out=out)
     return SamplePool(vals, pool.n + 1, pool.seed, pool.model)
 
 
@@ -97,11 +114,14 @@ def simulate(
     scales, _ = checkpoint_scales(scaling, n, checkpoints)
     law = scaling[0]
     pool = new_pool(model, init, N, seed)
+    spare, parents = np.empty(N), np.empty(2 * N)
     out = []
     for _ in range(n):
-        pool = pool_step(pool)
+        pool, spare = pool_step(pool, spare, parents), pool.values
         if pool.n in scales:
-            resc = pool.values / scales[pool.n]
+            # the same multiset as pool.values / scale, in order, and safe from later steps
+            resc = np.sort(pool.values)
+            resc /= scales[pool.n]
             out.append(CheckpointSummary(pool.n, scales[pool.n], ks(resc, law), resc, law))
     return out
 
@@ -111,12 +131,24 @@ def hipster_direct(n: int, N: int, seed: int) -> np.ndarray:
     from 0: pick one of two independent copies uniformly and add +-1 (fair)
     on ties."""
     vals = np.zeros(N, dtype=np.int64)
+    pair = np.empty(2 * N, dtype=np.int64)
+    pick = np.empty(N, dtype=np.int64)
+    tie = np.empty(N, dtype=bool)
+    a, b = pair[:N], pair[N:]
     for step in range(1, n + 1):
         rng = _gen(seed, _STREAM_WALK, step)
         idx = rng.integers(0, N, 2 * N)
         bits = rng.integers(0, 4, N)
-        a = vals[idx[:N]]
-        b = vals[idx[N:]]
-        chosen = np.where(bits & 1, a, b)
-        vals = chosen + (2 * (bits >> 1) - 1) * (a == b)
+        vals.take(idx, out=pair, mode="wrap")
+        # vals = (a if bit 0 else b) + (+-1 by bit 1 on ties), in exact integer steps
+        np.subtract(a, b, out=vals)
+        np.bitwise_and(bits, 1, out=pick)
+        vals *= pick
+        vals += b
+        np.equal(a, b, out=tie)
+        np.right_shift(bits, 1, out=pick)
+        pick *= 2
+        pick -= 1
+        pick *= tie
+        vals += pick
     return vals

@@ -123,7 +123,9 @@ def invert_model(model: ModelSpec) -> ModelSpec:
 # -- sampling -----------------------------------------------------------------
 
 
-def apply_mixture(model: ModelSpec, rng: np.random.Generator, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def apply_mixture(
+    model: ModelSpec, rng: np.random.Generator, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """log F(e^a, e^b) elementwise for finite arrays, F an atom of the mixture.
 
     The atom counts are one multinomial draw, and atom k fills the k-th
@@ -132,14 +134,19 @@ def apply_mixture(model: ModelSpec, rng: np.random.Generator, a: np.ndarray, b: 
     drawn per element; the pool step needs no more, since it only resamples
     the pool uniformly.  The counts are the only draws made here, after any
     draws of the caller, so the caller's random stream keeps its order.
+
+    The result goes to ``out`` when given (a float array of a's size that
+    overlaps neither a nor b; each atom writes its block of it in place),
+    else to a new array; the bits are the same either way.
     """
     w = model.weights
     counts = rng.multinomial(a.size, w / w.sum())
-    out = np.empty(a.size)
+    if out is None:
+        out = np.empty(a.size)
     start = 0
     for f, count in zip(model.functions, counts):
         stop = start + count
-        out[start:stop] = f.log_eval_finite(a[start:stop], b[start:stop])
+        f.log_eval_finite(a[start:stop], b[start:stop], out=out[start:stop])
         start = stop
     return out
 

@@ -22,6 +22,10 @@ from homsys import (
     validate,
 )
 from homsys.hfun import g_hip, g_table, g_tent, g_zero, t_kinks, t_support_end
+from homsys.models import parse_model
+
+import fresh_array_pool_step
+from test_proofcheck import TWO_TABLES
 
 LOG2 = math.log(2.0)
 _Z31 = np.linspace(-1.5, 1.5, 31)
@@ -55,6 +59,39 @@ class TestEval:
             par = F_PARALLEL.log_eval([inf, inf], [inf, 2.0])
         assert both[0] == -inf and both[1] == 1.0 and both[2] == pytest.approx(LOG2, rel=1e-15)
         assert par[0] == inf and par[1] == 2.0
+
+
+def _in_place_cases():
+    tables = [pytest.param(f, id=f"two_tables[{k}]") for k, f in enumerate(parse_model(TWO_TABLES).functions)]
+    return [F_MAX, F_MIN, F_SUM, F_PARALLEL, power_mean(0.3), F_HIP_PLUS, F_HIP_MINUS,
+            asym_tent(0.5, 0.8), asym_tent(0.5, 0.8, eps=-1), *tables]
+
+
+def _eval_points():
+    """Random points, ties lx == ly, |lx - ly| > 40, and signed zeros on either side."""
+    rng = np.random.default_rng(11)
+    lx, ly = rng.normal(0.0, 3.0, 400), rng.normal(0.0, 3.0, 400)
+    ly[:40] = lx[:40]
+    ly[40:80] = lx[40:80] + rng.choice([-1.0, 1.0], 40) * rng.uniform(40.5, 80.0, 40)
+    zeros = np.array([0.0, -0.0, 0.0, -0.0, 0.0, 1e-300, -1e-300])
+    lx = np.concatenate([lx, zeros, [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0]])
+    ly = np.concatenate([ly, zeros[::-1], [0.0, 0.0, -0.0, -0.0, 1e-300, -1e-300, 2.5]])
+    return lx, ly
+
+
+@pytest.mark.parametrize("f", _in_place_cases())
+def test_log_eval_finite_into_out_gives_the_bits_of_a_new_array(f):
+    lx, ly = _eval_points()
+    lx0, ly0 = lx.copy(), ly.copy()
+    fresh = f.log_eval_finite(lx, ly)
+    out = np.full(lx.size, np.nan)
+    got = f.log_eval_finite(lx, ly, out=out)
+    assert got is out
+    assert np.array_equal(got.view(np.uint64), fresh.view(np.uint64))
+    # and the bits of the expression before the in-place evaluation
+    assert np.array_equal(fresh.view(np.uint64), fresh_array_pool_step.log_eval_finite(f, lx, ly).view(np.uint64))
+    assert np.array_equal(lx.view(np.uint64), lx0.view(np.uint64))
+    assert np.array_equal(ly.view(np.uint64), ly0.view(np.uint64))
 
 
 class TestCorrespondence:

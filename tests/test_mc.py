@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from homsys import DomainError, ModelSpec, builtin, ks, mc
 from homsys.hfun import F_MIN, F_SUM
 from homsys.models import apply_mixture
+
+import fresh_array_pool_step
+
+BUILTINS = ["hipster", "resistance", "distance", "lazy_hipster", "power_mean"]
 
 
 def _pool_after(model, seed, steps=4):
@@ -93,3 +99,78 @@ def test_simulate_checkpoints_and_guards():
 def test_direct_walk_deterministic():
     a = mc.hipster_direct(20, 1000, 4)
     assert np.array_equal(a, mc.hipster_direct(20, 1000, 4))
+
+
+@pytest.mark.parametrize("N", [1000, 4097])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_simulate_gives_the_bits_of_the_fresh_array_step(name, N, monkeypatch):
+    model, seed = builtin(name), 7
+    pools = []
+    step = mc.pool_step
+
+    def recording(pool, *args):
+        new = step(pool, *args)
+        pools.append(new.values.copy())
+        return new
+
+    monkeypatch.setattr(mc, "pool_step", recording)
+    out = mc.simulate(model, 0.0, 12, N, seed, (3, 8, 12))
+    want = [np.zeros(N)]
+    for n in range(12):
+        want.append(fresh_array_pool_step.pool_step(want[-1], n, seed, model))
+    assert len(pools) == 12
+    for got, ref in zip(pools, want[1:]):
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    # each checkpoint keeps its own sorted copy: later steps, which reuse the pool arrays, leave it be
+    for s in out:
+        assert np.all(np.diff(s.rescaled) >= 0.0)
+        assert np.array_equal(s.rescaled.view(np.uint64), (np.sort(want[s.n]) / s.scale).view(np.uint64))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_pool_step_reads_its_pool_and_writes_only_its_buffers(name):
+    N = 3000
+    pool = mc.new_pool(builtin(name), 0.0, N, seed=3)
+    pool.values[:] = np.random.default_rng(8).normal(0.0, 2.0, N)
+    before = pool.values.copy()
+    fresh = mc.pool_step(pool)
+    out, parents = np.full(N, np.nan), np.full(2 * N, np.nan)
+    buffered = mc.pool_step(pool, out, parents)
+    assert np.array_equal(pool.values, before)
+    assert buffered.values is out and fresh.values is not pool.values
+    assert np.array_equal(buffered.values.view(np.uint64), fresh.values.view(np.uint64))
+    assert np.array_equal(fresh.values, fresh_array_pool_step.pool_step(before, 0, 3, pool.model))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_simulate_steps_allocate_little_beyond_the_parent_draw(name, monkeypatch):
+    """Peak traced allocation of each step inside simulate: the 2N index array of the parent draw
+    (2 x 8N bytes) is the one large allocation, since the pool, the parents and each atom's result
+    are written into buffers (a step that allocated them afresh peaked at 7 x 8N)."""
+    N = 10_000
+    peaks = []
+    step = mc.pool_step
+
+    def measured(pool, *args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        new = step(pool, *args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return new
+
+    monkeypatch.setattr(mc, "pool_step", measured)
+    tracemalloc.start()
+    try:
+        mc.simulate(builtin(name), 0.0, 6, N, 2, (3, 6))
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 6
+    assert max(peaks[1:]) <= 2.1 * 8 * N, [p / (8 * N) for p in peaks]
+
+
+@pytest.mark.parametrize("N", [1000, 4097])
+def test_direct_walk_gives_the_bits_of_the_fresh_array_walk(N):
+    for seed in (4, 9):
+        got = mc.hipster_direct(30, N, seed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, fresh_array_pool_step.hipster_direct(30, N, seed))
