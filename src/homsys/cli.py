@@ -14,8 +14,12 @@ line and the `--threads` value go to `<stem>.run.json`, stem being `--out`
 without a trailing `.json`.  `--threads` is taken by `serpar`, which builds
 and solves its seeds on that many worker threads, and by `simulate`, which
 runs on one thread and only records the value.  Both default to the
-`HOMSYS_THREADS` environment variable (`serpar` then to 1); a thread count
-from either source that is not an integer >= 1 is a usage error.
+`HOMSYS_THREADS` environment variable (`serpar` then to 1), read when one of
+them runs; a thread count from either source that is not an integer >= 1 is
+a usage error.
+
+The argument parser is built once per process, on the first `main` call, and
+reused by every later one; it holds no per-call state.
 
 The `simulate` and `evolve` summaries carry the `scaling` the run used,
 {law, constant, exponent}: each checkpoint's log X_n is divided by
@@ -32,6 +36,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -304,7 +309,10 @@ def build_parser() -> _Parser:
             sp.add_argument("--model", required=True, help="builtin name, shorthand, JSON literal, or JSON file")
         sp.add_argument("--out", default=None, help="output path (stem for commands writing .csv/.json pairs)")
         if threads:
-            sp.add_argument("--threads", type=_int_in(1), default=os.environ.get("HOMSYS_THREADS"), help=threads)
+            # main fills an unset --threads from HOMSYS_THREADS on each call, and
+            # reports a bad value with this subcommand's usage
+            sp.add_argument("--threads", type=_int_in(1), default=None, help=threads)
+            sp.set_defaults(subparser=sp)
 
     sp = sub.add_parser("gamma", help="moment report for a model")
     common(sp)
@@ -365,9 +373,26 @@ def build_parser() -> _Parser:
     return p
 
 
+@functools.cache
+def _parser() -> _Parser:
+    return build_parser()
+
+
+def _default_threads(args) -> None:
+    """Fill an unset --threads from HOMSYS_THREADS, checked as --threads is."""
+    text = os.environ.get("HOMSYS_THREADS")
+    if text is None or getattr(args, "threads", 1) is not None:
+        return  # no variable, a command without --threads, or --threads given
+    try:
+        args.threads = _int_in(1)(text)
+    except argparse.ArgumentTypeError as exc:
+        args.subparser.error(f"argument --threads: {exc}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
+    _default_threads(args)
     scaling_flags = [getattr(args, key, None) for key in ("law", "scale_constant", "exponent")]
     if None in scaling_flags and any(flag is not None for flag in scaling_flags):
         parser.error("--law, --scale-constant and --exponent are given all three or none")

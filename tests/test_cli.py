@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import homsys
-from homsys import builtin, cli, limit_cdf, moments, parse_model
+from homsys import builtin, cli, limit_cdf, moments, parse_model, proofcheck
 from homsys.models import model_digest, resolve_scaling
 
 
@@ -281,11 +282,148 @@ def test_explicit_scaling_equal_to_the_resolved_one_changes_nothing(tmp_path):
     assert summary["scaling"] == {"law": law, "constant": constant, "exponent": exponent}
 
 
+def _subprocess_env() -> dict:
+    """This process's environment, with the package on PYTHONPATH."""
+    src = str(Path(homsys.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_importing_the_cli_does_not_load_scipy():
     # only the serpar oracles use scipy; they import it when called, so commands
     # that never call them start without loading it
-    src = str(Path(homsys.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _subprocess_env()
     code = "import sys, homsys.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, tmp_path):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert cli.main(["classify", "--model", "hipster", "--out", str(tmp_path / "c.json")]) == 0
+        assert cli.main(["gamma", "--model", "hipster", "--out", str(tmp_path / "g.json")]) == 0
+        assert cli.main(["serpar", "--p", "0.5", "--n", "3", "--seeds", "2", "--out", str(tmp_path / "s")]) == 0
+        assert _exit_code(["frobnicate"]) == 64
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
+def test_a_reused_parser_carries_nothing_from_one_call_to_the_next(tmp_path, monkeypatch, capsys):
+    # one process, the variable changing between calls: every output is that of a fresh
+    # process run with the same argv and variable, and the run record follows the variable
+    serpar_argv = ["serpar", "--p", "0.5", "--n", "4", "--seeds", "3", "--check-exact"]
+    simulate_argv = ["simulate", "--model", "hipster", "--n", "6", "--pool", "300", "--seed", "5", "--checkpoints", "3,6"]
+    scaling_flags = ["--law", "cubic", "--scale-constant", "3", "--exponent", "0.4"]
+    evolve_argv = ["evolve", "--model", "hipster", "--n", "2", "--grid", "256", "--checkpoints", "2"]
+    runs = [
+        (None, serpar_argv, None),
+        ("2", serpar_argv, 2),
+        ("2", simulate_argv + scaling_flags, 2),
+        ("abc", evolve_argv, None),
+        (None, simulate_argv, None),
+    ]
+    cli._parser.cache_clear()
+    for k, (variable, argv, threads) in enumerate(runs):
+        if variable is None:
+            monkeypatch.delenv("HOMSYS_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("HOMSYS_THREADS", variable)
+        if variable == "abc":
+            for bad in (serpar_argv, simulate_argv):
+                assert _exit_code(bad + ["--out", str(tmp_path / "bad")]) == 64
+                captured = capsys.readouterr()
+                assert "usage:" in captured.err and "argument --threads" in captured.err and not captured.out
+        assert cli.main(argv + ["--out", str(tmp_path / f"in{k}")]) == 0
+        assert json.loads((tmp_path / f"in{k}.run.json").read_text()).get("threads") == threads
+        subprocess.run([sys.executable, "-m", "homsys.cli", *argv, "--out", str(tmp_path / f"fresh{k}")],
+                       env=_subprocess_env(), timeout=120, check=True)
+        for suffix in (".csv", ".json"):
+            assert (tmp_path / f"in{k}{suffix}").read_bytes() == (tmp_path / f"fresh{k}{suffix}").read_bytes()
+        assert json.loads((tmp_path / f"fresh{k}.run.json").read_text()).get("threads") == threads
+    assert not list(tmp_path.glob("bad*"))
+    given, resolved = (json.loads((tmp_path / f"in{k}.json").read_text())["scaling"] for k in (2, 4))
+    assert given == {"law": "cubic", "constant": 3.0, "exponent": 0.4}
+    assert resolved == dict(zip(("law", "constant", "exponent"), resolve_scaling(builtin("hipster"))))
+
+
+def _lambda_check(tmp_path, name, *flags):
+    """A short hipster scan with the given flags: (summary, CSV rows)."""
+    stem = tmp_path / name
+    argv = ["lambda-check", "--model", "hipster", "--n-range", "8:16", "--vgrid", "4", *flags, "--out", str(stem)]
+    assert cli.main(argv) == 0
+    return json.loads(stem.with_suffix(".json").read_text()), _csv(f"{stem}.csv")
+
+
+def test_lambda_check_scans_with_the_given_c_star(tmp_path):
+    derived, derived_rows = _lambda_check(tmp_path, "derived")
+    assert derived["c_star"] == moments.c_star(builtin("hipster")) != 2.5
+    given, given_rows = _lambda_check(tmp_path, "given", "--c-star", "2.5")
+    assert given["c_star"] == 2.5
+    at_16 = [rows[rows[:, 0] == 16, 1] for rows in (derived_rows, given_rows)]
+    assert at_16[0].size == at_16[1].size == 1 and at_16[0][0] != at_16[1][0]
+
+
+@pytest.mark.parametrize("flag, value, bad", [("--eta", 0.5, 1.5), ("--delta", 0.6, 1.0), ("--delta1", 0.02, 0.1)])
+def test_lambda_check_takes_the_schedule_parameters(flag, value, bad, tmp_path, capsys):
+    key = flag[2:]
+    summary, _ = _lambda_check(tmp_path, "given", flag, repr(value))
+    default = proofcheck.ProofParams(c_star=summary["c_star"])
+    params = proofcheck.ProofParams(c_star=summary["c_star"], **{key: value})
+    assert summary[key] == value != getattr(default, key)
+    assert [summary[k] for k in ("eta", "delta", "delta1", "rho", "rho_tilde", "kappa")] == [
+        params.eta, params.delta, params.delta1, params.rho, params.rho_tilde, params.kappa]
+    capsys.readouterr()
+    argv = ["lambda-check", "--model", "hipster", "--n-range", "8:16", "--vgrid", "4", flag, repr(bad)]
+    assert _exit_code(argv) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and f"validation error: {key} must lie in" in captured.err
+
+
+def test_gamma_between_given_exponents(tmp_path):
+    # Gamma^(0,1) of either softplus atom of the resistance model is pi^2/6
+    argv = ["gamma", "--model", "resistance(0.5)", "--a", "0", "--b", "1", "--out", str(tmp_path / "g.json")]
+    assert cli.main(argv) == 0
+    gamma_ab = json.loads((tmp_path / "g.json").read_text())["gamma_ab"]
+    assert (gamma_ab["a"], gamma_ab["b"]) == (0.0, 1.0)
+    assert [atom["label"] for atom in gamma_ab["atoms"]] == ["sum", "parallel"]
+    assert all(abs(atom["value"] - math.pi**2 / 6) <= 1e-14 for atom in gamma_ab["atoms"])
+
+
+def test_gamma_eta_sets_the_m_eta_moments(tmp_path):
+    model = parse_model("resistance(0.5)")
+    for eta in (1.0, 0.5):
+        argv = ["gamma", "--model", "resistance(0.5)", "--eta", repr(eta), "--out", str(tmp_path / "g.json")]
+        assert cli.main(argv) == 0
+        summary = json.loads((tmp_path / "g.json").read_text())
+        assert summary["eta"] == eta and all(atom["eta"] == eta for atom in summary["atoms"])
+        assert [atom["m_eta"] for atom in summary["atoms"]] == [moments.moment_table(f, eta).m_eta for f in model.functions]
+    assert summary["atoms"][0]["m_eta"] != moments.moment_table(model.functions[0], 1.0).m_eta
+
+
+def test_simulate_init_shifts_every_log_value(tmp_path):
+    # the recursion is 1-homogeneous: starting at log value 3 adds 3 to every log X_n
+    base = ["simulate", "--model", "hipster", "--n", "6", "--pool", "300", "--seed", "5", "--checkpoints", "3,6"]
+    for init in ("0", "3"):
+        assert cli.main(base + ["--init", init, "--out", str(tmp_path / f"s{init}")]) == 0
+    at_0, at_3 = (json.loads((tmp_path / f"s{init}.json").read_text()) for init in ("0", "3"))
+    assert (at_0["init"], at_3["init"]) == (0.0, 3.0)
+    for cp0, cp3 in zip(at_0["checkpoints"], at_3["checkpoints"], strict=True):
+        assert cp0["scale"] == cp3["scale"] and cp0["ks"] != cp3["ks"]
+        shifts = [cp3["quantiles"][q] - cp0["quantiles"][q] for q in cp0["quantiles"]]
+        assert shifts == pytest.approx([3.0 / cp0["scale"]] * 5, rel=1e-12)
+
+
+def test_report_runs_the_given_criteria(tmp_path, capsys):
+    assert cli.main(["report", "--criteria", "3,1", "--out", str(tmp_path / "r.json")]) == 0
+    results = json.loads((tmp_path / "r.json").read_text())["results"]
+    assert [r["criterion"] for r in results] == ["1", "3"] and all(r["passed"] for r in results)
+    assert capsys.readouterr().out.count("[PASS] criterion") == 2

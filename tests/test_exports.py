@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import inspect
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import homsys
+from homsys import cli
 
 MODULES = ["homsys"] + [f"homsys.{m.name}" for m in pkgutil.iter_modules(homsys.__path__)]
 WITH_ALL = [name for name in MODULES if hasattr(importlib.import_module(name), "__all__")]
@@ -47,3 +49,26 @@ def test_every_public_name_has_a_caller_or_a_test():
         module = importlib.import_module(name)
         unused += [f"{name}.{n}" for n in module.__all__ if n not in used and not inspect.ismodule(getattr(module, n))]
     assert not unused
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of the parser and its subcommands, argparse's own -h/--help left out."""
+    found: set[str] = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _option_strings(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            found.update(action.option_strings)
+    return found
+
+
+def test_every_cli_option_is_passed_by_some_test():
+    # a test passes an option as a string literal of its argv
+    literals = {
+        node.value
+        for path in Path(__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert sorted(_option_strings(cli.build_parser()) - literals) == []

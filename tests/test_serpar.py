@@ -6,6 +6,7 @@ from homsys import DomainError
 from homsys import serpar
 
 import coo_laplacian_oracles
+import full_array_fold
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -14,6 +15,15 @@ def test_reduce_matches_exact_oracles(seed):
     r_red, d_red = serpar.reduce_graph(g)
     assert serpar.resistance_exact(g) == pytest.approx(r_red, rel=1e-9)
     assert serpar.distance_exact(g) == d_red
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+def test_the_buffered_fold_gives_the_bits_of_the_full_array_fold(p):
+    for n in range(15):
+        for seed in range(3):
+            g = serpar.build(n, p, seed)
+            got, want = serpar.reduce_graph(g), full_array_fold.reduce_graph(g)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (n, seed)
 
 
 def test_build_is_deterministic_and_sized():
