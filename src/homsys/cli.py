@@ -28,6 +28,8 @@ classification of the model (`models.resolve_scaling`), unless `simulate` is
 given `--law`, `--scale-constant` and `--exponent`: all three or none, a
 partial set being a usage error.  A given constant or exponent that is not
 finite and > 0 is a validation failure, reported before any output.
+Likewise `gamma` takes `--a` and `--b` both or neither; with both, its
+summary adds Gamma^(a,b) of each atom as `gamma_ab`.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure, 64 usage
 error.
@@ -163,7 +165,7 @@ def _emit_checkpoint_csv(fh, n: int, x: np.ndarray, cdf: np.ndarray, law: str) -
 def _cmd_gamma(args) -> int:
     model = parse_model(args.model)
     report = moments.model_moments(model, eta=args.eta)
-    if args.a is not None and args.b is not None:
+    if args.a is not None:
         report["gamma_ab"] = {
             "a": args.a,
             "b": args.b,
@@ -389,13 +391,21 @@ def _default_threads(args) -> None:
         args.subparser.error(f"argument --threads: {exc}")
 
 
+# options that go together: a partial set is a usage error
+_ALL_OR_NONE = (
+    (("law", "scale_constant", "exponent"), "--law, --scale-constant and --exponent are given all three or none"),
+    (("a", "b"), "--a and --b are given both or neither"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     _default_threads(args)
-    scaling_flags = [getattr(args, key, None) for key in ("law", "scale_constant", "exponent")]
-    if None in scaling_flags and any(flag is not None for flag in scaling_flags):
-        parser.error("--law, --scale-constant and --exponent are given all three or none")
+    for keys, message in _ALL_OR_NONE:
+        flags = [getattr(args, key, None) for key in keys]
+        if None in flags and any(flag is not None for flag in flags):
+            parser.error(message)
     try:
         code = args.fn(args)
         if args.out:

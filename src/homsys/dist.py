@@ -131,7 +131,9 @@ def ks(a, b) -> float:
     """Sup-norm distance between two distribution representations.
 
     Accepts GridCDF, a sorted (or unsorted) sample array, or a limit-law tag
-    on either side; the comparison runs over the grid or sample points.
+    on either side; the comparison runs over the grid or sample points.  A
+    sample compared with a GridCDF or a law is sorted only if it is not
+    nondecreasing already.
     """
     if isinstance(a, str) and not isinstance(b, str):
         return ks(b, a)
@@ -155,12 +157,25 @@ def ks(a, b) -> float:
 
 
 def _ks_sample_vs(sample: np.ndarray, cdf) -> float:
-    s = np.sort(sample)
+    s = sample if _is_sorted(sample) else np.sort(sample)
     n = s.size
     ref = cdf(s) if callable(cdf) else cdf
     upper = np.arange(1, n + 1) / n - ref
     lower = ref - np.arange(0, n) / n
     return float(max(upper.max(), lower.max(), 0.0))
+
+
+_SORT_CHECK_BLOCK = 32768  # elements compared at once: a 32 kB boolean temporary
+
+
+def _is_sorted(x: np.ndarray) -> bool:
+    """True when x is nondecreasing (a NaN makes it False), compared block by block so that no
+    temporary grows with x."""
+    for lo in range(0, x.size - 1, _SORT_CHECK_BLOCK):
+        hi = min(lo + _SORT_CHECK_BLOCK, x.size - 1)
+        if not np.all(x[lo + 1 : hi + 1] >= x[lo:hi]):
+            return False
+    return True
 
 
 def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:

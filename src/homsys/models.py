@@ -16,7 +16,7 @@ from . import hfun
 from .dist import LIMIT_LAWS
 from .errors import DomainError
 from .hfun import HFunction
-from .moments import MOMENT_TOL, alpha, c_star, gammas
+from .moments import MOMENT_TOL, alpha, c_star, gamma
 
 __all__ = [
     "ModelSpec",
@@ -185,7 +185,7 @@ def classify(model: ModelSpec) -> CriticalityReport:
     eps = np.array([f.eps for f in model.functions], dtype=float)
     p = float(w[eps > 0].sum())
     e_eps = float((w * eps).sum())
-    g01 = np.array(gammas(model.functions, 0.0, 1.0))
+    g01 = np.array([gamma(f, 0.0, 1.0) for f in model.functions])
     e_g01_eps = float((w * eps * g01).sum())
     ints = np.array([alpha(f.g) for f in model.functions])
     wp = float(w[eps > 0].sum())

@@ -14,6 +14,16 @@ far inside that tolerance: Gamma^(0,1) of the sum atom lands within 3e-16 of pi^
 c*(resistance(1/2)) within 2e-15 of 9 zeta(3), and the worst
 integration-by-parts residual of the acceptance suite is 2e-15.  The regime
 thresholds of models.classify are 100 MOMENT_TOL.
+
+Each Gamma is integrated once per process.  gamma stores every value it
+computes under a key that holds all it reads of its inputs: the profile g*
+of star(f) by value (family, parameters, and a table's grid and values), the
+corner value r = f.r, and float(a) and float(b).  Atoms that share g* and r
+(a sum and a parallel atom, hipster+ and hipster-) share one entry, and
+c_star, m_eta, check_ipp, the moment tables and models.classify and
+resolve_scaling all read through it.  Nothing else is cached: c* and the
+classification are summed from the stored Gammas on every call, and nothing
+that depends on n, a grid, a seed or a pool size is kept.
 """
 
 from __future__ import annotations
@@ -31,13 +41,32 @@ from .quadrature import integrate_panels
 if TYPE_CHECKING:
     from .models import ModelSpec
 
-__all__ = ["gamma", "gammas", "m_eta", "alpha", "c_star", "check_ipp", "MomentTable", "moment_table", "model_moments"]
+__all__ = ["gamma", "m_eta", "alpha", "c_star", "check_ipp", "MomentTable", "moment_table", "model_moments"]
 
 MOMENT_TOL = 1e-10  # absolute tolerance of every moment integral
+
+# (profile key of g*, r, a, b) -> Gamma^(a,b), for the life of the process
+_GAMMAS: dict[tuple, float] = {}
 
 
 def gamma(f: HFunction, a: float, b: float) -> float:
     """Moment integral of the crossing function, to absolute tolerance MOMENT_TOL.
+
+    Integrated on the first call for its (g*, r, a, b); later calls return
+    the stored value.  A bad a or b raises on every call.
+    """
+    if not a >= 0:  # NaN too, whose key would never match a stored one
+        raise DomainError("a must be nonnegative")
+    if not b > 0:
+        raise DomainError("b must be positive")
+    key = (_profile_key(f.g_star), f.r, float(a), float(b))
+    if key not in _GAMMAS:
+        _GAMMAS[key] = _integrate_gamma(f, float(a), float(b))
+    return _GAMMAS[key]
+
+
+def _integrate_gamma(f: HFunction, a: float, b: float) -> float:
+    """The integral of t^a T(t)^b over (0, inf), by one integrate_panels call.
 
     The panel edges are the halvings t_halvings(f); 1, which tops the
     halvings when r > 1; the break levels t_breaks(f), a table's jumps among
@@ -46,10 +75,6 @@ def gamma(f: HFunction, a: float, b: float) -> float:
     having underflowed.  The quadrature nodes lie strictly inside each panel,
     so T is never read at 0 or at a jump.
     """
-    if a < 0:
-        raise DomainError("a must be nonnegative")
-    if not b > 0:
-        raise DomainError("b must be positive")
     if f.r == 0.0:
         return 0.0
     top = t_support_end(f)
@@ -79,20 +104,9 @@ def _profile_key(g: GFunction) -> tuple:
     return (g.family, g.params, *table)
 
 
-def gammas(functions, a: float, b: float) -> list[float]:
-    """gamma(f, a, b) for each f, computed once per distinct crossing function.
-
-    Gamma depends on f only through the profile g* of star(f), so atoms that
-    share it (a sum and a parallel atom, hipster+ and hipster-) share one
-    value."""
-    memo: dict[tuple, float] = {}
-    out = []
-    for f in functions:
-        key = _profile_key(f.g_star)
-        if key not in memo:
-            memo[key] = gamma(f, a, b)
-        out.append(memo[key])
-    return out
+def _clear_gamma_memo() -> None:
+    """Forget every stored Gamma, so that the next call of each key integrates again."""
+    _GAMMAS.clear()
 
 
 def m_eta(f: HFunction, eta: float = 1.0) -> float:
@@ -118,11 +132,9 @@ def c_star(model: ModelSpec) -> float:
     """(9/4) E[Gamma^(0,2) + 2 Gamma^(1,1)] over the mixture; positive by nontriviality."""
     if not model.is_nontrivial():
         raise DegenerateModelError("every atom is max or min; the scaling constant would vanish")
-    g02 = gammas(model.functions, 0.0, 2.0)
-    g11 = gammas(model.functions, 1.0, 1.0)
     acc = 0.0
-    for (w, _), x02, x11 in zip(model.atoms, g02, g11):
-        acc += w * (x02 + 2.0 * x11)
+    for w, f in model.atoms:
+        acc += w * (gamma(f, 0.0, 2.0) + 2.0 * gamma(f, 1.0, 1.0))
     return 2.25 * acc
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import homsys
 from homsys import builtin, cli, limit_cdf, moments, parse_model, proofcheck
 from homsys.models import model_digest, resolve_scaling
+from test_proofcheck import TWO_TABLES
 
 
 def _csv(path):
@@ -355,6 +357,44 @@ def test_a_reused_parser_carries_nothing_from_one_call_to_the_next(tmp_path, mon
     assert resolved == dict(zip(("law", "constant", "exponent"), resolve_scaling(builtin("hipster"))))
 
 
+def _history_runs() -> list[tuple[str, list[str], str]]:
+    """(name, argv without --out, suffix of --out) of each command on each builtin and two_tables."""
+    commands = [
+        ("gamma", [], ".json"),
+        ("classify", [], ".json"),
+        ("lambda-check", ["--n-range", "64:64", "--vgrid", "50"], ""),
+        ("evolve", ["--n", "8", "--grid", "512", "--checkpoints", "4,8"], ""),
+        ("simulate", ["--n", "4", "--pool", "4096", "--checkpoints", "2,4"], ""),
+    ]
+    models = ["distance(0.5)", "resistance(0.5)", "hipster", "lazy_hipster", "power_mean(1,-1)", TWO_TABLES]
+    return [(f"{k}-{command}", [command, "--model", model, *flags], suffix)
+            for k, model in enumerate(models) for command, flags, suffix in commands]
+
+
+def test_results_do_not_depend_on_the_gammas_computed_before(tmp_path, capsys):
+    # one process runs every command twice, its Gammas first computed in one order of the models, then
+    # in the reverse; every exit code, error and output equals that of a fresh process
+    def outputs(stem: str) -> dict:
+        paths = [tmp_path / f"{stem}{suffix}" for suffix in (".csv", ".json")]
+        return {path.suffix: path.read_bytes() for path in paths if path.exists()}
+
+    def fresh(run) -> tuple:
+        name, argv, suffix = run
+        proc = subprocess.run([sys.executable, "-m", "homsys.cli", *argv, "--out", str(tmp_path / f"fresh-{name}{suffix}")],
+                              env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stderr, outputs(f"fresh-{name}")
+
+    runs = _history_runs()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        expected = dict(zip([name for name, _, _ in runs], pool.map(fresh, runs)))
+    assert [code for code, _, _ in expected.values()].count(0) == len(runs) - 2  # two_tables has no scaling
+    for order, ordered in (("forward", runs), ("reversed", runs[::-1])):
+        moments._clear_gamma_memo()
+        for name, argv, suffix in ordered:
+            code = _exit_code(argv + ["--out", str(tmp_path / f"{order}-{name}{suffix}")])
+            assert (code, capsys.readouterr().err, outputs(f"{order}-{name}")) == expected[name], (order, name)
+
+
 def _lambda_check(tmp_path, name, *flags):
     """A short hipster scan with the given flags: (summary, CSV rows)."""
     stem = tmp_path / name
@@ -396,6 +436,22 @@ def test_gamma_between_given_exponents(tmp_path):
     assert (gamma_ab["a"], gamma_ab["b"]) == (0.0, 1.0)
     assert [atom["label"] for atom in gamma_ab["atoms"]] == ["sum", "parallel"]
     assert all(abs(atom["value"] - math.pi**2 / 6) <= 1e-14 for atom in gamma_ab["atoms"])
+
+
+@pytest.mark.parametrize("flags", [["--a", "0"], ["--b", "1"]])
+def test_a_lone_moment_exponent_exits_64_before_any_output(flags, tmp_path, capsys):
+    assert _exit_code(["gamma", "--model", "hipster", *flags, "--out", str(tmp_path / "g.json")]) == 64
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and "--a and --b are given both or neither" in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("a, b", [("-1", "1"), ("nan", "1"), ("0", "0"), ("0", "nan")])
+def test_bad_moment_exponents_exit_1_before_any_output(a, b, tmp_path, capsys):
+    assert _exit_code(["gamma", "--model", "hipster", "--a", a, "--b", b, "--out", str(tmp_path / "g.json")]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "validation error" in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
 
 
 def test_gamma_eta_sets_the_m_eta_moments(tmp_path):

@@ -53,6 +53,19 @@ class TestKS:
         a, b = rng.normal(size=1000), rng.normal(size=1200)
         assert ks(a, b) == ks(b, a)
 
+    @pytest.mark.parametrize("n", [2, 3, 32768, 32769, 100_000])
+    def test_a_sorted_sample_gives_the_bits_of_a_shuffled_one(self, n):
+        # only a nondecreasing sample skips the sort: one far-out-of-place value in any block is found
+        rng = np.random.default_rng(n)
+        s = np.sort(rng.normal(scale=0.4, size=n))
+        for ref in ("cubic", cubic_grid()):
+            expected = ks(rng.permutation(s), ref)
+            assert ks(s, ref) == expected
+            for i in {0, n // 2, min(32767, n - 2), min(32768, n - 2), n - 2}:
+                moved = s.copy()
+                moved[[i, -1]] = moved[[-1, i]]
+                assert ks(moved, ref) == expected
+
     def test_empty_sample_rejected(self):
         with pytest.raises(DomainError):
             ks(np.array([]), "cubic")

@@ -11,6 +11,7 @@ from homsys import (
     F_PARALLEL,
     F_SUM,
     DegenerateModelError,
+    DomainError,
     ModelSpec,
     asym_tent,
     alpha,
@@ -24,7 +25,7 @@ from homsys import (
 )
 from homsys import moments
 from homsys.hfun import from_g, g_table
-from homsys.models import builtin, classify, invert_model, parse_model
+from homsys.models import builtin, classify, invert_model, parse_model, resolve_scaling
 from test_proofcheck import TABLE_JUMP, TWO_TABLES
 
 # frozen oracle values (series / high-precision quadrature)
@@ -219,10 +220,14 @@ class TestCStar:
 
 class TestGammas:
     def test_atoms_sharing_a_crossing_function_share_one_gamma(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(moments, "gamma", lambda f, a, b: calls.append(f) or float(len(calls)))
-        assert moments.gammas([F_SUM, F_PARALLEL, power_mean(0.3), power_mean(-0.3)], 0.0, 1.0) == [1.0, 1.0, 2.0, 2.0]
-        assert moments.gammas([F_HIP_PLUS, F_HIP_MINUS], 0.0, 1.0) == [3.0, 3.0]
+        integrals = []
+        panels = moments.integrate_panels
+        monkeypatch.setattr(moments, "integrate_panels", lambda h, e, tol: integrals.append(e) or panels(h, e, tol))
+        values = [gamma(f, 0.0, 1.0) for f in (F_SUM, F_PARALLEL, power_mean(0.3), power_mean(-0.3))]
+        assert len(integrals) == 2
+        assert values[0] == values[1] != values[2] == values[3]
+        assert gamma(F_HIP_PLUS, 0.0, 1.0) == gamma(F_HIP_MINUS, 0.0, 1.0)
+        assert len(integrals) == 3
 
     def test_two_table_atoms_keep_their_own_gamma(self):
         grid = [-1.0, -0.5, 0.0, 0.5, 1.0]
@@ -234,6 +239,36 @@ class TestGammas:
         assert each[0] != each[1]
         assert c_star(model) == 2.25 * (0.5 * (each[0][0] + 2.0 * each[0][1]) + 0.5 * (each[1][0] + 2.0 * each[1][1]))
         assert classify(model).e_gamma01_eps == 0.5 * each[0][2] - 0.5 * each[1][2]
+
+
+class TestGammaMemo:
+    def test_a_warm_c_star_makes_no_integrand_calls(self, monkeypatch):
+        calls = []
+        panels = moments.integrate_panels
+
+        def counted(h, edges, tol):
+            def g(t, k):
+                calls.append(t.size)
+                return h(t, k)
+
+            return panels(g, edges, tol)
+
+        monkeypatch.setattr(moments, "integrate_panels", counted)
+        model = builtin("resistance", p=0.5)
+        cold = c_star(model)
+        assert len(calls) == 4  # Gamma^(0,2) and Gamma^(1,1), one of each for both atoms, two levels each
+        assert c_star(model) == cold and c_star(builtin("power_mean", atoms=((0.5, 1.0), (0.5, -1.0)))) == cold
+        assert len(calls) == 4
+        scaling = resolve_scaling(model)  # classify adds Gamma^(0,1), two more levels
+        assert scaling == resolve_scaling(model) == ("cubic", cold, 1.0 / 3.0)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("a, b", [(-1, 1), (0, 0), (0, -1), (math.nan, 1), (0, math.nan)])
+    def test_a_warm_gamma_still_rejects_bad_exponents(self, a, b):
+        gamma(F_SUM, 0, 1)
+        moments._GAMMAS[(moments._profile_key(F_SUM.g_star), F_SUM.r, float(a), float(b))] = 1.0
+        with pytest.raises(DomainError):
+            gamma(F_SUM, a, b)
 
 
 class TestIPP:
