@@ -82,9 +82,12 @@ def rescale(d: GridCDF, s: float) -> GridCDF:
 def from_samples(samples, m: int, pad: float = 0.5) -> GridCDF:
     """Empirical CDF of a sample on a padded uniform grid.
 
-    All-equal samples produce a step at the common value.
+    All-equal samples produce a step at the common value.  A sample is sorted
+    only if it is not nondecreasing already.
     """
-    s = np.sort(np.asarray(samples, dtype=float))
+    s = np.asarray(samples, dtype=float)
+    if not _is_sorted(s):
+        s = np.sort(s)
     if s.size == 0:
         raise DomainError("empty sample")
     if not pad > 0:
@@ -160,8 +163,11 @@ def _ks_sample_vs(sample: np.ndarray, cdf) -> float:
     s = sample if _is_sorted(sample) else np.sort(sample)
     n = s.size
     ref = cdf(s) if callable(cdf) else cdf
-    upper = np.arange(1, n + 1) / n - ref
-    lower = ref - np.arange(0, n) / n
+    # the ranks i/n for i = 0..n: the lower ones are [:-1], the upper ones [1:]
+    ranks = np.arange(n + 1, dtype=float)
+    ranks /= n
+    lower = np.subtract(ref, ranks[:-1])
+    upper = np.subtract(ranks[1:], ref, out=ranks[1:])
     return float(max(upper.max(), lower.max(), 0.0))
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -258,9 +259,10 @@ class HFunction:
         """The positive representative: F itself if eps=+1, else its inversion."""
         return self if self.eps == +1 else self.invert()
 
-    @property
+    @cached_property
     def g_star(self) -> GFunction:
-        """Profile of star(F); used by the crossing function."""
+        """Profile of star(F); used by the crossing function.  Built on first use and kept, so a
+        table's reflection is checked once."""
         return self.g if self.eps == +1 else self.g.reflected()
 
     @property

@@ -224,8 +224,10 @@ def default_v_grid(params: ProofParams, n: int, points: int = 400) -> np.ndarray
     Below -sigma_tilde_n - 1 every term except the positive q-increment term
     vanishes, so the grid starts slightly below the support edge.
     """
-    row = schedule(params, n)
-    row1 = schedule(params, n + 1)
+    return _v_grid(params, schedule(params, n), schedule(params, n + 1), points)
+
+
+def _v_grid(params: ProofParams, row: ScheduleRow, row1: ScheduleRow, points: int) -> np.ndarray:
     right = row1.sigma - params.delta * row.beta
     return np.linspace(-row.sigma_tilde - 2.0, right - 1e-9, points)
 
@@ -247,18 +249,20 @@ def lambda_condition(
     params: ProofParams,
     n: int,
     v_grid: np.ndarray | None = None,
+    points: int = 400,
 ) -> LambdaConditionReport:
     """Evaluate the per-n inequality and report its minimum over the grid.
+
+    v_grid defaults to default_v_grid(params, n, points), made from the same
+    two schedule rows as the residual.
 
     residual(v) = E[Lambda_{psi_n, F}(v)]
                   + (1-q_{n+1})/(1-q_n)^2 * [Psi_{n+1}(v + delta beta_n) - Psi_n(v)]
                   + (q_{n+1}-q_n)/(1-q_n)^2 * (1 - Psi_n(v))
     """
-    if v_grid is None:
-        v_grid = default_v_grid(params, n)
-    v_grid = np.asarray(v_grid, dtype=float)
     row = schedule(params, n)
     row1 = schedule(params, n + 1)
+    v_grid = _v_grid(params, row, row1, points) if v_grid is None else np.asarray(v_grid, dtype=float)
     right_end = row1.sigma - params.delta * row.beta
     if np.any(v_grid >= right_end):
         raise DomainError("v_grid must stay below sigma_{n+1} - delta beta_n")
@@ -295,7 +299,7 @@ def find_n0(
     n = n_min
     while n <= n_max:
         try:
-            rep = lambda_condition(model, params, n, default_v_grid(params, n, points))
+            rep = lambda_condition(model, params, n, points=points)
         except ScheduleInfeasibleError:
             n *= 2
             continue

@@ -3,8 +3,8 @@
 The primary structure is the replacement history: round k holds one boolean
 per edge present at that round (True = the edge was replaced by two edges in
 series, False = by two parallel edges), children of edge e being 2e and 2e+1.
-Reduction is a vectorized bottom-up fold over the history; the explicit
-node/edge graph is derived only to feed the Laplacian and breadth-first
+Reduction is a vectorized bottom-up fold over the history; the graph's
+nodes and edges are derived only to feed the Laplacian and breadth-first
 search oracles, which never read the fold.
 
 Nodes are numbered in creation order (a = 0, z = 1, then each round's series
@@ -16,10 +16,13 @@ order, so its factors hold O(nodes) entries and need no fill-reducing
 ordering.
 
 Each graph derives its Laplacian once, in that order with a and z last, as
-sorted CSC arrays (`SPGraph.laplacian`).  Both oracles read it: the
-resistance oracle factors its grounded block, and the distance oracle
-searches its symmetric pattern as a directed graph, so neither builds a
-matrix of its own from the edge list.
+sorted CSC arrays (`SPGraph.laplacian`), straight from the history: the
+midpoints get their labels from one running count over all rounds, the
+leaf edges' ends are expanded round by round, and one sort of their keys
+gives the entries column by column.  No edge list is kept.  Both oracles
+read the Laplacian: the resistance oracle factors its grounded block, and
+the distance oracle searches its symmetric pattern as a directed graph, so
+neither builds a matrix of its own.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import DomainError, HomsysError
 __all__ = ["SPGraph", "single_edge", "build", "reduce_graph", "resistance_exact", "distance_exact"]
 
 MAX_ROUNDS = 24  # 2^24 edges: one build and its fold peak at 0.27 GB resident (ru_maxrss)
-MAX_EXPLICIT_ROUNDS = 16
+MAX_ORACLE_ROUNDS = 16  # the oracles' Laplacian is derived up to 2^16 edges
 _RESIDUAL_TOL = 1e-9  # largest Laplacian solve residual accepted, relative to max(1, |rhs|)
 
 
@@ -58,28 +61,6 @@ class SPGraph:
                 raise DomainError(f"round {k} must hold 2^{k} boolean choices")
 
     @cached_property
-    def explicit(self) -> tuple[np.ndarray, int, int, int]:
-        """The node/edge graph: (edges array [E, 2], n_nodes, a, z).
-
-        Derived on first use and kept; the edges array is read-only."""
-        if self.rounds > MAX_EXPLICIT_ROUNDS:
-            raise DomainError(f"explicit builds are capped at {MAX_EXPLICIT_ROUNDS} rounds")
-        edges = np.array([[0, 1]], dtype=np.int64)
-        n_nodes = 2
-        for series in self.history:
-            mids = n_nodes + np.cumsum(series) - 1
-            u, v = edges[:, 0], edges[:, 1]
-            out = np.empty((2 * len(edges), 2), dtype=np.int64)
-            out[0::2, 0] = u
-            out[0::2, 1] = np.where(series, mids, v)
-            out[1::2, 0] = np.where(series, mids, u)
-            out[1::2, 1] = v
-            edges = out
-            n_nodes += int(series.sum())
-        edges.flags.writeable = False
-        return edges, n_nodes, 0, 1
-
-    @cached_property
     def laplacian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The graph Laplacian as sorted CSC arrays: (data, row indices, indptr).
 
@@ -87,22 +68,58 @@ class SPGraph:
         z = n_nodes - 1); each column holds its rows in increasing order, once
         each: minus the edge multiplicity off the diagonal, the degree on it.
         The matrix is symmetric, so the same arrays are also its CSR form.
-        Derived from `explicit` on first use and kept, read-only."""
-        edges, n, a, z = self.explicit
-        label = np.arange(n - 1, -1, -1)
-        label[a], label[z] = n - 2, n - 1
-        u, v = label[edges[:, 0]], label[edges[:, 1]]
-        # one key col * n + row per entry, sorted; parallel edges repeat a key
-        keys, mult = np.unique(np.concatenate([u * n + v, v * n + u, np.arange(0, n * n, n + 1)]), return_counts=True)
-        col, row = np.divmod(keys, n)
-        indptr = np.searchsorted(keys, np.arange(0, n * n + 1, n)).astype(np.int32)
-        rows = row.astype(np.int32)
-        data = -mult.astype(np.float64)
-        # every column holds its diagonal key once; its other run lengths sum to the degree
-        data[row == col] = np.add.reduceat(mult, indptr[:-1]) - 1
+        Derived from `history` on first use and kept, read-only."""
+        if self.rounds > MAX_ORACLE_ROUNDS:
+            raise DomainError(f"oracle graphs are capped at {MAX_ORACLE_ROUNDS} rounds")
+        ends, n = _leaf_ends(self.history)
+        # one key col * n + row per entry: both ends of every edge and the diagonal;
+        # sorted, the keys run column by column and parallel edges repeat a key
+        key_dtype = np.int32 if n * n < 2**31 else np.int64  # int32 keys sort faster
+        e = ends.size // 2
+        u, v = ends[0::2], ends[1::2]
+        keys = np.empty(2 * e + n, dtype=key_dtype)
+        uv, vu = keys[:e], keys[e : 2 * e]
+        np.multiply(u, n, out=uv, dtype=key_dtype)
+        uv += v
+        np.multiply(v, n, out=vu, dtype=key_dtype)
+        vu += u
+        keys[2 * e :] = np.arange(0, n * n, n + 1)
+        keys.sort()
+        first = np.empty(keys.size + 1, dtype=bool)
+        first[0] = first[-1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:-1])
+        starts = np.flatnonzero(first)  # where each distinct key starts, then keys.size
+        distinct = keys[starts[:-1]]
+        col = distinct // n
+        rows = np.subtract(distinct, col * n, dtype=np.int32)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
+        data = np.multiply(np.diff(starts), -1.0)  # minus the multiplicity; the degree on the diagonal
+        data[rows == col] = np.bincount(ends, minlength=n)
         for arr in (data, rows, indptr):
             arr.flags.writeable = False
         return data, rows, indptr
+
+
+def _leaf_ends(history: tuple[np.ndarray, ...]) -> tuple[np.ndarray, int]:
+    """The leaf edges' ends (u0, v0, u1, v1, ...) in reverse creation labels, and the node count.
+
+    Each series midpoint's creation number c is 1 + the midpoints made up to it, so its label
+    n - 1 - c is n - 2 - that count, below a = n - 2 and z = n - 1.  Round by round, edge (u, v)
+    makes (u, v), (u, v) in parallel and (u, mid), (mid, v) in series."""
+    choices = np.concatenate(history) if history else np.zeros(0, dtype=bool)
+    mid = np.cumsum(choices, dtype=np.int32)
+    n = 2 + (int(mid[-1]) if mid.size else 0)
+    np.subtract(n - 2, mid, out=mid)
+    ends = np.array([n - 2, n - 1], dtype=np.int32)
+    lo = 0
+    for series in history:
+        label = mid[lo : lo + series.size]
+        lo += series.size
+        ends = np.repeat(ends.reshape(-1, 2), 2, axis=0).ravel()
+        np.copyto(ends[1::4], label, where=series)
+        np.copyto(ends[2::4], label, where=series)
+    return ends, n
 
 
 def single_edge() -> SPGraph:
@@ -162,12 +179,16 @@ def resistance_exact(g: SPGraph) -> float:
     import scipy.sparse.linalg as spla
 
     data, rows, indptr = g.laplacian
-    # z has the last label m: dropping its column and its (last) row entries grounds it
+    # z has the last label m, so it is the last row of each column it meets: dropping
+    # those entries and z's column grounds it
     m = indptr.size - 2
-    end = indptr[m]
-    keep = rows[:end] < m
-    kept = np.concatenate([[0], np.cumsum(keep, dtype=np.int32)])
-    Lr = sp.csc_matrix((data[:end][keep], rows[:end][keep], kept[indptr[: m + 1]]), shape=(m, m))
+    last = indptr[1 : m + 1] - 1
+    meets_z = rows[last] == m
+    keep = np.ones(indptr[m], dtype=bool)
+    keep[last[meets_z]] = False
+    kept_indptr = indptr[: m + 1].copy()
+    kept_indptr[1:] -= np.cumsum(meets_z, dtype=np.int32)
+    Lr = sp.csc_matrix((data[: indptr[m]][keep], rows[: indptr[m]][keep], kept_indptr), shape=(m, m))
     rhs = np.zeros(m)
     a_r = m - 1
     rhs[a_r] = 1.0

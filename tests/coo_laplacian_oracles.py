@@ -1,5 +1,7 @@
 """Test oracle: the serpar resistance and distance oracles built the COO way.
 
+`explicit` derives the node/edge graph from the replacement history edge by
+edge, in creation labels, independently of `SPGraph.laplacian`.
 `resistance_exact` assembles the grounded Laplacian from (row, col, value)
 triplets, one per edge end, and lets scipy sort them and sum the duplicates
 from parallel edges; `distance_exact` searches a one-direction adjacency of
@@ -15,9 +17,29 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 
+def explicit(g):
+    """The node/edge graph: (edges array [E, 2], n_nodes, a, z), nodes in creation order.
+
+    Round by round, edge (u, v) becomes (u, v), (u, v) in parallel or (u, w), (w, v) in
+    series, w being the next new node."""
+    edges = np.array([[0, 1]], dtype=np.int64)
+    n_nodes = 2
+    for series in g.history:
+        mids = n_nodes + np.cumsum(series) - 1
+        u, v = edges[:, 0], edges[:, 1]
+        out = np.empty((2 * len(edges), 2), dtype=np.int64)
+        out[0::2, 0] = u
+        out[0::2, 1] = np.where(series, mids, v)
+        out[1::2, 0] = np.where(series, mids, u)
+        out[1::2, 1] = v
+        edges = out
+        n_nodes += int(series.sum())
+    return edges, n_nodes, 0, 1
+
+
 def grounded_laplacian(g):
     """The Laplacian without z's row and column, reverse creation labels, a last."""
-    edges, n_nodes, a, z = g.explicit
+    edges, n_nodes, a, z = explicit(g)
     m = n_nodes - 1
     label = np.arange(m, -1, -1)
     label[a], label[z] = m - 1, m
@@ -40,7 +62,7 @@ def resistance_exact(g):
 
 
 def distance_exact(g):
-    edges, n_nodes, a, z = g.explicit
+    edges, n_nodes, a, z = explicit(g)
     adj = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n_nodes, n_nodes))
     _, pred = csgraph.breadth_first_order(adj, a, directed=False, return_predecessors=True)
     hops, node = 0, z

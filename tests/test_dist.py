@@ -66,6 +66,19 @@ class TestKS:
                 moved[[i, -1]] = moved[[-1, i]]
                 assert ks(moved, ref) == expected
 
+    @pytest.mark.parametrize("kind", ["one", "random", "ties"])
+    def test_one_rank_buffer_gives_the_bits_of_two(self, kind):
+        rng = np.random.default_rng(7)
+        s = {"one": np.array([0.1]), "random": rng.normal(scale=0.4, size=1000),
+             "ties": rng.integers(-3, 4, size=500) * 0.25}[kind]
+        s = np.sort(s)
+        n = s.size
+        for ref in ("cubic", cubic_grid()):
+            cdf = limit_cdf(ref, s) if isinstance(ref, str) else ref(s)
+            upper = np.arange(1, n + 1) / n - cdf
+            lower = cdf - np.arange(0, n) / n
+            assert ks(s, ref) == float(max(upper.max(), lower.max(), 0.0))
+
     def test_empty_sample_rejected(self):
         with pytest.raises(DomainError):
             ks(np.array([]), "cubic")
@@ -96,6 +109,16 @@ class TestGridCDF:
         d = from_samples([0.0], m=16, pad=0.5)
         assert d(-0.25) == 0.0
         assert d(0.25) == 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 1000, 40_000])
+    def test_from_samples_of_a_sorted_sample_equals_a_shuffled_one(self, n):
+        rng = np.random.default_rng(n)
+        s = np.sort(rng.normal(size=n))
+        expected = from_samples(rng.permutation(s), m=256, pad=0.05)
+        for sample in (s, list(s)):
+            got = from_samples(sample, m=256, pad=0.05)
+            assert (got.lo, got.hi) == (expected.lo, expected.hi)
+            assert np.array_equal(got.cdf, expected.cdf)
 
     def test_quantile_symmetry(self):
         g = cubic_grid()

@@ -24,7 +24,7 @@ from homsys import (
     t_of,
 )
 from homsys import moments
-from homsys.hfun import from_g, g_table
+from homsys.hfun import GFunction, from_g, g_table
 from homsys.models import builtin, classify, invert_model, parse_model, resolve_scaling
 from test_proofcheck import TABLE_JUMP, TWO_TABLES
 
@@ -262,6 +262,22 @@ class TestGammaMemo:
         scaling = resolve_scaling(model)  # classify adds Gamma^(0,1), two more levels
         assert scaling == resolve_scaling(model) == ("cubic", cold, 1.0 / 3.0)
         assert len(calls) == 6
+
+    def test_a_reflected_table_profile_is_built_and_checked_once(self, monkeypatch):
+        f = parse_model(TWO_TABLES).functions[1]
+        assert f.eps == -1 and f.g_star is f.g_star
+        assert np.array_equal(f.g_star.values, f.g.values[::-1])
+        cold = gamma(f, 0, 2)
+        checks = []
+        check = GFunction._check_table
+
+        def counted(g):
+            checks.append(g)
+            check(g)
+
+        monkeypatch.setattr(GFunction, "_check_table", counted)
+        assert gamma(f, 0, 2) == cold and gamma(f, 0, 2) == cold
+        assert checks == []
 
     @pytest.mark.parametrize("a, b", [(-1, 1), (0, 0), (0, -1), (math.nan, 1), (0, math.nan)])
     def test_a_warm_gamma_still_rejects_bad_exponents(self, a, b):

@@ -156,12 +156,39 @@ def test_batched_residuals_match_the_per_v_loop(name, points, n):
 def test_find_n0_matches_the_per_v_loop(points, n_max, monkeypatch):
     model = builtin("hipster")
     got = proofcheck.find_n0(model, PARAMS, n_max=n_max, n_min=16, points=points)
-    monkeypatch.setattr(proofcheck, "lambda_condition", _scalar_lambda_condition)
+
+    def scalar(model, params, n, v_grid=None, points=400):
+        if v_grid is None:
+            v_grid = proofcheck.default_v_grid(params, n, points)
+        return _scalar_lambda_condition(model, params, n, v_grid)
+
+    monkeypatch.setattr(proofcheck, "lambda_condition", scalar)
     want = proofcheck.find_n0(model, PARAMS, n_max=n_max, n_min=16, points=points)
     assert got[0] == want[0] and len(got[1]) == len(want[1])
     for a, b in zip(got[1], want[1]):
         assert a.n == b.n and a.argmin_v == b.argmin_v
         assert a.min_residual == pytest.approx(b.min_residual, abs=1e-13)
+
+
+def test_find_n0_makes_one_schedule_row_per_n_it_reads(monkeypatch):
+    calls = []
+    schedule = proofcheck.schedule
+
+    def counted(params, n):
+        calls.append(n)
+        return schedule(params, n)
+
+    monkeypatch.setattr(proofcheck, "schedule", counted)
+    _, history = proofcheck.find_n0(builtin("hipster"), PARAMS, n_max=1024, n_min=2, points=6)
+    scanned = [rep.n for rep in history]
+    assert scanned[0] == 8
+    # n = 2 and 4 are infeasible at their first row; each scanned n reads rows n and n + 1 once
+    assert calls == [2, 4] + [m for n in scanned for m in (n, n + 1)]
+    # without a grid, lambda_condition builds the default one from the rows it reads
+    calls.clear()
+    rep = proofcheck.lambda_condition(builtin("hipster"), PARAMS, 64, points=6)
+    assert calls == [64, 65]
+    assert np.array_equal(rep.v_grid, proofcheck.default_v_grid(PARAMS, 64, 6))
 
 
 @SCANS

@@ -30,20 +30,23 @@ def test_build_is_deterministic_and_sized():
     a, b = serpar.build(6, 0.3, 4), serpar.build(6, 0.3, 4)
     assert all(np.array_equal(x, y) for x, y in zip(a.history, b.history))
     assert a.n_edges == 64
-    edges, n_nodes, _, _ = a.explicit
-    assert len(edges) == 64 and n_nodes == 2 + sum(int(h.sum()) for h in a.history)
+    data, rows, indptr = a.laplacian
+    n_nodes = indptr.size - 1
+    diagonal = sp.csc_matrix((data, rows, indptr), shape=(n_nodes, n_nodes)).diagonal()
+    assert diagonal.sum() == 2 * 64 and n_nodes == 2 + sum(int(h.sum()) for h in a.history)
 
 
-def test_the_explicit_graph_is_derived_once_and_read_only():
+def test_the_laplacian_is_derived_once_and_read_only():
     g = serpar.build(6, 0.5, 1)
     r, d = serpar.resistance_exact(g), serpar.distance_exact(g)
-    edges, laplacian = g.explicit[0], g.laplacian
-    assert g.explicit[0] is edges and not edges.flags.writeable
+    laplacian = g.laplacian
     assert not any(x.flags.writeable for x in laplacian)
     assert (serpar.resistance_exact(g), serpar.distance_exact(g)) == (r, d)
     assert all(x is y for x, y in zip(g.laplacian, laplacian))
-    with pytest.raises(DomainError):
-        serpar.build(17, 0.5, 1).explicit
+    too_big = serpar.build(serpar.MAX_ORACLE_ROUNDS + 1, 0.5, 1)
+    for derive in (lambda g: g.laplacian, serpar.resistance_exact, serpar.distance_exact):
+        with pytest.raises(DomainError):
+            derive(too_big)
 
 
 @pytest.mark.parametrize("n, p, seed", [(0, 0.5, 0), (1, 0.5, 3), (7, 0.3, 4), (12, 0.5, 2), (5, 0.0, 1), (5, 1.0, 1)])
@@ -73,10 +76,12 @@ def test_oracles_give_the_bits_of_the_coo_path(g):
 @pytest.mark.parametrize(
     "g", [serpar.single_edge(), serpar.build(6, 0.5, 1), serpar.build(12, 0.3, 2),
           serpar.SPGraph(tuple(np.ones(2**k, dtype=bool) for k in range(16)))]
+    + [serpar.build(16, p, 3) for p in (0.0, 1.0)] + [serpar.build(n, p, 0) for n in (0, 1) for p in (0.0, 1.0)]
 )
 def test_the_laplacian_is_sorted_symmetric_and_canonical(g):
     data, rows, indptr = g.laplacian
-    edges, n, a, z = g.explicit
+    edges, n, a, z = coo_laplacian_oracles.explicit(g)
+    assert (data.dtype, rows.dtype, indptr.dtype) == (np.float64, np.int32, np.int32)
     L = sp.csc_matrix((data, rows, indptr), shape=(n, n))
     assert (L != L.T).nnz == 0
     assert not np.any(L @ np.ones(n))
