@@ -24,7 +24,6 @@ from .hfun import (
     GFunction,
     HFunction,
     asym_tent,
-    from_g,
     power_mean,
     t_of,
     validate,

@@ -199,8 +199,8 @@ def _c8_proof_machinery():
 
     # (d) Lambda condition for the hipster model with paper-default parameters.
     # Stated bound: some n0 <= 1e6 with nonnegative residual on a 400-point
-    # grid for n in [n0, 2n0].  (See the decisions ledger: the support-edge
-    # dip makes the true crossover astronomically large; asserted as stated.)
+    # grid for n in [n0, 2n0], asserted as stated.  Why it fails is measured in
+    # ROADMAP.md, "Known failures -> Criterion 8(d)" and direction 9.
     model = builtin("hipster")
     n0, history = proofcheck.find_n0(model, defaults, n_max=10**6, n_min=64, points=400)
     if n0 is None:

@@ -41,7 +41,6 @@ __all__ = [
     "g_hip",
     "g_tent",
     "g_table",
-    "from_g",
     "t_of",
     "validate",
     "F_SUM",
@@ -65,13 +64,13 @@ class GFunction:
 
     ``family`` is one of ``zero``, ``softplus`` (scale a: a*log(1+e^{-|z|/a})),
     ``tent`` (slopes s_plus on z>=0 and s_minus on z<0) or ``table``
-    (piecewise-linear values on a symmetric uniform grid, vanishing outside).
+    (piecewise-linear values on a symmetric uniform grid, vanishing outside;
+    ``params`` is the float tuples (grid, values)).  A profile is a value,
+    checked when built, that compares and hashes by family and parameters.
     """
 
     family: str
     params: tuple = ()
-    grid: np.ndarray | None = field(default=None, repr=False, compare=False)
-    values: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in ("zero", "softplus", "tent", "table"):
@@ -85,12 +84,26 @@ class GFunction:
             if not (0 < sp <= 1 and 0 < sm <= 1):
                 raise InvalidProfileError("tent slopes must lie in (0, 1]")
         elif self.family == "table":
+            grid, values = self.params
+            object.__setattr__(self, "params", (tuple(map(float, grid)), tuple(map(float, values))))
             self._check_table()
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """A table's nodes, read-only."""
+        return _read_only(self.params[0])
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """A table's values at its nodes, read-only."""
+        return _read_only(self.params[1])
 
     def _check_table(self):
         z, v = self.grid, self.values
-        if z is None or v is None or len(z) != len(v) or len(z) < 3:
+        if len(z) != len(v) or len(z) < 3:
             raise InvalidProfileError("table profile needs matching grid/values of length >= 3")
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
+            raise InvalidProfileError("table grid and values must be finite")
         dz = np.diff(z)
         if not np.allclose(dz, dz[0], rtol=0, atol=1e-9 * abs(dz[0])):
             raise InvalidProfileError("table grid must be uniform")
@@ -176,7 +189,14 @@ class GFunction:
         if self.family == "tent":
             sp, sm = self.params
             return GFunction("tent", (sm, sp))
-        return GFunction("table", (), grid=self.grid, values=self.values[::-1].copy())
+        return GFunction("table", (self.params[0], self.params[1][::-1]))
+
+
+def _read_only(nodes: tuple) -> np.ndarray:
+    """The nodes as a float array that no caller can write."""
+    out = np.array(nodes)
+    out.flags.writeable = False
+    return out
 
 
 def g_zero() -> GFunction:
@@ -196,7 +216,7 @@ def g_tent(s_plus: float, s_minus: float) -> GFunction:
 
 
 def g_table(grid, values) -> GFunction:
-    return GFunction("table", (), grid=np.asarray(grid, dtype=float), values=np.asarray(values, dtype=float))
+    return GFunction("table", (grid, values))
 
 
 @dataclass(frozen=True)
@@ -205,7 +225,7 @@ class HFunction:
 
     eps: int
     g: GFunction
-    label: str = ""
+    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.eps not in (+1, -1):
@@ -267,8 +287,8 @@ class HFunction:
 
     @property
     def r(self) -> float:
-        """log F*(1, 1); zero exactly for max and min."""
-        return self.g.peak
+        """log F*(1, 1) = g*(0); zero exactly for max and min."""
+        return self.g_star.peak
 
     def __repr__(self):
         return f"HFunction(eps={self.eps:+d}, {self.label or self.g.family})"
@@ -276,17 +296,6 @@ class HFunction:
 
 def _dual_label(label: str, op: str) -> str:
     return f"{label}^{op}" if label else ""
-
-
-def from_g(g: GFunction, eps: int, label: str = "") -> HFunction:
-    """Construct the unique F with the given (eps, g) pair.
-
-    For table profiles the class axioms are re-checked on the representation
-    grid; violations raise InvalidProfileError.
-    """
-    if g.family == "table":
-        g._check_table()
-    return HFunction(eps, g, label)
 
 
 def _h_nodes(g: GFunction) -> tuple[np.ndarray, np.ndarray]:

@@ -79,25 +79,27 @@ def builtin(name: str, **params) -> ModelSpec:
     hipster:        {1/2: hipster+, 1/2: hipster-}
     lazy_hipster:   {1/2: hipster+, 1/2: min}
     power_mean:     atoms = [(weight, alpha), ...]
+
+    A parameter the named model does not take raises DomainError.
     """
-    if name == "resistance":
+    if name in ("resistance", "distance"):
         p = _check_prob(params.pop("p", 0.5))
-        atoms = _two_atom(p, hfun.F_SUM, hfun.F_PARALLEL)
-        return ModelSpec(atoms, f"resistance({p:g})")
-    if name == "distance":
-        p = _check_prob(params.pop("p", 0.5))
-        atoms = _two_atom(p, hfun.F_SUM, hfun.F_MIN)
-        return ModelSpec(atoms, f"distance({p:g})")
-    if name == "hipster":
-        return ModelSpec(((0.5, hfun.F_HIP_PLUS), (0.5, hfun.F_HIP_MINUS)), "hipster")
-    if name == "lazy_hipster":
-        return ModelSpec(((0.5, hfun.F_HIP_PLUS), (0.5, hfun.F_MIN)), "lazy_hipster")
-    if name == "power_mean":
+        atoms = _two_atom(p, hfun.F_SUM, hfun.F_PARALLEL if name == "resistance" else hfun.F_MIN)
+        model = ModelSpec(atoms, f"{name}({p:g})")
+    elif name == "hipster":
+        model = ModelSpec(((0.5, hfun.F_HIP_PLUS), (0.5, hfun.F_HIP_MINUS)), "hipster")
+    elif name == "lazy_hipster":
+        model = ModelSpec(((0.5, hfun.F_HIP_PLUS), (0.5, hfun.F_MIN)), "lazy_hipster")
+    elif name == "power_mean":
         atoms = params.pop("atoms", ((0.5, 1.0), (0.5, -1.0)))
         spec = tuple((float(w), hfun.power_mean(alpha)) for w, alpha in atoms)
         alphas = ",".join(f"{a:g}" for _, a in atoms)
-        return ModelSpec(spec, f"power_mean({alphas})")
-    raise DomainError(f"unknown builtin model {name!r}")
+        model = ModelSpec(spec, f"power_mean({alphas})")
+    else:
+        raise DomainError(f"unknown builtin model {name!r}")
+    if params:
+        raise DomainError(f"builtin model {name!r} takes no parameter {', '.join(sorted(params))}")
+    return model
 
 
 def _check_prob(p: float) -> float:
@@ -285,13 +287,11 @@ _FAMILY_BUILDERS = {
     "hipster+": lambda spec: hfun.F_HIP_PLUS,
     "hipster-": lambda spec: hfun.F_HIP_MINUS,
     "power_mean": lambda spec: hfun.power_mean(float(spec["alpha"])),
-    "softplus": lambda spec: hfun.from_g(hfun.g_softplus(float(spec["scale"])), int(spec.get("eps", +1))),
+    "softplus": lambda spec: HFunction(int(spec.get("eps", +1)), hfun.g_softplus(float(spec["scale"]))),
     "tent": lambda spec: hfun.asym_tent(
         float(spec.get("s_plus", 1.0)), float(spec.get("s_minus", 1.0)), int(spec.get("eps", +1))
     ),
-    "table": lambda spec: hfun.from_g(
-        hfun.g_table(spec["grid"], spec["values"]), int(spec.get("eps", +1)), "table"
-    ),
+    "table": lambda spec: HFunction(int(spec.get("eps", +1)), hfun.g_table(spec["grid"], spec["values"]), "table"),
 }
 
 

@@ -15,21 +15,21 @@ c*(resistance(1/2)) within 2e-15 of 9 zeta(3), and the worst
 integration-by-parts residual of the acceptance suite is 2e-15.  The regime
 thresholds of models.classify are 100 MOMENT_TOL.
 
-Each Gamma is integrated once per process.  gamma stores every value it
-computes under a key that holds all it reads of its inputs: the profile g*
-of star(f) by value (family, parameters, and a table's grid and values), the
-corner value r = f.r, and float(a) and float(b).  Atoms that share g* and r
-(a sum and a parallel atom, hipster+ and hipster-) share one entry, and
-c_star, m_eta, check_ipp, the moment tables and models.classify and
-resolve_scaling all read through it.  Nothing else is cached: c* and the
-classification are summed from the stored Gammas on every call, and nothing
-that depends on n, a grid, a seed or a pool size is kept.
+Each Gamma is integrated once per process: it reads nothing of f but the
+profile g* of star(f) (r = f.r is g*(0)), a value, so gamma is cached on
+(g*, float(a), float(b)).  Atoms that share g* (a sum and a parallel atom,
+hipster+ and hipster-) share one entry, and c_star, m_eta, check_ipp, the
+moment tables and models.classify and resolve_scaling all read through it.
+Nothing else is cached: c* and the classification are summed from the
+stored Gammas on every call, and nothing that depends on n, a grid, a seed
+or a pool size is kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,28 +45,24 @@ __all__ = ["gamma", "m_eta", "alpha", "c_star", "check_ipp", "MomentTable", "mom
 
 MOMENT_TOL = 1e-10  # absolute tolerance of every moment integral
 
-# (profile key of g*, r, a, b) -> Gamma^(a,b), for the life of the process
-_GAMMAS: dict[tuple, float] = {}
-
 
 def gamma(f: HFunction, a: float, b: float) -> float:
     """Moment integral of the crossing function, to absolute tolerance MOMENT_TOL.
 
-    Integrated on the first call for its (g*, r, a, b); later calls return
-    the stored value.  A bad a or b raises on every call.
+    Integrated on the first call for its (g*, a, b); later calls return the
+    cached value.  A bad a or b raises on every call.
     """
-    if not a >= 0:  # NaN too, whose key would never match a stored one
+    if not a >= 0:  # NaN too; checked before the cache, so that a cached bad key cannot skip it
         raise DomainError("a must be nonnegative")
     if not b > 0:
         raise DomainError("b must be positive")
-    key = (_profile_key(f.g_star), f.r, float(a), float(b))
-    if key not in _GAMMAS:
-        _GAMMAS[key] = _integrate_gamma(f, float(a), float(b))
-    return _GAMMAS[key]
+    return _gamma(f.g_star, float(a), float(b))
 
 
-def _integrate_gamma(f: HFunction, a: float, b: float) -> float:
-    """The integral of t^a T(t)^b over (0, inf), by one integrate_panels call.
+@cache
+def _gamma(g_star: GFunction, a: float, b: float) -> float:
+    """The integral of t^a T(t)^b over (0, inf), T the crossing function of f = F* with profile g*,
+    by one integrate_panels call.
 
     The panel edges are the halvings t_halvings(f); 1, which tops the
     halvings when r > 1; the break levels t_breaks(f), a table's jumps among
@@ -75,6 +71,7 @@ def _integrate_gamma(f: HFunction, a: float, b: float) -> float:
     having underflowed.  The quadrature nodes lie strictly inside each panel,
     so T is never read at 0 or at a jump.
     """
+    f = HFunction(+1, g_star)
     if f.r == 0.0:
         return 0.0
     top = t_support_end(f)
@@ -96,17 +93,6 @@ def _integrate_gamma(f: HFunction, a: float, b: float) -> float:
         return out
 
     return integrate_panels(h, edges.tolist(), MOMENT_TOL)
-
-
-def _profile_key(g: GFunction) -> tuple:
-    """A profile by value; GFunction == ignores a table's grid and values."""
-    table = () if g.grid is None else (g.grid.tobytes(), g.values.tobytes())
-    return (g.family, g.params, *table)
-
-
-def _clear_gamma_memo() -> None:
-    """Forget every stored Gamma, so that the next call of each key integrates again."""
-    _GAMMAS.clear()
 
 
 def m_eta(f: HFunction, eta: float = 1.0) -> float:

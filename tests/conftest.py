@@ -6,6 +6,6 @@ from homsys import moments
 @pytest.fixture(autouse=True)
 def cold_gamma_memo():
     # each test integrates its own Gammas, and one computed under a monkeypatch does not outlive its test
-    moments._clear_gamma_memo()
+    moments._gamma.cache_clear()
     yield
-    moments._clear_gamma_memo()
+    moments._gamma.cache_clear()

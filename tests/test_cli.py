@@ -34,6 +34,12 @@ def test_bad_model_exits_1(model, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_a_non_finite_table_node_exits_1(capsys):
+    table = '{"weight":0.5,"family":"table","eps":1,"grid":[-1,-0.5,0,0.5,1],"values":[0,0.3,NaN,0.3,0]}'
+    assert cli.main(["gamma", "--model", '{"atoms":[' + table + ',{"weight":0.5,"family":"min"}]}']) == 1
+    assert "validation error: table grid and values must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["classify"], ["frobnicate"], ["simulate", "--model", "hipster", "--n", "x"]])
 def test_usage_error_exits_64(argv):
     with pytest.raises(SystemExit) as info:
@@ -389,7 +395,7 @@ def test_results_do_not_depend_on_the_gammas_computed_before(tmp_path, capsys):
         expected = dict(zip([name for name, _, _ in runs], pool.map(fresh, runs)))
     assert [code for code, _, _ in expected.values()].count(0) == len(runs) - 2  # two_tables has no scaling
     for order, ordered in (("forward", runs), ("reversed", runs[::-1])):
-        moments._clear_gamma_memo()
+        moments._gamma.cache_clear()
         for name, argv, suffix in ordered:
             code = _exit_code(argv + ["--out", str(tmp_path / f"{order}-{name}{suffix}")])
             assert (code, capsys.readouterr().err, outputs(f"{order}-{name}")) == expected[name], (order, name)

@@ -7,7 +7,7 @@ import pytest
 from homsys import DomainError, GridCDF, ModelSpec, builtin, parse_model
 from homsys import evolve, mc
 from homsys.dist import rescale
-from homsys.hfun import asym_tent, from_g, g_softplus, g_table, t_of
+from homsys.hfun import HFunction, asym_tent, g_softplus, g_table, t_of
 from homsys.models import resolve_scaling
 
 import full_grid_step
@@ -139,7 +139,7 @@ def _panels(monkeypatch, f, v):
 def test_lambda_panel_ends_are_limits_from_inside(monkeypatch):
     # the quadrature never reads t = 0 (t_of rejects it); toward 0 a softplus T diverges, so C(v - T) -> 0,
     # and at the smallest float T = 7.4 puts v - T below the support
-    g, a, _ = _panels(monkeypatch, from_g(g_softplus(0.01), +1), 0.3)
+    g, a, _ = _panels(monkeypatch, HFunction(+1, g_softplus(0.01)), 0.3)
     tiny = np.nextafter(0.0, 1.0)
     assert a[0] == 0.0 and g(np.array([tiny]), np.array([0]))[0] == pytest.approx(0.8, abs=1e-15)
     # hipster+ at v = 0.3 has the one panel [0, 0.8]; at its end the density is read just inside
@@ -215,7 +215,7 @@ KERNEL_MODELS = {
     "distance(0.5)": builtin("distance", p=0.5),
     "power_mean(0.3,-0.3)": parse_model("power_mean(0.3,-0.3)"),
     "tent(eps=-1)": ModelSpec(((0.5, asym_tent(0.5, 1.0, eps=-1)), (0.5, asym_tent(1.0, 0.25, eps=+1))), "tents"),
-    "table": ModelSpec(((0.5, from_g(_TABLE, -1)), (0.5, from_g(_TABLE, +1))), "table"),
+    "table": ModelSpec(((0.5, HFunction(-1, _TABLE)), (0.5, HFunction(+1, _TABLE))), "table"),
 }
 
 

@@ -14,9 +14,9 @@ from homsys import (
     F_PARALLEL,
     F_SUM,
     DomainError,
+    HFunction,
     InvalidProfileError,
     asym_tent,
-    from_g,
     power_mean,
     t_of,
     validate,
@@ -96,18 +96,18 @@ def test_log_eval_finite_into_out_gives_the_bits_of_a_new_array(f):
 
 class TestCorrespondence:
     def test_zero_profile_is_max(self):
-        f = from_g(g_zero(), +1)
+        f = HFunction(+1, g_zero())
         for x, y in [(0.5, 2.0), (3.0, 3.0), (1e-3, 10.0)]:
             assert f(x, y) == pytest.approx(max(x, y), rel=1e-14)
 
     def test_hip_minus_from_profile(self):
-        f = from_g(g_hip(), -1)
+        f = HFunction(-1, g_hip())
         for x, y in [(1.0, 1.0), (2.0, 5.0), (0.1, 0.1)]:
             assert f(x, y) == pytest.approx(F_HIP_MINUS(x, y), rel=1e-14)
 
     def test_round_trip_on_grid(self):
         g = g_tent(1.0, 0.5)
-        f = from_g(g, +1)
+        f = HFunction(+1, g)
         z = np.linspace(-4, 4, 201)
         assert np.max(np.abs(f.g(z) - g(z))) < 1e-12
 
@@ -133,8 +133,26 @@ class TestCorrespondence:
         with pytest.raises(InvalidProfileError):
             g_table([-1.5, -0.5, 0.5, 1.5], [0.0, 0.0, 0.4, 0.0])
 
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_table_nan_value_rejected(self, at):
+        # every comparison with NaN is False, so no other check of the table catches it
+        v = [0.0, 0.3, 0.5, 0.3, 0.0]
+        v[at] = math.nan
+        with pytest.raises(InvalidProfileError, match="finite"):
+            g_table([-1.0, -0.5, 0.0, 0.5, 1.0], v)
+
+    def test_tables_compare_and_hash_by_their_nodes(self):
+        z = [-1.0, -0.5, 0.0, 0.5, 1.0]
+        tall, low = g_table(z, [0.0, 0.5, 0.8, 0.5, 0.0]), g_table(z, [0.0, 0.5, 0.5, 0.5, 0.0])
+        assert tall != low and hash(tall) != hash(low)
+        assert tall == g_table(np.array(z), np.array([0.0, 0.5, 0.8, 0.5, 0.0])) and tall.reflected() == tall
+        assert HFunction(+1, tall, "a") == HFunction(+1, tall, "b") != HFunction(+1, low, "a")
+        for nodes in (tall.grid, tall.values):
+            with pytest.raises(ValueError):
+                nodes[2] = 0.7
+
     def test_table_flat_top_across_zero_accepted(self):
-        f = from_g(g_table([-1.5, -0.5, 0.5, 1.5], [0.0, 0.5, 0.5, 0.0]), +1)
+        f = HFunction(+1, g_table([-1.5, -0.5, 0.5, 1.5], [0.0, 0.5, 0.5, 0.0]))
         assert f.g(0.0) == 0.5 and f.r == 0.5
 
 
@@ -241,7 +259,7 @@ class TestCrossing:
 
     def test_table_bisection_matches_closed_form(self):
         z = np.linspace(-1.5, 1.5, 3001)
-        f_tab = from_g(g_table(z, np.maximum(0.0, 1.0 - np.abs(z))), +1)
+        f_tab = HFunction(+1, g_table(z, np.maximum(0.0, 1.0 - np.abs(z))))
         for t in (0.3, 0.8, 0.999, 1.2, 2.0):
             assert t_of(f_tab, t) == pytest.approx(t_of(F_HIP_PLUS, t), abs=1e-9)
 
@@ -251,15 +269,15 @@ class TestCrossing:
         half = max(1.0 / sm, 1.0 / sp) + 0.5
         z = np.linspace(-half, half, 12001)
         prof = np.where(z >= 0, np.maximum(0.0, 1 - sp * z), np.maximum(0.0, 1 + sm * z))
-        f_tab = from_g(g_table(z, prof), +1)
+        f_tab = HFunction(+1, g_table(z, prof))
         for t in (0.1, 0.5, 0.9, 1.3, 2.0, 1.0 / sm - 0.05):
             assert t_of(f, t) == pytest.approx(t_of(f_tab, t), abs=1e-8)
 
     @pytest.mark.parametrize(
         "f",
         [F_SUM, F_PARALLEL, power_mean(0.3), F_MAX, F_MIN, F_HIP_PLUS, F_HIP_MINUS, asym_tent(0.7, 0.4),
-         asym_tent(0.5, 1.0, -1), from_g(g_table(_Z31, np.maximum(0.0, 1.0 - np.abs(_Z31))), +1),
-         from_g(g_table(np.linspace(-2.0, 2.0, 9), [0.0, 0.3, 0.8, 1.2, 1.5, 1.1, 0.6, 0.2, 0.0]), -1)],
+         asym_tent(0.5, 1.0, -1), HFunction(+1, g_table(_Z31, np.maximum(0.0, 1.0 - np.abs(_Z31)))),
+         HFunction(-1, g_table(np.linspace(-2.0, 2.0, 9), [0.0, 0.3, 0.8, 1.2, 1.5, 1.1, 0.6, 0.2, 0.0]))],
     )
     def test_array_t_matches_the_scalar_path(self, f):
         # both branches of each closed form, the tent corner t = 1 and the far softplus tail,
@@ -282,12 +300,12 @@ class TestCrossing:
     def test_tent_shaped_table_is_the_hipster_crossing(self):
         # the table's nodes are not the tent's decimals, yet its crossing is the same floats,
         # the sup 1 at the flat crossing t = 1 included
-        f_tab = from_g(g_table(_Z31, np.maximum(0.0, 1.0 - np.abs(_Z31))), +1)
+        f_tab = HFunction(+1, g_table(_Z31, np.maximum(0.0, 1.0 - np.abs(_Z31))))
         assert np.array_equal(t_of(f_tab, _PROBES), t_of(F_HIP_PLUS, _PROBES))
         assert t_of(f_tab, 1.0) == 1.0
 
     def test_table_kinks_are_the_node_levels_of_h(self):
-        f = from_g(g_table(np.linspace(-2.0, 2.0, 5), [0.0, 0.5, 1.0, 0.25, 0.0]), +1)
+        f = HFunction(+1, g_table(np.linspace(-2.0, 2.0, 5), [0.0, 0.5, 1.0, 0.25, 0.0]))
         # H(u) = g(u) - min(u, 0) at u = -2, -1, 0, 1, 2 is 2, 1.5, 1, 0.25, 0
         np.testing.assert_allclose(t_kinks(f), [0.25, 1.0, 1.5, 2.0], rtol=1e-15)
         assert t_kinks(F_HIP_PLUS).size == t_kinks(F_SUM).size == 0
@@ -295,7 +313,7 @@ class TestCrossing:
     def test_table_jumps_are_the_flat_levels_of_h(self):
         # H at u = -3..3 is 3, 2.5, 2.5, 2, 2, 1, 0: flat on [-2, -1] (a slope-1 piece of the left wing)
         # and on [0, 1] (a plateau of the right wing); T drops there by the flat piece's length
-        f = from_g(g_table(np.linspace(-3.0, 3.0, 7), [0.0, 0.5, 1.5, 2.0, 2.0, 1.0, 0.0]), +1)
+        f = HFunction(+1, g_table(np.linspace(-3.0, 3.0, 7), [0.0, 0.5, 1.5, 2.0, 2.0, 1.0, 0.0]))
         assert t_kinks(f).tolist() == [1.0, 2.0, 2.5, 3.0]  # so the jumps are panel edges
         assert t_of(f, np.array([2.0, 2.5])).tolist() == [3.0, 1.5]  # the value from the left
         np.testing.assert_allclose(t_of(f, np.nextafter([2.0, 2.5], 3.0)), [2.0, 0.5], rtol=0.0, atol=1e-15)

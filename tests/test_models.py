@@ -6,7 +6,7 @@ import pytest
 
 from homsys import DomainError, ModelSpec, builtin, classify, parse_model
 from homsys.hfun import F_HIP_PLUS, F_MAX, F_MIN, F_SUM
-from homsys.hfun import asym_tent, from_g, g_softplus, g_table
+from homsys.hfun import HFunction, asym_tent, g_softplus, g_table
 from homsys.models import invert_model, model_digest, model_to_dict, resolve_scaling
 from homsys.moments import c_star
 
@@ -31,6 +31,12 @@ class TestBuiltin:
     def test_bad_p(self):
         with pytest.raises(DomainError):
             builtin("resistance", p=1.5)
+
+    @pytest.mark.parametrize("name, params", [("hipster", {"p": 0.3}), ("resistance", {"q": 0.9}),
+                                              ("power_mean", {"p": 0.5}), ("distance", {"p": 0.5, "atoms": ()})])
+    def test_a_parameter_the_model_does_not_take_is_rejected(self, name, params):
+        with pytest.raises(DomainError):
+            builtin(name, **params)
 
     def test_power_mean_guard(self):
         with pytest.raises(DomainError):
@@ -131,11 +137,11 @@ def _round_trip_models():
     table = g_table(np.linspace(-2.0, 2.0, 9), [0.0, 0.3, 0.8, 1.2, 1.5, 1.1, 0.6, 0.2, 0.0])
     models = [builtin(name) for name in ("resistance", "distance", "hipster", "lazy_hipster", "power_mean")]
     models.append(builtin("power_mean", atoms=((0.25, 2.0), (0.75, -1.5))))
-    models.append(ModelSpec(((0.5, asym_tent(0.5, 0.8, eps=-1)), (0.5, from_g(table, +1))), "tent+table"))
-    models.append(ModelSpec(((1.0, from_g(table, -1)),)))
+    models.append(ModelSpec(((0.5, asym_tent(0.5, 0.8, eps=-1)), (0.5, HFunction(+1, table))), "tent+table"))
+    models.append(ModelSpec(((1.0, HFunction(-1, table)),)))
     # softplus scales below the power_mean range, which is limited to |alpha| >= 1e-3
     small = g_softplus(5e-4)
-    models.append(ModelSpec(((0.5, from_g(small, +1)), (0.5, from_g(small, -1))), "small softplus"))
+    models.append(ModelSpec(((0.5, HFunction(+1, small)), (0.5, HFunction(-1, small))), "small softplus"))
     return models
 
 
@@ -143,15 +149,7 @@ class TestSchema:
     @pytest.mark.parametrize("model", _round_trip_models(), ids=lambda m: m.name or "unnamed")
     def test_parse_inverts_to_dict(self, model):
         back = parse_model(json.dumps(model_to_dict(model)))
-        assert back.name == model.name
-        assert [w for w, _ in back.atoms] == [w for w, _ in model.atoms]
-        for f, g in zip(back.functions, model.functions):
-            assert f.eps == g.eps
-            assert f.g.family == g.g.family
-            assert f.g.params == g.g.params
-            if g.g.family == "table":
-                assert np.array_equal(f.g.grid, g.g.grid)
-                assert np.array_equal(f.g.values, g.g.values)
+        assert back == model
         assert model_digest(back) == model_digest(model)
 
     @pytest.mark.parametrize(

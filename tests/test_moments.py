@@ -24,7 +24,7 @@ from homsys import (
     t_of,
 )
 from homsys import moments
-from homsys.hfun import GFunction, from_g, g_table
+from homsys.hfun import GFunction, HFunction, g_table
 from homsys.models import builtin, classify, invert_model, parse_model, resolve_scaling
 from test_proofcheck import TABLE_JUMP, TWO_TABLES
 
@@ -231,9 +231,9 @@ class TestGammas:
 
     def test_two_table_atoms_keep_their_own_gamma(self):
         grid = [-1.0, -0.5, 0.0, 0.5, 1.0]
-        tall = from_g(g_table(grid, [0.0, 0.5, 1.0, 0.5, 0.0]), +1, "tall")
-        low = from_g(g_table(grid, [0.0, 0.25, 0.5, 0.25, 0.0]), -1, "low")
-        assert tall.g_star == low.g_star  # GFunction == does not compare table values
+        tall = HFunction(+1, g_table(grid, [0.0, 0.5, 1.0, 0.5, 0.0]), "tall")
+        low = HFunction(-1, g_table(grid, [0.0, 0.25, 0.5, 0.25, 0.0]), "low")
+        assert tall.g_star != low.g_star  # a table profile compares by its nodes
         model = ModelSpec(((0.5, tall), (0.5, low)))
         each = [(gamma(f, 0.0, 2.0), gamma(f, 1.0, 1.0), gamma(f, 0.0, 1.0)) for f in (tall, low)]
         assert each[0] != each[1]
@@ -280,9 +280,10 @@ class TestGammaMemo:
         assert checks == []
 
     @pytest.mark.parametrize("a, b", [(-1, 1), (0, 0), (0, -1), (math.nan, 1), (0, math.nan)])
-    def test_a_warm_gamma_still_rejects_bad_exponents(self, a, b):
-        gamma(F_SUM, 0, 1)
-        moments._GAMMAS[(moments._profile_key(F_SUM.g_star), F_SUM.r, float(a), float(b))] = 1.0
+    def test_a_warm_gamma_still_rejects_bad_exponents(self, monkeypatch, a, b):
+        monkeypatch.setattr(moments, "integrate_panels", lambda h, edges, tol: 1.0)
+        moments._gamma(F_SUM.g_star, float(a), float(b))  # a cached value under the bad key
+        assert moments._gamma.cache_info().currsize == 1
         with pytest.raises(DomainError):
             gamma(F_SUM, a, b)
 
