@@ -10,25 +10,28 @@ search oracles, which never read the fold.
 Nodes are numbered in creation order (a = 0, z = 1, then each round's series
 midpoints).  Reverse creation order is a perfect elimination order: a node
 made on edge (u, v) is only ever adjacent to u, v and nodes made after it, so
-once those are eliminated its neighbours are at most u and v, and eliminating
-it adds at most the fill edge u-v.  The Laplacian oracle factors in that
-order, so its factors hold O(nodes) entries and need no fill-reducing
-ordering.
+once those are eliminated its neighbours are exactly u and v, and eliminating
+it adds at most the fill edge u-v.  Midpoints of one round are never adjacent
+to each other, so the resistance oracle eliminates a whole round at once, the
+last round first: a pivot, two diagonal updates and one fill per midpoint, in
+a few array operations and with no sparse factorisation.
 
 Each graph derives its Laplacian once, in that order with a and z last, as
 sorted CSC arrays (`SPGraph.laplacian`), straight from the history: the
 midpoints get their labels from one running count over all rounds, the
 leaf edges' ends are expanded round by round, and one sort of their keys
-gives the entries column by column.  No edge list is kept.  Both oracles
-read the Laplacian: the resistance oracle factors its grounded block, and
-the distance oracle searches its symmetric pattern as a directed graph, so
-neither builds a matrix of its own.
+gives the entries column by column.  No edge list is kept; the edge each
+midpoint split is kept next to the Laplacian (`SPGraph.split_ends`).  Both
+oracles read the Laplacian: the resistance oracle eliminates it and checks
+its potentials against it, and the distance oracle searches its symmetric
+pattern as a directed graph, so neither builds a matrix of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -69,9 +72,24 @@ class SPGraph:
         each: minus the edge multiplicity off the diagonal, the degree on it.
         The matrix is symmetric, so the same arrays are also its CSR form.
         Derived from `history` on first use and kept, read-only."""
+        return self._oracle_arrays[0]
+
+    @cached_property
+    def split_ends(self) -> np.ndarray:
+        """Row j < a: the ends (u, v) of the edge that midpoint j split, in reverse
+        creation labels and in the edge's a-to-z orientation; row a: (z, z).
+
+        The nodes older than j that j meets are among u and v, so they are the
+        only entries below the diagonal of the Laplacian's column j.  Derived
+        with `laplacian`, in the same pass over `history`, and kept, read-only."""
+        return self._oracle_arrays[1]
+
+    @cached_property
+    def _oracle_arrays(self):
+        """(`laplacian`, `split_ends`), derived in one pass over `history`."""
         if self.rounds > MAX_ORACLE_ROUNDS:
             raise DomainError(f"oracle graphs are capped at {MAX_ORACLE_ROUNDS} rounds")
-        ends, n = _leaf_ends(self.history)
+        ends, split, n = _leaf_ends(self.history)
         # one key col * n + row per entry: both ends of every edge and the diagonal;
         # sorted, the keys run column by column and parallel edges repeat a key
         key_dtype = np.int32 if n * n < 2**31 else np.int64  # int32 keys sort faster
@@ -96,22 +114,25 @@ class SPGraph:
         np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
         data = np.multiply(np.diff(starts), -1.0)  # minus the multiplicity; the degree on the diagonal
         data[rows == col] = np.bincount(ends, minlength=n)
-        for arr in (data, rows, indptr):
+        for arr in (data, rows, indptr, split):
             arr.flags.writeable = False
-        return data, rows, indptr
+        return (data, rows, indptr), split
 
 
-def _leaf_ends(history: tuple[np.ndarray, ...]) -> tuple[np.ndarray, int]:
-    """The leaf edges' ends (u0, v0, u1, v1, ...) in reverse creation labels, and the node count.
+def _leaf_ends(history: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+    """The leaf edges' ends (u0, v0, u1, v1, ...) and the split ends (`SPGraph.split_ends`),
+    both in reverse creation labels, and the node count.
 
     Each series midpoint's creation number c is 1 + the midpoints made up to it, so its label
     n - 1 - c is n - 2 - that count, below a = n - 2 and z = n - 1.  Round by round, edge (u, v)
-    makes (u, v), (u, v) in parallel and (u, mid), (mid, v) in series."""
+    makes (u, v), (u, v) in parallel and (u, mid), (mid, v) in series, and row mid of the split
+    ends is (u, v)."""
     choices = np.concatenate(history) if history else np.zeros(0, dtype=bool)
     mid = np.cumsum(choices, dtype=np.int32)
     n = 2 + (int(mid[-1]) if mid.size else 0)
     np.subtract(n - 2, mid, out=mid)
     ends = np.array([n - 2, n - 1], dtype=np.int32)
+    edges = [ends]  # each round's edges, then the leaf edges
     lo = 0
     for series in history:
         label = mid[lo : lo + series.size]
@@ -119,7 +140,15 @@ def _leaf_ends(history: tuple[np.ndarray, ...]) -> tuple[np.ndarray, int]:
         ends = np.repeat(ends.reshape(-1, 2), 2, axis=0).ravel()
         np.copyto(ends[1::4], label, where=series)
         np.copyto(ends[2::4], label, where=series)
-    return ends, n
+        edges.append(ends)
+    split = np.empty((n - 1, 2), dtype=np.int32)
+    split[n - 2] = n - 1
+    if history:
+        # the series choices pick the split edges in creation order; each (u, v) is viewed
+        # as one int64, so that the mask keeps both ends
+        made = np.concatenate(edges[:-1]).view(np.int64)[choices]
+        split[: n - 2].view(np.int64)[:, 0] = made[::-1]
+    return ends, split, n
 
 
 def single_edge() -> SPGraph:
@@ -167,37 +196,67 @@ def resistance_exact(g: SPGraph) -> float:
     """Effective resistance between the terminals via the graph Laplacian.
 
     Unit current is injected at terminal a with terminal z grounded.  The
-    grounded block is the graph's sorted Laplacian (`SPGraph.laplacian`,
-    reverse creation order with a and z last: the perfect elimination order
-    of the module docstring) without z's row and column, and it is factored
-    by sparse LU in that natural order with diagonal pivots: each
-    elimination adds at most one fill entry, and an SPD matrix needs no
-    pivoting.
+    Laplacian (`SPGraph.laplacian`) is eliminated as L D L^T in its own order,
+    the perfect elimination order of the module docstring, one round of
+    midpoints per step, the last round first; z is never a pivot, which
+    grounds it.  When its round comes, a midpoint meets only the two ends of
+    the edge it split (`SPGraph.split_ends`), so its column below the diagonal
+    has two fixed slots, and an entry outside them raises `HomsysError`.
+    Back-substitution walks the rounds in reverse.  The potentials are then
+    certified by the residual of the grounded system on the Laplacian arrays,
+    however they were computed; nothing of the fold is read.
     """
-    # imported here so that commands which never call an oracle start without scipy
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     data, rows, indptr = g.laplacian
-    # z has the last label m, so it is the last row of each column it meets: dropping
-    # those entries and z's column grounds it
-    m = indptr.size - 2
-    last = indptr[1 : m + 1] - 1
-    meets_z = rows[last] == m
-    keep = np.ones(indptr[m], dtype=bool)
-    keep[last[meets_z]] = False
-    kept_indptr = indptr[: m + 1].copy()
-    kept_indptr[1:] -= np.cumsum(meets_z, dtype=np.int32)
-    Lr = sp.csc_matrix((data[: indptr[m]][keep], rows[: indptr[m]][keep], kept_indptr), shape=(m, m))
-    rhs = np.zeros(m)
-    a_r = m - 1
-    rhs[a_r] = 1.0
-    lu = spla.splu(Lr, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}, panel_size=1, relax=1)
-    x = lu.solve(rhs)
-    residual = float(np.linalg.norm(Lr @ x - rhs))
-    if residual > _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(rhs))):
+    rows = rows.astype(np.intp)  # index arrays are intp, which numpy gathers fastest
+    split = g.split_ends.astype(np.intp)
+    n = indptr.size - 1
+    a, z = n - 2, n - 1
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    # an entry (row, col) below the diagonal belongs in slot 2 * col + 1 if row is col's
+    # second split end, and otherwise in slot 2 * col, whose split end it must then be
+    below = np.flatnonzero(rows > cols)
+    col, row = cols[below], rows[below]
+    slot_row = split.ravel()
+    slot = 2 * col
+    slot += row == slot_row[slot + 1]
+    diag = data[np.flatnonzero(rows == cols)]
+    if diag.size != n or not np.array_equal(slot_row[slot], row):
+        raise HomsysError("Laplacian entry off the diagonal and the split-end slots of its column")
+    off = np.zeros(2 * (n - 1))
+    off[slot] = data[below]
+    # eliminating midpoint j fills (u, v) = split[j] in the column of its younger end c,
+    # at c's second slot if c is u (edge (c, v) descends from c's second edge), else its first
+    u, v = split[:a, 0], split[:a, 1]
+    fill_slot = 2 * np.minimum(u, v)
+    fill_slot += u < v
+    # the last round's midpoints hold the lowest labels, then the round before it, and so on
+    bounds = [0, *accumulate(np.count_nonzero(h) for h in reversed(g.history))]
+    rounds = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+
+    off_pairs = off.reshape(-1, 2)
+    factor = np.empty((a, 2))  # the two entries of L below each midpoint's unit diagonal
+    for lo, hi in rounds:
+        w = off_pairs[lo:hi]
+        f = np.divide(w, diag[lo:hi, None], out=factor[lo:hi])
+        lost = np.bincount(split[lo:hi].ravel(), weights=(w * f).ravel())
+        diag[: lost.size] -= lost
+        fill = np.bincount(fill_slot[lo:hi], weights=w[:, 0] * f[:, 1])
+        off[: fill.size] -= fill
+    # L D L^T x = e_a: e_a is zero on every midpoint, so the forward sweep leaves it as it is,
+    # and L^T x = e_a / D_a remains, with z grounded at 0
+    x = np.zeros(n)
+    x[a] = 1.0 / diag[a]
+    for lo, hi in reversed(rounds):
+        terms = x[split[lo:hi]]
+        terms *= factor[lo:hi]
+        np.add(terms[:, 0], terms[:, 1], out=x[lo:hi])
+        np.negative(x[lo:hi], out=x[lo:hi])
+    lx = np.bincount(rows, weights=data * x[cols], minlength=n)
+    lx[a] -= 1.0
+    residual = float(np.linalg.norm(lx[:z]))  # of the grounded system, whose right side has norm 1
+    if not residual <= _RESIDUAL_TOL:
         raise HomsysError(f"Laplacian solve residual {residual:.3g} too large")
-    r = float(x[a_r])
+    r = float(x[a])
     if not np.isfinite(r) or r <= 0:
         raise HomsysError("singular Laplacian system; graph disconnected?")
     return r

@@ -1,14 +1,17 @@
 """Test oracle: the serpar resistance and distance oracles built the COO way.
 
 `explicit` derives the node/edge graph from the replacement history edge by
-edge, in creation labels, independently of `SPGraph.laplacian`.
+edge, in creation labels, independently of `SPGraph.laplacian`, and
+`split_edges` the edge each midpoint split on the way.
 `resistance_exact` assembles the grounded Laplacian from (row, col, value)
-triplets, one per edge end, and lets scipy sort them and sum the duplicates
-from parallel edges; `distance_exact` searches a one-direction adjacency of
-the creation-order node labels as undirected.  homsys.serpar derives one
-sorted Laplacian per graph and shares it between both oracles; its grounded
-matrix equals the canonical one built here entry for entry, so the two must
-give the same bits.
+triplets, one per edge end, lets scipy sort them and sum the duplicates
+from parallel edges, and factors it with SuperLU; `distance_exact` searches a
+one-direction adjacency of the creation-order node labels as undirected.
+homsys.serpar derives one sorted Laplacian per graph and shares it between
+both oracles; its grounded matrix equals the canonical one built here entry
+for entry.  So the distances must be the same bits; the resistances agree to
+the rounding of two different factorisations, since serpar eliminates the
+Laplacian round by round without SuperLU.
 """
 
 import numpy as np
@@ -18,14 +21,25 @@ import scipy.sparse.linalg as spla
 
 
 def explicit(g):
-    """The node/edge graph: (edges array [E, 2], n_nodes, a, z), nodes in creation order.
+    """The node/edge graph: (edges array [E, 2], n_nodes, a, z), nodes in creation order."""
+    edges, n_nodes, _ = _expand(g)
+    return edges, n_nodes, 0, 1
 
-    Round by round, edge (u, v) becomes (u, v), (u, v) in parallel or (u, w), (w, v) in
+
+def split_edges(g):
+    """[n_nodes - 2, 2]: row w - 2 is the edge (u, v) that midpoint w split, in creation labels."""
+    return _expand(g)[2]
+
+
+def _expand(g):
+    """Round by round, edge (u, v) becomes (u, v), (u, v) in parallel or (u, w), (w, v) in
     series, w being the next new node."""
     edges = np.array([[0, 1]], dtype=np.int64)
     n_nodes = 2
+    split = [np.zeros((0, 2), dtype=np.int64)]
     for series in g.history:
         mids = n_nodes + np.cumsum(series) - 1
+        split.append(edges[series])
         u, v = edges[:, 0], edges[:, 1]
         out = np.empty((2 * len(edges), 2), dtype=np.int64)
         out[0::2, 0] = u
@@ -34,7 +48,7 @@ def explicit(g):
         out[1::2, 1] = v
         edges = out
         n_nodes += int(series.sum())
-    return edges, n_nodes, 0, 1
+    return edges, n_nodes, np.concatenate(split)
 
 
 def grounded_laplacian(g):

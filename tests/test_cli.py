@@ -297,12 +297,20 @@ def _subprocess_env() -> dict:
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    # only the serpar oracles use scipy; they import it when called, so commands
-    # that never call them start without loading it
+    # only serpar's distance oracle uses scipy (csgraph, which loads scipy.sparse.linalg);
+    # it imports it when called, so commands that never call it start without loading it
     env = _subprocess_env()
     code = "import sys, homsys.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_the_resistance_oracle_loads_no_scipy():
+    env = _subprocess_env()
+    code = ("import sys; from homsys import serpar; r = serpar.resistance_exact(serpar.build(8, 0.5, 0)); "
+            "print(r > 0, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "True []"
 
 
 def test_the_parser_is_built_once_per_process(monkeypatch, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from homsys import DomainError
+from homsys import DomainError, HomsysError
 from homsys import serpar
 
 import coo_laplacian_oracles
@@ -69,8 +69,48 @@ def test_build_rejects_bad_rounds_and_probabilities(n, p):
     + [serpar.single_edge(), serpar.build(16, 0.5, 0)],
 )
 def test_oracles_give_the_bits_of_the_coo_path(g):
-    assert serpar.resistance_exact(g) == coo_laplacian_oracles.resistance_exact(g)
+    # the distance is the same bits; the resistance comes from another factorisation than
+    # SuperLU's, so it agrees to criterion 5's bound, which is also the residual tolerance
+    assert serpar.resistance_exact(g) == pytest.approx(coo_laplacian_oracles.resistance_exact(g), rel=1e-9)
     assert serpar.distance_exact(g) == coo_laplacian_oracles.distance_exact(g)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 12, 16])
+def test_the_split_ends_are_the_edges_the_midpoints_split(n, p):
+    g = serpar.build(n, p, 0)
+    split = coo_laplacian_oracles.split_edges(g)
+    n_nodes = 2 + len(split)
+    label = np.arange(n_nodes - 1, -1, -1)  # reverse creation labels, a and z last
+    label[0], label[1] = n_nodes - 2, n_nodes - 1
+    want = np.empty((n_nodes - 1, 2), dtype=np.int64)
+    want[label[2:]] = label[split]
+    want[n_nodes - 2] = n_nodes - 1
+    assert g.split_ends.dtype == np.int32 and not g.split_ends.flags.writeable
+    assert np.array_equal(g.split_ends, want)
+
+
+def test_a_laplacian_entry_outside_the_split_end_slots_is_rejected():
+    g = serpar.build(6, 0.5, 1)
+    data, rows, indptr = g.laplacian
+    split = g.split_ends
+    # the last entry of the first column with an entry below the diagonal, moved to
+    # another row below the diagonal
+    col = next(j for j in range(indptr.size - 1) if rows[indptr[j + 1] - 1] > j)
+    other = next(r for r in range(col + 1, indptr.size - 1) if r not in split[col])
+    moved = rows.copy()
+    moved[indptr[col + 1] - 1] = other
+    g.__dict__["laplacian"] = (data, moved, indptr)
+    with pytest.raises(HomsysError, match="split-end slots"):
+        serpar.resistance_exact(g)
+
+
+def test_a_residual_above_the_tolerance_is_rejected(monkeypatch):
+    g = serpar.build(8, 0.5, 0)
+    serpar.resistance_exact(g)
+    monkeypatch.setattr(serpar, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(HomsysError, match="residual .* too large"):
+        serpar.resistance_exact(g)
 
 
 @pytest.mark.parametrize(
