@@ -96,7 +96,7 @@ def _c4_one_step_oracle():
     for i, name in enumerate(names):
         model = builtin(name)
         big = dist.GridCDF(init.lo - 3.0, init.hi + 3.0, np.clip(init(np.linspace(init.lo - 3.0, init.hi + 3.0, 8193)), 0, 1))
-        stepped = evolve.step(big, model)
+        stepped = evolve.step_detailed(big, model)[0]
         sample = _one_step_mc(model, init, N, SEED + i)
         d = dist.ks(sample, stepped)
         details.append(f"{model.name}: KS={d:.4f}")

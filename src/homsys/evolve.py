@@ -37,7 +37,7 @@ from .models import ModelSpec, checkpoint_scales, resolve_scaling
 from .quadrature import integrate_intervals
 
 __all__ = [
-    "lambda_operator", "step", "step_detailed", "grid_filters", "run",
+    "lambda_operator", "step_detailed", "grid_filters", "run",
     "ShiftFilters", "StepDiagnostics", "RunDiagnostics", "RunCheckpoint",
 ]
 
@@ -333,10 +333,6 @@ def step_detailed(
     mono[0] = 0.0 if mono[0] < 1e-9 else mono[0]
     rows = touched / evaluated if evaluated else 0.0
     return GridCDF(d.lo, d.hi, mono), StepDiagnostics(budget, defect, end_defect, rows)
-
-
-def step(d: GridCDF, model: ModelSpec) -> GridCDF:
-    return step_detailed(d, model)[0]
 
 
 @dataclass(frozen=True)

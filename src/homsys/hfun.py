@@ -129,6 +129,7 @@ class GFunction:
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
         out = np.where(np.isfinite(z), self._eval_finite(z), 0.0)
+        out[np.isnan(z)] = np.nan  # only +-inf have the limit 0
         return float(out[0]) if scalar else out
 
     def _eval_finite(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -12,18 +12,20 @@ keyed by (seed, stream, step), and each step's draws are made in one fixed
 vectorized sequence.  Thread counts therefore cannot change any stream, and
 identical (seed, model, n, N) produce bit-identical pools.
 
-Buffers: `simulate` owns and recycles every pool it steps.  It allocates
-one spare pool array and one 2N parent buffer per run; each step gathers
-its parents into the parent buffer and writes the new pool into the spare,
-and the array of the pool it replaced becomes the next spare.  A step thus
-allocates little beyond the index array that the parent draw returns.  The
-draws and the arithmetic are those of `pool_step(pool)` on new arrays, so
-the reproducibility contract is unchanged, and no caller's array is ever
+Buffers: a pool is a plain float array, checked (size, finite point value)
+once per run by `new_pool`.  `simulate` owns and recycles the two pool
+arrays it steps between, and one 2N parent buffer: each step gathers its
+parents into the parent buffer and writes the new pool into the spare array,
+and the array it replaced becomes the next spare.  A step thus allocates
+little beyond the index array that the parent draw returns.  The draws and
+the arithmetic are those of `pool_step` on new arrays, so the
+reproducibility contract is unchanged, and no caller's array is ever
 written; each checkpoint keeps its own sorted copy of the pool.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,7 @@ from .dist import ks
 from .errors import DomainError
 from .models import ModelSpec, apply_mixture, checkpoint_scales, resolve_scaling
 
-__all__ = ["SamplePool", "new_pool", "pool_step", "simulate", "hipster_direct", "CheckpointSummary"]
+__all__ = ["new_pool", "pool_step", "simulate", "hipster_direct", "CheckpointSummary"]
 
 _STREAM_STEP = 1
 _STREAM_WALK = 2
@@ -43,43 +45,30 @@ def _gen(seed: int, stream: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass
-class SamplePool:
-    """Population of log-scale samples standing in for the law at step n."""
-
-    values: np.ndarray
-    n: int
-    seed: int
-    model: ModelSpec
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.size < 2:
-            raise DomainError("pool needs at least two samples")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("pool values must be finite")
+def new_pool(init: float, N: int) -> np.ndarray:
+    """The pool at step 0: N >= 2 copies of the finite point value init (log scale); draws nothing."""
+    if N < 2 or not math.isfinite(init):
+        raise DomainError(f"a pool needs N >= 2 samples of a finite value, got N={N}, init={init!r}")
+    return np.full(N, float(init))
 
 
-def new_pool(model: ModelSpec, init: float, N: int, seed: int) -> SamplePool:
-    """Initial pool of N copies of the point value init (log scale); draws nothing."""
-    return SamplePool(np.full(N, float(init)), 0, seed, model)
-
-
-def pool_step(pool: SamplePool, out: np.ndarray | None = None, parents: np.ndarray | None = None) -> SamplePool:
-    """One resampling step: each slot is log F applied to two uniform picks.
+def pool_step(
+    model: ModelSpec, pool: np.ndarray, seed: int, n: int,
+    out: np.ndarray | None = None, parents: np.ndarray | None = None,
+) -> np.ndarray:
+    """The pool after step n of the run keyed by seed: each slot is log F applied to two uniform picks
+    from ``pool``, the pool after step n - 1, which is only read.
 
     ``out`` (N floats) receives the new pool and ``parents`` (2N floats) the
-    gathered parent pairs; either may be None for a new array.  Neither may
-    overlap ``pool.values``, which is only read.
+    gathered parent pairs; either may be None for a new array, and neither may overlap ``pool``.
     """
-    rng = _gen(pool.seed, _STREAM_STEP, pool.n + 1)
-    N = pool.values.size
+    rng = _gen(seed, _STREAM_STEP, n)
+    N = pool.size
     idx = rng.integers(0, N, 2 * N)
     # the indices are in range, and unlike the default "raise", "wrap" gathers without buffering
-    parents = pool.values.take(idx, out=parents, mode="wrap")
+    parents = pool.take(idx, out=parents, mode="wrap")
     del idx  # freed before the atoms allocate, so a step's peak stays at the 2N indices
-    vals = apply_mixture(pool.model, rng, parents[:N], parents[N:], out=out)
-    return SamplePool(vals, pool.n + 1, pool.seed, pool.model)
+    return apply_mixture(model, rng, parents[:N], parents[N:], out=out)
 
 
 @dataclass
@@ -108,21 +97,21 @@ def simulate(
     the model: cubic with (c* n)^(1/3) in the cube-root regime, y^2 with the
     proved constants for the known square-root models.
     """
-    if n < 1 or N < 2:
-        raise DomainError("need n >= 1 and N >= 2")
+    if n < 1:
+        raise DomainError("need n >= 1")
+    pool = new_pool(init, N)
     scaling = resolve_scaling(model, scaling)
     scales, _ = checkpoint_scales(scaling, n, checkpoints)
     law = scaling[0]
-    pool = new_pool(model, init, N, seed)
     spare, parents = np.empty(N), np.empty(2 * N)
     out = []
-    for _ in range(n):
-        pool, spare = pool_step(pool, spare, parents), pool.values
-        if pool.n in scales:
-            # the same multiset as pool.values / scale, in order, and safe from later steps
-            resc = np.sort(pool.values)
-            resc /= scales[pool.n]
-            out.append(CheckpointSummary(pool.n, scales[pool.n], ks(resc, law), resc, law))
+    for k in range(1, n + 1):
+        pool, spare = pool_step(model, pool, seed, k, spare, parents), pool
+        if k in scales:
+            # the same multiset as pool / scale, in order, and safe from later steps
+            resc = np.sort(pool)
+            resc /= scales[k]
+            out.append(CheckpointSummary(k, scales[k], ks(resc, law), resc, law))
     return out
 
 

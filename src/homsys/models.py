@@ -37,17 +37,18 @@ _WEIGHT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Finite mixture of class functions: the law of the random recursion map."""
+    """Finite mixture of class functions, the law of the random recursion map: a value that compares
+    and hashes by its atoms (``name`` is a display label, outside equality)."""
 
     atoms: tuple[tuple[float, HFunction], ...]
-    name: str = ""
+    name: str = field(default="", compare=False)
 
     def __post_init__(self):
         if not self.atoms:
             raise DomainError("a model needs at least one atom")
         weights = [w for w, _ in self.atoms]
-        if any(w <= 0 for w in weights):
-            raise DomainError("atom weights must be positive")
+        if not all(math.isfinite(w) and w > 0 for w in weights):
+            raise DomainError("atom weights must be finite and positive")
         if abs(sum(weights) - 1.0) > _WEIGHT_TOL:
             raise DomainError(f"atom weights must sum to 1 (got {sum(weights)!r})")
 
@@ -155,10 +156,11 @@ def apply_mixture(
 
 # -- criticality / regime -------------------------------------------------------
 
-#: Proved square-root scaling constants, keyed by builtin model name.
+#: Proved square-root scaling constants, keyed by the model (its atoms; the name is a label): the lazy
+#: hipster walk (Addario-Berry et al., PTRF 2020) and the p = 1/2 series-parallel distance (Hambly & Jordan, 2004).
 KNOWN_SQRT_CONSTANTS = {
-    "lazy_hipster": 2.0,
-    "distance(0.5)": math.pi**2 / 6.0,
+    builtin("lazy_hipster"): 2.0,
+    builtin("distance", p=0.5): math.pi**2 / 6.0,
 }
 
 
@@ -230,8 +232,9 @@ def resolve_scaling(model: ModelSpec, scaling: tuple[str, float, float] | None =
 
     With `scaling` None, the triple comes from one classification of the
     model: cbrt models use the cubic law with c* = moments.c_star(model) and
-    exponent 1/3; sqrt models use the y^2 law with the proved constants where
-    known and exponent 1/2; any other model raises DomainError.  A given
+    exponent 1/3; sqrt models equal to a key of KNOWN_SQRT_CONSTANTS (atom for
+    atom, whatever the name) use the y^2 law, its constant and exponent 1/2;
+    any other model raises DomainError.  A given
     `scaling` is returned as it is once checked: a 3-tuple whose law is in
     dist.LIMIT_LAWS and whose constant and exponent are finite and > 0, else
     DomainError.
@@ -249,8 +252,8 @@ def resolve_scaling(model: ModelSpec, scaling: tuple[str, float, float] | None =
     regime = classify(model).regime
     if regime == "cbrt":
         return "cubic", c_star(model), 1.0 / 3.0
-    if regime == "sqrt" and model.name in KNOWN_SQRT_CONSTANTS:
-        return "linear_half", KNOWN_SQRT_CONSTANTS[model.name], 0.5
+    if regime == "sqrt" and model in KNOWN_SQRT_CONSTANTS:
+        return "linear_half", KNOWN_SQRT_CONSTANTS[model], 0.5
     raise DomainError(f"no limit law known for model {model.name!r} (regime {regime!r}); pass a scaling triple")
 
 
@@ -363,6 +366,6 @@ def model_to_dict(model: ModelSpec) -> dict:
 
 
 def model_digest(model: ModelSpec) -> str:
-    """Stable hash of the model content (its model_to_dict form), for reproducibility logs."""
+    """Stable hash of the model's written form (model_to_dict, name label included) for reproducibility logs."""
     blob = json.dumps(model_to_dict(model), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateModelError, DomainError
+from .errors import DegenerateModelError, DomainError, HomsysError
 from .hfun import GFunction, HFunction, t_breaks, t_halvings, t_of, t_support_end
 from .quadrature import integrate_panels
 
@@ -69,7 +69,8 @@ def _gamma(g_star: GFunction, a: float, b: float) -> float:
     them; and the top end: the support end of a compact T, or for a softplus
     T the first of the doublings of 2r at which T is exactly 0, exp(-t/scale)
     having underflowed.  The quadrature nodes lie strictly inside each panel,
-    so T is never read at 0 or at a jump.
+    so T is never read at 0 or at a jump.  A value that is not finite raises
+    HomsysError: t^a overflows long before the integral does (a >= 108 for the sum atom).
     """
     f = HFunction(+1, g_star)
     if f.r == 0.0:
@@ -92,7 +93,11 @@ def _gamma(g_star: GFunction, a: float, b: float) -> float:
         out[pos] = t[pos] ** a * tv[pos] ** b
         return out
 
-    return integrate_panels(h, edges.tolist(), MOMENT_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = integrate_panels(h, edges.tolist(), MOMENT_TOL)
+    if not math.isfinite(value):
+        raise HomsysError(f"Gamma^({a!r},{b!r}) is not finite in double precision (got {value!r})")
+    return value
 
 
 def m_eta(f: HFunction, eta: float = 1.0) -> float:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, HomsysError
 
-__all__ = ["SPGraph", "single_edge", "build", "reduce_graph", "resistance_exact", "distance_exact"]
+__all__ = ["SPGraph", "build", "reduce_graph", "resistance_exact", "distance_exact"]
 
 MAX_ROUNDS = 24  # 2^24 edges: one build and its fold peak at 0.27 GB resident (ru_maxrss)
 MAX_ORACLE_ROUNDS = 16  # the oracles' Laplacian is derived up to 2^16 edges
@@ -149,10 +149,6 @@ def _leaf_ends(history: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray,
         made = np.concatenate(edges[:-1]).view(np.int64)[choices]
         split[: n - 2].view(np.int64)[:, 0] = made[::-1]
     return ends, split, n
-
-
-def single_edge() -> SPGraph:
-    return SPGraph(())
 
 
 def build(n: int, p: float, seed: int) -> SPGraph:

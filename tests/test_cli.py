@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 import homsys
 from homsys import builtin, cli, limit_cdf, moments, parse_model, proofcheck
-from homsys.models import model_digest, resolve_scaling
+from homsys.models import model_digest, model_to_dict, resolve_scaling
 from test_proofcheck import TWO_TABLES
 
 
@@ -497,3 +498,53 @@ def test_report_runs_the_given_criteria(tmp_path, capsys):
     results = json.loads((tmp_path / "r.json").read_text())["results"]
     assert [r["criterion"] for r in results] == ["1", "3"] and all(r["passed"] for r in results)
     assert capsys.readouterr().out.count("[PASS] criterion") == 2
+
+
+@pytest.mark.parametrize("name", ["lazy_hipster", "distance(0.5)"])
+def test_an_unnamed_copy_of_a_known_model_runs_with_its_scaling(name, tmp_path):
+    unnamed = json.dumps({"atoms": model_to_dict(parse_model(name))["atoms"]})
+    runs = {"simulate": ["--pool", "500", "--seed", "3"], "evolve": ["--grid", "512"]}
+    for command, flags in runs.items():
+        got = []
+        for tag, model in (("named", name), ("unnamed", unnamed)):
+            out = str(tmp_path / f"{command}_{tag}")
+            assert cli.main([command, "--model", model, "--n", "4", "--checkpoints", "2,4", *flags, "--out", out]) == 0
+            got.append((json.loads(Path(out + ".json").read_text())["scaling"], Path(out + ".csv").read_bytes()))
+        assert got[0] == got[1] and got[0][0]["law"] == "linear_half"
+
+
+def test_a_borrowed_name_gets_no_proved_constant(capsys):
+    # a sqrt-regime tent + min model under the name of distance(0.5), whose constant is pi^2/6
+    spec = ('{"name":"distance(0.5)","atoms":[{"weight":0.5,"family":"tent","s_plus":1,"s_minus":0.5},'
+            '{"weight":0.5,"family":"min"}]}')
+    assert cli.main(["simulate", "--model", spec, "--n", "4", "--pool", "200", "--checkpoints", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "validation error: no limit law known" in err
+
+
+@pytest.mark.parametrize("atoms", ['{"weight":NaN,"family":"sum"}',
+                                   '{"weight":NaN,"family":"sum"},{"weight":1.0,"family":"min"}'])
+@pytest.mark.parametrize(
+    "argv",
+    [["gamma"], ["classify"],
+     ["simulate", "--law", "cubic", "--scale-constant", "1", "--exponent", "0.5", "--n", "3", "--pool", "100",
+      "--checkpoints", "3"]],
+    ids=["gamma", "classify", "simulate"],
+)
+def test_a_nan_weight_exits_1_before_any_output(atoms, argv, tmp_path, capsys):
+    model = '{"atoms":[' + atoms + "]}"
+    assert _exit_code([argv[0], "--model", model, *argv[1:], "--out", str(tmp_path / "x")]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "atom weights must be finite and positive" in captured.err
+    assert not captured.out and not list(tmp_path.iterdir())
+
+
+def test_a_gamma_that_overflows_exits_2_without_a_warning(tmp_path, capsys):
+    # Gamma^(150,1) = Gamma(151) zeta(152) is finite, but its integrand's t^150 overflows
+    argv = ["gamma", "--model", "resistance(0.5)", "--a", "150", "--b", "1", "--out", str(tmp_path / "g.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "numerical error: Gamma^(150.0,1.0) is not finite" in captured.err
+    assert not list(tmp_path.iterdir())

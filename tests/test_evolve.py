@@ -222,7 +222,7 @@ KERNEL_MODELS = {
 @pytest.mark.parametrize("name", KERNEL_MODELS)
 def test_grouped_filters_match_the_per_cell_sum(name):
     model = KERNEL_MODELS[name]
-    d = evolve.step(_uniform(m=1024), model)  # a law with curvature, not a ramp
+    d = evolve.step_detailed(_uniform(m=1024), model)[0]  # a law with curvature, not a ramp
     new = evolve.step_detailed(d, model)[0].cdf
     old = np.maximum.accumulate(np.clip(_per_cell_step(d, model), 0.0, 1.0))
     old[-1] = 1.0

@@ -3,8 +3,10 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import homsys
@@ -72,3 +74,16 @@ def test_every_cli_option_is_passed_by_some_test():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
     assert sorted(_option_strings(cli.build_parser()) - literals) == []
+
+
+def test_the_benchmark_tracer_finds_every_span_it_reports(monkeypatch):
+    # the tracer wraps the public functions by name, and its per-layer metrics look some of them up;
+    # a public function that moves or is renamed must fail here, not only in a traced benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # reads bench/, writes nothing there
+    tracing = importlib.import_module("tracing")
+    names = sorted({span for span, *_ in tracing.Tracer()._targets()})
+    empty = {key: np.zeros(0, dtype=np.int32) for key in ("name", "parent", "invocation")}
+    empty.update({key: np.zeros(0) for key in ("start", "end", "value")}, ok=np.zeros(0, dtype=np.int8))
+    metrics = tracing.layer_metrics(names, empty, [], 0.0)
+    assert metrics["trace.spans"] == (0, "count")

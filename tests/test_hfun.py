@@ -116,6 +116,16 @@ class TestCorrespondence:
         assert np.all(F_MIN.g(np.linspace(-5, 5, 11)) == 0.0)
         assert F_HIP_PLUS.g(0.25) == pytest.approx(0.75, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "g", [g_zero(), F_SUM.g, g_hip(), asym_tent(0.5, 0.8).g, g_table([-1.0, 0.0, 1.0], [0.0, 0.5, 0.0])],
+        ids=["zero", "softplus", "hipster", "tent", "table"],
+    )
+    def test_g_keeps_nan_and_vanishes_at_infinity(self, g):
+        # only +-inf have the limit 0; a NaN argument has no value to take
+        assert math.isnan(g(math.nan))
+        got = g(np.array([math.nan, math.inf, -math.inf, 0.25]))
+        assert math.isnan(got[0]) and got[1] == got[2] == 0.0 and got[3] == g(0.25)
+
     def test_table_lipschitz_rejected(self):
         z = np.linspace(-2, 2, 5)
         v = np.array([0.0, 1.5, 2.0, 1.5, 0.0])  # slope 1.5 > 1

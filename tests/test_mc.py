@@ -13,10 +13,10 @@ BUILTINS = ["hipster", "resistance", "distance", "lazy_hipster", "power_mean"]
 
 
 def _pool_after(model, seed, steps=4):
-    pool = mc.new_pool(model, 0.0, 2000, seed)
-    for _ in range(steps):
-        pool = mc.pool_step(pool)
-    return pool.values
+    pool = mc.new_pool(0.0, 2000)
+    for n in range(1, steps + 1):
+        pool = mc.pool_step(model, pool, seed, n)
+    return pool
 
 
 @pytest.mark.parametrize("name", ["hipster", "resistance", "lazy_hipster"])
@@ -65,23 +65,21 @@ def _per_element_mixture(model, rng, a, b):
 def test_block_counts_keep_the_law_of_a_pool_step(name):
     N = 100_000
     model = builtin(name)
-    pool = mc.new_pool(model, 0.0, N, seed=4)
-    pool.values[:] = np.random.default_rng(5).normal(0.0, 1.5, N)
-    new = mc.pool_step(pool).values
+    pool = np.random.default_rng(5).normal(0.0, 1.5, N)
+    new = mc.pool_step(model, pool, 4, 1)
     rng = np.random.default_rng(6)
     idx = rng.integers(0, N, 2 * N)
-    old = _per_element_mixture(model, rng, pool.values[idx[:N]], pool.values[idx[N:]])
+    old = _per_element_mixture(model, rng, pool[idx[:N]], pool[idx[N:]])
     assert ks(new, old) <= 3.0 * np.sqrt(2.0 / N)
 
 
 def test_pool_step_draws_parents_then_atoms():
     model = builtin("resistance")
-    pool = mc.new_pool(model, 0.0, 1000, seed=2)
-    pool.values[:] = np.linspace(-1.0, 1.0, 1000)
+    pool = np.linspace(-1.0, 1.0, 1000)
     rng = mc._gen(2, mc._STREAM_STEP, 1)
     idx = rng.integers(0, 1000, 2000)
-    want = apply_mixture(model, rng, pool.values[idx[:1000]], pool.values[idx[1000:]])
-    assert np.array_equal(mc.pool_step(pool).values, want)
+    want = apply_mixture(model, rng, pool[idx[:1000]], pool[idx[1000:]])
+    assert np.array_equal(mc.pool_step(model, pool, 2, 1), want)
 
 
 def test_simulate_checkpoints_and_guards():
@@ -93,7 +91,10 @@ def test_simulate_checkpoints_and_guards():
     with pytest.raises(DomainError):
         mc.simulate(builtin("hipster"), 0.0, 4, 500, 1, (0, 2))
     with pytest.raises(DomainError):
-        mc.new_pool(builtin("hipster"), 0.0, 1, 1)
+        mc.simulate(builtin("hipster"), 0.0, 4, 1, 1, (2,))
+    for init, N in ((0.0, 1), (np.nan, 500), (np.inf, 500)):
+        with pytest.raises(DomainError):
+            mc.new_pool(init, N)
 
 
 def test_direct_walk_deterministic():
@@ -108,9 +109,9 @@ def test_simulate_gives_the_bits_of_the_fresh_array_step(name, N, monkeypatch):
     pools = []
     step = mc.pool_step
 
-    def recording(pool, *args):
-        new = step(pool, *args)
-        pools.append(new.values.copy())
+    def recording(*args):
+        new = step(*args)
+        pools.append(new.copy())
         return new
 
     monkeypatch.setattr(mc, "pool_step", recording)
@@ -130,16 +131,16 @@ def test_simulate_gives_the_bits_of_the_fresh_array_step(name, N, monkeypatch):
 @pytest.mark.parametrize("name", BUILTINS)
 def test_pool_step_reads_its_pool_and_writes_only_its_buffers(name):
     N = 3000
-    pool = mc.new_pool(builtin(name), 0.0, N, seed=3)
-    pool.values[:] = np.random.default_rng(8).normal(0.0, 2.0, N)
-    before = pool.values.copy()
-    fresh = mc.pool_step(pool)
+    model = builtin(name)
+    pool = np.random.default_rng(8).normal(0.0, 2.0, N)
+    before = pool.copy()
+    fresh = mc.pool_step(model, pool, 3, 1)
     out, parents = np.full(N, np.nan), np.full(2 * N, np.nan)
-    buffered = mc.pool_step(pool, out, parents)
-    assert np.array_equal(pool.values, before)
-    assert buffered.values is out and fresh.values is not pool.values
-    assert np.array_equal(buffered.values.view(np.uint64), fresh.values.view(np.uint64))
-    assert np.array_equal(fresh.values, fresh_array_pool_step.pool_step(before, 0, 3, pool.model))
+    buffered = mc.pool_step(model, pool, 3, 1, out, parents)
+    assert np.array_equal(pool, before)
+    assert buffered is out and fresh is not pool
+    assert np.array_equal(buffered.view(np.uint64), fresh.view(np.uint64))
+    assert np.array_equal(fresh, fresh_array_pool_step.pool_step(before, 0, 3, model))
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -151,10 +152,10 @@ def test_simulate_steps_allocate_little_beyond_the_parent_draw(name, monkeypatch
     peaks = []
     step = mc.pool_step
 
-    def measured(pool, *args):
+    def measured(*args):
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        new = step(pool, *args)
+        new = step(*args)
         peaks.append(tracemalloc.get_traced_memory()[1] - start)
         return new
 

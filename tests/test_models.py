@@ -48,6 +48,18 @@ class TestBuiltin:
         with pytest.raises(DomainError):
             ModelSpec(((-0.5, F_SUM), (1.5, F_MIN)))
 
+    @pytest.mark.parametrize("atoms", [((math.nan, F_SUM),), ((math.nan, F_SUM), (1.0, F_MIN)),
+                                       ((math.inf, F_SUM),), ((1.0, F_SUM), (math.nan, F_MIN))])
+    def test_weights_must_be_finite(self, atoms):
+        # a NaN passes both w <= 0 and |sum - 1| > tol as False
+        with pytest.raises(DomainError, match="finite and positive"):
+            ModelSpec(atoms)
+
+    def test_a_model_is_its_atoms(self):
+        named, unnamed = builtin("distance", p=0.5), ModelSpec(builtin("distance", p=0.5).atoms)
+        assert named == unnamed and hash(named) == hash(unnamed) and named.name != unnamed.name
+        assert named != builtin("distance", p=0.25)
+
 
 class TestClassify:
     def test_hipster_cbrt(self):
@@ -95,6 +107,20 @@ class TestClassify:
             assert b.e_gamma01_eps == pytest.approx(-a.e_gamma01_eps, abs=1e-7)
             flip = {"bounded": "bounded", "linear": "linear", "sqrt": "sqrt", "cbrt": "cbrt", "unknown": "unknown"}
             assert b.regime == flip[a.regime]
+
+    @pytest.mark.parametrize("name, params, constant", [("lazy_hipster", {}, 2.0),
+                                                        ("distance", {"p": 0.5}, math.pi**2 / 6.0)])
+    def test_known_constants_go_by_the_atoms_not_the_name(self, name, params, constant):
+        model = builtin(name, **params)
+        unnamed = parse_model(json.dumps({"atoms": model_to_dict(model)["atoms"]}))
+        assert unnamed.name == "" and resolve_scaling(unnamed) == resolve_scaling(model) == ("linear_half", constant, 0.5)
+
+    def test_a_borrowed_name_gets_no_constant(self):
+        # a sqrt-regime model named like a known one, with other atoms
+        model = ModelSpec(((0.5, asym_tent(1.0, 0.5)), (0.5, F_MIN)), "distance(0.5)")
+        assert classify(model).regime == "sqrt"
+        with pytest.raises(DomainError, match="no limit law known"):
+            resolve_scaling(model)
 
     def test_resolved_constant_is_c_star(self):
         # evolve and simulate rescale by the c* that gamma and lambda-check report, bit for bit

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from homsys import (
     F_SUM,
     DegenerateModelError,
     DomainError,
+    HomsysError,
     ModelSpec,
     asym_tent,
     alpha,
@@ -137,6 +139,16 @@ class TestGamma:
         monkeypatch.setattr(moments, "integrate_panels", counted)
         c_star(builtin("resistance", p=0.5))
         assert len(calls) <= 10
+
+    def test_a_gamma_that_is_not_finite_raises(self):
+        # t^a overflows inside the integrand from about a = 108, though Gamma(a+1) zeta(a+2) is finite up to
+        # a = 170; the result is refused, with no RuntimeWarning, on every call (nothing is cached)
+        assert gamma(F_SUM, 100.0, 1.0) == pytest.approx(math.gamma(101.0), rel=5e-14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                with pytest.raises(HomsysError, match=r"Gamma\^\(150.0,1.0\) is not finite"):
+                    gamma(F_PARALLEL, 150.0, 1.0)
 
     def test_pointwise_bound(self):
         # sup t^(a+1) T(t)^b <= (a+1) gamma(a,b)

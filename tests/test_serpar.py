@@ -66,7 +66,7 @@ def test_build_rejects_bad_rounds_and_probabilities(n, p):
 @pytest.mark.parametrize(
     "g",
     [serpar.build(12, p, seed) for p in (0.0, 0.3, 0.5, 0.7, 1.0) for seed in range(3)]
-    + [serpar.single_edge(), serpar.build(16, 0.5, 0)],
+    + [serpar.SPGraph(()), serpar.build(16, 0.5, 0)],
 )
 def test_oracles_give_the_bits_of_the_coo_path(g):
     # the distance is the same bits; the resistance comes from another factorisation than
@@ -114,7 +114,7 @@ def test_a_residual_above_the_tolerance_is_rejected(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "g", [serpar.single_edge(), serpar.build(6, 0.5, 1), serpar.build(12, 0.3, 2),
+    "g", [serpar.SPGraph(()), serpar.build(6, 0.5, 1), serpar.build(12, 0.3, 2),
           serpar.SPGraph(tuple(np.ones(2**k, dtype=bool) for k in range(16)))]
     + [serpar.build(16, p, 3) for p in (0.0, 1.0)] + [serpar.build(n, p, 0) for n in (0, 1) for p in (0.0, 1.0)]
 )
@@ -152,8 +152,8 @@ def test_bad_history_rejected():
 
 
 def test_exact_resistance_of_the_smallest_and_extreme_graphs():
-    assert serpar.resistance_exact(serpar.single_edge()) == pytest.approx(1.0, rel=1e-12)
-    assert serpar.distance_exact(serpar.single_edge()) == 1.0
+    assert serpar.resistance_exact(serpar.SPGraph(())) == pytest.approx(1.0, rel=1e-12)
+    assert serpar.distance_exact(serpar.SPGraph(())) == 1.0
     n = 5
     series = serpar.SPGraph(tuple(np.ones(2**k, dtype=bool) for k in range(n)))
     parallel = serpar.SPGraph(tuple(np.zeros(2**k, dtype=bool) for k in range(n)))
