@@ -12,11 +12,11 @@ alone.  How the run was executed is kept apart,
 so that results compare byte for byte: with `--out`, the version, the command
 line and the `--threads` value go to `<stem>.run.json`, stem being `--out`
 without a trailing `.json`.  `--threads` is taken by `serpar`, which builds
-and solves its seeds on that many worker threads, and by `simulate`, which
-runs on one thread and only records the value.  Both default to the
-`HOMSYS_THREADS` environment variable (`serpar` then to 1), read when one of
-them runs; a thread count from either source that is not an integer >= 1 is
-a usage error.
+its seeds in forests (`serpar.forests`) and solves the forests on that many
+worker threads, and by `simulate`, which runs on one thread and only records
+the value.  Both default to the `HOMSYS_THREADS` environment variable
+(`serpar` then to 1), read when one of them runs; a thread count from either
+source that is not an integer >= 1 is a usage error.
 
 The argument parser is built once per process, on the first `main` call, and
 reused by every later one; it holds no per-call state.
@@ -234,20 +234,21 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_serpar(args) -> int:
-    def one(seed: int):
-        g = serpar.build(args.n, args.p, seed)
+    def solve(g: serpar.SPGraph) -> list[tuple]:
         r_red, d_red = serpar.reduce_graph(g)
         if args.check_exact:
-            return seed, r_red, serpar.resistance_exact(g), d_red, serpar.distance_exact(g)
-        return seed, r_red, None, d_red, None
+            r_ex, d_ex = serpar.resistance_exact(g).tolist(), serpar.distance_exact(g).tolist()
+        else:
+            r_ex = d_ex = [None] * g.roots
+        return list(zip(g.seeds, r_red.tolist(), r_ex, d_red.tolist(), d_ex))
 
-    seeds = range(args.seeds)
+    forests = serpar.forests(args.n, args.p, range(args.seeds))
     workers = args.threads or 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(one, seeds))
+            rows = [row for forest_rows in ex.map(solve, forests) for row in forest_rows]
     else:
-        rows = [one(s) for s in seeds]
+        rows = [row for g in forests for row in solve(g)]
 
     max_rel_r, dist_mismatch = 0.0, 0
     with _csv_out(args, "seed,R_reduce,R_exact,D_reduce,D_exact") as fh:

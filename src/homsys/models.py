@@ -156,11 +156,21 @@ def apply_mixture(
 
 # -- criticality / regime -------------------------------------------------------
 
-#: Proved square-root scaling constants, keyed by the model (its atoms; the name is a label): the lazy
+def _law(model: ModelSpec) -> tuple[tuple[HFunction, float], ...]:
+    """The law of the recursion map: the model's distinct atoms in a fixed order, each with
+    the summed weight of the atoms equal to it, so that the atom order and split atoms of
+    one law give one key."""
+    merged: dict[HFunction, float] = {}
+    for w, f in sorted(model.atoms, key=lambda atom: (atom[1].eps, atom[1].g.family, atom[1].g.params, atom[0])):
+        merged[f] = merged.get(f, 0.0) + w
+    return tuple(merged.items())
+
+
+#: Proved square-root scaling constants, keyed by the model's law (`_law`; the name is a label): the lazy
 #: hipster walk (Addario-Berry et al., PTRF 2020) and the p = 1/2 series-parallel distance (Hambly & Jordan, 2004).
 KNOWN_SQRT_CONSTANTS = {
-    builtin("lazy_hipster"): 2.0,
-    builtin("distance", p=0.5): math.pi**2 / 6.0,
+    _law(builtin("lazy_hipster")): 2.0,
+    _law(builtin("distance", p=0.5)): math.pi**2 / 6.0,
 }
 
 
@@ -232,8 +242,9 @@ def resolve_scaling(model: ModelSpec, scaling: tuple[str, float, float] | None =
 
     With `scaling` None, the triple comes from one classification of the
     model: cbrt models use the cubic law with c* = moments.c_star(model) and
-    exponent 1/3; sqrt models equal to a key of KNOWN_SQRT_CONSTANTS (atom for
-    atom, whatever the name) use the y^2 law, its constant and exponent 1/2;
+    exponent 1/3; sqrt models whose law is a key of KNOWN_SQRT_CONSTANTS (the
+    same atoms with the same total weights, in any order and whatever the
+    name) use the y^2 law, its constant and exponent 1/2;
     any other model raises DomainError.  A given
     `scaling` is returned as it is once checked: a 3-tuple whose law is in
     dist.LIMIT_LAWS and whose constant and exponent are finite and > 0, else
@@ -252,8 +263,8 @@ def resolve_scaling(model: ModelSpec, scaling: tuple[str, float, float] | None =
     regime = classify(model).regime
     if regime == "cbrt":
         return "cubic", c_star(model), 1.0 / 3.0
-    if regime == "sqrt" and model in KNOWN_SQRT_CONSTANTS:
-        return "linear_half", KNOWN_SQRT_CONSTANTS[model], 0.5
+    if regime == "sqrt" and _law(model) in KNOWN_SQRT_CONSTANTS:
+        return "linear_half", KNOWN_SQRT_CONSTANTS[_law(model)], 0.5
     raise DomainError(f"no limit law known for model {model.name!r} (regime {regime!r}); pass a scaling triple")
 
 

@@ -1,34 +1,49 @@
 """Random series-parallel graphs with independent resistance/distance oracles.
 
+A graph here is a forest: G >= 1 root edges, one per seed, grown together.
 The primary structure is the replacement history: round k holds one boolean
 per edge present at that round (True = the edge was replaced by two edges in
-series, False = by two parallel edges), children of edge e being 2e and 2e+1.
-Reduction is a vectorized bottom-up fold over the history; the graph's
-nodes and edges are derived only to feed the Laplacian and breadth-first
-search oracles, which never read the fold.
+series, False = by two parallel edges), root-major, so root g's round-k
+edges are [g 2^k, (g+1) 2^k); the children of edge e are 2e and 2e+1, so
+they stay within their root.  Reduction is a vectorized bottom-up fold over
+the history that stops at the G roots; the forest's nodes and edges are
+derived only to feed the Laplacian and breadth-first search oracles, which
+never read the fold.  A single graph is a forest with one root, and every
+root gets the bits it would get alone.
 
-Nodes are numbered in creation order (a = 0, z = 1, then each round's series
-midpoints).  Reverse creation order is a perfect elimination order: a node
-made on edge (u, v) is only ever adjacent to u, v and nodes made after it, so
-once those are eliminated its neighbours are exactly u and v, and eliminating
-it adds at most the fill edge u-v.  Midpoints of one round are never adjacent
-to each other, so the resistance oracle eliminates a whole round at once, the
-last round first: a pivot, two diagonal updates and one fill per midpoint, in
-a few array operations and with no sparse factorisation.
+Nodes are numbered in creation order over the whole forest (each round's
+series midpoints, the rounds concatenated, so round-major and root-major
+within a round) and labelled in reverse, with the terminals last: root g's
+a and z are m + 2g and m + 2g + 1, m being the number of midpoints.  Within
+one root this is the order the root has alone.  Reverse creation order is a
+perfect elimination order: a node made on edge (u, v) is only ever adjacent
+to u, v and nodes made after it, so once those are eliminated its neighbours
+are exactly u and v, and eliminating it adds at most the fill edge u-v.
+Midpoints of one round are never adjacent to each other, so the resistance
+oracle eliminates a whole round of every root at once, the last round
+first: a pivot, two diagonal updates and one fill per midpoint, in a few
+array operations and with no sparse factorisation.  A round's midpoints hold
+one contiguous label range [lo, hi), and the ends of the edges they split
+are older, so their labels are >= hi: the round's updates are binned from
+hi on and cost the labels they reach, not those below.
 
-Each graph derives its Laplacian once, in that order with a and z last, as
-sorted CSC arrays (`SPGraph.laplacian`), straight from the history: the
-midpoints get their labels from one running count over all rounds, the
-leaf edges' ends are expanded round by round, and one sort of their keys
-gives the entries column by column.  No edge list is kept; the edge each
-midpoint split is kept next to the Laplacian (`SPGraph.split_ends`).  Both
-oracles read the Laplacian: the resistance oracle eliminates it and checks
-its potentials against it, and the distance oracle searches its symmetric
-pattern as a directed graph, so neither builds a matrix of its own.
+Each forest derives its Laplacian once, in that order, as sorted CSC arrays
+(`SPGraph.laplacian`), straight from the history: the midpoints take
+consecutive labels down from the terminals, round by round, the leaf edges'
+ends are expanded round by round, and one sort of their keys gives the
+entries column by column.  No edge list is kept; the edge each midpoint split is
+kept next to the Laplacian (`SPGraph.split_ends`).  Both oracles read the
+Laplacian: the resistance oracle eliminates it and checks each root's
+potentials against it, and the distance oracle searches its symmetric
+pattern as a directed graph, from one source joined to every a, so neither
+builds a matrix of its own.  `forests` groups seeds into forests of at most
+FOREST_EDGES edges: one seed per call leaves most of the time in numpy's
+per-call overhead, and larger forests ran no faster but hold more memory.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -37,18 +52,24 @@ import numpy as np
 
 from .errors import DomainError, HomsysError
 
-__all__ = ["SPGraph", "build", "reduce_graph", "resistance_exact", "distance_exact"]
+__all__ = ["SPGraph", "build", "forests", "reduce_graph", "resistance_exact", "distance_exact"]
 
 MAX_ROUNDS = 24  # 2^24 edges: one build and its fold peak at 0.27 GB resident (ru_maxrss)
-MAX_ORACLE_ROUNDS = 16  # the oracles' Laplacian is derived up to 2^16 edges
+MAX_ORACLE_ROUNDS = 16  # the oracles' Laplacian is derived for forests of up to 2^16 edges
+FOREST_EDGES = 2**15  # `forests` makes forests of at most this many edges: 8 seeds at n = 12
 _RESIDUAL_TOL = 1e-9  # largest Laplacian solve residual accepted, relative to max(1, |rhs|)
 
 
 @dataclass(frozen=True)
 class SPGraph:
-    """Series-parallel replacement history after n growth rounds (2^n edges)."""
+    """Series-parallel forest: `roots` replacement histories after n growth rounds
+    (roots * 2^n edges), root-major within each round.  `seeds` names the roots in
+    error messages and output: the seed each root was drawn from (`build`), or ()
+    for a history given directly, whose roots are then named by their index."""
 
     history: tuple[np.ndarray, ...]
+    roots: int = 1
+    seeds: tuple[int, ...] = ()
 
     @property
     def rounds(self) -> int:
@@ -56,28 +77,37 @@ class SPGraph:
 
     @property
     def n_edges(self) -> int:
-        return 2**self.rounds
+        return self.roots * 2**self.rounds
 
     def __post_init__(self):
+        if not (isinstance(self.roots, int) and self.roots >= 1):
+            raise DomainError("a forest needs at least one root")
+        if self.seeds and len(self.seeds) != self.roots:
+            raise DomainError(f"{len(self.seeds)} seeds for {self.roots} roots")
         for k, h in enumerate(self.history):
-            if h.dtype != np.bool_ or h.shape != (2**k,):
-                raise DomainError(f"round {k} must hold 2^{k} boolean choices")
+            if h.dtype != np.bool_ or h.shape != (self.roots * 2**k,):
+                raise DomainError(f"round {k} must hold roots * 2^{k} boolean choices")
+
+    def _root_name(self, g: int) -> str:
+        return f"seed {self.seeds[g]}" if self.seeds else f"root {g}"
 
     @cached_property
     def laplacian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The graph Laplacian as sorted CSC arrays: (data, row indices, indptr).
+        """The forest's Laplacian as sorted CSC arrays: (data, row indices, indptr).
 
-        Nodes carry reverse creation labels with a and z last (a = n_nodes - 2,
-        z = n_nodes - 1); each column holds its rows in increasing order, once
-        each: minus the edge multiplicity off the diagonal, the degree on it.
-        The matrix is symmetric, so the same arrays are also its CSR form.
-        Derived from `history` on first use and kept, read-only."""
+        Nodes carry reverse creation labels with the terminals last (root g's a
+        and z are m + 2g and m + 2g + 1, m midpoints); each column holds its rows
+        in increasing order, once each: minus the edge multiplicity off the
+        diagonal, the degree on it.  The matrix is symmetric, so the same arrays
+        are also its CSR form.  Derived from `history` on first use and kept,
+        read-only."""
         return self._oracle_arrays[0]
 
     @cached_property
     def split_ends(self) -> np.ndarray:
-        """Row j < a: the ends (u, v) of the edge that midpoint j split, in reverse
-        creation labels and in the edge's a-to-z orientation; row a: (z, z).
+        """Row j < m: the ends (u, v) of the edge that midpoint j split, in reverse
+        creation labels and in the edge's a-to-z orientation; the row of each
+        terminal (the last z has none): (z, z), z being its root's z.
 
         The nodes older than j that j meets are among u and v, so they are the
         only entries below the diagonal of the Laplacian's column j.  Derived
@@ -86,10 +116,10 @@ class SPGraph:
 
     @cached_property
     def _oracle_arrays(self):
-        """(`laplacian`, `split_ends`), derived in one pass over `history`."""
-        if self.rounds > MAX_ORACLE_ROUNDS:
-            raise DomainError(f"oracle graphs are capped at {MAX_ORACLE_ROUNDS} rounds")
-        ends, split, n = _leaf_ends(self.history)
+        """(`laplacian`, `split_ends`, midpoints per round and root), derived in one pass over `history`."""
+        if self.n_edges > 2**MAX_ORACLE_ROUNDS:
+            raise DomainError(f"oracle forests are capped at 2^{MAX_ORACLE_ROUNDS} edges")
+        ends, split, n, made = _leaf_ends(self.history, self.roots)
         # one key col * n + row per entry: both ends of every edge and the diagonal;
         # sorted, the keys run column by column and parallel edges repeat a key
         key_dtype = np.int32 if n * n < 2**31 else np.int64  # int32 keys sort faster
@@ -112,57 +142,83 @@ class SPGraph:
         rows = np.subtract(distinct, col * n, dtype=np.int32)
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
-        data = np.multiply(np.diff(starts), -1.0)  # minus the multiplicity; the degree on the diagonal
-        data[rows == col] = np.bincount(ends, minlength=n)
-        for arr in (data, rows, indptr, split):
+        data = np.subtract(starts[:-1], starts[1:], dtype=float)  # minus the multiplicity; the degree on the diagonal
+        # a column's keys are one per edge end at its node, and its diagonal key
+        data[rows == col] = np.diff(starts[indptr]) - 1
+        for arr in (data, rows, indptr, split, made):
             arr.flags.writeable = False
-        return (data, rows, indptr), split
+        return (data, rows, indptr), split, made
 
 
-def _leaf_ends(history: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+def _leaf_ends(history: tuple[np.ndarray, ...], roots: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """The leaf edges' ends (u0, v0, u1, v1, ...) and the split ends (`SPGraph.split_ends`),
-    both in reverse creation labels, and the node count.
+    both in reverse creation labels, the node count, and the midpoints made per round and
+    root, as a (rounds, roots) array.
 
-    Each series midpoint's creation number c is 1 + the midpoints made up to it, so its label
-    n - 1 - c is n - 2 - that count, below a = n - 2 and z = n - 1.  Round by round, edge (u, v)
-    makes (u, v), (u, v) in parallel and (u, mid), (mid, v) in series, and row mid of the split
-    ends is (u, v)."""
-    choices = np.concatenate(history) if history else np.zeros(0, dtype=bool)
-    mid = np.cumsum(choices, dtype=np.int32)
-    n = 2 + (int(mid[-1]) if mid.size else 0)
-    np.subtract(n - 2, mid, out=mid)
-    ends = np.array([n - 2, n - 1], dtype=np.int32)
-    edges = [ends]  # each round's edges, then the leaf edges
-    lo = 0
-    for series in history:
-        label = mid[lo : lo + series.size]
-        lo += series.size
-        ends = np.repeat(ends.reshape(-1, 2), 2, axis=0).ravel()
-        np.copyto(ends[1::4], label, where=series)
-        np.copyto(ends[2::4], label, where=series)
-        edges.append(ends)
+    The c-th midpoint made (from 1) gets label m - c, below the terminals m, ..., m + 2 roots - 1,
+    so each round's midpoints take the next labels down.  Round by round, edge (u, v) makes
+    (u, v), (u, v) in parallel and (u, mid), (mid, v) in series, and row mid of the split ends is
+    (u, v); each edge is viewed as one int64, so that one copy moves both ends."""
+    series_at = [np.flatnonzero(h) for h in history]
+    m = sum(at.size for at in series_at)
+    n = m + 2 * roots
+    made = np.array([np.count_nonzero(h.reshape(roots, -1), axis=1) for h in history],
+                    dtype=np.int64).reshape(len(history), roots)
+    ends = np.arange(m, n, dtype=np.int32)  # the root edges (a_g, z_g)
     split = np.empty((n - 1, 2), dtype=np.int32)
-    split[n - 2] = n - 1
-    if history:
-        # the series choices pick the split edges in creation order; each (u, v) is viewed
-        # as one int64, so that the mask keeps both ends
-        made = np.concatenate(edges[:-1]).view(np.int64)[choices]
-        split[: n - 2].view(np.int64)[:, 0] = made[::-1]
-    return ends, split, n
+    split[m:] = (m + (np.arange(n - 1 - m, dtype=np.int32) | 1))[:, None]  # a terminal's row: its root's z, twice
+    split_edge = split[:m].view(np.int64)[:, 0]
+    hi = m
+    for at in series_at:
+        lo = hi - at.size
+        edge = ends.view(np.int64)
+        split_edge[lo:hi] = edge[at][::-1]
+        ends = np.repeat(edge, 2).view(np.int32)
+        label = np.arange(hi - 1, lo - 1, -1, dtype=np.int32)
+        children = ends.reshape(-1, 4)  # row e: the ends of edges 2e and 2e + 1
+        children[at, 1] = label
+        children[at, 2] = label
+        hi = lo
+    return ends, split, n, made
 
 
-def build(n: int, p: float, seed: int) -> SPGraph:
-    """n rounds of replacing each edge by a series pair (prob p) or a parallel pair (prob 1-p)."""
+def _check_growth(n: int, p: float) -> None:
     if not 0 <= n <= MAX_ROUNDS:
         raise DomainError(f"n must lie in [0, {MAX_ROUNDS}]")
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    return SPGraph(tuple(rng.random(2**k) < p for k in range(n)))
 
 
-def reduce_graph(g: SPGraph) -> tuple[float, float]:
-    """(effective resistance, distance) by folding the replacement tree.
+def build(n: int, p: float, seeds: Iterable[int]) -> SPGraph:
+    """A forest of one root edge per seed, grown n rounds by replacing each edge by a series
+    pair (prob p) or a parallel pair (prob 1-p).
+
+    Each seed draws its 2^n - 1 uniforms at once from its own Philox stream, round k taking
+    [2^k - 1, 2^(k+1) - 1): the numbers a draw per round would give."""
+    _check_growth(n, p)
+    seeds = tuple(seeds)
+    if not seeds:
+        raise DomainError("a forest needs at least one seed")
+    uniforms = np.empty((len(seeds), 2**n - 1))
+    for row, seed in zip(uniforms, seeds):
+        np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))).random(out=row)
+    series = uniforms < p
+    history = tuple(series[:, 2**k - 1 : 2 ** (k + 1) - 1].ravel() for k in range(n))
+    return SPGraph(history, roots=len(seeds), seeds=seeds)
+
+
+def forests(n: int, p: float, seeds: Iterable[int]) -> Iterator[SPGraph]:
+    """`build(n, p, ...)` over `seeds` in order, in forests of at most FOREST_EDGES edges
+    (one seed each once n >= 15)."""
+    _check_growth(n, p)
+    seeds = list(seeds)
+    per = max(1, FOREST_EDGES >> n)
+    for lo in range(0, len(seeds), per):
+        yield build(n, p, seeds[lo : lo + per])
+
+
+def reduce_graph(g: SPGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(effective resistance, distance) of each root, by folding the replacement trees.
 
     Series adds resistances and lengths; parallel harmonic-sums resistances
     and takes the shorter length.  Leaves are unit edges, so the last round
@@ -171,7 +227,7 @@ def reduce_graph(g: SPGraph) -> tuple[float, float]:
     holds the last round's two arrays and three of half their size.
     """
     if not g.history:
-        return 1.0, 1.0
+        return np.ones(g.roots), np.ones(g.roots)
     r = np.where(g.history[-1], 2.0, 0.5)
     d = np.where(g.history[-1], 2.0, 1.0)
     free_r, free_d, total = (np.empty(r.size // 2) for _ in range(3))
@@ -185,28 +241,29 @@ def reduce_graph(g: SPGraph) -> tuple[float, float]:
         np.minimum(d0, d1, out=new_d)
         np.add(d0, d1, out=new_d, where=h)
         free_r, free_d, r, d = r, d, new_r, new_d
-    return float(r[0]), float(d[0])
+    return r.copy(), d.copy()  # copies, so that the fold's buffers go
 
 
-def resistance_exact(g: SPGraph) -> float:
-    """Effective resistance between the terminals via the graph Laplacian.
+def resistance_exact(g: SPGraph) -> np.ndarray:
+    """Effective resistance between each root's terminals via the forest's Laplacian.
 
-    Unit current is injected at terminal a with terminal z grounded.  The
+    Unit current is injected at every a with every z grounded.  The
     Laplacian (`SPGraph.laplacian`) is eliminated as L D L^T in its own order,
     the perfect elimination order of the module docstring, one round of
-    midpoints per step, the last round first; z is never a pivot, which
+    midpoints per step, the last round first; no z is a pivot, which
     grounds it.  When its round comes, a midpoint meets only the two ends of
     the edge it split (`SPGraph.split_ends`), so its column below the diagonal
     has two fixed slots, and an entry outside them raises `HomsysError`.
     Back-substitution walks the rounds in reverse.  The potentials are then
-    certified by the residual of the grounded system on the Laplacian arrays,
-    however they were computed; nothing of the fold is read.
+    certified root by root by the residual of the grounded system on the
+    Laplacian arrays, however they were computed; nothing of the fold is read.
     """
     data, rows, indptr = g.laplacian
+    made = g._oracle_arrays[2]
     rows = rows.astype(np.intp)  # index arrays are intp, which numpy gathers fastest
     split = g.split_ends.astype(np.intp)
     n = indptr.size - 1
-    a, z = n - 2, n - 1
+    m = n - 2 * g.roots  # the midpoints; the a's are m, m + 2, ... and the z's follow each
     cols = np.repeat(np.arange(n), np.diff(indptr))
     # an entry (row, col) below the diagonal belongs in slot 2 * col + 1 if row is col's
     # second split end, and otherwise in slot 2 * col, whose split end it must then be
@@ -222,48 +279,56 @@ def resistance_exact(g: SPGraph) -> float:
     off[slot] = data[below]
     # eliminating midpoint j fills (u, v) = split[j] in the column of its younger end c,
     # at c's second slot if c is u (edge (c, v) descends from c's second edge), else its first
-    u, v = split[:a, 0], split[:a, 1]
+    u, v = split[:m, 0], split[:m, 1]
     fill_slot = 2 * np.minimum(u, v)
     fill_slot += u < v
     # the last round's midpoints hold the lowest labels, then the round before it, and so on
-    bounds = [0, *accumulate(np.count_nonzero(h) for h in reversed(g.history))]
+    bounds = [0, *accumulate(made.sum(axis=1)[::-1].tolist())]
     rounds = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
     off_pairs = off.reshape(-1, 2)
-    factor = np.empty((a, 2))  # the two entries of L below each midpoint's unit diagonal
+    factor = np.empty((m, 2))  # the two entries of L below each midpoint's unit diagonal
     for lo, hi in rounds:
         w = off_pairs[lo:hi]
         f = np.divide(w, diag[lo:hi, None], out=factor[lo:hi])
-        lost = np.bincount(split[lo:hi].ravel(), weights=(w * f).ravel())
-        diag[: lost.size] -= lost
-        fill = np.bincount(fill_slot[lo:hi], weights=w[:, 0] * f[:, 1])
-        off[: fill.size] -= fill
+        lost = np.bincount(split[lo:hi].ravel() - hi, weights=(w * f).ravel())
+        diag[hi : hi + lost.size] -= lost
+        fill = np.bincount(fill_slot[lo:hi] - 2 * hi, weights=w[:, 0] * f[:, 1])
+        off[2 * hi : 2 * hi + fill.size] -= fill
     # L D L^T x = e_a: e_a is zero on every midpoint, so the forward sweep leaves it as it is,
-    # and L^T x = e_a / D_a remains, with z grounded at 0
+    # and L^T x = e_a / D_a remains, with every z grounded at 0
     x = np.zeros(n)
-    x[a] = 1.0 / diag[a]
+    np.divide(1.0, diag[m::2], out=x[m::2])
     for lo, hi in reversed(rounds):
         terms = x[split[lo:hi]]
         terms *= factor[lo:hi]
         np.add(terms[:, 0], terms[:, 1], out=x[lo:hi])
         np.negative(x[lo:hi], out=x[lo:hi])
     lx = np.bincount(rows, weights=data * x[cols], minlength=n)
-    lx[a] -= 1.0
-    residual = float(np.linalg.norm(lx[:z]))  # of the grounded system, whose right side has norm 1
-    if not residual <= _RESIDUAL_TOL:
-        raise HomsysError(f"Laplacian solve residual {residual:.3g} too large")
-    r = float(x[a])
-    if not np.isfinite(r) or r <= 0:
-        raise HomsysError("singular Laplacian system; graph disconnected?")
+    lx[m::2] -= 1.0
+    lx[m + 1 :: 2] = 0.0  # a z's row is not in the grounded system
+    # each root's residual, whose right side has norm 1; within a round the midpoints run
+    # root by root from the last root down, the rounds from the last round down
+    owner = np.repeat(np.tile(np.arange(g.roots)[::-1], g.rounds), made[::-1, ::-1].ravel())
+    owner = np.concatenate([owner, np.repeat(np.arange(g.roots), 2)])
+    residual = np.sqrt(np.bincount(owner, weights=lx * lx, minlength=g.roots))
+    bad = np.flatnonzero(~(residual <= _RESIDUAL_TOL))
+    if bad.size:
+        raise HomsysError(f"{g._root_name(bad[0])}: Laplacian solve residual {residual[bad[0]]:.3g} too large")
+    r = x[m::2].copy()
+    bad = np.flatnonzero(~(np.isfinite(r) & (r > 0)))
+    if bad.size:
+        raise HomsysError(f"{g._root_name(bad[0])}: singular Laplacian system; graph disconnected?")
     return r
 
 
-def distance_exact(g: SPGraph) -> float:
-    """Terminal-to-terminal hop distance (all edges have unit length).
+def distance_exact(g: SPGraph) -> np.ndarray:
+    """Terminal-to-terminal hop distance of each root (all edges have unit length).
 
-    A breadth-first search from a over the graph's sorted Laplacian pattern
-    (`SPGraph.laplacian`), which is symmetric and so read as directed; the
-    hops are counted along its predecessor tree from z back to a.
+    One breadth-first search over the forest's sorted Laplacian pattern
+    (`SPGraph.laplacian`), which is symmetric and so read as directed, from a
+    source joined to every a; each z's hops are counted along its predecessor
+    tree back to the source by pointer doubling, less the source's own hop.
     """
     # imported here so that commands which never call an oracle start without scipy
     import scipy.sparse as sp
@@ -271,13 +336,23 @@ def distance_exact(g: SPGraph) -> float:
 
     data, rows, indptr = g.laplacian
     n = indptr.size - 1
-    a, z = n - 2, n - 1
-    adj = sp.csr_matrix((data, rows, indptr), shape=(n, n))
-    _, pred = csgraph.breadth_first_order(adj, a, directed=True, return_predecessors=True)
-    hops, node = 0, z
-    while node != a:
-        node = pred[node]
-        if node < 0:
-            raise HomsysError("terminals are disconnected")
-        hops += 1
-    return float(hops)
+    a = np.arange(n - 2 * g.roots, n, 2, dtype=np.int32)
+    z = a + 1
+    source = n
+    adj = sp.csr_matrix(
+        (np.append(data, np.ones(g.roots)), np.append(rows, a), np.append(indptr, indptr[-1] + g.roots)),
+        shape=(n + 1, n + 1),
+    )
+    _, pred = csgraph.breadth_first_order(adj, source, directed=True, return_predecessors=True)
+    # up[v] is 2^i steps up the tree from v after i doublings, and hops[v] the steps to it;
+    # the source and any node the search missed point to themselves
+    reached = pred >= 0
+    up = np.where(reached, pred, np.arange(n + 1))
+    hops = reached.astype(np.intp)
+    while np.any(up[up[z]] != up[z]):
+        hops += hops[up]
+        up = up[up]
+    bad = np.flatnonzero(up[z] != source)
+    if bad.size:
+        raise HomsysError(f"{g._root_name(bad[0])}: terminals are disconnected")
+    return (hops[z] - 1).astype(float)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import homsys
-from homsys import builtin, cli, limit_cdf, moments, parse_model, proofcheck
+from homsys import builtin, cli, limit_cdf, moments, parse_model, proofcheck, serpar
 from homsys.models import model_digest, model_to_dict, resolve_scaling
 from test_proofcheck import TWO_TABLES
 
@@ -220,6 +220,17 @@ def test_serpar_threads_give_the_same_bytes(tmp_path):
         assert (tmp_path / f"t1{suffix}").read_bytes() == (tmp_path / f"t2{suffix}").read_bytes()
 
 
+def test_serpar_threads_give_the_same_bytes_over_several_forests(tmp_path):
+    base = ["serpar", "--p", "0.5", "--n", "12", "--seeds", "30", "--check-exact"]
+    assert len(list(serpar.forests(12, 0.5, range(30)))) > 1
+    for threads in (1, 2):
+        assert cli.main(base + ["--threads", str(threads), "--out", str(tmp_path / f"t{threads}")]) == 0
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"t1{suffix}").read_bytes() == (tmp_path / f"t2{suffix}").read_bytes()
+    seeds = [line.split(",")[0] for line in (tmp_path / "t2.csv").read_text().splitlines()[1:]]
+    assert seeds == [str(s) for s in range(30)]
+
+
 def test_thread_variable_is_the_default_thread_count(tmp_path, monkeypatch):
     monkeypatch.setenv("HOMSYS_THREADS", "2")
     argv = ["serpar", "--p", "0.5", "--n", "3", "--seeds", "2", "--out", str(tmp_path / "s")]
@@ -291,6 +302,17 @@ def test_explicit_scaling_equal_to_the_resolved_one_changes_nothing(tmp_path):
     assert summary["scaling"] == {"law": law, "constant": constant, "exponent": exponent}
 
 
+@pytest.mark.parametrize("atoms", [
+    [{"weight": 0.5, "family": "min"}, {"weight": 0.5, "family": "hipster+"}],
+    [{"weight": 0.5, "family": "hipster+"}, {"weight": 0.25, "family": "min"}, {"weight": 0.25, "family": "min"}],
+])
+def test_lazy_hipster_in_another_atom_order_gets_its_constant(atoms, tmp_path):
+    argv = ["simulate", "--model", json.dumps({"atoms": atoms}), "--n", "3", "--pool", "100", "--checkpoints", "3"]
+    assert cli.main(argv + ["--out", str(tmp_path / "s")]) == 0
+    summary = json.loads((tmp_path / "s.json").read_text())
+    assert summary["scaling"] == {"law": "linear_half", "constant": 2.0, "exponent": 0.5}
+
+
 def _subprocess_env() -> dict:
     """This process's environment, with the package on PYTHONPATH."""
     src = str(Path(homsys.__file__).resolve().parents[1])
@@ -308,7 +330,7 @@ def test_importing_the_cli_does_not_load_scipy():
 
 def test_the_resistance_oracle_loads_no_scipy():
     env = _subprocess_env()
-    code = ("import sys; from homsys import serpar; r = serpar.resistance_exact(serpar.build(8, 0.5, 0)); "
+    code = ("import sys; from homsys import serpar; r = serpar.resistance_exact(serpar.build(8, 0.5, [0]))[0]; "
             "print(r > 0, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "True []"

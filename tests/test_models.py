@@ -115,6 +115,16 @@ class TestClassify:
         unnamed = parse_model(json.dumps({"atoms": model_to_dict(model)["atoms"]}))
         assert unnamed.name == "" and resolve_scaling(unnamed) == resolve_scaling(model) == ("linear_half", constant, 0.5)
 
+    @pytest.mark.parametrize("atoms, constant", [
+        (((0.5, F_MIN), (0.5, F_HIP_PLUS)), 2.0),
+        (((0.5, F_HIP_PLUS), (0.25, F_MIN), (0.25, F_MIN)), 2.0),
+        (((0.25, F_MIN), (0.5, F_HIP_PLUS), (0.25, F_MIN)), 2.0),
+        (((0.5, F_MIN), (0.5, F_SUM)), math.pi**2 / 6.0),
+    ])
+    def test_known_constants_go_by_the_law_not_the_atom_order(self, atoms, constant):
+        # lazy_hipster and distance(0.5) with their atoms swapped, or the min atom split in two
+        assert resolve_scaling(ModelSpec(atoms)) == ("linear_half", constant, 0.5)
+
     def test_a_borrowed_name_gets_no_constant(self):
         # a sqrt-regime model named like a known one, with other atoms
         model = ModelSpec(((0.5, asym_tent(1.0, 0.5)), (0.5, F_MIN)), "distance(0.5)")

@@ -7,11 +7,12 @@ from homsys import serpar
 
 import coo_laplacian_oracles
 import full_array_fold
+import single_graph_serpar
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_reduce_matches_exact_oracles(seed):
-    g = serpar.build(8, 0.5, seed)
+    g = serpar.build(8, 0.5, [seed])
     r_red, d_red = serpar.reduce_graph(g)
     assert serpar.resistance_exact(g) == pytest.approx(r_red, rel=1e-9)
     assert serpar.distance_exact(g) == d_red
@@ -21,13 +22,13 @@ def test_reduce_matches_exact_oracles(seed):
 def test_the_buffered_fold_gives_the_bits_of_the_full_array_fold(p):
     for n in range(15):
         for seed in range(3):
-            g = serpar.build(n, p, seed)
-            got, want = serpar.reduce_graph(g), full_array_fold.reduce_graph(g)
+            g = serpar.build(n, p, [seed])
+            got, want = [x[0] for x in serpar.reduce_graph(g)], full_array_fold.reduce_graph(g)
             assert [x.hex() for x in got] == [x.hex() for x in want], (n, seed)
 
 
 def test_build_is_deterministic_and_sized():
-    a, b = serpar.build(6, 0.3, 4), serpar.build(6, 0.3, 4)
+    a, b = serpar.build(6, 0.3, [4]), serpar.build(6, 0.3, [4])
     assert all(np.array_equal(x, y) for x, y in zip(a.history, b.history))
     assert a.n_edges == 64
     data, rows, indptr = a.laplacian
@@ -37,13 +38,13 @@ def test_build_is_deterministic_and_sized():
 
 
 def test_the_laplacian_is_derived_once_and_read_only():
-    g = serpar.build(6, 0.5, 1)
+    g = serpar.build(6, 0.5, [1])
     r, d = serpar.resistance_exact(g), serpar.distance_exact(g)
     laplacian = g.laplacian
     assert not any(x.flags.writeable for x in laplacian)
     assert (serpar.resistance_exact(g), serpar.distance_exact(g)) == (r, d)
     assert all(x is y for x, y in zip(g.laplacian, laplacian))
-    too_big = serpar.build(serpar.MAX_ORACLE_ROUNDS + 1, 0.5, 1)
+    too_big = serpar.build(serpar.MAX_ORACLE_ROUNDS + 1, 0.5, [1])
     for derive in (lambda g: g.laplacian, serpar.resistance_exact, serpar.distance_exact):
         with pytest.raises(DomainError):
             derive(too_big)
@@ -53,20 +54,20 @@ def test_the_laplacian_is_derived_once_and_read_only():
 def test_build_draws_every_round_from_one_stream(n, p, seed):
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     expected = [rng.random(2**k) < p for k in range(n)]
-    history = serpar.build(n, p, seed).history
+    history = serpar.build(n, p, [seed]).history
     assert len(history) == n and all(np.array_equal(h, e) for h, e in zip(history, expected))
 
 
 @pytest.mark.parametrize("n, p", [(3, -0.1), (3, 1.5), (0, float("nan")), (-1, 0.5), (serpar.MAX_ROUNDS + 1, 0.5)])
 def test_build_rejects_bad_rounds_and_probabilities(n, p):
     with pytest.raises(DomainError):
-        serpar.build(n, p, 0)
+        serpar.build(n, p, [0])
 
 
 @pytest.mark.parametrize(
     "g",
-    [serpar.build(12, p, seed) for p in (0.0, 0.3, 0.5, 0.7, 1.0) for seed in range(3)]
-    + [serpar.SPGraph(()), serpar.build(16, 0.5, 0)],
+    [serpar.build(12, p, [seed]) for p in (0.0, 0.3, 0.5, 0.7, 1.0) for seed in range(3)]
+    + [serpar.SPGraph(()), serpar.build(16, 0.5, [0])],
 )
 def test_oracles_give_the_bits_of_the_coo_path(g):
     # the distance is the same bits; the resistance comes from another factorisation than
@@ -78,7 +79,7 @@ def test_oracles_give_the_bits_of_the_coo_path(g):
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 12, 16])
 def test_the_split_ends_are_the_edges_the_midpoints_split(n, p):
-    g = serpar.build(n, p, 0)
+    g = serpar.build(n, p, [0])
     split = coo_laplacian_oracles.split_edges(g)
     n_nodes = 2 + len(split)
     label = np.arange(n_nodes - 1, -1, -1)  # reverse creation labels, a and z last
@@ -91,7 +92,7 @@ def test_the_split_ends_are_the_edges_the_midpoints_split(n, p):
 
 
 def test_a_laplacian_entry_outside_the_split_end_slots_is_rejected():
-    g = serpar.build(6, 0.5, 1)
+    g = serpar.build(6, 0.5, [1])
     data, rows, indptr = g.laplacian
     split = g.split_ends
     # the last entry of the first column with an entry below the diagonal, moved to
@@ -106,7 +107,7 @@ def test_a_laplacian_entry_outside_the_split_end_slots_is_rejected():
 
 
 def test_a_residual_above_the_tolerance_is_rejected(monkeypatch):
-    g = serpar.build(8, 0.5, 0)
+    g = serpar.build(8, 0.5, [0])
     serpar.resistance_exact(g)
     monkeypatch.setattr(serpar, "_RESIDUAL_TOL", 0.0)
     with pytest.raises(HomsysError, match="residual .* too large"):
@@ -114,9 +115,9 @@ def test_a_residual_above_the_tolerance_is_rejected(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "g", [serpar.SPGraph(()), serpar.build(6, 0.5, 1), serpar.build(12, 0.3, 2),
+    "g", [serpar.SPGraph(()), serpar.build(6, 0.5, [1]), serpar.build(12, 0.3, [2]),
           serpar.SPGraph(tuple(np.ones(2**k, dtype=bool) for k in range(16)))]
-    + [serpar.build(16, p, 3) for p in (0.0, 1.0)] + [serpar.build(n, p, 0) for n in (0, 1) for p in (0.0, 1.0)]
+    + [serpar.build(16, p, [3]) for p in (0.0, 1.0)] + [serpar.build(n, p, [0]) for n in (0, 1) for p in (0.0, 1.0)]
 )
 def test_the_laplacian_is_sorted_symmetric_and_canonical(g):
     data, rows, indptr = g.laplacian
@@ -164,7 +165,7 @@ def test_exact_resistance_of_the_smallest_and_extreme_graphs():
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
 @pytest.mark.parametrize("seed", range(3))
 def test_exact_oracles_at_the_criterion_5_size(p, seed):
-    g = serpar.build(12, p, seed)
+    g = serpar.build(12, p, [seed])
     r_red, d_red = serpar.reduce_graph(g)
     assert serpar.resistance_exact(g) == pytest.approx(r_red, rel=1e-10)
     assert serpar.distance_exact(g) == d_red
@@ -178,3 +179,89 @@ def test_exact_oracles_of_the_n12_extremes():
     assert serpar.distance_exact(series) == 4096.0
     assert serpar.resistance_exact(parallel) == pytest.approx(2.0**-12, rel=1e-12)
     assert serpar.distance_exact(parallel) == 1.0
+
+
+def _single_graph_bits(n, p, seed):
+    """(R_reduce, R_exact, D_reduce, D_exact) of the seed's graph built and solved on its own, as hex."""
+    g = single_graph_serpar.build(n, p, seed)
+    r, d = single_graph_serpar.reduce_graph(g)
+    return [x.hex() for x in (r, single_graph_serpar.resistance_exact(g), d, single_graph_serpar.distance_exact(g))]
+
+
+def _forest_bits(g, oracles=True):
+    r, d = serpar.reduce_graph(g)
+    if not oracles:
+        return [[x.hex(), None, y.hex(), None] for x, y in zip(r.tolist(), d.tolist())]
+    values = zip(r.tolist(), serpar.resistance_exact(g).tolist(), d.tolist(), serpar.distance_exact(g).tolist())
+    return [[x.hex() for x in root] for root in values]
+
+
+def test_criterion_5_forests_give_every_seed_the_bits_of_its_own_graph():
+    forests = list(serpar.forests(12, 0.5, range(200)))
+    assert [g.roots for g in forests] == [8] * 25
+    assert [s for g in forests for s in g.seeds] == list(range(200))
+    got = [bits for g in forests for bits in _forest_bits(g)]
+    assert got == [_single_graph_bits(12, 0.5, seed) for seed in range(200)]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+def test_forests_of_1_3_and_8_roots_give_every_root_the_bits_of_its_own_graph(p):
+    for n in range(15):
+        want = {seed: _single_graph_bits(n, p, seed) for seed in range(8)}
+        for seeds in ([0], [1], [2], [2, 0, 1], [5, 0, 7, 1, 6, 2, 4, 3]):
+            g = serpar.build(n, p, seeds)
+            alone = [serpar.build(n, p, [seed]).history for seed in seeds]
+            for k, h in enumerate(g.history):
+                assert np.array_equal(h, np.concatenate([history[k] for history in alone])), (n, seeds, k)
+            within_cap = g.n_edges <= 2**serpar.MAX_ORACLE_ROUNDS
+            got = _forest_bits(g, oracles=within_cap)
+            for seed, bits in zip(seeds, got):
+                assert bits == (want[seed] if within_cap else [want[seed][0], None, want[seed][2], None]), (n, seed)
+
+
+def test_forests_chunk_the_seeds_in_order_up_to_the_edge_cap():
+    assert [g.seeds for g in serpar.forests(12, 0.5, range(3, 23))] == [tuple(range(3, 11)), tuple(range(11, 19)),
+                                                                        tuple(range(19, 23))]
+    assert [g.roots for g in serpar.forests(10, 0.5, range(33))] == [32, 1]
+    assert [g.seeds for g in serpar.forests(16, 0.5, [4, 2])] == [(4,), (2,)]
+    for n in range(17):
+        assert all(g.n_edges <= max(serpar.FOREST_EDGES, 2**n) for g in serpar.forests(n, 0.5, range(3)))
+    assert list(serpar.forests(3, 0.5, [])) == []
+    with pytest.raises(DomainError):
+        next(serpar.forests(-1, 0.5, range(3)))
+
+
+def test_a_forest_over_the_oracle_cap_is_rejected_by_both_oracles():
+    at_cap = serpar.build(15, 0.5, [0, 1])
+    assert at_cap.n_edges == 2**serpar.MAX_ORACLE_ROUNDS
+    assert serpar.resistance_exact(at_cap).shape == serpar.distance_exact(at_cap).shape == (2,)
+    over = serpar.build(14, 0.5, range(5))
+    for oracle in (serpar.resistance_exact, serpar.distance_exact):
+        with pytest.raises(DomainError, match="capped"):
+            oracle(over)
+
+
+def test_distance_counts_a_chain_of_65536_hops_and_a_single_hop():
+    assert serpar.distance_exact(serpar.build(16, 1.0, [0])).tolist() == [65536.0]
+    assert serpar.distance_exact(serpar.build(16, 0.0, [0])).tolist() == [1.0]
+
+
+def test_a_failed_residual_names_the_seed(monkeypatch):
+    g = serpar.build(6, 0.5, [4, 9])
+    monkeypatch.setattr(serpar, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(HomsysError, match="^seed 4: Laplacian solve residual"):
+        serpar.resistance_exact(g)
+    bare = serpar.SPGraph(g.history, roots=2)
+    with pytest.raises(HomsysError, match="^root 0: Laplacian solve residual"):
+        serpar.resistance_exact(bare)
+
+
+@pytest.mark.parametrize("roots, seeds", [(0, ()), (2, (1,)), (1.0, ())])
+def test_bad_roots_or_seeds_rejected(roots, seeds):
+    with pytest.raises(DomainError):
+        serpar.SPGraph((), roots=roots, seeds=seeds)
+
+
+def test_build_rejects_an_empty_seed_list():
+    with pytest.raises(DomainError):
+        serpar.build(3, 0.5, [])
