@@ -213,8 +213,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_evolve(args) -> int:
     model = parse_model(args.model)
     width = args.init_width
-    if not 0.0 < width < np.inf:
-        raise DomainError("--init-width must be finite and > 0")
+    if not 0.0 < 2 * width < np.inf:  # the initial law spans [-width, width]
+        raise DomainError("--init-width must be > 0, with 2 * width finite")
     x = np.linspace(-width, width, 257)
     init = dist.GridCDF(-width, width, np.clip((x + width) / (2 * width), 0.0, 1.0))
     scaling = resolve_scaling(model)

@@ -168,15 +168,9 @@ class GFunction:
         out[...] = g
         return out
 
-    @property
+    @cached_property
     def peak(self) -> float:
         """g(0), the maximum of the profile."""
-        if self.family == "zero":
-            return 0.0
-        if self.family == "softplus":
-            return self.params[0] * math.log(2.0)
-        if self.family == "tent":
-            return 1.0
         return float(self(0.0))
 
     @property

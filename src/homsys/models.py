@@ -202,9 +202,8 @@ def classify(model: ModelSpec) -> CriticalityReport:
     g01 = np.array([gamma(f, 0.0, 1.0) for f in model.functions])
     e_g01_eps = float((w * eps * g01).sum())
     ints = np.array([alpha(f.g) for f in model.functions])
-    wp = float(w[eps > 0].sum())
     wm = float(w[eps < 0].sum())
-    a_plus = float((w * ints)[eps > 0].sum() / wp) if wp > 0 else 0.0
+    a_plus = float((w * ints)[eps > 0].sum() / p) if p > 0 else 0.0
     a_minus = float((w * ints)[eps < 0].sum() / wm) if wm > 0 else 0.0
 
     notes: list[str] = []

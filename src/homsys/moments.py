@@ -160,17 +160,15 @@ class MomentTable:
 
 
 def moment_table(f: HFunction, eta: float = 1.0) -> MomentTable:
-    g11 = gamma(f, 1.0, 1.0)
-    g1e = gamma(f, 1.0 + eta, 1.0)
-    g2e = gamma(f, 0.0, 2.0 + eta)
+    m = m_eta(f, eta)  # checks eta before any Gamma
     return MomentTable(
         gamma01=gamma(f, 0.0, 1.0),
         gamma02=gamma(f, 0.0, 2.0),
-        gamma11=g11,
-        gamma_1eta_1=g1e,
-        gamma_0_2eta=g2e,
+        gamma11=gamma(f, 1.0, 1.0),
+        gamma_1eta_1=gamma(f, 1.0 + eta, 1.0),
+        gamma_0_2eta=gamma(f, 0.0, 2.0 + eta),
         r=f.r,
-        m_eta=max(g1e, g2e),
+        m_eta=m,
         eta=eta,
     )
 

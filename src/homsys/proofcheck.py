@@ -46,7 +46,7 @@ class ProofParams:
     """Exponents and offsets of the bridging schedule.
 
     Interval constraints (checked at construction):
-      eta in (0, 1], delta in (0, 1), delta1 in (0, delta/9),
+      c_star in (0, inf), eta in (0, 1], delta in (0, 1), delta1 in (0, delta/9),
       rho in (1/(1+eta), 1), kappa in (0, min(2-2rho, 1-2rho_tilde, eta)/3),
       rho_tilde in (0, (1-3kappa)/2).
     """
@@ -66,8 +66,8 @@ class ProofParams:
             object.__setattr__(self, "rho_tilde", self.rho / 2.0)
         if self.kappa is None:
             object.__setattr__(self, "kappa", (1.0 - self.rho) / 4.0)
-        if not self.c_star > 0:
-            raise DomainError("c_star must be positive")
+        if not 0.0 < self.c_star < math.inf:
+            raise DomainError("c_star must be finite and positive")
         if not 0.0 < self.eta <= 1.0:
             raise DomainError("eta must lie in (0, 1]")
         if not 0.0 < self.delta < 1.0:
@@ -147,10 +147,13 @@ def _solve_tau_tilde(params: ProofParams, tau: float, sigma: float) -> float:
 
 
 def schedule(params: ProofParams, n: int) -> ScheduleRow:
-    """All schedule quantities at n; raises ScheduleInfeasibleError for small n."""
+    """All schedule quantities at n; raises ScheduleInfeasibleError for small n, and
+    DomainError if tau at n or n + 1 is not finite."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    tau = _tau(params, n)
+    tau, tau_next = _tau(params, n), _tau(params, n + 1)
+    if not math.isfinite(tau_next):  # tau <= tau_next
+        raise DomainError(f"tau = (c* n)^(1/3) is not finite at n={n} or {n + 1}")
     sigma = tau - tau**params.rho
     if sigma <= 0:
         raise ScheduleInfeasibleError(f"sigma <= 0 at n={n} (tau={tau:.6g} <= 1)")
@@ -160,7 +163,7 @@ def schedule(params: ProofParams, n: int) -> ScheduleRow:
     if sigma_t <= 0:
         raise ScheduleInfeasibleError(f"sigma_tilde <= 0 at n={n}")
     a_t = a * tau * tau / (tau_t * tau_t)
-    beta = _tau(params, n + 1) - tau
+    beta = tau_next - tau
     return ScheduleRow(n, tau, sigma, a, tau_t, sigma_t, a_t, beta, _q(params, n))
 
 

@@ -9,7 +9,8 @@ they stay within their root.  Reduction is a vectorized bottom-up fold over
 the history that stops at the G roots; the forest's nodes and edges are
 derived only to feed the Laplacian and breadth-first search oracles, which
 never read the fold.  A single graph is a forest with one root, and every
-root gets the bits it would get alone.
+root gets the bits it would get alone.  The seeds name the roots; a history
+given without seeds is one root, seed 0.
 
 Nodes are numbered in creation order over the whole forest (each round's
 series midpoints, the rounds concatenated, so round-major and root-major
@@ -32,7 +33,8 @@ Each forest derives its Laplacian once, in that order, as sorted CSC arrays
 consecutive labels down from the terminals, round by round, the leaf edges'
 ends are expanded round by round, and one sort of their keys gives the
 entries column by column.  No edge list is kept; the edge each midpoint split is
-kept next to the Laplacian (`SPGraph.split_ends`).  Both oracles read the
+kept next to the Laplacian (`SPGraph.split_ends`), and so is each node's root,
+read off each round's series positions.  Both oracles read the
 Laplacian: the resistance oracle eliminates it and checks each root's
 potentials against it, and the distance oracle searches its symmetric
 pattern as a directed graph, from one source joined to every a, so neither
@@ -62,14 +64,17 @@ _RESIDUAL_TOL = 1e-9  # largest Laplacian solve residual accepted, relative to m
 
 @dataclass(frozen=True)
 class SPGraph:
-    """Series-parallel forest: `roots` replacement histories after n growth rounds
-    (roots * 2^n edges), root-major within each round.  `seeds` names the roots in
-    error messages and output: the seed each root was drawn from (`build`), or ()
-    for a history given directly, whose roots are then named by their index."""
+    """Series-parallel forest: one root edge per seed of `seeds`, grown n rounds by the
+    replacement `history` (roots * 2^n edges), root-major within each round.  The seeds
+    name the roots in error messages and output: the seed each root was drawn from
+    (`build`); a history given without seeds is one root, seed 0."""
 
     history: tuple[np.ndarray, ...]
-    roots: int = 1
-    seeds: tuple[int, ...] = ()
+    seeds: tuple[int, ...] = (0,)
+
+    @property
+    def roots(self) -> int:
+        return len(self.seeds)
 
     @property
     def rounds(self) -> int:
@@ -80,16 +85,11 @@ class SPGraph:
         return self.roots * 2**self.rounds
 
     def __post_init__(self):
-        if not (isinstance(self.roots, int) and self.roots >= 1):
-            raise DomainError("a forest needs at least one root")
-        if self.seeds and len(self.seeds) != self.roots:
-            raise DomainError(f"{len(self.seeds)} seeds for {self.roots} roots")
+        if not self.seeds:
+            raise DomainError("a forest needs at least one seed")
         for k, h in enumerate(self.history):
             if h.dtype != np.bool_ or h.shape != (self.roots * 2**k,):
                 raise DomainError(f"round {k} must hold roots * 2^{k} boolean choices")
-
-    def _root_name(self, g: int) -> str:
-        return f"seed {self.seeds[g]}" if self.seeds else f"root {g}"
 
     @cached_property
     def laplacian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,10 +116,11 @@ class SPGraph:
 
     @cached_property
     def _oracle_arrays(self):
-        """(`laplacian`, `split_ends`, midpoints per round and root), derived in one pass over `history`."""
+        """(`laplacian`, `split_ends`, the root of each node), derived in one pass over `history`."""
         if self.n_edges > 2**MAX_ORACLE_ROUNDS:
             raise DomainError(f"oracle forests are capped at 2^{MAX_ORACLE_ROUNDS} edges")
-        ends, split, n, made = _leaf_ends(self.history, self.roots)
+        ends, split, owner = _leaf_ends(self.history, self.roots)
+        n = owner.size
         # one key col * n + row per entry: both ends of every edge and the diagonal;
         # sorted, the keys run column by column and parallel edges repeat a key
         key_dtype = np.int32 if n * n < 2**31 else np.int64  # int32 keys sort faster
@@ -145,41 +146,43 @@ class SPGraph:
         data = np.subtract(starts[:-1], starts[1:], dtype=float)  # minus the multiplicity; the degree on the diagonal
         # a column's keys are one per edge end at its node, and its diagonal key
         data[rows == col] = np.diff(starts[indptr]) - 1
-        for arr in (data, rows, indptr, split, made):
+        for arr in (data, rows, indptr, split, owner):
             arr.flags.writeable = False
-        return (data, rows, indptr), split, made
+        return (data, rows, indptr), split, owner
 
 
-def _leaf_ends(history: tuple[np.ndarray, ...], roots: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+def _leaf_ends(history: tuple[np.ndarray, ...], roots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The leaf edges' ends (u0, v0, u1, v1, ...) and the split ends (`SPGraph.split_ends`),
-    both in reverse creation labels, the node count, and the midpoints made per round and
-    root, as a (rounds, roots) array.
+    both in reverse creation labels, and the root of each node, by label.
 
     The c-th midpoint made (from 1) gets label m - c, below the terminals m, ..., m + 2 roots - 1,
     so each round's midpoints take the next labels down.  Round by round, edge (u, v) makes
     (u, v), (u, v) in parallel and (u, mid), (mid, v) in series, and row mid of the split ends is
-    (u, v); each edge is viewed as one int64, so that one copy moves both ends."""
+    (u, v); each edge is viewed as one int64, so that one copy moves both ends.  Root g holds
+    positions [g 2^k, (g+1) 2^k) of round k, so the midpoint made at position i belongs to root
+    i >> k, and the terminals m + 2g and m + 2g + 1 to root g."""
     series_at = [np.flatnonzero(h) for h in history]
     m = sum(at.size for at in series_at)
     n = m + 2 * roots
-    made = np.array([np.count_nonzero(h.reshape(roots, -1), axis=1) for h in history],
-                    dtype=np.int64).reshape(len(history), roots)
+    owner = np.arange(-m, n - m, dtype=np.int32)
+    owner >>= 1  # the terminals' roots; each round sets its midpoints'
     ends = np.arange(m, n, dtype=np.int32)  # the root edges (a_g, z_g)
     split = np.empty((n - 1, 2), dtype=np.int32)
     split[m:] = (m + (np.arange(n - 1 - m, dtype=np.int32) | 1))[:, None]  # a terminal's row: its root's z, twice
     split_edge = split[:m].view(np.int64)[:, 0]
     hi = m
-    for at in series_at:
+    for k, at in enumerate(series_at):
         lo = hi - at.size
         edge = ends.view(np.int64)
         split_edge[lo:hi] = edge[at][::-1]
+        owner[lo:hi] = (at >> k)[::-1]
         ends = np.repeat(edge, 2).view(np.int32)
         label = np.arange(hi - 1, lo - 1, -1, dtype=np.int32)
         children = ends.reshape(-1, 4)  # row e: the ends of edges 2e and 2e + 1
         children[at, 1] = label
         children[at, 2] = label
         hi = lo
-    return ends, split, n, made
+    return ends, split, owner
 
 
 def _check_growth(n: int, p: float) -> None:
@@ -197,14 +200,12 @@ def build(n: int, p: float, seeds: Iterable[int]) -> SPGraph:
     [2^k - 1, 2^(k+1) - 1): the numbers a draw per round would give."""
     _check_growth(n, p)
     seeds = tuple(seeds)
-    if not seeds:
-        raise DomainError("a forest needs at least one seed")
     uniforms = np.empty((len(seeds), 2**n - 1))
     for row, seed in zip(uniforms, seeds):
         np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))).random(out=row)
     series = uniforms < p
     history = tuple(series[:, 2**k - 1 : 2 ** (k + 1) - 1].ravel() for k in range(n))
-    return SPGraph(history, roots=len(seeds), seeds=seeds)
+    return SPGraph(history, seeds)
 
 
 def forests(n: int, p: float, seeds: Iterable[int]) -> Iterator[SPGraph]:
@@ -259,7 +260,6 @@ def resistance_exact(g: SPGraph) -> np.ndarray:
     Laplacian arrays, however they were computed; nothing of the fold is read.
     """
     data, rows, indptr = g.laplacian
-    made = g._oracle_arrays[2]
     rows = rows.astype(np.intp)  # index arrays are intp, which numpy gathers fastest
     split = g.split_ends.astype(np.intp)
     n = indptr.size - 1
@@ -283,7 +283,7 @@ def resistance_exact(g: SPGraph) -> np.ndarray:
     fill_slot = 2 * np.minimum(u, v)
     fill_slot += u < v
     # the last round's midpoints hold the lowest labels, then the round before it, and so on
-    bounds = [0, *accumulate(made.sum(axis=1)[::-1].tolist())]
+    bounds = [0, *accumulate(np.count_nonzero(h) for h in reversed(g.history))]
     rounds = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
     off_pairs = off.reshape(-1, 2)
@@ -307,18 +307,15 @@ def resistance_exact(g: SPGraph) -> np.ndarray:
     lx = np.bincount(rows, weights=data * x[cols], minlength=n)
     lx[m::2] -= 1.0
     lx[m + 1 :: 2] = 0.0  # a z's row is not in the grounded system
-    # each root's residual, whose right side has norm 1; within a round the midpoints run
-    # root by root from the last root down, the rounds from the last round down
-    owner = np.repeat(np.tile(np.arange(g.roots)[::-1], g.rounds), made[::-1, ::-1].ravel())
-    owner = np.concatenate([owner, np.repeat(np.arange(g.roots), 2)])
-    residual = np.sqrt(np.bincount(owner, weights=lx * lx, minlength=g.roots))
+    # each root's residual, whose right side has norm 1
+    residual = np.sqrt(np.bincount(g._oracle_arrays[2], weights=lx * lx, minlength=g.roots))
     bad = np.flatnonzero(~(residual <= _RESIDUAL_TOL))
     if bad.size:
-        raise HomsysError(f"{g._root_name(bad[0])}: Laplacian solve residual {residual[bad[0]]:.3g} too large")
+        raise HomsysError(f"seed {g.seeds[bad[0]]}: Laplacian solve residual {residual[bad[0]]:.3g} too large")
     r = x[m::2].copy()
     bad = np.flatnonzero(~(np.isfinite(r) & (r > 0)))
     if bad.size:
-        raise HomsysError(f"{g._root_name(bad[0])}: singular Laplacian system; graph disconnected?")
+        raise HomsysError(f"seed {g.seeds[bad[0]]}: singular Laplacian system; graph disconnected?")
     return r
 
 
@@ -354,5 +351,5 @@ def distance_exact(g: SPGraph) -> np.ndarray:
         up = up[up]
     bad = np.flatnonzero(up[z] != source)
     if bad.size:
-        raise HomsysError(f"{g._root_name(bad[0])}: terminals are disconnected")
+        raise HomsysError(f"seed {g.seeds[bad[0]]}: terminals are disconnected")
     return (hops[z] - 1).astype(float)

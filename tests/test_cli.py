@@ -279,7 +279,7 @@ def test_gamma_summary_reports_the_fixed_tolerance(tmp_path):
     assert json.loads((tmp_path / "g.json").read_text())["tol"] == moments.MOMENT_TOL
 
 
-@pytest.mark.parametrize("width", ["inf", "0", "-1", "nan"])
+@pytest.mark.parametrize("width", ["inf", "0", "-1", "nan", "1e308"])
 def test_bad_init_width_exits_1_before_any_output(width, tmp_path, capsys):
     # a RuntimeWarning would fail the test: pytest turns them into errors here
     argv = ["evolve", "--model", "hipster", "--n", "4", "--checkpoints", "4", "--init-width", width]
@@ -488,6 +488,26 @@ def test_bad_moment_exponents_exit_1_before_any_output(a, b, tmp_path, capsys):
     assert _exit_code(["gamma", "--model", "hipster", "--a", a, "--b", b, "--out", str(tmp_path / "g.json")]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err and "validation error" in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("eta", ["5", "0", "-1", "inf", "nan"])
+def test_gamma_refuses_an_eta_outside_0_1(eta, tmp_path, capsys):
+    assert _exit_code(["gamma", "--model", "hipster", "--eta", eta, "--out", str(tmp_path / "g.json")]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and not captured.out
+    assert captured.err == "validation error: eta must lie in (0, 1]\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("c_star", ["inf", "1e308"])
+def test_lambda_check_refuses_a_c_star_whose_schedule_is_not_finite(c_star, tmp_path, capsys):
+    argv = ["lambda-check", "--model", "hipster", "--n-range", "64:64", "--vgrid", "4", "--c-star", c_star,
+            "--out", str(tmp_path / "l")]
+    assert _exit_code(argv) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and not captured.out
+    assert captured.err.startswith("validation error: " + ("c_star must be finite" if c_star == "inf" else "tau = "))
     assert not list(tmp_path.iterdir())
 
 

@@ -21,7 +21,7 @@ from homsys import (
     t_of,
     validate,
 )
-from homsys.hfun import g_hip, g_table, g_tent, g_zero, t_kinks, t_support_end
+from homsys.hfun import MIN_POWER_MEAN_SCALE, g_hip, g_softplus, g_table, g_tent, g_zero, t_kinks, t_support_end
 from homsys.models import parse_model
 
 import fresh_array_pool_step
@@ -44,6 +44,14 @@ class TestEval:
     def test_hip_peak(self):
         # log F(e^0, e^0) = max + G_hip(0) = 1
         assert F_HIP_PLUS(1.0, 1.0) == pytest.approx(math.e, rel=1e-14)
+
+    def test_peak_is_g_at_0_and_the_closed_forms_bit_for_bit(self):
+        scales = [MIN_POWER_MEAN_SCALE, 1.0, 50.0, *np.random.default_rng(25).uniform(1e-3, 50.0, 400).tolist()]
+        assert [g_softplus(a).peak.hex() for a in scales] == [(a * math.log(2.0)).hex() for a in scales]
+        assert [g.peak for g in (g_hip(), g_tent(0.3, 1.0), g_tent(1.0, 0.05))] == [1.0, 1.0, 1.0]
+        assert g_zero().peak == 0.0 and g_zero().is_zero
+        table = g_table([-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.3, 0.45, 0.2, 0.0])
+        assert table.peak == 0.45 and HFunction(-1, table).r == 0.45
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 
 import numpy as np
@@ -41,6 +42,21 @@ def test_parameter_intervals_checked():
         proofcheck.ProofParams(c_star=4.5, delta1=0.1)
     with pytest.raises(DomainError):
         proofcheck.ProofParams(c_star=0.0)
+
+
+@pytest.mark.parametrize("c", [math.inf, math.nan, -math.inf])
+def test_a_c_star_that_is_not_finite_is_refused(c):
+    with pytest.raises(DomainError, match="^c_star must be finite and positive$"):
+        proofcheck.ProofParams(c_star=c)
+
+
+@pytest.mark.parametrize("c", [1e308, 1e307])
+def test_schedule_refuses_a_tau_that_overflows(c):
+    # c* n overflows at n = 64 (1e308) or n + 1 = 65 (1e307): the row would hold NaNs
+    with pytest.raises(DomainError, match="^tau = "):
+        proofcheck.schedule(proofcheck.ProofParams(c_star=c), 64)
+    row = proofcheck.schedule(proofcheck.ProofParams(c_star=c / 100), 64)
+    assert all(math.isfinite(x) for x in dataclasses.astuple(row))
 
 
 def test_find_n0_rejects_an_empty_range():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from homsys import DomainError, HomsysError
 from homsys import serpar
@@ -251,17 +252,50 @@ def test_a_failed_residual_names_the_seed(monkeypatch):
     monkeypatch.setattr(serpar, "_RESIDUAL_TOL", 0.0)
     with pytest.raises(HomsysError, match="^seed 4: Laplacian solve residual"):
         serpar.resistance_exact(g)
-    bare = serpar.SPGraph(g.history, roots=2)
-    with pytest.raises(HomsysError, match="^root 0: Laplacian solve residual"):
-        serpar.resistance_exact(bare)
+    with pytest.raises(HomsysError, match="^seed 4: Laplacian solve residual"):
+        serpar.resistance_exact(serpar.SPGraph(g.history, seeds=(4, 9)))
+    # a history given without seeds is one root, seed 0
+    with pytest.raises(HomsysError, match="^seed 0: Laplacian solve residual"):
+        serpar.resistance_exact(serpar.SPGraph(serpar.build(6, 0.5, [9]).history))
 
 
-@pytest.mark.parametrize("roots, seeds", [(0, ()), (2, (1,)), (1.0, ())])
+@pytest.mark.parametrize("roots, seeds", [(0, ()), (2, (1,))])
 def test_bad_roots_or_seeds_rejected(roots, seeds):
+    # a history grown from `roots` root edges needs exactly that many seeds, and at least one
+    history = tuple(np.zeros(roots * 2**k, dtype=bool) for k in range(3))
     with pytest.raises(DomainError):
-        serpar.SPGraph((), roots=roots, seeds=seeds)
+        serpar.SPGraph(history, seeds=seeds)
+
+
+def test_a_forest_needs_one_seed_per_root():
+    with pytest.raises(DomainError, match="^a forest needs at least one seed$"):
+        serpar.SPGraph((), seeds=())
+    two_roots = serpar.build(3, 0.5, [1, 2]).history
+    for seeds in ((1,), (0,), (1, 2, 3)):
+        with pytest.raises(DomainError, match="^round 0 must hold"):
+            serpar.SPGraph(two_roots, seeds=seeds)
+    with pytest.raises(DomainError, match="^round 0 must hold"):
+        serpar.SPGraph(two_roots)
 
 
 def test_build_rejects_an_empty_seed_list():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^a forest needs at least one seed$"):
         serpar.build(3, 0.5, [])
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("seeds", [[3], [2, 0, 1], [5, 0, 7, 1, 6, 2, 4, 3]], ids=["1", "3", "8"])
+def test_the_root_of_each_node_is_its_connected_component(seeds, p):
+    # the root the derivation pass records for each node is the one whose terminals share its component
+    for n in (0, 1, 2, 5, 10, 12):
+        g = serpar.build(n, p, seeds)
+        data, rows, indptr = g.laplacian
+        size = indptr.size - 1
+        count, component = csgraph.connected_components(sp.csc_matrix((data, rows, indptr), shape=(size, size)))
+        owner = g._oracle_arrays[2]
+        assert count == g.roots and owner.size == size and not owner.flags.writeable
+        terminals = component[size - 2 * g.roots :]
+        assert np.array_equal(terminals[0::2], terminals[1::2])
+        root_of = np.empty(count, dtype=int)
+        root_of[terminals[0::2]] = np.arange(g.roots)
+        assert np.array_equal(owner, root_of[component]), (n, seeds)
