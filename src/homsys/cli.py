@@ -21,6 +21,16 @@ source that is not an integer >= 1 is a usage error.
 The argument parser is built once per process, on the first `main` call, and
 reused by every later one; it holds no per-call state.
 
+The first `main` call of a process also fixes glibc's allocator thresholds
+with `mallopt`: `M_MMAP_THRESHOLD` at 32 MiB and `M_TRIM_THRESHOLD` at
+64 MiB.  By default glibc raises its mmap threshold as large blocks are
+freed and trims the heap top as it shrinks, so whether a later call reuses
+freed memory or maps and faults in fresh pages depends on what earlier calls
+allocated; the large transient arrays of a serpar forest then page-fault on
+some runs and not on others.  With fixed thresholds every call of a process
+sees one policy.  Where `mallopt` is missing (another libc, another
+system) nothing is set.  No output depends on it.
+
 The `simulate` and `evolve` summaries carry the `scaling` the run used,
 {law, constant, exponent}: each checkpoint's log X_n is divided by
 (constant n)^exponent and compared to the limit law.  It comes from the
@@ -38,6 +48,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import os
@@ -381,6 +392,23 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+# glibc's mallopt parameters (malloc.h) and the values main fixes them at
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_ALLOCATOR_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+
+
+@functools.cache
+def _pin_allocator() -> bool:
+    """Fix glibc's mmap and trim thresholds, once per process; False where mallopt is missing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all([mallopt(param, value) == 1 for param, value in _ALLOCATOR_POLICY])  # a list: set both
+
+
 def _default_threads(args) -> None:
     """Fill an unset --threads from HOMSYS_THREADS, checked as --threads is."""
     text = os.environ.get("HOMSYS_THREADS")
@@ -400,6 +428,7 @@ _ALL_OR_NONE = (
 
 
 def main(argv: list[str] | None = None) -> int:
+    _pin_allocator()
     parser = _parser()
     args = parser.parse_args(argv)
     _default_threads(args)

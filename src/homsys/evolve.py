@@ -21,6 +21,17 @@ value k rows away, which holds outside the rows where the law moves (from
 the first value other than 0 to the last value other than 1) widened by k;
 so each shift is evaluated on that window only, with the same numbers as
 over the whole grid, in four numpy calls (see step_detailed).
+
+Buffers: a run owns the arrays its steps write (see StepBuffers), built once
+with its filters: the CDF padded with its 0 and 1 tails, which are written
+once, the branch laws, the Lambda sum, the mixture and the scratch rows, and
+each atom's shifts as one flat tuple of (k, offsets, kernel, more runs).
+Every step writes through numpy's out= arguments into them, so what a step
+allocates is the correlations of its shifts, a few boolean rows, and the law
+it returns (a new array) with GridCDF's check of it; it reads its input law
+and never writes it.  A lone step builds its own buffers and takes the same
+path with the same arithmetic, so a run's steps and lone steps give the same
+bits.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from .quadrature import integrate_intervals
 
 __all__ = [
     "lambda_operator", "step_detailed", "grid_filters", "run",
-    "ShiftFilters", "StepDiagnostics", "RunDiagnostics", "RunCheckpoint",
+    "ShiftFilters", "StepBuffers", "StepDiagnostics", "RunDiagnostics", "RunCheckpoint",
 ]
 
 _EDGE_EPS = 1e-12
@@ -253,14 +264,54 @@ class StepDiagnostics:
     lambda_rows: float  # rows the shift terms were evaluated on, as a fraction of shifts x grid rows
 
 
+class StepBuffers:
+    """The arrays that grid steps on one grid size with one set of filters write.
+
+    `padded` holds a step's CDF between `pad` zeros and `pad` ones, `pad`
+    being the largest reach of any filter; the tails are written here, once,
+    and a step copies its CDF into the middle.  `out`, `lam`, `diff`, `plus`,
+    `minus` and `branch` are scratch rows of the grid.  `shifts` holds each
+    atom's shifts (None for a max/min atom) as one flat tuple of
+    (k, back, start, stop, kernel, more) entries, offsets into `padded`: on
+    the rows a..b-1, shift k reads the CDF k rows back at
+    padded[a + back : b + back] (back = pad - k), and the correlation of its
+    first run (lo, hi, kernel) reads padded[a + start : b + stop]
+    (start = pad - hi, stop = pad - lo); `more` holds the (start, stop,
+    kernel) of its other runs.  A run builds one set and hands it to every
+    step; a step makes its own when given none.
+    """
+
+    def __init__(self, filters: tuple[ShiftFilters | None, ...], rows: int):
+        self.filters = filters
+        self.pad = pad = max((fl.reach for fl in filters if fl is not None), default=0)
+        self.padded = np.empty(rows + 2 * pad)
+        self.padded[:pad] = 0.0
+        self.padded[pad + rows :] = 1.0
+        self.out, self.lam, self.diff, self.plus, self.minus, self.branch = (np.empty(rows) for _ in range(6))
+        self.shifts = tuple(
+            None if fl is None else tuple(
+                (k, pad - k, pad - hi, pad - lo, kernel, tuple((pad - hi, pad - lo, kernel) for lo, hi, kernel in more))
+                for k, ((lo, hi, kernel), *more) in zip(fl.shifts, fl.runs)
+            )
+            for fl in filters
+        )
+
+
 def step_detailed(
-    d: GridCDF, model: ModelSpec, filters: tuple[ShiftFilters | None, ...] | None = None
+    d: GridCDF,
+    model: ModelSpec,
+    filters: tuple[ShiftFilters | None, ...] | None = None,
+    buffers: StepBuffers | None = None,
 ) -> tuple[GridCDF, StepDiagnostics]:
     """One exact evolution step of the grid law under the mixture.
 
     `filters` are grid_filters(model, d.h, d.hi - d.lo), which depend on the
-    model and the grid only; they are built here when not given, and a run on
-    a fixed domain builds them once.
+    model and the grid only, and `buffers` are StepBuffers(filters, d.m + 1),
+    the arrays the step writes; each is built here when not given, so a lone
+    call and a run take the same path.  A run on a fixed domain builds both
+    once and reuses them on every step.  Given buffers must come from the
+    given filters (or from the model's, when filters is None) and fit the grid.
+    The step reads d.cdf and never writes it, and returns a new array.
 
     The term (c[i] - c[i-k]) fir_k[i] of shift k is evaluated on the rows
     [i0 + min(k, 0), i1 + max(k, 0)] clipped to the grid, i0 being the first
@@ -269,63 +320,79 @@ def step_detailed(
     Outside them c[i] and c[i-k] are both exactly 0 or both exactly 1, so the
     term is an exact zero there: the window changes no bit of the result,
     only the work.  On its window a shift costs four numpy calls: np.correlate
-    of the padded CDF with its kernel (one more per extra run), np.subtract
-    into a buffer reused by every shift, an in-place product and one slice
-    addition."""
+    of the padded CDF with its kernel (one more per extra run), then
+    np.subtract, np.multiply and np.add writing into the buffers.  The
+    running maximum that clamps the mixture is taken only when some row
+    decreases; a nondecreasing row is its own running maximum, so most steps
+    copy it and report a zero defect and budget, the same bits."""
     c = d.cdf
-    x = d.grid()
     h = d.h
     n = c.size
 
-    # effective support and the one-step expansion margins
-    inside = np.where((c > _EDGE_EPS) & (c < 1.0 - _EDGE_EPS))[0]
-    if inside.size:
-        lo_eff, hi_eff = x[inside[0]], x[inside[-1]]
+    # effective support and the one-step expansion margins; row i lies at lo + i h, as d.grid() has it
+    inside = (c > _EDGE_EPS) & (c < 1.0 - _EDGE_EPS)
+    if inside.any():
+        lo_row, hi_row = int(np.argmax(inside)), n - 1 - int(np.argmax(inside[::-1]))
     else:
-        jump = int(np.argmax(c >= 0.5))
-        lo_eff = hi_eff = x[jump]
+        lo_row = hi_row = int(np.argmax(c >= 0.5))
+    lo_eff, hi_eff = (d.hi if i == n - 1 else i * h + d.lo for i in (lo_row, hi_row))
     if hi_eff + model.r_plus() + h > d.hi or lo_eff - model.r_minus() - h < d.lo:
         raise RegridRequiredError(
             f"support [{lo_eff:.3g}, {hi_eff:.3g}] plus margins exceeds the allocated domain"
         )
 
-    if filters is None:
-        filters = grid_filters(model, h, d.hi - d.lo)
-    pad = max((fl.reach for fl in filters if fl is not None), default=0)
-    padded = np.concatenate([np.zeros(pad), c, np.ones(pad)])
+    if buffers is None:
+        buffers = StepBuffers(grid_filters(model, h, d.hi - d.lo) if filters is None else filters, n)
+    elif buffers.out.size != n or (filters is not None and filters is not buffers.filters):
+        raise DomainError("step buffers were built for another grid size or other filters")
+    pad, padded, lam, diff = buffers.pad, buffers.padded, buffers.lam, buffers.diff
+    padded[pad : pad + n] = c
     i0 = int(np.argmax(c != 0.0))  # c[-1] is near 1 and c[0] near 0, so both rows exist
     i1 = n - 1 - int(np.argmax(c[::-1] != 1.0))
+    # the branch laws Psi^2 and 2 Psi - Psi^2, each computed once for all the atoms that use it
+    plus, minus = np.multiply(c, c, out=buffers.plus), None
+    if any(f.eps == -1 for _, f in model.atoms):
+        minus = np.multiply(c, 2.0, out=buffers.minus)
+        np.subtract(minus, plus, out=minus)
     touched = evaluated = 0
-    out = np.zeros_like(c)
-    diff = np.empty_like(c)
-    for (w, f), fl in zip(model.atoms, filters):
-        if f.eps == +1:
-            branch = c * c
+    out, branch = buffers.out, buffers.branch
+    out.fill(0.0)
+    # bound once: the shift loop pays per call, not per row (out passed by position, "valid" by default)
+    correlate, subtract, multiply, add = np.correlate, np.subtract, np.multiply, np.add
+    for (w, f), shifts in zip(model.atoms, buffers.shifts):
+        base = plus if f.eps == +1 else minus
+        if shifts is None:
+            multiply(base, w, branch)
         else:
-            branch = 2.0 * c - c * c
-        if fl is not None:
-            lam = np.zeros_like(c)
-            evaluated += len(fl.shifts) * n
-            for k, runs in zip(fl.shifts, fl.runs):
+            lam.fill(0.0)
+            evaluated += len(shifts) * n
+            for k, back, start, stop, kernel, more in shifts:
                 a, b = (max(i0 + k, 0), i1 + 1) if k < 0 else (i0, min(i1 + 1 + k, n))
                 touched += b - a
                 # fir[i], i in [a, b): its runs' correlations, reading the 0/1 padding outside the grid
-                lo, hi, kernel = runs[0]
-                fir = np.correlate(padded[pad + a - hi : pad + b - lo], kernel, "valid")
-                for lo, hi, kernel in runs[1:]:
-                    fir += np.correlate(padded[pad + a - hi : pad + b - lo], kernel, "valid")
+                fir = correlate(padded[a + start : b + stop], kernel)
+                for start, stop, kernel in more:
+                    fir += correlate(padded[a + start : b + stop], kernel)
                 dk = diff[: b - a]
-                np.subtract(c[a:b], padded[pad - k + a : pad - k + b], dk)
-                fir *= dk
-                lam[a:b] += fir
-            branch = branch - f.eps * lam
-        out += w * branch
+                subtract(c[a:b], padded[a + back : b + back], dk)
+                multiply(fir, dk, fir)
+                lk = lam[a:b]
+                add(lk, fir, lk)
+            # base - eps lam, with the bits of subtracting the product eps * lam
+            (subtract if f.eps == +1 else add)(base, lam, branch)
+            multiply(branch, w, branch)
+        add(out, branch, out)
 
-    # the continuum map is monotone; clamp roundoff/discretization violations
-    raw = np.clip(out, 0.0, 1.0)
-    mono = np.maximum.accumulate(raw)
-    defect = float(np.max(mono - raw))
-    budget = float(np.sum(mono - raw) * h)
+    # the continuum map is monotone; clamp roundoff/discretization violations.  Most steps
+    # have none, and a nondecreasing row is its own running maximum, bit for bit
+    raw = np.clip(out, 0.0, 1.0, out=out)
+    if np.subtract(raw[1:], raw[:-1], out=diff[1:]).min() >= 0.0:  # a NaN fails this too
+        mono, defect, budget = raw.copy(), 0.0, 0.0
+    else:
+        mono = np.maximum.accumulate(raw)
+        gap = np.subtract(mono, raw, out=diff)
+        defect = float(np.max(gap))
+        budget = float(np.sum(gap) * h)
     end_defect = float(abs(mono[-1] - 1.0))
     if end_defect > 1e-6:
         raise HomsysError(f"evolved CDF misses 1 by {end_defect:.3g}; support check was too permissive")
@@ -389,12 +456,13 @@ def run(
     d = GridCDF(lo, hi, np.maximum.accumulate(cdf))
 
     filters = grid_filters(model, d.h, hi - lo)
+    buffers = StepBuffers(filters, m + 1)
     t_cells, groups, taps = (tuple(0 if fl is None else getattr(fl, key) for fl in filters)
                              for key in ("t_cells", "groups", "taps"))
     out: list[RunCheckpoint] = []
     budget = defect = rows = 0.0
     for n in range(1, n_steps + 1):
-        d, diag = step_detailed(d, model, filters)
+        d, diag = step_detailed(d, model, filters, buffers)
         budget += diag.clamp_budget
         defect = max(defect, diag.max_monotonicity_defect)
         rows += diag.lambda_rows

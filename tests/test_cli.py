@@ -1,3 +1,4 @@
+import ctypes
 import io
 import json
 import math
@@ -334,6 +335,31 @@ def test_the_resistance_oracle_loads_no_scipy():
             "print(r > 0, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "True []"
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="no glibc mallopt")
+def test_a_repeated_serpar_call_reuses_the_memory_of_the_first():
+    # main fixes the allocator thresholds once per process, so the transient arrays of a second call
+    # come from the memory the first one freed; with glibc's sliding thresholds each call faulted in
+    # about 3.5k fresh pages
+    pytest.importorskip("resource")
+    code = ("import contextlib, io, resource; from homsys import cli\n"
+            "argv = ['serpar', '--p', '0.5', '--n', '12', '--seeds', '30', '--check-exact']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(argv) == 0\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    assert cli.main(argv) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    env = {**_subprocess_env(), "HOMSYS_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert int(out.stdout) < 100
 
 
 def test_the_parser_is_built_once_per_process(monkeypatch, tmp_path):

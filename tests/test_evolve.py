@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,9 +256,9 @@ def _run_laws(name: str, n: int, m: int) -> tuple[GridCDF, ...]:
     seen = []
     step_detailed = evolve.step_detailed
 
-    def spy(d, model, filters=None):
+    def spy(d, model, filters=None, buffers=None):
         seen.append(d)
-        return step_detailed(d, model, filters)
+        return step_detailed(d, model, filters, buffers)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolve, "step_detailed", spy)
@@ -361,6 +362,73 @@ def test_split_filters_keep_only_the_nonzero_taps(name):
             assert fl.taps <= 3 * len(fl.shifts) < whole.taps / 20
         if name == "resistance(0.5)":  # a softplus T moves on every cell: no zero taps, one run per shift
             assert fl.taps == whole.taps and all(len(pieces) == 1 for pieces in fl.runs)
+
+
+def _run_steps(model, n: int, m: int, step) -> None:
+    """Run `model` for n steps on an M = m grid from the initial law of `homsys evolve`, with every
+    call of evolve.step_detailed going through step(step_detailed, *args)."""
+    x = np.linspace(-0.5, 0.5, 257)
+    step_detailed = evolve.step_detailed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolve, "step_detailed", lambda *args: step(step_detailed, *args))
+        # tents have no known constant; any valid scaling runs their steps
+        evolve.run(GridCDF(-0.5, 0.5, np.clip(x + 0.5, 0.0, 1.0)), model, n, (n,), m=m, scaling=("cubic", 1.0, 0.5))
+
+
+@pytest.mark.parametrize("name", KERNEL_MODELS)
+def test_run_steps_in_its_buffers_with_the_bits_of_a_lone_step(name):
+    model, seen = KERNEL_MODELS[name], []
+
+    def step(step_detailed, d, *args):
+        before = d.cdf.copy()
+        new, diag = step_detailed(d, *args)
+        assert np.array_equal(d.cdf.view(np.uint64), before.view(np.uint64))  # the caller's law is only read
+        assert not any(np.shares_memory(new.cdf, old.cdf) for old in [d, *(law for law, _ in seen)])  # a new array
+        seen.append((new, diag))
+        lone, lone_diag = step_detailed(d, model)
+        assert np.array_equal(new.cdf.view(np.uint64), lone.cdf.view(np.uint64))
+        assert diag == lone_diag
+        return new, diag
+
+    _run_steps(model, 12, 1024, step)
+    assert len(seen) == 12
+
+
+def test_step_buffers_must_fit_the_grid_and_the_filters():
+    model = KERNEL_MODELS["hipster"]
+    d = _uniform(m=512)
+    filters = evolve.grid_filters(model, d.h, d.hi - d.lo)
+    buffers = evolve.StepBuffers(filters, d.m + 1)
+    assert evolve.step_detailed(d, model, filters, buffers)[0].cdf.tobytes() == evolve.step_detailed(d, model)[0].cdf.tobytes()
+    assert evolve.step_detailed(d, model, None, buffers)[0].cdf.tobytes() == evolve.step_detailed(d, model)[0].cdf.tobytes()
+    with pytest.raises(DomainError):
+        evolve.step_detailed(d, model, filters, evolve.StepBuffers(filters, d.m))
+    with pytest.raises(DomainError):
+        evolve.step_detailed(d, model, evolve.grid_filters(model, d.h, d.hi - d.lo), buffers)
+
+
+@pytest.mark.parametrize("name", KERNEL_MODELS)
+def test_run_steps_allocate_little_beyond_the_new_law(name):
+    """Peak traced allocation of each step inside run, in units of the 8(M+1) bytes of one grid row.
+    The returned law and GridCDF's nondecreasing check on it (np.diff) are two rows; the shift loop holds
+    at most a shift's correlation and the one of its next run, at most two rows.  A step that allocated
+    its padded CDF, branches and scratch rows afresh peaked at 9.4 to 11.7 rows."""
+    M, peaks = 2048, []
+
+    def step(step_detailed, *args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        new = step_detailed(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return new
+
+    tracemalloc.start()
+    try:
+        _run_steps(KERNEL_MODELS[name], 6, M, step)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 6
+    assert max(peaks) <= 3.5 * 8 * (M + 1), [p / (8 * (M + 1)) for p in peaks]
 
 
 def test_run_with_prebuilt_filters_equals_repeated_steps():
