@@ -11,31 +11,42 @@ nodes: the density factor exactly through the CDF over each cell, the
 crossing bracket at the cell midpoint.  Cells whose crossing shift T(mid)/h
 has the same integer part are summed together, which turns the cell sum into
 one FIR filter of the CDF per integer shift (see ShiftFilters); the filters
-depend only on the model and the grid, so a run builds them once, in one
-vectorised pass over all shifts.  A filter keeps only its runs of nonzero
-taps: where cells sharing one shift telescope, their interior taps are exact
-zeros.  Each run is stored as a contiguous correlation kernel, reversed once,
-so the step applies it with np.correlate and makes no copy per call.  The
-term of shift k is exactly zero on every row where the CDF equals its own
-value k rows away, which holds outside the rows where the law moves (from
-the first value other than 0 to the last value other than 1) widened by k;
-so each shift is evaluated on that window only, with the same numbers as
-over the whole grid, in four numpy calls (see step_detailed).
+depend only on T and the grid, so a run builds them once, in one vectorised
+pass over all shifts.  They are built from the atom's star F*, so every
+shift is positive and every filter reads back from its row: an eps = -1
+atom's sum is its star's sum on the reversed CDF, and atoms with one star (a
+mirror pair such as hipster's, resistance's or power_mean(a, -a)'s) share
+one filter set.  A filter keeps only its runs of nonzero taps: where cells
+sharing one shift telescope, their interior taps are exact zeros.  Each run
+is stored as a contiguous correlation kernel, reversed once, so the step
+applies it with np.correlate and makes no copy per call.
+
+The term of shift k is exactly zero on every row where the CDF equals its own
+value k rows back, which holds outside the rows where the law moves (from the
+first value other than 0 to the last value other than 1) widened by k.  So a
+step lays out only those live rows, with the CDF's 0s and 1s as padding, and
+a filter set shared by a mirror pair stacks the CDF and its reversal in one
+array with a gap of 1s between them: each shift is then one pass of four
+numpy calls over both rows (see step_detailed).  The branch laws and the
+mixture are computed on the live rows widened by the largest shift; the
+other rows are 0 or the clipped sum of the weights, as the whole grid gives
+them.
 
 Buffers: a run owns the arrays its steps write (see StepBuffers), built once
-with its filters: the CDF padded with its 0 and 1 tails, which are written
-once, the branch laws, the Lambda sum, the mixture and the scratch rows, and
-each atom's shifts as one flat tuple of (k, offsets, kernel, more runs).
-Every step writes through numpy's out= arguments into them, so what a step
-allocates is the correlations of its shifts, a few boolean rows, and the law
-it returns (a new array) with GridCDF's check of it; it reads its input law
-and never writes it.  A lone step builds its own buffers and takes the same
-path with the same arithmetic, so a run's steps and lone steps give the same
-bits.
+with its filters: each filter set's stacked rows and Lambda sums, with their
+first padding written once, the branch laws, the mixture and the scratch
+rows.  Every step writes through numpy's out= arguments into them, so what a
+step allocates is the correlations of its shifts, a few boolean rows, and
+the law it returns (a new array) with GridCDF's check of it; it reads its
+input law and never writes it.  A lone step builds its own buffers and takes
+the same path with the same arithmetic, so a run's steps and lone steps give
+the same bits.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -180,43 +191,49 @@ def _atom_t_cells(f: HFunction, h: float, span: float):
 
 @dataclass(frozen=True)
 class ShiftFilters:
-    """The Lambda sum of one atom as one FIR filter of the CDF per integer shift.
+    """The Lambda sum of an eps = +1 atom as one FIR filter of the CDF per integer shift.
 
-    Cell j (edges e_j < e_{j+1}, crossing shift tau_j = eps T(mid_j) / h in
-    cells) adds (S_{eps e_j/h} - S_{eps e_{j+1}/h}) (c - S_{tau_j}), where S_s
-    is the CDF linearly interpolated s cells to the right, padded with 0 and 1.
-    With k = floor(tau_j) and phi = tau_j - k, S_{tau_j} = (1 - phi) c[i-k] +
-    phi c[i-k-1], so the sum is the sum over k of (c - c[i-k]) fir_k[i]: the
-    taps of fir_k gather 1 - phi, resp. phi, times the interpolation taps of
-    the edge terms of the cells in group k, resp. k - 1.  The k = 0 term
-    vanishes.  Where the cells of a group share one shift, the edge terms of
+    Cell j (edges e_j < e_{j+1}, crossing shift tau_j = T(mid_j) / h in
+    cells) adds (S_{e_j/h} - S_{e_{j+1}/h}) (c - S_{tau_j}), where S_s is the
+    CDF linearly interpolated s cells to the right, padded with 0s.  With
+    k = floor(tau_j) and phi = tau_j - k, S_{tau_j} = (1 - phi) c[i-k] + phi
+    c[i-k-1], so the sum is the sum over k of (c - c[i-k]) fir_k[i]: the taps
+    of fir_k gather 1 - phi, resp. phi, times the interpolation taps of the
+    edge terms of the cells in group k, resp. k - 1.  The k = 0 term vanishes,
+    so every shift is positive, and every tap reads the CDF at or before its
+    row.  Where the cells of a group share one shift, the edge terms of
     neighbouring cells cancel, so fir_k has exact zeros inside; each shift
     keeps its runs of nonzero taps, fir_k being the sum of the runs' terms.
     A run is stored as step_detailed reads it, (lo, hi, kernel) with the
     kernel contiguous and reversed into correlation order: it adds
     sum over q of kernel[q] c[i - hi + q] to fir_k[i], which on the rows
-    a..b-1 is np.correlate(c[a - hi : b - lo], kernel, "valid").  The taps
-    depend only on the atom, h and the domain span.
+    a..b-1 is np.correlate(c[a - hi : b - lo], kernel, "valid").  Shift k
+    looks back max(k, largest hi of its runs) rows.  The taps depend only on
+    T, h and the domain span.
+
+    An eps = -1 atom F has the crossing function of its star F* = F^inv, and
+    its Lambda sum on the CDF c is F*'s sum on the reversed CDF
+    r[j] = c[M - j], padded with 1s before it and 0s after it, read back at
+    row M - i: so every atom filters with the ShiftFilters of its star.
     """
 
     t_cells: int
     groups: int  # distinct floor(tau_j), the cell groups sharing one integer shift
     taps: int  # nonzero taps over all shifts
-    shifts: tuple[int, ...]  # the nonzero k with a filter
+    shifts: tuple[int, ...]  # the shifts k > 0 with a filter, ascending
     runs: tuple[tuple[tuple[int, int, np.ndarray], ...], ...]  # per shift, its runs (lo, hi, kernel)
-    reach: int  # largest |index offset| any filter or shift reads
+    reach: int  # the longest look-back of any shift
 
 
 def _shift_filters(f: HFunction, h: float, span: float) -> ShiftFilters | None:
     edges = _atom_t_cells(f, h, span)
     if edges is None:
         return None
-    sign = float(f.eps)
     mids = np.maximum(0.5 * (edges[:-1] + edges[1:]), 1e-12)
-    tau = sign * t_of(f, mids) / h
+    tau = t_of(f, mids) / h
     k = np.floor(tau)
     phi = tau - k
-    sigma = sign * edges / h
+    sigma = edges / h
     m = np.floor(sigma)
     psi = sigma - m
     # S_{sigma_j} - S_{sigma_{j+1}} as four (index, tap) pairs per cell
@@ -247,13 +264,18 @@ def _shift_filters(f: HFunction, h: float, span: float) -> ShiftFilters | None:
         runs[-1].append((r_lo, r_lo + b - a - 1, reverse[w.size - b : w.size - a]))
     kept = tuple(shifts[np.unique(owner)].tolist())
     taps = int(np.sum(stop - first))
-    reach = int(max(np.abs(idx).max(initial=0), np.abs(shift).max(initial=0)))
+    reach = int(max(idx.max(initial=0), shift.max(initial=0)))
     return ShiftFilters(mids.size, np.unique(k).size, taps, kept, tuple(map(tuple, runs)), reach)
 
 
 def grid_filters(model: ModelSpec, h: float, span: float) -> tuple[ShiftFilters | None, ...]:
-    """The per-atom filters of step_detailed for grid spacing h and domain span hi - lo."""
-    return tuple(_shift_filters(f, h, span) for _, f in model.atoms)
+    """The filters of step_detailed, one per atom, for grid spacing h and domain span hi - lo: those of
+    the atom's star, so atoms with one star (a mirror pair such as hipster's) share one object."""
+    built: dict[HFunction, ShiftFilters | None] = {}
+    for _, f in model.atoms:
+        if f.star() not in built:
+            built[f.star()] = _shift_filters(f.star(), h, span)
+    return tuple(built[f.star()] for _, f in model.atoms)
 
 
 @dataclass
@@ -264,37 +286,108 @@ class StepDiagnostics:
     lambda_rows: float  # rows the shift terms were evaluated on, as a fraction of shifts x grid rows
 
 
-class StepBuffers:
-    """The arrays that grid steps on one grid size with one set of filters write.
+class _FilterRows:
+    """The rows one filter set runs on, and its Lambda sums.
 
-    `padded` holds a step's CDF between `pad` zeros and `pad` ones, `pad`
-    being the largest reach of any filter; the tails are written here, once,
-    and a step copies its CDF into the middle.  `out`, `lam`, `diff`, `plus`,
-    `minus` and `branch` are scratch rows of the grid.  `shifts` holds each
-    atom's shifts (None for a max/min atom) as one flat tuple of
-    (k, back, start, stop, kernel, more) entries, offsets into `padded`: on
-    the rows a..b-1, shift k reads the CDF k rows back at
-    padded[a + back : b + back] (back = pad - k), and the correlation of its
-    first run (lo, hi, kernel) reads padded[a + start : b + stop]
-    (start = pad - hi, stop = pad - lo); `more` holds the (start, stop,
-    kernel) of its other runs.  A run builds one set and hands it to every
-    step; a step makes its own when given none.
+    A step's live rows [i0, i1] of the CDF go into `x` as c if an eps = +1
+    atom uses the set, reversed as r if an eps = -1 atom does, and as both
+    for a mirror pair, stacked as [0s | c | 1s | r | 0s].  The first row
+    starts at `pad` (the reach of every filter of the step), after its
+    padding, 0s for c and 1s for r, which is written here, once; after it
+    come `gap` 1s for c or 0s for r, gap being the set's largest shift, then
+    the second row and gap 0s.  `lam` holds the sums in the layout of `x`.
+    `shifts` holds the set's shifts, ascending, as (k, back, start, stop,
+    kernel, more, split) entries, offsets from a row's start at pad: the CDF
+    k rows back is at back = pad - k, the first run (lo, hi, kernel) reads
+    from start = pad - hi to stop = pad - lo rows past the last row it
+    writes, and `more` holds the other runs' (start, stop, kernel).  `split`
+    marks a shift of a stacked set that looks back past the gap: it runs on
+    c in `x` and on r in `solo`, laid out as [1s | r | 0s] with r at pad.
     """
 
-    def __init__(self, filters: tuple[ShiftFilters | None, ...], rows: int):
-        self.filters = filters
-        self.pad = pad = max((fl.reach for fl in filters if fl is not None), default=0)
-        self.padded = np.empty(rows + 2 * pad)
-        self.padded[:pad] = 0.0
-        self.padded[pad + rows :] = 1.0
-        self.out, self.lam, self.diff, self.plus, self.minus, self.branch = (np.empty(rows) for _ in range(6))
+    def __init__(self, filters: ShiftFilters, c: bool, r: bool, pad: int, rows: int):
+        self.c, self.stacked = c, c and r
+        self.gap = gap = max(filters.shifts, default=0)
+        self.ks, self.count = filters.shifts, len(filters.shifts)
+        self.sums = (0, *itertools.accumulate(filters.shifts))  # sums[j]: the j shortest shifts summed
+        self.x = np.empty(pad + 2 * (rows + gap))
+        self.x[:pad] = 0.0 if c else 1.0
+        self.lam = np.empty_like(self.x)
         self.shifts = tuple(
-            None if fl is None else tuple(
-                (k, pad - k, pad - hi, pad - lo, kernel, tuple((pad - hi, pad - lo, kernel) for lo, hi, kernel in more))
-                for k, ((lo, hi, kernel), *more) in zip(fl.shifts, fl.runs)
-            )
-            for fl in filters
+            (k, pad - k, pad - hi, pad - lo, kernel, tuple((pad - hi2, pad - lo2, kernel2) for lo2, hi2, kernel2 in more),
+             self.stacked and max(k, hi, *(hi2 for _, hi2, _ in more)) > gap)
+            for k, ((lo, hi, kernel), *more) in zip(filters.shifts, filters.runs)
         )
+        self.solo = None
+        if any(split for *_, split in self.shifts):
+            self.solo = np.empty(pad + rows + gap)
+            self.solo[:pad] = 1.0
+        self.pad = pad
+
+    def rows_over(self, size: int, room: int) -> int:
+        """The rows of an atom's windows summed over the shifts, min(size + k, room) each."""
+        j = bisect.bisect_right(self.ks, room - size)
+        return self.sums[j] + (room - size) * (self.count - j) + size * self.count
+
+    def sum_shifts(self, live: np.ndarray, diff: np.ndarray) -> None:
+        """Copy the live rows of a step's CDF into the rows and sum every shift's terms into `lam`."""
+        x, pad, gap, lam, size = self.x, self.pad, self.gap, self.lam, live.size
+        x[pad : pad + size] = live if self.c else live[::-1]
+        x[pad + size : pad + size + gap] = 1.0 if self.c else 0.0
+        extent, split = size, ()
+        if self.stacked:
+            at = pad + size + gap  # the start of r
+            x[at : at + size] = live[::-1]
+            x[at + size : at + size + gap] = 0.0
+            extent = 2 * size + gap
+            if self.solo is not None:
+                self.solo[pad : pad + size] = live[::-1]
+                self.solo[pad + size : pad + size + gap] = 0.0
+                split = ((x, size, pad), (self.solo, size, at))
+        lam[pad : pad + extent + gap] = 0.0
+        whole = ((x, extent, pad),)
+        # bound once: the loop pays per call, not per row (out passed by position, "valid" by default)
+        correlate, subtract, multiply, add = np.correlate, np.subtract, np.multiply, np.add
+        for k, back, start, stop, kernel, more, apart in self.shifts:
+            for y, width, at in split if apart else whole:
+                u = width + k
+                # fir over u rows from the row start; the padding stands for the CDF's 0s and 1s
+                fir = correlate(y[start : u + stop], kernel)
+                for start2, stop2, kernel2 in more:
+                    fir += correlate(y[start2 : u + stop2], kernel2)
+                dk = diff[:u]
+                subtract(y[pad : pad + u], y[back : back + u], dk)
+                multiply(fir, dk, fir)
+                lk = lam[at : at + u]
+                add(lk, fir, lk)
+
+
+class StepBuffers:
+    """The arrays that grid steps of one model on one grid size with one set of filters write.
+
+    Each distinct filter set of grid_filters gets its own rows (_FilterRows):
+    the live rows of the CDF, of its reversal, or of both stacked with a gap
+    of 1s between them, and their Lambda sums.  `atoms` gives each atom's set
+    (None for a max/min atom), `widen` is the largest shift of any set, and
+    `plus`, `minus`, `branch` and `diff` are scratch rows.  A run builds one
+    set of buffers and hands it to every step; a step makes its own when
+    given none.
+    """
+
+    def __init__(self, model: ModelSpec, filters: tuple[ShiftFilters | None, ...], rows: int):
+        self.model, self.filters = model, filters
+        live = [fl for fl in filters if fl is not None]
+        pad = max((fl.reach for fl in live), default=0)
+        self.widen = max((max(fl.shifts, default=0) for fl in live), default=0)
+        self.plus, self.minus, self.branch = (np.empty(rows) for _ in range(3))
+        self.diff = np.empty(2 * (rows + self.widen))
+        sets: dict[int, _FilterRows] = {}
+        for fl in live:
+            if id(fl) not in sets:
+                eps = {f.eps for (_, f), other in zip(model.atoms, filters) if other is fl}
+                sets[id(fl)] = _FilterRows(fl, +1 in eps, -1 in eps, pad, rows)
+        self.sets = tuple(sets.values())
+        self.atoms = tuple(None if fl is None else sets[id(fl)] for fl in filters)
 
 
 def step_detailed(
@@ -306,33 +399,54 @@ def step_detailed(
     """One exact evolution step of the grid law under the mixture.
 
     `filters` are grid_filters(model, d.h, d.hi - d.lo), which depend on the
-    model and the grid only, and `buffers` are StepBuffers(filters, d.m + 1),
-    the arrays the step writes; each is built here when not given, so a lone
-    call and a run take the same path.  A run on a fixed domain builds both
-    once and reuses them on every step.  Given buffers must come from the
-    given filters (or from the model's, when filters is None) and fit the grid.
-    The step reads d.cdf and never writes it, and returns a new array.
+    model and the grid only, and `buffers` are StepBuffers(model, filters,
+    d.m + 1), the arrays the step writes; each is built here when not given,
+    so a lone call and a run take the same path.  A run on a fixed domain
+    builds both once and reuses them on every step.  Given buffers must come
+    from the model and the given filters (or the model's, when filters is
+    None) and fit the grid.  The step reads d.cdf and never writes it, and
+    returns a new array.
 
-    The term (c[i] - c[i-k]) fir_k[i] of shift k is evaluated on the rows
-    [i0 + min(k, 0), i1 + max(k, 0)] clipped to the grid, i0 being the first
-    row with c != 0 and i1 the last with c != 1 (the padding reads 0 left of
-    the grid and 1 right of it; i0 <= i1 + 1, so the window is never empty).
-    Outside them c[i] and c[i-k] are both exactly 0 or both exactly 1, so the
-    term is an exact zero there: the window changes no bit of the result,
-    only the work.  On its window a shift costs four numpy calls: np.correlate
-    of the padded CDF with its kernel (one more per extra run), then
-    np.subtract, np.multiply and np.add writing into the buffers.  The
-    running maximum that clamps the mixture is taken only when some row
-    decreases; a nondecreasing row is its own running maximum, so most steps
-    copy it and report a zero defect and budget, the same bits."""
+    Let i0 be the first row with c != 0, i1 the last with c != 1 (i0 <= i1 + 1)
+    and L = i1 + 1 - i0.  An eps = +1 atom's term (c[i] - c[i-k]) fir_k[i] is
+    an exact zero outside the rows [i0, i1 + k], and an eps = -1 atom's,
+    taken on the reversed row, outside c's rows [i0 - k, i1]: there both
+    values are exactly 0 or exactly 1.  So each shift runs once over its
+    set's live rows (see _FilterRows), from the first to k rows past the
+    last, 2 L + gap + k rows for a stacked pair, whose gap rows past the
+    first k give exact zeros, (1 - 1) times the filter.  A shift costs four
+    numpy calls: np.correlate of the rows with its kernel (one more per
+    extra run), then np.subtract, np.multiply and np.add writing into the
+    buffers.  A shift of a stacked set that looks back past the gap runs
+    once on each row instead (resistance(0.5)'s k = 1 tail filter for 30
+    steps on 2048 rows: 421 taps reading 598 rows back, against a gap of
+    254); a gap of the full reach would make every other shift pay for it.
+    Each row sums its shifts in ascending k, and np.correlate takes each
+    row's dot product alone, so an eps = +1 atom's sum has the bits of the
+    sum over the whole grid.
+
+    The branch laws Psi^2 and 2 Psi - Psi^2, the mixture, the clip and the
+    monotone test run on the live window [i0 - K, i1 + K] clipped to the
+    grid, K the largest shift: outside it every Lambda term is zero, so the
+    rows left of it are 0 and those right of it the clipped sum of the
+    weights, the values the whole-grid arithmetic gives them.  The running
+    maximum that clamps the mixture is taken only when some row decreases,
+    over the whole row; a nondecreasing row is its own running maximum, bit
+    for bit, and reports a zero defect and budget.  lambda_rows counts, per
+    atom and shift, the rows of the atom's own window, clipped to the grid."""
     c = d.cdf
     h = d.h
     n = c.size
 
+    # the live rows [i0, i1], where c is neither 0 nor 1 (c[-1] is near 1 and c[0] near 0, so both exist)
+    i0 = int(np.argmax(c != 0.0))
+    i1 = n - 1 - int(np.argmax(c[::-1] != 1.0))
+    size = i1 + 1 - i0
+    live = c[i0 : i1 + 1]
     # effective support and the one-step expansion margins; row i lies at lo + i h, as d.grid() has it
-    inside = (c > _EDGE_EPS) & (c < 1.0 - _EDGE_EPS)
+    inside = (live > _EDGE_EPS) & (live < 1.0 - _EDGE_EPS)
     if inside.any():
-        lo_row, hi_row = int(np.argmax(inside)), n - 1 - int(np.argmax(inside[::-1]))
+        lo_row, hi_row = i0 + int(np.argmax(inside)), i1 - int(np.argmax(inside[::-1]))
     else:
         lo_row = hi_row = int(np.argmax(c >= 0.5))
     lo_eff, hi_eff = (d.hi if i == n - 1 else i * h + d.lo for i in (lo_row, hi_row))
@@ -342,64 +456,69 @@ def step_detailed(
         )
 
     if buffers is None:
-        buffers = StepBuffers(grid_filters(model, h, d.hi - d.lo) if filters is None else filters, n)
-    elif buffers.out.size != n or (filters is not None and filters is not buffers.filters):
-        raise DomainError("step buffers were built for another grid size or other filters")
-    pad, padded, lam, diff = buffers.pad, buffers.padded, buffers.lam, buffers.diff
-    padded[pad : pad + n] = c
-    i0 = int(np.argmax(c != 0.0))  # c[-1] is near 1 and c[0] near 0, so both rows exist
-    i1 = n - 1 - int(np.argmax(c[::-1] != 1.0))
-    # the branch laws Psi^2 and 2 Psi - Psi^2, each computed once for all the atoms that use it
-    plus, minus = np.multiply(c, c, out=buffers.plus), None
+        filters = grid_filters(model, h, d.hi - d.lo) if filters is None else filters
+        buffers = StepBuffers(model, filters, n)
+    elif buffers.plus.size != n or buffers.model != model or (filters is not None and filters is not buffers.filters):
+        raise DomainError("step buffers were built for another grid size, model or filters")
+    for rows in buffers.sets:
+        rows.sum_shifts(live, buffers.diff)
+
+    # the branch laws, each atom's branch and the mixture on the live window [wa, wb) only
+    wa, wb = max(i0 - buffers.widen, 0), min(i1 + 1 + buffers.widen, n)
+    cw = c[wa:wb]
+    plus, minus = buffers.plus, buffers.minus
+    subtract, multiply, add = np.subtract, np.multiply, np.add
+    multiply(cw, cw, plus[wa:wb])
     if any(f.eps == -1 for _, f in model.atoms):
-        minus = np.multiply(c, 2.0, out=buffers.minus)
-        np.subtract(minus, plus, out=minus)
-    touched = evaluated = 0
-    out, branch = buffers.out, buffers.branch
+        multiply(cw, 2.0, minus[wa:wb])
+        subtract(minus[wa:wb], plus[wa:wb], minus[wa:wb])
+    raw = np.empty(n)  # the clipped mixture, on the whole grid, in the array the step returns
+    out, branch = raw[wa:wb], buffers.branch[wa:wb]
     out.fill(0.0)
-    # bound once: the shift loop pays per call, not per row (out passed by position, "valid" by default)
-    correlate, subtract, multiply, add = np.correlate, np.subtract, np.multiply, np.add
-    for (w, f), shifts in zip(model.atoms, buffers.shifts):
+    one = 0.0  # the mixture where c = 1: the weights, summed as the rows sum them
+    touched = evaluated = 0
+    for (w, f), rows in zip(model.atoms, buffers.atoms):
+        one += w
         base = plus if f.eps == +1 else minus
-        if shifts is None:
-            multiply(base, w, branch)
+        if rows is None:
+            multiply(base[wa:wb], w, branch)
         else:
-            lam.fill(0.0)
-            evaluated += len(shifts) * n
-            for k, back, start, stop, kernel, more in shifts:
-                a, b = (max(i0 + k, 0), i1 + 1) if k < 0 else (i0, min(i1 + 1 + k, n))
-                touched += b - a
-                # fir[i], i in [a, b): its runs' correlations, reading the 0/1 padding outside the grid
-                fir = correlate(padded[a + start : b + stop], kernel)
-                for start, stop, kernel in more:
-                    fir += correlate(padded[a + start : b + stop], kernel)
-                dk = diff[: b - a]
-                subtract(c[a:b], padded[a + back : b + back], dk)
-                multiply(fir, dk, fir)
-                lk = lam[a:b]
-                add(lk, fir, lk)
-            # base - eps lam, with the bits of subtracting the product eps * lam
-            (subtract if f.eps == +1 else add)(base, lam, branch)
+            pad, gap = rows.pad, rows.gap
+            evaluated += rows.count * n
+            branch[:] = base[wa:wb]  # base - eps lam, lam being 0 off the atom's rows
+            if f.eps == +1:  # lam on the rows [i0, b), from c at pad
+                b = min(i1 + 1 + gap, n)
+                subtract(base[i0:b], rows.lam[pad : pad + b - i0], branch[i0 - wa : b - wa])
+                touched += rows.rows_over(size, n - i0)
+            else:  # lam on the rows [a, i1], from r read backwards
+                a = max(i0 - gap, 0)
+                at = pad + size + gap if rows.stacked else pad
+                add(base[a : i1 + 1], rows.lam[at : at + i1 + 1 - a][::-1], branch[a - wa : i1 + 1 - wa])
+                touched += rows.rows_over(size, i1 + 1)
             multiply(branch, w, branch)
         add(out, branch, out)
+    np.clip(out, 0.0, 1.0, out=out)
 
-    # the continuum map is monotone; clamp roundoff/discretization violations.  Most steps
-    # have none, and a nondecreasing row is its own running maximum, bit for bit
-    raw = np.clip(out, 0.0, 1.0, out=out)
-    if np.subtract(raw[1:], raw[:-1], out=diff[1:]).min() >= 0.0:  # a NaN fails this too
-        mono, defect, budget = raw.copy(), 0.0, 0.0
-    else:
-        mono = np.maximum.accumulate(raw)
-        gap = np.subtract(mono, raw, out=diff)
-        defect = float(np.max(gap))
-        budget = float(np.sum(gap) * h)
-    end_defect = float(abs(mono[-1] - 1.0))
+    raw[:wa] = 0.0
+    raw[wb:] = min(max(one, 0.0), 1.0)
+    # the monotone clamp: most steps need none, and a nondecreasing row is its own running maximum, bit for bit
+    lo, hi = max(wa - 1, 0), min(wb + 1, n)
+    defect = budget = 0.0
+    diff = buffers.diff
+    if not subtract(raw[lo + 1 : hi], raw[lo : hi - 1], diff[: hi - lo - 1]).min(initial=0.0) >= 0.0:  # NaN too
+        # the running maximum goes through a scratch row back into raw, the array the step returns
+        mono = np.maximum.accumulate(raw, out=buffers.branch)
+        rise = subtract(mono, raw, diff[:n])
+        defect = float(np.max(rise))
+        budget = float(np.sum(rise) * h)
+        raw[:] = mono
+    end_defect = float(abs(raw[-1] - 1.0))
     if end_defect > 1e-6:
         raise HomsysError(f"evolved CDF misses 1 by {end_defect:.3g}; support check was too permissive")
-    mono[-1] = 1.0
-    mono[0] = 0.0 if mono[0] < 1e-9 else mono[0]
-    rows = touched / evaluated if evaluated else 0.0
-    return GridCDF(d.lo, d.hi, mono), StepDiagnostics(budget, defect, end_defect, rows)
+    raw[-1] = 1.0
+    raw[0] = 0.0 if raw[0] < 1e-9 else raw[0]
+    lambda_rows = touched / evaluated if evaluated else 0.0
+    return GridCDF(d.lo, d.hi, raw), StepDiagnostics(budget, defect, end_defect, lambda_rows)
 
 
 @dataclass(frozen=True)
@@ -456,7 +575,7 @@ def run(
     d = GridCDF(lo, hi, np.maximum.accumulate(cdf))
 
     filters = grid_filters(model, d.h, hi - lo)
-    buffers = StepBuffers(filters, m + 1)
+    buffers = StepBuffers(model, filters, m + 1)
     t_cells, groups, taps = (tuple(0 if fl is None else getattr(fl, key) for fl in filters)
                              for key in ("t_cells", "groups", "taps"))
     out: list[RunCheckpoint] = []

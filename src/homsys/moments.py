@@ -69,8 +69,19 @@ def _gamma(g_star: GFunction, a: float, b: float) -> float:
     them; and the top end: the support end of a compact T, or for a softplus
     T the first of the doublings of 2r at which T is exactly 0, exp(-t/scale)
     having underflowed.  The quadrature nodes lie strictly inside each panel,
-    so T is never read at 0 or at a jump.  A value that is not finite raises
-    HomsysError: t^a overflows long before the integral does (a >= 108 for the sum atom).
+    so T is never read at 0 or at a jump.
+
+    t^a may overflow at a node where t^a T^b does not (from a = 108 for the
+    sum atom, whose Gamma(a + 1) zeta(a + 2) is finite up to a = 170).  Then
+    the integral is not finite, and it is taken again of t^a T^b 2^-s,
+    computed as t^(a/2) T^b t^(a/2) and scaled exactly, 2^s the largest power
+    of 2 below the integrand's peak on a geometric grid of (0, top); the
+    result is scaled back.  With its peak near 1 the integrand converges as
+    the small moments do.  Unscaled, near 1e262, its rounding would have to
+    stay below MOMENT_TOL, which an integrand taken in log space,
+    exp(a log t + b log T), is far from: the rule then splits its panels
+    until memory runs out.  Every Gamma that is finite unscaled keeps its
+    bits; one that is still not finite raises HomsysError.
     """
     f = HFunction(+1, g_star)
     if f.r == 0.0:
@@ -86,15 +97,28 @@ def _gamma(g_star: GFunction, a: float, b: float) -> float:
     edges = np.unique(np.concatenate([t_halvings(f), t_breaks(f), [1.0], doublings]))
     edges = edges[edges <= top]
 
-    def h(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        tv = t_of(f, t)
-        out = np.zeros_like(t)
-        pos = tv > 0.0
-        out[pos] = t[pos] ** a * tv[pos] ** b
-        return out
+    def integral(s: int | None) -> float:
+        def h(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+            tv = t_of(f, t)
+            out = np.zeros_like(t)
+            pos = tv > 0.0
+            if s is None:
+                out[pos] = t[pos] ** a * tv[pos] ** b
+            else:
+                half = t[pos] ** (0.5 * a)
+                out[pos] = np.ldexp(half * tv[pos] ** b * half, -s)
+            return out
+
+        return integrate_panels(h, edges.tolist(), MOMENT_TOL)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        value = integrate_panels(h, edges.tolist(), MOMENT_TOL)
+        value = integral(None)
+        if not math.isfinite(value) and np.power(top, a) == np.inf:
+            grid = np.geomspace(edges[0], top, 2048)
+            tv = t_of(f, grid)
+            pos = tv > 0.0
+            s = math.floor(np.max(a * np.log2(grid[pos]) + b * np.log2(tv[pos])))
+            value = float(np.ldexp(integral(s), s))
     if not math.isfinite(value):
         raise HomsysError(f"Gamma^({a!r},{b!r}) is not finite in double precision (got {value!r})")
     return value

@@ -1,6 +1,7 @@
 """Test oracle: the shift filters of homsys.evolve built one shift at a time.
 
-`shift_filters` groups the (index, tap) pairs of the cells by shift and sums
+`shift_filters` builds the filters of an atom's star F*, whose shifts are all
+positive: it groups the (index, tap) pairs of the cells by shift and sums
 each shift's taps with its own bincount, then splits that filter at its zero
 taps, one shift after another.  It returns them in the layout step_detailed
 reads, each run (lo, hi, kernel) with the kernel reversed into correlation
@@ -14,15 +15,15 @@ from homsys.hfun import t_of
 
 
 def shift_filters(f, h: float, span: float) -> ShiftFilters | None:
-    edges = _atom_t_cells(f, h, span)
+    star = f.star()
+    edges = _atom_t_cells(star, h, span)
     if edges is None:
         return None
-    sign = float(f.eps)
     mids = np.maximum(0.5 * (edges[:-1] + edges[1:]), 1e-12)
-    tau = sign * t_of(f, mids) / h
+    tau = t_of(star, mids) / h
     k = np.floor(tau)
     phi = tau - k
-    sigma = sign * edges / h
+    sigma = edges / h
     m = np.floor(sigma)
     psi = sigma - m
     # S_{sigma_j} - S_{sigma_{j+1}} as four (index, tap) pairs per cell
@@ -45,5 +46,5 @@ def shift_filters(f, h: float, span: float) -> ShiftFilters | None:
             kept.append(s)
             runs.append(tuple((lo + int(p[0]), lo + int(p[-1]), w[p[0] : p[-1] + 1][::-1].copy()) for p in pieces))
     taps = sum(t.size for rs in runs for _, _, t in rs)
-    reach = int(max(np.abs(idx).max(initial=0), np.abs(shift).max(initial=0)))
+    reach = int(max(idx.max(initial=0), shift.max(initial=0)))
     return ShiftFilters(mids.size, np.unique(k).size, taps, tuple(kept), tuple(runs), reach)

@@ -608,11 +608,11 @@ def test_a_nan_weight_exits_1_before_any_output(atoms, argv, tmp_path, capsys):
 
 
 def test_a_gamma_that_overflows_exits_2_without_a_warning(tmp_path, capsys):
-    # Gamma^(150,1) = Gamma(151) zeta(152) is finite, but its integrand's t^150 overflows
-    argv = ["gamma", "--model", "resistance(0.5)", "--a", "150", "--b", "1", "--out", str(tmp_path / "g.json")]
+    # Gamma^(171,1) = Gamma(172) zeta(173) = 171! exceeds the largest double; Gamma^(150,1) does not
+    argv = ["gamma", "--model", "resistance(0.5)", "--a", "171", "--b", "1", "--out", str(tmp_path / "g.json")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert "numerical error: Gamma^(150.0,1.0) is not finite" in captured.err
+    assert "numerical error: Gamma^(171.0,1.0) is not finite" in captured.err
     assert not list(tmp_path.iterdir())

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -13,6 +14,8 @@ from homsys.models import resolve_scaling
 
 import full_grid_step
 import per_shift_filters
+import signed_shift_step
+from test_proofcheck import TWO_TABLES
 
 
 def _uniform(m=512, width=0.5, pad=4.0):
@@ -398,21 +401,27 @@ def test_step_buffers_must_fit_the_grid_and_the_filters():
     model = KERNEL_MODELS["hipster"]
     d = _uniform(m=512)
     filters = evolve.grid_filters(model, d.h, d.hi - d.lo)
-    buffers = evolve.StepBuffers(filters, d.m + 1)
+    buffers = evolve.StepBuffers(model, filters, d.m + 1)
     assert evolve.step_detailed(d, model, filters, buffers)[0].cdf.tobytes() == evolve.step_detailed(d, model)[0].cdf.tobytes()
     assert evolve.step_detailed(d, model, None, buffers)[0].cdf.tobytes() == evolve.step_detailed(d, model)[0].cdf.tobytes()
     with pytest.raises(DomainError):
-        evolve.step_detailed(d, model, filters, evolve.StepBuffers(filters, d.m))
+        evolve.step_detailed(d, model, filters, evolve.StepBuffers(model, filters, d.m))
     with pytest.raises(DomainError):
         evolve.step_detailed(d, model, evolve.grid_filters(model, d.h, d.hi - d.lo), buffers)
+    with pytest.raises(DomainError):  # another model lays out other rows
+        evolve.step_detailed(d, KERNEL_MODELS["lazy_hipster"], filters, buffers)
 
 
 @pytest.mark.parametrize("name", KERNEL_MODELS)
 def test_run_steps_allocate_little_beyond_the_new_law(name):
     """Peak traced allocation of each step inside run, in units of the 8(M+1) bytes of one grid row.
-    The returned law and GridCDF's nondecreasing check on it (np.diff) are two rows; the shift loop holds
-    at most a shift's correlation and the one of its next run, at most two rows.  A step that allocated
-    its padded CDF, branches and scratch rows afresh peaked at 9.4 to 11.7 rows."""
+    The returned law and GridCDF's nondecreasing check on it (np.diff and its boolean row) are two
+    rows and an eighth, and the boolean rows of the window searches another eighth; the shift loop
+    holds a shift's stacked correlation and the one of its next run, and drops them before the new
+    law is made.  Measured: 2.23 to 2.35 rows over these runs.  A step that allocated its padded CDF,
+    branches and scratch rows afresh peaked at 9.4 to 11.7 rows, one that wrote its mixture into a
+    scratch row and copied it out at 2.4 to 2.8, and one that kept its last stacked correlation
+    alive, or made a second law for the clamp, at 2.5 to 3.9."""
     M, peaks = 2048, []
 
     def step(step_detailed, *args):
@@ -428,7 +437,48 @@ def test_run_steps_allocate_little_beyond_the_new_law(name):
     finally:
         tracemalloc.stop()
     assert len(peaks) == 6
-    assert max(peaks) <= 3.5 * 8 * (M + 1), [p / (8 * (M + 1)) for p in peaks]
+    assert max(peaks) <= 2.4 * 8 * (M + 1), [p / (8 * (M + 1)) for p in peaks]
+
+
+SIGNED_MODELS = {**KERNEL_MODELS, "two_tables": parse_model(TWO_TABLES)}
+
+
+@pytest.mark.parametrize("m", [1024, 2048])
+@pytest.mark.parametrize("name", SIGNED_MODELS)
+def test_star_filters_match_the_signed_shift_step(name, m):
+    """Each of 10 steps from the uniform start of `homsys evolve` against the step whose eps = -1 atoms
+    filter the CDF itself with negative shifts: the reversed row sums those atoms' shifts in the
+    other order, and moves nothing else."""
+    model, worst = SIGNED_MODELS[name], []
+
+    def step(step_detailed, d, *args):
+        new, diag = step_detailed(d, *args)
+        want = signed_shift_step.step(d, model)
+        if name in ("hipster", "lazy_hipster", "distance(0.5)"):
+            assert np.array_equal(new.cdf.view(np.uint64), want.view(np.uint64))
+        worst.append(float(np.max(np.abs(new.cdf - want))))
+        return new, diag
+
+    _run_steps(model, 10, m, step)
+    assert len(worst) == 10 and max(worst) <= 1e-15, worst
+
+
+@pytest.mark.parametrize("name", SIGNED_MODELS)
+def test_filters_have_positive_shifts_and_mirror_atoms_share_one_set(name):
+    model = SIGNED_MODELS[name]
+    filters = evolve.grid_filters(model, 24.0 / 2048, 24.0)
+    for fl in filters:
+        if fl is not None:
+            assert min(fl.shifts) > 0 and list(fl.shifts) == sorted(fl.shifts)
+            assert min(lo for pieces in fl.runs for lo, _, _ in pieces) >= 0  # no tap reads past its row
+    stars = [f.star() for _, f in model.atoms]
+    for i, j in itertools.combinations(range(len(filters)), 2):
+        assert (filters[i] is filters[j]) == (stars[i] == stars[j] and filters[i] is not None)
+    mirrored = name in ("hipster", "resistance(0.5)", "power_mean(0.3,-0.3)")
+    assert (filters[0] is filters[1]) == mirrored
+    buffers = evolve.StepBuffers(model, filters, 2049)
+    assert len(buffers.sets) == (1 if mirrored else len({id(fl) for fl in filters if fl is not None}))
+    assert [s.stacked for s in buffers.sets] == ([True] if mirrored else [False] * len(buffers.sets))
 
 
 def test_run_with_prebuilt_filters_equals_repeated_steps():

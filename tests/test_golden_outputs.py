@@ -48,8 +48,8 @@ GOLDEN = {
     "classify-two_tables": {".json": "ade732cf5c1277a43958a275df2600ade05868a176a0e1f4e8c354d07bc24b2f"},
     "evolve-hipster": {".csv": "2acd4d38ed9f63c5742666851c17d01d71bf28f71bcacbb6ecf491e508fca501",
                        ".json": "e905a1ad3afcd36bb5a60d2746809d8798adf592119c337ecbcb23bac27ea068"},
-    "evolve-resistance": {".csv": "9171a44cefc2f00bce6cfad4d0d2cd27e70097c5ca406c5fb660e532b8b0ba64",
-                          ".json": "861ea16f039f34b74dc7a2a375df6b048a130fbb1e706e673a8e8e32aef4026e"},
+    "evolve-resistance": {".csv": "1b06676a0102f99ad8feb54b20262373224e275de6a7c0ec6d3109e22fefd806",
+                          ".json": "8f86e3aa5d9ba03e44b65ad19dff102dd4c7062005e0018b5adcf35cc3d5ce58"},
     "evolve-distance": {".csv": "d176cfedc881209a615381bd799d164d483530ab03af29b85a2ce81ec959ff31",
                         ".json": "2669786068283d174dd225ca4f0b0abe9ab505a6bde9e0d7911b46db4f79e661"},
     "simulate-hipster": {".csv": "6d18652dfcee7782d2329491212a2af6306eab530b0825d2b50045e276bdecc9",

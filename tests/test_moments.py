@@ -141,14 +141,22 @@ class TestGamma:
         assert len(calls) <= 10
 
     def test_a_gamma_that_is_not_finite_raises(self):
-        # t^a overflows inside the integrand from about a = 108, though Gamma(a+1) zeta(a+2) is finite up to
-        # a = 170; the result is refused, with no RuntimeWarning, on every call (nothing is cached)
+        # Gamma(a+1) zeta(a+2) overflows from a = 171; the result is refused, with no RuntimeWarning,
+        # on every call (nothing is cached)
         assert gamma(F_SUM, 100.0, 1.0) == pytest.approx(math.gamma(101.0), rel=5e-14)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(2):
-                with pytest.raises(HomsysError, match=r"Gamma\^\(150.0,1.0\) is not finite"):
-                    gamma(F_PARALLEL, 150.0, 1.0)
+                with pytest.raises(HomsysError, match=r"Gamma\^\(171.0,1.0\) is not finite"):
+                    gamma(F_PARALLEL, 171.0, 1.0)
+
+    @pytest.mark.parametrize("a", [108.0, 150.0, 170.0])
+    def test_a_gamma_whose_t_to_the_a_overflows_is_the_closed_form(self, a):
+        # t^a overflows inside the integrand from a = 108, but Gamma^(a,1) of the sum atom is
+        # Gamma(a+1) zeta(a+2), and zeta(a+2) = 1 + 2^-(a+2) + ... rounds to 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gamma(F_PARALLEL, a, 1.0) == pytest.approx(math.gamma(a + 1.0), rel=1e-14)
 
     def test_pointwise_bound(self):
         # sup t^(a+1) T(t)^b <= (a+1) gamma(a,b)
