@@ -6,17 +6,22 @@ model name, the full model (`model_spec`, the `model_to_dict` form, which
 also carries the fixed tolerance of the moment integrals, and an `evolve`
 summary the kernel diagnostics through its last checkpoint (t-cells, cell
 groups and FIR taps per atom, summed clamp budget, largest monotonicity
-defect, mean fraction of grid rows the Lambda sums touched per step).  So a
-run whose model came from a JSON file can be repeated from its summary
-alone.  How the run was executed is kept apart,
-so that results compare byte for byte: with `--out`, the version, the command
-line and the `--threads` value go to `<stem>.run.json`, stem being `--out`
-without a trailing `.json`.  `--threads` is taken by `serpar`, which builds
-its seeds in forests (`serpar.forests`) and solves the forests on that many
-worker threads, and by `simulate`, which runs on one thread and only records
-the value.  Both default to the `HOMSYS_THREADS` environment variable
-(`serpar` then to 1), read when one of them runs; a thread count from either
-source that is not an integer >= 1 is a usage error.
+defect, and `lambda_rows`, the rows of each atom's own window per shift,
+clipped to the grid, as a fraction of the grid rows, over shifts and steps).
+So a run whose model came from a JSON file can be repeated from its summary
+alone.  `main` writes every summary but `report`'s: it parses `--model`, and
+adds the shared fields to those the verb returns; the JSON goes to `--out`
+for `gamma` and `classify`, to `<out>.json` beside `<out>.csv` for the
+others, or to stdout without `--out`.  `report` writes its own, to `--out`
+only, and exits 1 when a criterion fails.  How the run was executed is kept
+apart, so that results compare byte for byte: with `--out`, the version, the
+command line and the `--threads` value go to `<stem>.run.json`, stem being
+`--out` without a trailing `.json`.  `--threads` is taken by `serpar`, which
+builds its seeds in forests (`serpar.forests`) and solves the forests on
+that many worker threads, and by `simulate`, which runs on one thread and
+only records the value.  Both default to the `HOMSYS_THREADS` environment
+variable (`serpar` then to 1), read when one of them runs; a thread count
+from either source that is not an integer >= 1 is a usage error.
 
 The argument parser is built once per process, on the first `main` call, and
 reused by every later one; it holds no per-call state.
@@ -135,7 +140,7 @@ def _csv_out(args, header: str):
             fh.close()
 
 
-def _base_summary(args, model=None) -> dict:
+def _base_summary(args, model) -> dict:
     payload = {"version": __version__}
     if model is not None:
         payload["model"] = model.name
@@ -170,11 +175,10 @@ def _emit_checkpoint_csv(fh, n: int, x: np.ndarray, cdf: np.ndarray, law: str) -
     fh.write("".join([row % r for r in zip(x.tolist(), cdf.tolist(), ref.tolist(), dens.tolist())]))
 
 
-# -- subcommands ---------------------------------------------------------------
+# -- subcommands: each but report takes the arguments and the model (None for serpar) and returns its summary
 
 
-def _cmd_gamma(args) -> int:
-    model = parse_model(args.model)
+def _cmd_gamma(args, model) -> dict:
     report = moments.model_moments(model, eta=args.eta)
     if args.a is not None:
         report["gamma_ab"] = {
@@ -185,26 +189,18 @@ def _cmd_gamma(args) -> int:
                 for _, f in model.atoms
             ],
         }
-    report.update(_base_summary(args, model))
-    _write_json(args.out, report)
-    return 0
+    return report
 
 
-def _cmd_classify(args) -> int:
-    model = parse_model(args.model)
-    rep = classify(model)
-    payload = asdict(rep)
-    payload.update(_base_summary(args, model))
-    _write_json(args.out, payload)
-    return 0
+def _cmd_classify(args, model) -> dict:
+    return asdict(classify(model))
 
 
 def _scaling_summary(scaling: tuple[str, float, float]) -> dict:
     return dict(zip(("law", "constant", "exponent"), scaling))
 
 
-def _cmd_simulate(args) -> int:
-    model = parse_model(args.model)
+def _cmd_simulate(args, model) -> dict:
     given = (args.law, args.scale_constant, args.exponent)
     scaling = resolve_scaling(model, None if given[0] is None else given)
     summaries = mc.simulate(model, args.init, args.n, args.pool, args.seed, args.checkpoints, scaling)
@@ -214,15 +210,11 @@ def _cmd_simulate(args) -> int:
             emp = dist.from_samples(s.rescaled, m=args.grid, pad=0.05)
             _emit_checkpoint_csv(fh, s.n, emp.grid(), emp.cdf, s.law)
             records.append({"n": s.n, "scale": s.scale, "ks": s.ks, "quantiles": _quantiles(s.rescaled)})
-    payload = _base_summary(args, model)
-    payload.update({"n": args.n, "pool": args.pool, "init": args.init, "checkpoints": records,
-                    "scaling": _scaling_summary(scaling)})
-    _write_json((args.out + ".json") if args.out else None, payload)
-    return 0
+    return {"n": args.n, "pool": args.pool, "init": args.init, "checkpoints": records,
+            "scaling": _scaling_summary(scaling)}
 
 
-def _cmd_evolve(args) -> int:
-    model = parse_model(args.model)
+def _cmd_evolve(args, model) -> dict:
     width = args.init_width
     if not 0.0 < 2 * width < np.inf:  # the initial law spans [-width, width]
         raise DomainError("--init-width must be > 0, with 2 * width finite")
@@ -237,14 +229,11 @@ def _cmd_evolve(args) -> int:
             stride = max(1, g.m // 2048)
             _emit_checkpoint_csv(fh, cp.n, g.grid()[::stride], g.cdf[::stride], cp.law)
             records.append({"n": cp.n, "scale": cp.scale, "ks": cp.ks})
-    payload = _base_summary(args, model)
-    payload.update({"n": args.n, "grid": args.grid, "checkpoints": records, "scaling": _scaling_summary(scaling)})
-    payload["diagnostics"] = asdict(cps[-1].diagnostics) if cps else None
-    _write_json((args.out + ".json") if args.out else None, payload)
-    return 0
+    return {"n": args.n, "grid": args.grid, "checkpoints": records, "scaling": _scaling_summary(scaling),
+            "diagnostics": asdict(cps[-1].diagnostics) if cps else None}
 
 
-def _cmd_serpar(args) -> int:
+def _cmd_serpar(args, model) -> dict:
     def solve(g: serpar.SPGraph) -> list[tuple]:
         r_red, d_red = serpar.reduce_graph(g)
         if args.check_exact:
@@ -271,17 +260,11 @@ def _cmd_serpar(args) -> int:
                 f"{seed},{_fmt(r_red)},{'' if r_ex is None else _fmt(r_ex)},"
                 f"{_fmt(d_red)},{'' if d_ex is None else _fmt(d_ex)}\n"
             )
-    payload = _base_summary(args)
-    payload.update(
-        {"p": args.p, "n": args.n, "seeds": args.seeds, "check_exact": bool(args.check_exact),
-         "max_rel_resistance_error": max_rel_r, "distance_mismatches": dist_mismatch}
-    )
-    _write_json((args.out + ".json") if args.out else None, payload)
-    return 0
+    return {"p": args.p, "n": args.n, "seeds": args.seeds, "check_exact": bool(args.check_exact),
+            "max_rel_resistance_error": max_rel_r, "distance_mismatches": dist_mismatch}
 
 
-def _cmd_lambda_check(args) -> int:
-    model = parse_model(args.model)
+def _cmd_lambda_check(args, model) -> dict:
     lo, hi = args.n_range
     c = args.c_star if args.c_star is not None else moments.c_star(model)
     params = proofcheck.ProofParams(c_star=c, eta=args.eta, delta=args.delta, delta1=args.delta1)
@@ -289,13 +272,8 @@ def _cmd_lambda_check(args) -> int:
     with _csv_out(args, "n,min_residual,argmin_v") as fh:
         for rep in history:
             fh.write(f"{rep.n},{_fmt(rep.min_residual)},{_fmt(rep.argmin_v)}\n")
-    payload = _base_summary(args, model)
-    payload.update(
-        {"n_range": [lo, hi], "vgrid": args.vgrid, "c_star": c, "n0_found": n0 is not None, "n0": n0,
-         "rho": params.rho, "rho_tilde": params.rho_tilde, "kappa": params.kappa}
-    )
-    _write_json((args.out + ".json") if args.out else None, payload)
-    return 0
+    return {"n_range": [lo, hi], "vgrid": args.vgrid, "c_star": c, "n0_found": n0 is not None, "n0": n0,
+            "rho": params.rho, "rho_tilde": params.rho_tilde, "kappa": params.kappa}
 
 
 def _cmd_report(args) -> int:
@@ -328,16 +306,17 @@ def build_parser() -> _Parser:
             sp.add_argument("--threads", type=_int_in(1), default=None, help=threads)
             sp.set_defaults(subparser=sp)
 
+    # main writes a verb's summary to --out plus its summary_suffix, or to stdout without --out
     sp = sub.add_parser("gamma", help="moment report for a model")
     common(sp)
     sp.add_argument("--a", type=float, default=None)
     sp.add_argument("--b", type=float, default=None)
     sp.add_argument("--eta", type=float, default=1.0)
-    sp.set_defaults(fn=_cmd_gamma)
+    sp.set_defaults(fn=_cmd_gamma, summary_suffix="")
 
     sp = sub.add_parser("classify", help="criticality parameters and growth regime")
     common(sp)
-    sp.set_defaults(fn=_cmd_classify)
+    sp.set_defaults(fn=_cmd_classify, summary_suffix="")
 
     sp = sub.add_parser("simulate", help="pool Monte Carlo with rescaled-KS checkpoints")
     common(sp, threads="recorded in the run record (default: HOMSYS_THREADS); the pool step runs on one thread")
@@ -350,7 +329,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--law", choices=dist.LIMIT_LAWS, default=None, help="with --scale-constant and --exponent")
     sp.add_argument("--scale-constant", dest="scale_constant", type=float, default=None)
     sp.add_argument("--exponent", type=float, default=None)
-    sp.set_defaults(fn=_cmd_simulate)
+    sp.set_defaults(fn=_cmd_simulate, summary_suffix=".json")
 
     sp = sub.add_parser("evolve", help="exact grid evolution with rescaled-KS checkpoints")
     common(sp)
@@ -358,7 +337,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--grid", type=_int_in(1), default=8192)
     sp.add_argument("--checkpoints", type=_checkpoint_list, required=True, help="comma-separated step counts")
     sp.add_argument("--init-width", dest="init_width", type=float, default=0.5, help="half-width of the uniform initial law")
-    sp.set_defaults(fn=_cmd_evolve)
+    sp.set_defaults(fn=_cmd_evolve, summary_suffix=".json")
 
     sp = sub.add_parser("serpar", help="series-parallel growth with dual oracles")
     common(sp, model=False, threads="worker threads over the seeds (default: HOMSYS_THREADS, else 1; "
@@ -367,7 +346,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=_int_in(0, serpar.MAX_ROUNDS + 1), required=True)
     sp.add_argument("--seeds", type=_int_in(1), required=True)
     sp.add_argument("--check-exact", dest="check_exact", action="store_true")
-    sp.set_defaults(fn=_cmd_serpar)
+    sp.set_defaults(fn=_cmd_serpar, summary_suffix=".json")
 
     sp = sub.add_parser("lambda-check", help="scan the Lambda-condition residual over n")
     common(sp)
@@ -377,12 +356,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--n-range", dest="n_range", type=_n_range, required=True, help="a:b")
     sp.add_argument("--vgrid", type=_int_in(1), default=400)
     sp.add_argument("--c-star", dest="c_star", type=float, default=None)
-    sp.set_defaults(fn=_cmd_lambda_check)
+    sp.set_defaults(fn=_cmd_lambda_check, summary_suffix=".json")
 
     sp = sub.add_parser("report", help="run the acceptance suite")
     sp.add_argument("--criteria", default=None, help="comma-separated criterion ids (default: all)")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=_cmd_report)
+    sp.set_defaults(fn=_cmd_report, summary_suffix=None)
 
     return p
 
@@ -437,7 +416,14 @@ def main(argv: list[str] | None = None) -> int:
         if None in flags and any(flag is not None for flag in flags):
             parser.error(message)
     try:
-        code = args.fn(args)
+        if args.summary_suffix is None:  # report writes its own summary; its exit code is its verdict
+            code = args.fn(args)
+        else:
+            model = parse_model(args.model) if "model" in args else None
+            summary = args.fn(args, model)
+            summary.update(_base_summary(args, model))
+            _write_json(args.out and args.out + args.summary_suffix, summary)
+            code = 0
         if args.out:
             _write_run_record(args, sys.argv[1:] if argv is None else list(argv))
         return code

@@ -283,7 +283,7 @@ class StepDiagnostics:
     clamp_budget: float
     max_monotonicity_defect: float
     end_defect: float
-    lambda_rows: float  # rows the shift terms were evaluated on, as a fraction of shifts x grid rows
+    lambda_rows: float  # each atom's window rows per shift, clipped to the grid, over all atoms' shifts x grid rows
 
 
 class _FilterRows:
@@ -363,7 +363,8 @@ class _FilterRows:
 
 
 class StepBuffers:
-    """The arrays that grid steps of one model on one grid size with one set of filters write.
+    """The arrays that grid steps of one model on one grid size with one set of filters write, and
+    the filters, which reach a step only through them.
 
     Each distinct filter set of grid_filters gets its own rows (_FilterRows):
     the live rows of the CDF, of its reversal, or of both stacked with a gap
@@ -375,7 +376,7 @@ class StepBuffers:
     """
 
     def __init__(self, model: ModelSpec, filters: tuple[ShiftFilters | None, ...], rows: int):
-        self.model, self.filters = model, filters
+        self.model = model
         live = [fl for fl in filters if fl is not None]
         pad = max((fl.reach for fl in live), default=0)
         self.widen = max((max(fl.shifts, default=0) for fl in live), default=0)
@@ -390,22 +391,16 @@ class StepBuffers:
         self.atoms = tuple(None if fl is None else sets[id(fl)] for fl in filters)
 
 
-def step_detailed(
-    d: GridCDF,
-    model: ModelSpec,
-    filters: tuple[ShiftFilters | None, ...] | None = None,
-    buffers: StepBuffers | None = None,
-) -> tuple[GridCDF, StepDiagnostics]:
+def step_detailed(d: GridCDF, model: ModelSpec, buffers: StepBuffers | None = None) -> tuple[GridCDF, StepDiagnostics]:
     """One exact evolution step of the grid law under the mixture.
 
-    `filters` are grid_filters(model, d.h, d.hi - d.lo), which depend on the
-    model and the grid only, and `buffers` are StepBuffers(model, filters,
-    d.m + 1), the arrays the step writes; each is built here when not given,
-    so a lone call and a run take the same path.  A run on a fixed domain
-    builds both once and reuses them on every step.  Given buffers must come
-    from the model and the given filters (or the model's, when filters is
-    None) and fit the grid.  The step reads d.cdf and never writes it, and
-    returns a new array.
+    `buffers` are StepBuffers(model, filters, d.m + 1), the arrays the step
+    writes and the filters it applies, normally grid_filters(model, d.h,
+    d.hi - d.lo), which depend on the model and the grid only; they are built
+    here when not given, so a lone call and a run take the same path.  A run
+    on a fixed domain builds them once and reuses them on every step.  Given
+    buffers must come from the model and fit the grid.  The step reads d.cdf
+    and never writes it, and returns a new array.
 
     Let i0 be the first row with c != 0, i1 the last with c != 1 (i0 <= i1 + 1)
     and L = i1 + 1 - i0.  An eps = +1 atom's term (c[i] - c[i-k]) fir_k[i] is
@@ -456,10 +451,9 @@ def step_detailed(
         )
 
     if buffers is None:
-        filters = grid_filters(model, h, d.hi - d.lo) if filters is None else filters
-        buffers = StepBuffers(model, filters, n)
-    elif buffers.plus.size != n or buffers.model != model or (filters is not None and filters is not buffers.filters):
-        raise DomainError("step buffers were built for another grid size, model or filters")
+        buffers = StepBuffers(model, grid_filters(model, h, d.hi - d.lo), n)
+    elif buffers.plus.size != n or buffers.model != model:
+        raise DomainError("step buffers were built for another grid size or model")
     for rows in buffers.sets:
         rows.sum_shifts(live, buffers.diff)
 
@@ -526,7 +520,8 @@ class RunDiagnostics:
     """Kernel diagnostics of a run through one checkpoint: t-cells, cell
     groups and nonzero FIR taps per atom (0 for a max/min atom), the summed
     clamp budget, the largest monotonicity defect of any step, and the mean
-    over steps of the fraction of grid rows the shift terms were evaluated on."""
+    over steps of StepDiagnostics.lambda_rows: the rows of each atom's own
+    window per shift, clipped to the grid, as a fraction of the grid rows."""
 
     t_cells: tuple[int, ...]
     groups: tuple[int, ...]
@@ -581,7 +576,7 @@ def run(
     out: list[RunCheckpoint] = []
     budget = defect = rows = 0.0
     for n in range(1, n_steps + 1):
-        d, diag = step_detailed(d, model, filters, buffers)
+        d, diag = step_detailed(d, model, buffers)
         budget += diag.clamp_budget
         defect = max(defect, diag.max_monotonicity_defect)
         rows += diag.lambda_rows

@@ -50,12 +50,13 @@ def gamma(f: HFunction, a: float, b: float) -> float:
     """Moment integral of the crossing function, to absolute tolerance MOMENT_TOL.
 
     Integrated on the first call for its (g*, a, b); later calls return the
-    cached value.  A bad a or b raises on every call.
+    cached value.  A bad a or b (NaN and infinity among them) raises on
+    every call.
     """
-    if not a >= 0:  # NaN too; checked before the cache, so that a cached bad key cannot skip it
-        raise DomainError("a must be nonnegative")
-    if not b > 0:
-        raise DomainError("b must be positive")
+    if not 0 <= a < math.inf:  # NaN too; checked before the cache, so that a cached bad key cannot skip it
+        raise DomainError("a must be finite and nonnegative")
+    if not 0 < b < math.inf:
+        raise DomainError("b must be finite and positive")
     return _gamma(f.g_star, float(a), float(b))
 
 
@@ -81,7 +82,8 @@ def _gamma(g_star: GFunction, a: float, b: float) -> float:
     stay below MOMENT_TOL, which an integrand taken in log space,
     exp(a log t + b log T), is far from: the rule then splits its panels
     until memory runs out.  Every Gamma that is finite unscaled keeps its
-    bits; one that is still not finite raises HomsysError.
+    bits; one that is still not finite raises HomsysError, as does a huge a
+    or b whose scale exponent s is out of np.ldexp's (C int) range.
     """
     f = HFunction(+1, g_star)
     if f.r == 0.0:
@@ -117,7 +119,10 @@ def _gamma(g_star: GFunction, a: float, b: float) -> float:
             grid = np.geomspace(edges[0], top, 2048)
             tv = t_of(f, grid)
             pos = tv > 0.0
-            s = math.floor(np.max(a * np.log2(grid[pos]) + b * np.log2(tv[pos])))
+            peak = float(np.max(a * np.log2(grid[pos]) + b * np.log2(tv[pos])))
+            if not abs(peak) < 2.0**31 - 1:  # NaN too; np.ldexp takes a C int
+                raise HomsysError(f"Gamma^({a!r},{b!r}) has no scale in double precision (log2 of its peak: {peak!r})")
+            s = math.floor(peak)
             value = float(np.ldexp(integral(s), s))
     if not math.isfinite(value):
         raise HomsysError(f"Gamma^({a!r},{b!r}) is not finite in double precision (got {value!r})")

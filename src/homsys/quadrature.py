@@ -17,13 +17,17 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, HomsysError
 
 __all__ = ["integrate_intervals", "integrate_panels"]
 
 Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _MAX_DEPTH = 48
+# the most intervals a level may hold, as a multiple of those the call starts with: 22x at most is used
+# by the tests, the benchmark and the acceptance suite; an integrand whose rounding stays above the
+# tolerance doubles every level until memory runs out
+_MAX_GROWTH = 256
 # The 15-point Kronrod rule on [-1, 1] (Piessens et al., QUADPACK, 1983, qk15): the nodes +-_XK[j]
 # and 0, with weights _WK; the 7-point Gauss rule uses the nodes +-_XK[1], +-_XK[3], +-_XK[5] and 0,
 # with weights _WG.
@@ -55,12 +59,14 @@ def integrate_intervals(f: Integrand, a, b, tol):
     is accepted with its K15 value when |K15 - G7| <= tol, else split into
     halves, its tolerance halving with each split, down to depth 48; an
     interval whose error is NaN is accepted, as its value is NaN whether or
-    not it is refined.  A split interval gives its left half plus its right
-    half.  Each interval's sums run in one fixed order, so its value does not
-    depend on the other intervals of the call.  tol must be finite and > 0
-    (DomainError, before any call of f).  An empty or reversed interval gives
-    0.  Scalar a, b and tol give a float, arrays an array of their broadcast
-    shape.
+    not it is refined.  A level that would hold more than 256 times the
+    intervals the call started with raises HomsysError: the integrand's
+    rounding cannot meet the tolerance.  A split interval gives its left half
+    plus its right half.  Each interval's sums run in one fixed order, so its
+    value does not depend on the other intervals of the call.  tol must be
+    finite and > 0 (DomainError, before any call of f).  An empty or reversed
+    interval gives 0.  Scalar a, b and tol give a float, arrays an array of
+    their broadcast shape.
     """
     a, b, tol = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, tol)))
     if not np.all((tol > 0.0) & (tol < np.inf)):
@@ -76,6 +82,7 @@ def integrate_intervals(f: Integrand, a, b, tol):
 
 def _levels(f: Integrand, k, a, b, tol) -> np.ndarray:
     levels = []  # per level: each interval's K15 value and whether it split
+    start = k.size
     for depth in range(_MAX_DEPTH, -1, -1):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
@@ -94,6 +101,11 @@ def _levels(f: Integrand, k, a, b, tol) -> np.ndarray:
             break
         # the left halves of the split intervals, then their right halves
         i = np.flatnonzero(split)
+        if 2 * i.size > _MAX_GROWTH * start:
+            raise HomsysError(
+                f"the quadrature cannot meet its tolerance: level {_MAX_DEPTH + 1 - depth} would hold"
+                f" {2 * i.size} intervals, more than {_MAX_GROWTH} times the {start} it started with"
+            )
         a, b = np.concatenate([a[i], mid[i]]), np.concatenate([mid[i], b[i]])
         k, tol = np.concatenate([k[i], k[i]]), np.concatenate([0.5 * tol[i], 0.5 * tol[i]])
     # fold bottom-up: a split interval is its left half plus its right half

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -509,7 +510,7 @@ def test_a_lone_moment_exponent_exits_64_before_any_output(flags, tmp_path, caps
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("a, b", [("-1", "1"), ("nan", "1"), ("0", "0"), ("0", "nan")])
+@pytest.mark.parametrize("a, b", [("-1", "1"), ("nan", "1"), ("0", "0"), ("0", "nan"), ("inf", "1"), ("1", "inf")])
 def test_bad_moment_exponents_exit_1_before_any_output(a, b, tmp_path, capsys):
     assert _exit_code(["gamma", "--model", "hipster", "--a", a, "--b", b, "--out", str(tmp_path / "g.json")]) == 1
     captured = capsys.readouterr()
@@ -616,3 +617,57 @@ def test_a_gamma_that_overflows_exits_2_without_a_warning(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "numerical error: Gamma^(171.0,1.0) is not finite" in captured.err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "a, b, code, message",
+    [
+        ("inf", "1", 1, "validation error: a must be finite and nonnegative"),
+        # t^a overflows, and so does the log2 of the peak that would scale it back
+        ("1e300", "1", 2, "numerical error: Gamma^(1e+300,1.0) has no scale in double precision"),
+        # T^150's rounding is 150 times T's, far above MOMENT_TOL: the rule would split its panels until
+        # memory ran out; it stops at level 9, in about 0.1 s
+        ("1", "150", 2, "numerical error: the quadrature cannot meet its tolerance"),
+    ],
+    ids=["infinite_a", "huge_a", "runaway_quadrature"],
+)
+def test_a_gamma_that_cannot_be_computed_exits_at_once_without_a_traceback(a, b, code, message, tmp_path, capsys):
+    argv = ["gamma", "--model", "resistance(0.5)", "--a", a, "--b", b, "--out", str(tmp_path / "g.json")]
+    start = time.perf_counter()
+    assert _exit_code(argv) == code
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and message in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
+
+
+SUMMARY_RUNS = {
+    "gamma": ["gamma", "--model", "hipster"],
+    "classify": ["classify", "--model", "hipster"],
+    "simulate": ["simulate", "--model", "hipster", "--n", "2", "--pool", "100", "--checkpoints", "2"],
+    "evolve": ["evolve", "--model", "hipster", "--n", "2", "--grid", "256", "--checkpoints", "2"],
+    "serpar": ["serpar", "--p", "0.5", "--n", "3", "--seeds", "2"],
+    "lambda-check": ["lambda-check", "--model", "hipster", "--n-range", "8:8", "--vgrid", "4"],
+}
+
+
+@pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("verb", SUMMARY_RUNS)
+def test_main_writes_each_summary_once(verb, out, tmp_path, monkeypatch, capsys):
+    written = []
+    write_json = cli._write_json
+
+    def spy(path, payload):
+        written.append((path, payload))
+        write_json(path, payload)
+
+    monkeypatch.setattr(cli, "_write_json", spy)
+    stem = str(tmp_path / "x")
+    assert cli.main(SUMMARY_RUNS[verb] + (["--out", stem] if out else [])) == 0
+    summaries = [(path, payload) for path, payload in written if not (path or "").endswith(".run.json")]
+    # --out itself for the verbs that write no CSV, <out>.json beside the CSV for the others
+    want = None if not out else stem if verb in ("gamma", "classify") else stem + ".json"
+    assert [path for path, _ in summaries] == [want]
+    payload = summaries[0][1]
+    assert payload["version"] == homsys.__version__ and ("model_spec" in payload) == (verb != "serpar")
+    assert len(written) == 1 + out  # and the run record with --out

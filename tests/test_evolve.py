@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from homsys import DomainError, GridCDF, ModelSpec, builtin, parse_model
-from homsys import evolve, mc
+from homsys import ClampBudgetExceededError, DomainError, GridCDF, ModelSpec, RegridRequiredError, builtin, parse_model
+from homsys import cli, evolve, mc
 from homsys.dist import rescale
 from homsys.hfun import HFunction, asym_tent, g_softplus, g_table, t_of
 from homsys.models import resolve_scaling
@@ -259,9 +259,9 @@ def _run_laws(name: str, n: int, m: int) -> tuple[GridCDF, ...]:
     seen = []
     step_detailed = evolve.step_detailed
 
-    def spy(d, model, filters=None, buffers=None):
+    def spy(d, model, buffers=None):
         seen.append(d)
-        return step_detailed(d, model, filters, buffers)
+        return step_detailed(d, model, buffers)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolve, "step_detailed", spy)
@@ -294,14 +294,14 @@ def test_windowed_step_matches_the_full_grid_loop(name, law):
     filters = evolve.grid_filters(model, d.h, d.hi - d.lo)
     want = full_grid_step.step(d.cdf, model, full_grid_step.dense(filters))
     # with the zero taps kept, the window changes no bit
-    got, diag = evolve.step_detailed(d, model, full_grid_step.dense(filters))
+    got, diag = evolve.step_detailed(d, model, evolve.StepBuffers(model, full_grid_step.dense(filters), d.m + 1))
     assert np.array_equal(got.cdf, want)
     if law == "no_exact_tail":
         assert d.cdf[0] != 0.0 and d.cdf[-1] != 1.0 and diag.lambda_rows == 1.0
     else:
         assert 0.0 < diag.lambda_rows < 1.0
     # the split sums each shift's filter in pieces
-    got, split_diag = evolve.step_detailed(d, model, filters)
+    got, split_diag = evolve.step_detailed(d, model)
     assert np.max(np.abs(got.cdf - want)) <= 1e-15
     assert split_diag.lambda_rows == diag.lambda_rows
 
@@ -316,7 +316,7 @@ def test_clamp_matches_the_full_grid_loop(name, law, monotone):
     filters = full_grid_step.dense(evolve.grid_filters(model, d.h, d.hi - d.lo))
     raw = full_grid_step.raw(d.cdf, model, filters)
     gap = np.maximum.accumulate(raw) - raw
-    got, diag = evolve.step_detailed(d, model, filters)
+    got, diag = evolve.step_detailed(d, model, evolve.StepBuffers(model, filters, d.m + 1))
     assert np.array_equal(got.cdf, full_grid_step.step(d.cdf, model, filters))
     assert diag.max_monotonicity_defect == float(np.max(gap))
     assert diag.clamp_budget == float(np.sum(gap) * d.h)
@@ -402,14 +402,11 @@ def test_step_buffers_must_fit_the_grid_and_the_filters():
     d = _uniform(m=512)
     filters = evolve.grid_filters(model, d.h, d.hi - d.lo)
     buffers = evolve.StepBuffers(model, filters, d.m + 1)
-    assert evolve.step_detailed(d, model, filters, buffers)[0].cdf.tobytes() == evolve.step_detailed(d, model)[0].cdf.tobytes()
-    assert evolve.step_detailed(d, model, None, buffers)[0].cdf.tobytes() == evolve.step_detailed(d, model)[0].cdf.tobytes()
+    assert evolve.step_detailed(d, model, buffers)[0].cdf.tobytes() == evolve.step_detailed(d, model)[0].cdf.tobytes()
     with pytest.raises(DomainError):
-        evolve.step_detailed(d, model, filters, evolve.StepBuffers(model, filters, d.m))
-    with pytest.raises(DomainError):
-        evolve.step_detailed(d, model, evolve.grid_filters(model, d.h, d.hi - d.lo), buffers)
+        evolve.step_detailed(d, model, evolve.StepBuffers(model, filters, d.m))
     with pytest.raises(DomainError):  # another model lays out other rows
-        evolve.step_detailed(d, KERNEL_MODELS["lazy_hipster"], filters, buffers)
+        evolve.step_detailed(d, KERNEL_MODELS["lazy_hipster"], buffers)
 
 
 @pytest.mark.parametrize("name", KERNEL_MODELS)
@@ -500,3 +497,36 @@ def test_run_with_prebuilt_filters_equals_repeated_steps():
     assert cp.diagnostics.clamp_budget == budget
     # a law spreading from a width-1 ramp on a 48-wide grid: the shift terms touch a fraction of the rows
     assert cp.diagnostics.lambda_rows == rows / 3 and 0.0 < rows / 3 < 1.0
+
+
+def test_a_law_that_fills_its_grid_must_be_regridded():
+    # a ramp over all of [-1, 1]: resistance(0.5)'s margins of log 2 on each side leave the grid
+    x = np.linspace(-1.0, 1.0, 257)
+    with pytest.raises(RegridRequiredError, match="exceeds the allocated domain"):
+        evolve.step_detailed(GridCDF(-1.0, 1.0, (x + 1.0) / 2.0), builtin("resistance", p=0.5))
+
+
+@pytest.mark.parametrize("name, r", [("hipster", 1.0), ("resistance", math.log(2.0))])
+def test_a_point_mass_steps_to_its_two_branches(name, r):
+    # a 0/1 step law has no row strictly inside (0, 1), so its support is the row of its jump; from X = 1
+    # the eps = +1 atoms give e^r and the eps = -1 atoms e^-r, each with probability 1/2
+    model = builtin(name)
+    x = np.linspace(-12.0, 12.0, 2049)
+    d = GridCDF(-12.0, 12.0, (x >= 0.0).astype(float))
+    new, diag = evolve.step_detailed(d, model)
+    dense = full_grid_step.dense(evolve.grid_filters(model, d.h, d.hi - d.lo))
+    assert np.array_equal(new.cdf, full_grid_step.step(d.cdf, model, dense))
+    assert new(-r - 0.1) == 0.0 and new(r + 0.1) == 1.0
+    assert all(abs(new(v) - 0.5) <= 1e-15 for v in (-r + 0.1, 0.0, r - 0.1))
+    assert diag.end_defect == 0.0 and diag.clamp_budget < 1e-15
+
+
+def test_a_run_past_its_clamp_budget_stops_and_the_cli_exits_2(monkeypatch, capsys):
+    # one step of resistance(0.5) from a ramp decreases somewhere before the clamp: a budget of 0 is spent
+    monkeypatch.setattr(evolve, "CLAMP_ABORT_BUDGET", 0.0)
+    with pytest.raises(ClampBudgetExceededError, match="accumulated clamp budget"):
+        evolve.run(_uniform(m=512), builtin("resistance", p=0.5), 2, (2,), m=512)
+    argv = ["evolve", "--model", "resistance(0.5)", "--n", "2", "--grid", "512", "--checkpoints", "2"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "numerical error: accumulated clamp budget" in captured.err and not captured.out

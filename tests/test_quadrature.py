@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import scalar_gauss_kronrod
-from homsys import DomainError
+from homsys import DomainError, HomsysError
 from homsys.quadrature import integrate_intervals, integrate_panels
 
 
@@ -74,6 +74,21 @@ def test_nan_error_is_accepted_not_refined():
     assert got[1] == integrate_intervals(f, 1.0, 2.0, 1e-12)
     assert math.isnan(integrate_intervals(f, 0.0, 1.0, 1e-12))
     assert max(sizes) <= 500
+
+
+def test_a_level_past_256_times_the_starting_intervals_raises():
+    # sawtooth teeth 1e-12 wide: every interval splits at every level, as when an integrand's rounding stays
+    # above the tolerance; a level may hold 256 times the call's 2 intervals, and the call stops before
+    # one would hold more
+    sizes = []
+
+    def f(t, k):
+        sizes.append(t.size)
+        return (t * 1e12) % 1.0
+
+    with pytest.raises(HomsysError, match="more than 256 times the 2 it started with"):
+        integrate_intervals(f, [0.0, 1.0], [1.0, 2.0], 1e-10)
+    assert sizes == [15 * 2**j for j in range(1, 10)]
 
 
 def test_batch_passes_each_node_its_interval():
