@@ -2,26 +2,23 @@
 
 Every run writes a JSON summary of its results: the package version, the
 model name, the full model (`model_spec`, the `model_to_dict` form, which
-`parse_model` reads back), a digest of it and the seed; a `gamma` summary
-also carries the fixed tolerance of the moment integrals, and an `evolve`
-summary the kernel diagnostics through its last checkpoint (t-cells, cell
-groups and FIR taps per atom, summed clamp budget, largest monotonicity
-defect, and `lambda_rows`, the rows of each atom's own window per shift,
-clipped to the grid, as a fraction of the grid rows, over shifts and steps).
-So a run whose model came from a JSON file can be repeated from its summary
-alone.  `main` writes every summary but `report`'s: it parses `--model`, and
-adds the shared fields to those the verb returns; the JSON goes to `--out`
-for `gamma` and `classify`, to `<out>.json` beside `<out>.csv` for the
-others, or to stdout without `--out`.  `report` writes its own, to `--out`
-only, and exits 1 when a criterion fails.  How the run was executed is kept
-apart, so that results compare byte for byte: with `--out`, the version, the
-command line and the `--threads` value go to `<stem>.run.json`, stem being
-`--out` without a trailing `.json`.  `--threads` is taken by `serpar`, which
-builds its seeds in forests (`serpar.forests`) and solves the forests on
-that many worker threads, and by `simulate`, which runs on one thread and
-only records the value.  Both default to the `HOMSYS_THREADS` environment
-variable (`serpar` then to 1), read when one of them runs; a thread count
-from either source that is not an integer >= 1 is a usage error.
+`parse_model` reads back) and a digest of it, plus the fields the verb owns:
+`simulate` adds its seed, `lambda-check` its eta, delta and delta1, `gamma`
+the fixed tolerance of the moment integrals, and `evolve` the kernel
+diagnostics through its last checkpoint (t-cells, cell groups and FIR taps
+per atom, summed clamp budget, largest monotonicity defect).  So a run whose
+model came from a JSON file can be repeated from its summary alone.  `main`
+writes every summary but `report`'s: it parses `--model`, and adds the shared
+fields to those the verb returns; the JSON goes to `--out` for `gamma` and
+`classify`, to `<out>.json` beside `<out>.csv` for the others, or to stdout
+without `--out`.  `report` writes its own, to `--out` only, and exits 1 when
+a criterion fails.  How the run was executed is kept apart, so that results
+compare byte for byte: with `--out`, the version and the command line go to
+`<stem>.run.json`, stem being `--out` without a trailing `.json`.
+`--threads` is taken by `serpar`, which builds its seeds in forests
+(`serpar.forests`) and solves the forests on that many worker threads (1 when
+it is not given), and by `simulate`, which runs on one thread and ignores
+it.  A thread count that is not an integer >= 1 is a usage error.
 
 The argument parser is built once per process, on the first `main` call, and
 reused by every later one; it holds no per-call state.
@@ -56,7 +53,6 @@ import argparse
 import ctypes
 import functools
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -140,25 +136,19 @@ def _csv_out(args, header: str):
             fh.close()
 
 
-def _base_summary(args, model) -> dict:
+def _base_summary(model) -> dict:
     payload = {"version": __version__}
     if model is not None:
         payload["model"] = model.name
         payload["model_spec"] = model_to_dict(model)
         payload["model_digest"] = model_digest(model)
-    for key in ("seed", "eta", "delta", "delta1"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            payload[key] = getattr(args, key)
     return payload
 
 
 def _write_run_record(args, argv: list[str]) -> None:
     """Execution metadata of a run, apart from its results: <stem>.run.json."""
     stem = args.out[: -len(".json")] if args.out.endswith(".json") else args.out
-    record = {"version": __version__, "argv": argv}
-    if getattr(args, "threads", None) is not None:
-        record["threads"] = args.threads
-    _write_json(stem + ".run.json", record)
+    _write_json(stem + ".run.json", {"version": __version__, "argv": argv})
 
 
 def _quantiles(values: np.ndarray) -> dict:
@@ -210,7 +200,7 @@ def _cmd_simulate(args, model) -> dict:
             emp = dist.from_samples(s.rescaled, m=args.grid, pad=0.05)
             _emit_checkpoint_csv(fh, s.n, emp.grid(), emp.cdf, s.law)
             records.append({"n": s.n, "scale": s.scale, "ks": s.ks, "quantiles": _quantiles(s.rescaled)})
-    return {"n": args.n, "pool": args.pool, "init": args.init, "checkpoints": records,
+    return {"n": args.n, "pool": args.pool, "seed": args.seed, "init": args.init, "checkpoints": records,
             "scaling": _scaling_summary(scaling)}
 
 
@@ -273,6 +263,7 @@ def _cmd_lambda_check(args, model) -> dict:
         for rep in history:
             fh.write(f"{rep.n},{_fmt(rep.min_residual)},{_fmt(rep.argmin_v)}\n")
     return {"n_range": [lo, hi], "vgrid": args.vgrid, "c_star": c, "n0_found": n0 is not None, "n0": n0,
+            "eta": params.eta, "delta": params.delta, "delta1": params.delta1,
             "rho": params.rho, "rho_tilde": params.rho_tilde, "kappa": params.kappa}
 
 
@@ -301,10 +292,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--model", required=True, help="builtin name, shorthand, JSON literal, or JSON file")
         sp.add_argument("--out", default=None, help="output path (stem for commands writing .csv/.json pairs)")
         if threads:
-            # main fills an unset --threads from HOMSYS_THREADS on each call, and
-            # reports a bad value with this subcommand's usage
             sp.add_argument("--threads", type=_int_in(1), default=None, help=threads)
-            sp.set_defaults(subparser=sp)
 
     # main writes a verb's summary to --out plus its summary_suffix, or to stdout without --out
     sp = sub.add_parser("gamma", help="moment report for a model")
@@ -319,7 +307,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_classify, summary_suffix="")
 
     sp = sub.add_parser("simulate", help="pool Monte Carlo with rescaled-KS checkpoints")
-    common(sp, threads="recorded in the run record (default: HOMSYS_THREADS); the pool step runs on one thread")
+    common(sp, threads="accepted and ignored: the pool step runs on one thread")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--pool", type=int, required=True)
     sp.add_argument("--seed", type=_int_in(0, 2**64), default=1)
@@ -340,8 +328,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_evolve, summary_suffix=".json")
 
     sp = sub.add_parser("serpar", help="series-parallel growth with dual oracles")
-    common(sp, model=False, threads="worker threads over the seeds (default: HOMSYS_THREADS, else 1; "
-                                    "results are identical regardless)")
+    common(sp, model=False, threads="worker threads over the seeds (default: 1; results are identical regardless)")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--n", type=_int_in(0, serpar.MAX_ROUNDS + 1), required=True)
     sp.add_argument("--seeds", type=_int_in(1), required=True)
@@ -388,17 +375,6 @@ def _pin_allocator() -> bool:
     return all([mallopt(param, value) == 1 for param, value in _ALLOCATOR_POLICY])  # a list: set both
 
 
-def _default_threads(args) -> None:
-    """Fill an unset --threads from HOMSYS_THREADS, checked as --threads is."""
-    text = os.environ.get("HOMSYS_THREADS")
-    if text is None or getattr(args, "threads", 1) is not None:
-        return  # no variable, a command without --threads, or --threads given
-    try:
-        args.threads = _int_in(1)(text)
-    except argparse.ArgumentTypeError as exc:
-        args.subparser.error(f"argument --threads: {exc}")
-
-
 # options that go together: a partial set is a usage error
 _ALL_OR_NONE = (
     (("law", "scale_constant", "exponent"), "--law, --scale-constant and --exponent are given all three or none"),
@@ -410,7 +386,6 @@ def main(argv: list[str] | None = None) -> int:
     _pin_allocator()
     parser = _parser()
     args = parser.parse_args(argv)
-    _default_threads(args)
     for keys, message in _ALL_OR_NONE:
         flags = [getattr(args, key, None) for key in keys]
         if None in flags and any(flag is not None for flag in flags):
@@ -421,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             model = parse_model(args.model) if "model" in args else None
             summary = args.fn(args, model)
-            summary.update(_base_summary(args, model))
+            summary.update(_base_summary(model))
             _write_json(args.out and args.out + args.summary_suffix, summary)
             code = 0
         if args.out:

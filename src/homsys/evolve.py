@@ -45,8 +45,6 @@ the same bits.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -83,15 +81,16 @@ def lambda_operator(
 
     Nonnegative for eps = +1, nonpositive for eps = -1.  The density psi_fn
     vanishes outside the finite interval `support`, which bounds the
-    t-integration by t_psi, the distance from v to the support edge.  The
-    integrand psi(v -+ t) (C(v) - C(v -+ T(t))) is split into panels on which
-    it is smooth.  Each v's t-range [0, t_cut] (t_cut the smaller of t_psi
-    and the support end of T) is cut at
+    t-integration by t_psi = eps (v - edge), the distance from v to the
+    support edge behind it (lo for eps = +1, hi for eps = -1).  The sign eps
+    enters only as a factor: the integrand psi(v - eps t) (C(v) - C(v - eps
+    T(t))) is split into panels on which it is smooth.  Each v's t-range
+    [0, t_cut] (t_cut the smaller of t_psi and the support end of T) is cut at
       - T's break levels t_breaks(f): the corner value r, and for a table
         profile every kink of T;
       - each density break k (psi_breaks and the support ends) translated to
-        the t axis, t = +-(v - k);
-      - each t where C(v -+ T(t)) crosses a break, t = T_{F#}(+-(v - k)),
+        the t axis, t = eps (v - k);
+      - each t where C(v - eps T(t)) crosses a break, t = T_{F#}(eps (v - k)),
         since T_{F#} inverts T.  Below the crossing of the far support end C
         is saturated (0 or 1) and the integrand is a polynomial;
       - when T has no support end (it then diverges like log(1/t) at 0),
@@ -99,7 +98,7 @@ def lambda_operator(
         moments.gamma.
     The Gauss-Kronrod nodes lie strictly inside each panel, so T is never
     read at 0 or at a jump; the density argument is clipped into the panel's
-    piece between two breaks, one float inside each, since v -+ t may round
+    piece between two breaks, one float inside each, since v - eps t may round
     onto a break.  So the rule meets no jump and converges in a few levels.  The panels of one v share the absolute tolerance LAMBDA_TOL; all
     of them, for every v, go through one integrate_intervals call.
     """
@@ -109,21 +108,22 @@ def lambda_operator(
     eps = f.eps
     v = np.asarray(v, dtype=float)
     vs = v.ravel()
-    t_psi = (vs - lo) if eps == +1 else (hi - vs)
+    edge = lo if eps == +1 else hi
+    t_psi = eps * (vs - edge)
     t_zero = t_support_end(f)
     # a v beyond the support edge (t_psi <= 0) gets t_cut = 0: no panel, Lambda = 0
     t_cut = np.maximum(t_psi if t_zero is None else np.minimum(t_zero, t_psi), 0.0)
     breaks = np.unique(np.array([lo, hi, *psi_breaks], dtype=float))
-    # per v and break k: reach = +-(v - k), where the density factor meets k, and
-    # cross = T_{F#}(reach), where the argument v -+ T(t) of C meets it
-    reach = (vs[:, None] - breaks) if eps == +1 else (breaks - vs[:, None])
+    # per v and break k: reach = eps (v - k), where the density factor meets k, and
+    # cross = T_{F#}(reach), where the argument v - eps T(t) of C meets it
+    reach = eps * (vs[:, None] - breaks)
     swap = f.swap()
     cross = np.zeros_like(reach)
     cross[reach > 0.0] = t_of(swap, reach[reach > 0.0])
     kinks = t_breaks(f)
     cand = [np.broadcast_to(kinks, (vs.size, kinks.size)), reach, cross]
     if t_zero is None:
-        t_sat = cross[:, np.searchsorted(breaks, lo if eps == +1 else hi)]  # C saturated below
+        t_sat = cross[:, np.searchsorted(breaks, edge)]  # C saturated below
         halvings = t_halvings(f)
         cand.append(np.where(halvings > t_sat[:, None], halvings, np.nan))
     # per v, the panel edges as one row; an edge outside (0, t_cut) becomes a NaN, sorted last
@@ -136,23 +136,19 @@ def lambda_operator(
     a, b = a[row, col], b[row, col]
     v_p, cv_p = vs[row], cdf_fn(vs)[row]  # each panel's v and C(v)
     # the piece of the density each panel covers, one float inside its bounding breaks
-    piece = np.searchsorted(breaks, (v_p - 0.5 * (a + b)) if eps == +1 else (v_p + 0.5 * (a + b)))
+    piece = np.searchsorted(breaks, v_p - eps * (0.5 * (a + b)))
     bounds = np.concatenate([[-np.inf], breaks, [np.inf]])
     u_lo = np.nextafter(bounds[piece], np.inf)
     u_hi = np.nextafter(bounds[piece + 1], -np.inf)
 
     def integrand(t: np.ndarray, k: np.ndarray) -> np.ndarray:
         v = v_p[k]  # the v of each node's panel
-        tt = t_of(f, t)
-        if eps == +1:
-            return psi_fn(np.clip(v - t, u_lo[k], u_hi[k])) * (cv_p[k] - cdf_fn(v - tt))
-        return psi_fn(np.clip(v + t, u_lo[k], u_hi[k])) * (cdf_fn(v + tt) - cv_p[k])
+        return psi_fn(np.clip(v - eps * t, u_lo[k], u_hi[k])) * (cv_p[k] - cdf_fn(v - eps * t_of(f, t)))
 
     pieces = np.zeros(panel.shape)
     per = LAMBDA_TOL / np.maximum(panel.sum(axis=1), 1)
     pieces[row, col] = integrate_intervals(integrand, a, b, per[row])
-    total = pieces.sum(axis=1)
-    return (total if eps == +1 else -total).reshape(v.shape)
+    return pieces.sum(axis=1).reshape(v.shape)
 
 
 # -- vectorized grid step -------------------------------------------------------
@@ -283,7 +279,6 @@ class StepDiagnostics:
     clamp_budget: float
     max_monotonicity_defect: float
     end_defect: float
-    lambda_rows: float  # each atom's window rows per shift, clipped to the grid, over all atoms' shifts x grid rows
 
 
 class _FilterRows:
@@ -308,8 +303,6 @@ class _FilterRows:
     def __init__(self, filters: ShiftFilters, c: bool, r: bool, pad: int, rows: int):
         self.c, self.stacked = c, c and r
         self.gap = gap = max(filters.shifts, default=0)
-        self.ks, self.count = filters.shifts, len(filters.shifts)
-        self.sums = (0, *itertools.accumulate(filters.shifts))  # sums[j]: the j shortest shifts summed
         self.x = np.empty(pad + 2 * (rows + gap))
         self.x[:pad] = 0.0 if c else 1.0
         self.lam = np.empty_like(self.x)
@@ -323,11 +316,6 @@ class _FilterRows:
             self.solo = np.empty(pad + rows + gap)
             self.solo[:pad] = 1.0
         self.pad = pad
-
-    def rows_over(self, size: int, room: int) -> int:
-        """The rows of an atom's windows summed over the shifts, min(size + k, room) each."""
-        j = bisect.bisect_right(self.ks, room - size)
-        return self.sums[j] + (room - size) * (self.count - j) + size * self.count
 
     def sum_shifts(self, live: np.ndarray, diff: np.ndarray) -> None:
         """Copy the live rows of a step's CDF into the rows and sum every shift's terms into `lam`."""
@@ -427,8 +415,7 @@ def step_detailed(d: GridCDF, model: ModelSpec, buffers: StepBuffers | None = No
     weights, the values the whole-grid arithmetic gives them.  The running
     maximum that clamps the mixture is taken only when some row decreases,
     over the whole row; a nondecreasing row is its own running maximum, bit
-    for bit, and reports a zero defect and budget.  lambda_rows counts, per
-    atom and shift, the rows of the atom's own window, clipped to the grid."""
+    for bit, and reports a zero defect and budget."""
     c = d.cdf
     h = d.h
     n = c.size
@@ -470,7 +457,6 @@ def step_detailed(d: GridCDF, model: ModelSpec, buffers: StepBuffers | None = No
     out, branch = raw[wa:wb], buffers.branch[wa:wb]
     out.fill(0.0)
     one = 0.0  # the mixture where c = 1: the weights, summed as the rows sum them
-    touched = evaluated = 0
     for (w, f), rows in zip(model.atoms, buffers.atoms):
         one += w
         base = plus if f.eps == +1 else minus
@@ -478,17 +464,14 @@ def step_detailed(d: GridCDF, model: ModelSpec, buffers: StepBuffers | None = No
             multiply(base[wa:wb], w, branch)
         else:
             pad, gap = rows.pad, rows.gap
-            evaluated += rows.count * n
             branch[:] = base[wa:wb]  # base - eps lam, lam being 0 off the atom's rows
             if f.eps == +1:  # lam on the rows [i0, b), from c at pad
                 b = min(i1 + 1 + gap, n)
                 subtract(base[i0:b], rows.lam[pad : pad + b - i0], branch[i0 - wa : b - wa])
-                touched += rows.rows_over(size, n - i0)
             else:  # lam on the rows [a, i1], from r read backwards
                 a = max(i0 - gap, 0)
                 at = pad + size + gap if rows.stacked else pad
                 add(base[a : i1 + 1], rows.lam[at : at + i1 + 1 - a][::-1], branch[a - wa : i1 + 1 - wa])
-                touched += rows.rows_over(size, i1 + 1)
             multiply(branch, w, branch)
         add(out, branch, out)
     np.clip(out, 0.0, 1.0, out=out)
@@ -511,24 +494,20 @@ def step_detailed(d: GridCDF, model: ModelSpec, buffers: StepBuffers | None = No
         raise HomsysError(f"evolved CDF misses 1 by {end_defect:.3g}; support check was too permissive")
     raw[-1] = 1.0
     raw[0] = 0.0 if raw[0] < 1e-9 else raw[0]
-    lambda_rows = touched / evaluated if evaluated else 0.0
-    return GridCDF(d.lo, d.hi, raw), StepDiagnostics(budget, defect, end_defect, lambda_rows)
+    return GridCDF(d.lo, d.hi, raw), StepDiagnostics(budget, defect, end_defect)
 
 
 @dataclass(frozen=True)
 class RunDiagnostics:
     """Kernel diagnostics of a run through one checkpoint: t-cells, cell
     groups and nonzero FIR taps per atom (0 for a max/min atom), the summed
-    clamp budget, the largest monotonicity defect of any step, and the mean
-    over steps of StepDiagnostics.lambda_rows: the rows of each atom's own
-    window per shift, clipped to the grid, as a fraction of the grid rows."""
+    clamp budget and the largest monotonicity defect of any step."""
 
     t_cells: tuple[int, ...]
     groups: tuple[int, ...]
     taps: tuple[int, ...]
     clamp_budget: float
     max_monotonicity_defect: float
-    lambda_rows: float
 
 
 @dataclass
@@ -574,16 +553,15 @@ def run(
     t_cells, groups, taps = (tuple(0 if fl is None else getattr(fl, key) for fl in filters)
                              for key in ("t_cells", "groups", "taps"))
     out: list[RunCheckpoint] = []
-    budget = defect = rows = 0.0
+    budget = defect = 0.0
     for n in range(1, n_steps + 1):
         d, diag = step_detailed(d, model, buffers)
         budget += diag.clamp_budget
         defect = max(defect, diag.max_monotonicity_defect)
-        rows += diag.lambda_rows
         if budget > CLAMP_ABORT_BUDGET:
             raise ClampBudgetExceededError(f"accumulated clamp budget {budget:.3g} exceeds {CLAMP_ABORT_BUDGET}")
         if n in scales:
             r = rescale(d, scales[n])
-            diagnostics = RunDiagnostics(t_cells, groups, taps, budget, defect, rows / n)
+            diagnostics = RunDiagnostics(t_cells, groups, taps, budget, defect)
             out.append(RunCheckpoint(n, scales[n], ks(r, law), r, law, diagnostics))
     return out

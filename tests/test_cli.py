@@ -81,7 +81,7 @@ def test_evolve_csv_uses_the_run_law(tmp_path):
     assert json.loads(stem.with_suffix(".run.json").read_text())["argv"] == argv
     diag = summary["diagnostics"]  # the hipster+ atom has cells, the min atom none
     assert diag["t_cells"][0] > 0 and diag["groups"][0] == 1 and diag["t_cells"][1] == diag["groups"][1] == 0
-    assert 0 < diag["taps"][0] < diag["t_cells"][0] and diag["taps"][1] == 0 and 0.0 < diag["lambda_rows"] < 1.0
+    assert 0 < diag["taps"][0] < diag["t_cells"][0] and diag["taps"][1] == 0
     assert 0.0 <= diag["max_monotonicity_defect"] and 0.0 <= diag["clamp_budget"] <= 1e-6
 
 
@@ -102,15 +102,17 @@ def test_checkpoint_csv_rows_match_the_per_row_format():
 
 
 def test_results_are_byte_identical_across_thread_counts(tmp_path):
-    # criterion 9 at a small size: the thread count and the output path go to the .run.json
-    # sidecar, so the results themselves compare byte for byte
+    # criterion 9 at a small size: the command line, with the thread count and the output path,
+    # goes to the .run.json sidecar, so the results themselves compare byte for byte
     base = ["simulate", "--model", "hipster", "--n", "20", "--pool", "2000", "--seed", "7", "--checkpoints", "10,20"]
     for threads in (1, 4):
         assert cli.main(base + ["--threads", str(threads), "--out", str(tmp_path / f"t{threads}")]) == 0
     for suffix in (".csv", ".json"):
         assert (tmp_path / f"t1{suffix}").read_bytes() == (tmp_path / f"t4{suffix}").read_bytes()
     run = json.loads((tmp_path / "t4.run.json").read_text())
-    assert run["threads"] == 4 and run["argv"][-1] == str(tmp_path / "t4")
+    argv = run["argv"]
+    assert set(run) == {"version", "argv"} and argv[-1] == str(tmp_path / "t4")
+    assert argv[argv.index("--threads") + 1] == "4"
 
 
 def test_csv_and_summary_to_stdout(capsys):
@@ -194,21 +196,6 @@ def test_empty_ranges_and_step_lists_exit_64(argv, capsys):
     assert "Traceback" not in err and "usage:" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["serpar", "--p", "0.5", "--n", "3", "--seeds", "2"],
-        ["simulate", "--model", "hipster", "--n", "4", "--pool", "100", "--checkpoints", "4"],
-    ],
-)
-def test_bad_thread_variable_exits_64(argv, value, monkeypatch, capsys):
-    monkeypatch.setenv("HOMSYS_THREADS", value)
-    assert _exit_code(argv) == 64
-    captured = capsys.readouterr()
-    assert "Traceback" not in captured.err and "usage:" in captured.err and not captured.out
-
-
 def test_serpar_takes_up_to_max_rounds():
     args = cli.build_parser().parse_args(["serpar", "--p", "0.5", "--n", "24", "--seeds", "1"])
     assert args.n == 24
@@ -231,15 +218,6 @@ def test_serpar_threads_give_the_same_bytes_over_several_forests(tmp_path):
         assert (tmp_path / f"t1{suffix}").read_bytes() == (tmp_path / f"t2{suffix}").read_bytes()
     seeds = [line.split(",")[0] for line in (tmp_path / "t2.csv").read_text().splitlines()[1:]]
     assert seeds == [str(s) for s in range(30)]
-
-
-def test_thread_variable_is_the_default_thread_count(tmp_path, monkeypatch):
-    monkeypatch.setenv("HOMSYS_THREADS", "2")
-    argv = ["serpar", "--p", "0.5", "--n", "3", "--seeds", "2", "--out", str(tmp_path / "s")]
-    assert cli.main(argv) == 0
-    assert json.loads((tmp_path / "s.run.json").read_text())["threads"] == 2
-    assert cli.main(argv + ["--threads", "3"]) == 0
-    assert json.loads((tmp_path / "s.run.json").read_text())["threads"] == 3
 
 
 @pytest.mark.parametrize(
@@ -358,8 +336,7 @@ def test_a_repeated_serpar_call_reuses_the_memory_of_the_first():
             "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "    assert cli.main(argv) == 0\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
-    env = {**_subprocess_env(), "HOMSYS_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, timeout=120, check=True)
     assert int(out.stdout) < 100
 
 
@@ -383,38 +360,29 @@ def test_the_parser_is_built_once_per_process(monkeypatch, tmp_path):
     assert len(builds) == 1
 
 
-def test_a_reused_parser_carries_nothing_from_one_call_to_the_next(tmp_path, monkeypatch, capsys):
-    # one process, the variable changing between calls: every output is that of a fresh
-    # process run with the same argv and variable, and the run record follows the variable
+def test_a_reused_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys):
+    # one process, with usage errors between calls: every output is that of a fresh process
+    # run with the same argv, and the run record holds the version and that argv only
     serpar_argv = ["serpar", "--p", "0.5", "--n", "4", "--seeds", "3", "--check-exact"]
     simulate_argv = ["simulate", "--model", "hipster", "--n", "6", "--pool", "300", "--seed", "5", "--checkpoints", "3,6"]
     scaling_flags = ["--law", "cubic", "--scale-constant", "3", "--exponent", "0.4"]
     evolve_argv = ["evolve", "--model", "hipster", "--n", "2", "--grid", "256", "--checkpoints", "2"]
-    runs = [
-        (None, serpar_argv, None),
-        ("2", serpar_argv, 2),
-        ("2", simulate_argv + scaling_flags, 2),
-        ("abc", evolve_argv, None),
-        (None, simulate_argv, None),
-    ]
+    runs = [serpar_argv, serpar_argv, simulate_argv + scaling_flags, evolve_argv, simulate_argv]
     cli._parser.cache_clear()
-    for k, (variable, argv, threads) in enumerate(runs):
-        if variable is None:
-            monkeypatch.delenv("HOMSYS_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("HOMSYS_THREADS", variable)
-        if variable == "abc":
+    for k, argv in enumerate(runs):
+        if k == 3:
             for bad in (serpar_argv, simulate_argv):
-                assert _exit_code(bad + ["--out", str(tmp_path / "bad")]) == 64
+                assert _exit_code(bad + ["--threads", "abc", "--out", str(tmp_path / "bad")]) == 64
                 captured = capsys.readouterr()
                 assert "usage:" in captured.err and "argument --threads" in captured.err and not captured.out
         assert cli.main(argv + ["--out", str(tmp_path / f"in{k}")]) == 0
-        assert json.loads((tmp_path / f"in{k}.run.json").read_text()).get("threads") == threads
         subprocess.run([sys.executable, "-m", "homsys.cli", *argv, "--out", str(tmp_path / f"fresh{k}")],
                        env=_subprocess_env(), timeout=120, check=True)
         for suffix in (".csv", ".json"):
             assert (tmp_path / f"in{k}{suffix}").read_bytes() == (tmp_path / f"fresh{k}{suffix}").read_bytes()
-        assert json.loads((tmp_path / f"fresh{k}.run.json").read_text()).get("threads") == threads
+        for where in ("in", "fresh"):
+            record = json.loads((tmp_path / f"{where}{k}.run.json").read_text())
+            assert record == {"version": homsys.__version__, "argv": argv + ["--out", str(tmp_path / f"{where}{k}")]}
     assert not list(tmp_path.glob("bad*"))
     given, resolved = (json.loads((tmp_path / f"in{k}.json").read_text())["scaling"] for k in (2, 4))
     assert given == {"law": "cubic", "constant": 3.0, "exponent": 0.4}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from homsys import ClampBudgetExceededError, DomainError, GridCDF, ModelSpec, RegridRequiredError, builtin, parse_model
-from homsys import cli, evolve, mc
+from homsys import cli, evolve, mc, proofcheck
 from homsys.dist import rescale
 from homsys.hfun import HFunction, asym_tent, g_softplus, g_table, t_of
 from homsys.models import resolve_scaling
@@ -15,7 +15,7 @@ from homsys.models import resolve_scaling
 import full_grid_step
 import per_shift_filters
 import signed_shift_step
-from test_proofcheck import TWO_TABLES
+from test_proofcheck import PARAMS, TWO_TABLES
 
 
 def _uniform(m=512, width=0.5, pad=4.0):
@@ -294,16 +294,13 @@ def test_windowed_step_matches_the_full_grid_loop(name, law):
     filters = evolve.grid_filters(model, d.h, d.hi - d.lo)
     want = full_grid_step.step(d.cdf, model, full_grid_step.dense(filters))
     # with the zero taps kept, the window changes no bit
-    got, diag = evolve.step_detailed(d, model, evolve.StepBuffers(model, full_grid_step.dense(filters), d.m + 1))
+    got, _ = evolve.step_detailed(d, model, evolve.StepBuffers(model, full_grid_step.dense(filters), d.m + 1))
     assert np.array_equal(got.cdf, want)
     if law == "no_exact_tail":
-        assert d.cdf[0] != 0.0 and d.cdf[-1] != 1.0 and diag.lambda_rows == 1.0
-    else:
-        assert 0.0 < diag.lambda_rows < 1.0
+        assert d.cdf[0] != 0.0 and d.cdf[-1] != 1.0
     # the split sums each shift's filter in pieces
-    got, split_diag = evolve.step_detailed(d, model)
+    got, _ = evolve.step_detailed(d, model)
     assert np.max(np.abs(got.cdf - want)) <= 1e-15
-    assert split_diag.lambda_rows == diag.lambda_rows
 
 
 @pytest.mark.parametrize(
@@ -438,6 +435,25 @@ def test_run_steps_allocate_little_beyond_the_new_law(name):
 
 
 SIGNED_MODELS = {**KERNEL_MODELS, "two_tables": parse_model(TWO_TABLES)}
+MINUS_ATOMS = [(name, i) for name, model in SIGNED_MODELS.items() for i, (_, f) in enumerate(model.atoms) if f.eps == -1]
+
+
+@pytest.mark.parametrize("name, i", MINUS_ATOMS, ids=[f"{name}-{i}" for name, i in MINUS_ATOMS])
+def test_an_eps_minus_1_atom_is_its_star_on_the_mirrored_law(name, i):
+    """Lambda_F(v; psi, C) = -Lambda_{F*}(-v; psi(-.), 1 - C(-.)) on proofcheck's asymmetric psi_n: the
+    sign eps of lambda_operator checked against the mirror image that defines it, not against an
+    oracle sharing its sign convention."""
+    f = SIGNED_MODELS[name].atoms[i][1]
+    row = proofcheck.schedule(PARAMS, 512)
+    support, breaks = (-row.sigma_tilde, row.sigma), (-row.sigma_tilde, 0.0, row.sigma)
+    vs = proofcheck.default_v_grid(PARAMS, 512, 41)
+    got = evolve.lambda_operator(lambda u: proofcheck.psi_n(row, u), lambda u: proofcheck.Psi_n(row, u),
+                                 f, vs, support, breaks)
+    mirrored = evolve.lambda_operator(lambda u: proofcheck.psi_n(row, -u), lambda u: 1.0 - proofcheck.Psi_n(row, -u),
+                                      f.star(), -vs, (-support[1], -support[0]), tuple(-k for k in breaks))
+    assert np.max(np.abs(got + mirrored)) <= 1e-13
+    # a min atom has no crossing correction; every other eps = -1 atom lowers the law somewhere
+    assert np.all(got <= 0.0) and np.any(got < 0.0) == (f.r > 0.0)
 
 
 @pytest.mark.parametrize("m", [1024, 2048])
@@ -482,11 +498,10 @@ def test_run_with_prebuilt_filters_equals_repeated_steps():
     model = builtin("resistance", p=0.5)
     init = _uniform(m=512, pad=20.0)  # wider than run's domain, so run keeps this grid
     (cp,) = evolve.run(init, model, 3, (3,), m=512)
-    d, budget, rows = init, 0.0, 0.0
+    d, budget = init, 0.0
     for _ in range(3):
         d, diag = evolve.step_detailed(d, model)
         budget += diag.clamp_budget
-        rows += diag.lambda_rows
     stepped = rescale(d, cp.scale)
     assert (stepped.lo, stepped.hi) == (cp.dist.lo, cp.dist.hi)
     assert np.array_equal(stepped.cdf, cp.dist.cdf)
@@ -495,8 +510,6 @@ def test_run_with_prebuilt_filters_equals_repeated_steps():
     assert cp.diagnostics.groups == tuple(f.groups for f in filters)
     assert cp.diagnostics.taps == tuple(f.taps for f in filters)
     assert cp.diagnostics.clamp_budget == budget
-    # a law spreading from a width-1 ramp on a 48-wide grid: the shift terms touch a fraction of the rows
-    assert cp.diagnostics.lambda_rows == rows / 3 and 0.0 < rows / 3 < 1.0
 
 
 def test_a_law_that_fills_its_grid_must_be_regridded():

@@ -76,6 +76,23 @@ def test_every_cli_option_is_passed_by_some_test():
     assert sorted(_option_strings(cli.build_parser()) - literals) == []
 
 
+def test_the_package_reads_no_environment_variable():
+    # every setting is a command-line option or a parameter, so none can come in through the environment
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in sorted(Path(homsys.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.Name, ast.alias)):  # a bare environ, or its import from os
+                name = getattr(node, "id", None) or node.name
+            else:
+                continue
+            if name in names:
+                reads.append(f"{path.name}:{node.lineno}")
+    assert not reads
+
+
 def test_the_benchmark_tracer_finds_every_span_it_reports(monkeypatch):
     # the tracer wraps the public functions by name, and its per-layer metrics look some of them up;
     # a public function that moves or is renamed must fail here, not only in a traced benchmark run

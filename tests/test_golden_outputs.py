@@ -47,11 +47,11 @@ GOLDEN = {
     "classify-power_mean": {".json": "a2d6850d608f5def805c7a27c06738d4dbecd99e461c828941ce5ec255de27df"},
     "classify-two_tables": {".json": "ade732cf5c1277a43958a275df2600ade05868a176a0e1f4e8c354d07bc24b2f"},
     "evolve-hipster": {".csv": "2acd4d38ed9f63c5742666851c17d01d71bf28f71bcacbb6ecf491e508fca501",
-                       ".json": "e905a1ad3afcd36bb5a60d2746809d8798adf592119c337ecbcb23bac27ea068"},
+                       ".json": "276e43825d79a2dbdbf3b332468b119838c1ce69e3d8ed222d7244838c90beff"},
     "evolve-resistance": {".csv": "1b06676a0102f99ad8feb54b20262373224e275de6a7c0ec6d3109e22fefd806",
-                          ".json": "8f86e3aa5d9ba03e44b65ad19dff102dd4c7062005e0018b5adcf35cc3d5ce58"},
+                          ".json": "7fd81d2311bf729c3f134c99249bed8880d309d80890348907fca3171f59da1e"},
     "evolve-distance": {".csv": "d176cfedc881209a615381bd799d164d483530ab03af29b85a2ce81ec959ff31",
-                        ".json": "2669786068283d174dd225ca4f0b0abe9ab505a6bde9e0d7911b46db4f79e661"},
+                        ".json": "22ed945b34acb5c6689b26a7f28d650c29e577a731017fd9e09bc585554effd0"},
     "simulate-hipster": {".csv": "6d18652dfcee7782d2329491212a2af6306eab530b0825d2b50045e276bdecc9",
                          ".json": "68493a9d54155be9c8291f0bea17cd334f30dd996e50c79e8cc645512274721b"},
     "simulate-resistance": {".csv": "3b0ec86139d69b359fa227c162e9fd492d8113a510fbe9323aae1526391e1ee7",
