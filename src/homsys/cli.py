@@ -17,21 +17,28 @@ compare byte for byte: with `--out`, the version and the command line go to
 `<stem>.run.json`, stem being `--out` without a trailing `.json`.
 `--threads` is taken by `serpar`, which builds its seeds in forests
 (`serpar.forests`) and solves the forests on that many worker threads (1 when
-it is not given), and by `simulate`, which runs on one thread and ignores
-it.  A thread count that is not an integer >= 1 is a usage error.
+it is not given), and by `simulate`, which ignores it: whatever its value,
+the pool steps run on the calling thread and their random draws one step
+ahead on one helper thread (`mc`).  A thread count that is not an integer
+>= 1 is a usage error.
 
 The argument parser is built once per process, on the first `main` call, and
 reused by every later one; it holds no per-call state.
 
-The first `main` call of a process also fixes glibc's allocator thresholds
-with `mallopt`: `M_MMAP_THRESHOLD` at 32 MiB and `M_TRIM_THRESHOLD` at
-64 MiB.  By default glibc raises its mmap threshold as large blocks are
-freed and trims the heap top as it shrinks, so whether a later call reuses
-freed memory or maps and faults in fresh pages depends on what earlier calls
-allocated; the large transient arrays of a serpar forest then page-fault on
-some runs and not on others.  With fixed thresholds every call of a process
-sees one policy.  Where `mallopt` is missing (another libc, another
-system) nothing is set.  No output depends on it.
+The first `main` call of a process also fixes glibc's allocator policy
+with `mallopt`: `M_MMAP_THRESHOLD` at 32 MiB, `M_TRIM_THRESHOLD` at
+64 MiB and `M_ARENA_MAX` at 1.  By default glibc raises its mmap threshold
+as large blocks are freed and trims the heap top as it shrinks, so whether a
+later call reuses freed memory or maps and faults in fresh pages depends on
+what earlier calls allocated; the large transient arrays of a serpar forest
+then page-fault on some runs and not on others.  With fixed thresholds every
+call of a process sees one policy.  By default glibc also gives each new
+thread its own arena, which keeps what it frees apart from the main heap:
+the index arrays that `simulate`'s helper thread draws (see `mc`) would
+then grow a second heap beside the one the main thread frees them into.
+With one arena every thread, serpar's workers too, allocates from the one
+heap.  Where `mallopt` is missing (another libc, another system) nothing
+is set.  No output depends on it.
 
 The `simulate` and `evolve` summaries carry the `scaling` the run used,
 {law, constant, exponent}: each checkpoint's log X_n is divided by
@@ -162,7 +169,8 @@ def _emit_checkpoint_csv(fh, n: int, x: np.ndarray, cdf: np.ndarray, law: str) -
     h = x[1] - x[0]
     dens = np.gradient(cdf, h)
     row = f"{n},%.17g,%.17g,%.17g,%.17g\n"  # %.17g formats a float as _fmt does
-    fh.write("".join([row % r for r in zip(x.tolist(), cdf.tolist(), ref.tolist(), dens.tolist())]))
+    # the whole checkpoint in one format operation, the values row by row
+    fh.write((row * len(x)) % tuple(np.column_stack([x, cdf, ref, dens]).ravel().tolist()))
 
 
 # -- subcommands: each but report takes the arguments and the model (None for serpar) and returns its summary
@@ -307,7 +315,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_classify, summary_suffix="")
 
     sp = sub.add_parser("simulate", help="pool Monte Carlo with rescaled-KS checkpoints")
-    common(sp, threads="accepted and ignored: the pool step runs on one thread")
+    common(sp, threads="accepted and ignored: the steps run on one thread, their draws one step ahead on one helper")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--pool", type=int, required=True)
     sp.add_argument("--seed", type=_int_in(0, 2**64), default=1)
@@ -359,20 +367,20 @@ def _parser() -> _Parser:
 
 
 # glibc's mallopt parameters (malloc.h) and the values main fixes them at
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_ALLOCATOR_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+_ALLOCATOR_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20), (_M_ARENA_MAX, 1))
 
 
 @functools.cache
 def _pin_allocator() -> bool:
-    """Fix glibc's mmap and trim thresholds, once per process; False where mallopt is missing."""
+    """Fix glibc's mmap and trim thresholds and its arena count, once per process; False where mallopt is missing."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    return all([mallopt(param, value) == 1 for param, value in _ALLOCATOR_POLICY])  # a list: set both
+    return all([mallopt(param, value) == 1 for param, value in _ALLOCATOR_POLICY])  # a list: set all
 
 
 # options that go together: a partial set is a usage error

@@ -126,8 +126,15 @@ def invert_model(model: ModelSpec) -> ModelSpec:
 # -- sampling -----------------------------------------------------------------
 
 
+def _atom_counts(model: ModelSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """The atoms' block sizes over ``size`` slots: one multinomial draw from rng."""
+    w = model.weights
+    return rng.multinomial(size, w / w.sum())
+
+
 def apply_mixture(
-    model: ModelSpec, rng: np.random.Generator, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+    model: ModelSpec, rng: np.random.Generator | None, a: np.ndarray, b: np.ndarray,
+    out: np.ndarray | None = None, counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """log F(e^a, e^b) elementwise for finite arrays, F an atom of the mixture.
 
@@ -136,14 +143,16 @@ def apply_mixture(
     pairs, the multiset of outputs then has the law of an independent atom
     drawn per element; the pool step needs no more, since it only resamples
     the pool uniformly.  The counts are the only draws made here, after any
-    draws of the caller, so the caller's random stream keeps its order.
+    draws of the caller, so the caller's random stream keeps its order.  A
+    caller that drew them already, by `_atom_counts` on its stream, passes
+    them as ``counts``, and rng is not read.
 
     The result goes to ``out`` when given (a float array of a's size that
     overlaps neither a nor b; each atom writes its block of it in place),
     else to a new array; the bits are the same either way.
     """
-    w = model.weights
-    counts = rng.multinomial(a.size, w / w.sum())
+    if counts is None:
+        counts = _atom_counts(model, rng, a.size)
     if out is None:
         out = np.empty(a.size)
     start = 0

@@ -24,10 +24,14 @@ __all__ = ["integrate_intervals", "integrate_panels"]
 Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _MAX_DEPTH = 48
-# the most intervals a level may hold, as a multiple of those the call starts with: 22x at most is used
-# by the tests, the benchmark and the acceptance suite; an integrand whose rounding stays above the
-# tolerance doubles every level until memory runs out
+# An integrand whose rounding stays above the tolerance doubles its intervals every level until memory
+# runs out, so a level may hold at most _MAX_GROWTH times the intervals the call starts with (22x at
+# most is used by the tests, the benchmark and the acceptance suite), and at most _MAX_OPEN under any
+# one of them, so that one runaway interval among many stops as early as alone.  A scaled moment
+# integral over 132 panels holds up to 19.8k under one (Gamma^(130,5) of the sum atom), and none of
+# 256 or fewer starting intervals can pass _MAX_OPEN before the call's limit.
 _MAX_GROWTH = 256
+_MAX_OPEN = 1 << 16
 # The 15-point Kronrod rule on [-1, 1] (Piessens et al., QUADPACK, 1983, qk15): the nodes +-_XK[j]
 # and 0, with weights _WK; the 7-point Gauss rule uses the nodes +-_XK[1], +-_XK[3], +-_XK[5] and 0,
 # with weights _WG.
@@ -61,12 +65,14 @@ def integrate_intervals(f: Integrand, a, b, tol):
     interval whose error is NaN is accepted, as its value is NaN whether or
     not it is refined.  A level that would hold more than 256 times the
     intervals the call started with raises HomsysError: the integrand's
-    rounding cannot meet the tolerance.  A split interval gives its left half
-    plus its right half.  Each interval's sums run in one fixed order, so its
-    value does not depend on the other intervals of the call.  tol must be
-    finite and > 0 (DomainError, before any call of f).  An empty or reversed
-    interval gives 0.  Scalar a, b and tol give a float, arrays an array of
-    their broadcast shape.
+    rounding cannot meet the tolerance; so does a level that would hold more
+    than 2^16 intervals under any one starting interval, so that one runaway
+    interval among many stops as early as it would alone.  A split interval
+    gives its left half plus its right half.  Each interval's sums run in one
+    fixed order, so its value does not depend on the other intervals of the
+    call.  tol must be finite and > 0 (DomainError, before any call of f).  An
+    empty or reversed interval gives 0.  Scalar a, b and tol give a float,
+    arrays an array of their broadcast shape.
     """
     a, b, tol = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, tol)))
     if not np.all((tol > 0.0) & (tol < np.inf)):
@@ -101,10 +107,17 @@ def _levels(f: Integrand, k, a, b, tol) -> np.ndarray:
             break
         # the left halves of the split intervals, then their right halves
         i = np.flatnonzero(split)
+        level = _MAX_DEPTH + 1 - depth
         if 2 * i.size > _MAX_GROWTH * start:
             raise HomsysError(
-                f"the quadrature cannot meet its tolerance: level {_MAX_DEPTH + 1 - depth} would hold"
+                f"the quadrature cannot meet its tolerance: level {level} would hold"
                 f" {2 * i.size} intervals, more than {_MAX_GROWTH} times the {start} it started with"
+            )
+        # k numbers the starting intervals, and one holds at most 2^level intervals at a level
+        if 2**level > _MAX_OPEN and 2 * (most := np.bincount(k[i]).max()) > _MAX_OPEN:
+            raise HomsysError(
+                f"the quadrature cannot meet its tolerance: level {level} would hold {2 * most} intervals"
+                f" under one of the {start} it started with, more than {_MAX_OPEN}"
             )
         a, b = np.concatenate([a[i], mid[i]]), np.concatenate([mid[i], b[i]])
         k, tol = np.concatenate([k[i], k[i]]), np.concatenate([0.5 * tol[i], 0.5 * tol[i]])

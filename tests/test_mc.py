@@ -1,9 +1,14 @@
+import importlib
+import inspect
+import pkgutil
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from homsys import DomainError, ModelSpec, builtin, ks, mc
+import homsys
+from homsys import DomainError, HFunction, ModelSpec, builtin, ks, mc
 from homsys.hfun import F_MIN, F_SUM
 from homsys.models import apply_mixture
 
@@ -144,29 +149,112 @@ def test_pool_step_reads_its_pool_and_writes_only_its_buffers(name):
 
 
 @pytest.mark.parametrize("name", BUILTINS)
-def test_simulate_steps_allocate_little_beyond_the_parent_draw(name, monkeypatch):
-    """Peak traced allocation of each step inside simulate: the 2N index array of the parent draw
-    (2 x 8N bytes) is the one large allocation, since the pool, the parents and each atom's result
-    are written into buffers (a step that allocated them afresh peaked at 7 x 8N)."""
-    N = 10_000
+def test_a_pool_step_given_its_draws_allocates_only_the_atoms_temporaries(name):
+    """Peak traced allocation of a buffered pool_step handed its draws: the pool, the parents and each
+    atom's result are written into buffers, so what is left is the atoms' block-sized max/min temporary
+    (about N/2 floats for two even atoms; a step that allocated afresh peaked at 7 x 8N)."""
+    N, model = 10_000, builtin(name)
+    pool = np.random.default_rng(8).normal(0.0, 2.0, N)
+    out, parents = np.empty(N), np.empty(2 * N)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in range(1, 7):
+            draws = mc._step_draws(model, 2, n, N)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            mc.pool_step(model, pool, 2, n, out, parents, draws)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= 0.6 * 8 * N, [p / (8 * N) for p in peaks]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_simulate_holds_its_buffers_two_index_arrays_and_one_atom_temporary(name, monkeypatch):
+    """Traced memory of a simulate run at its peak in each step, from before the call: the two pool
+    arrays and the 2N parent buffer (4 x 8N), step k's 2N indices and step k + 1's, drawn meanwhile on
+    the helper (2 x 2 x 8N), and one atom temporary; the last step draws nothing ahead, so it peaks
+    one index array lower.  Checkpoints come after the last step, so no sorted copy is held; 16 KiB
+    cover what does not grow with N (the helper thread, its executor and the Philox generators)."""
+    N, model = 10_000, builtin(name)
+    mc.simulate(model, 0.0, 6, N, 2, (6,))  # the scaling's moments are computed once, before tracing
     peaks = []
     step = mc.pool_step
 
     def measured(*args):
-        start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         new = step(*args)
-        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
         return new
 
     monkeypatch.setattr(mc, "pool_step", measured)
     tracemalloc.start()
     try:
-        mc.simulate(builtin(name), 0.0, 6, N, 2, (3, 6))
+        base = tracemalloc.get_traced_memory()[0]
+        mc.simulate(model, 0.0, 6, N, 2, (6,))
     finally:
         tracemalloc.stop()
     assert len(peaks) == 6
-    assert max(peaks[1:]) <= 2.1 * 8 * N, [p / (8 * N) for p in peaks]
+    ratios = [(p - (16 << 10)) / (8 * N) for p in peaks]
+    assert max(ratios) <= 4 + 2 * 2 + 0.6, ratios
+    assert ratios[-1] <= 4 + 2 + 0.6, ratios
+
+
+def _public_functions():
+    """Every public function defined in a homsys module, with the (owner, attribute) pairs that hold it."""
+    modules = [homsys] + [importlib.import_module(f"homsys.{m.name}") for m in pkgutil.iter_modules(homsys.__path__)]
+    out = {}
+    for mod in modules:
+        for name, fn in vars(mod).items():
+            if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == mod.__name__:
+                out[f"{mod.__name__}.{name}"] = [(m, a) for m in modules for a, v in vars(m).items() if v is fn]
+    return out
+
+
+def test_every_public_call_of_a_run_stays_on_the_calling_thread(monkeypatch):
+    """simulate and hipster_direct make their draws on a helper thread, and nothing else there: every
+    public homsys function (pool_step, the atoms' log_eval_finite, ks, ...) runs on the calling thread."""
+    threads = {}
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return call
+
+    for name, holders in _public_functions().items():
+        wrapper = recorded(name, getattr(*holders[0]))
+        for owner, attr in holders:
+            monkeypatch.setattr(owner, attr, wrapper)
+    monkeypatch.setattr(HFunction, "log_eval_finite", recorded("log_eval_finite", HFunction.log_eval_finite))
+    for name in ("_step_draws", "_walk_draws"):
+        monkeypatch.setattr(mc, name, recorded(name, getattr(mc, name)))
+    mc.simulate(builtin("resistance"), 0.0, 5, 1000, 3, (2, 5))
+    mc.hipster_direct(5, 1000, 3)
+    main = threading.get_ident()
+    drawn = threads.pop("_step_draws") | threads.pop("_walk_draws")
+    assert main not in drawn
+    assert {"homsys.mc.pool_step", "log_eval_finite", "homsys.dist.ks"} <= set(threads)
+    assert all(idents == {main} for idents in threads.values()), threads
+
+
+def test_a_run_leaves_no_thread_behind(monkeypatch):
+    before = threading.active_count()
+    mc.simulate(builtin("hipster"), 0.0, 4, 1000, 1, (4,))
+    mc.hipster_direct(4, 1000, 1)
+    assert threading.active_count() == before
+    step = mc.pool_step
+
+    def failing(*args):
+        if args[3] == 3:
+            raise RuntimeError("step 3")
+        return step(*args)
+
+    monkeypatch.setattr(mc, "pool_step", failing)
+    with pytest.raises(RuntimeError, match="step 3"):
+        mc.simulate(builtin("hipster"), 0.0, 6, 1000, 1, (6,))
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("N", [1000, 4097])

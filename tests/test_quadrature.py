@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,28 @@ def test_a_level_past_256_times_the_starting_intervals_raises():
     with pytest.raises(HomsysError, match="more than 256 times the 2 it started with"):
         integrate_intervals(f, [0.0, 1.0], [1.0, 2.0], 1e-10)
     assert sizes == [15 * 2**j for j in range(1, 10)]
+
+
+def test_one_runaway_interval_among_many_raises_as_early_as_alone():
+    # 2000 smooth intervals and one sawtooth: a level may hold at most 2^16 intervals under one starting
+    # interval, so the sawtooth stops where it alone would pass that, at level 17 and 48 MB traced; the
+    # limit on the call's total, which grows with the call, alone let it reach level 19 and 192 MB
+    sizes = []
+
+    def f(t, k):
+        sizes.append(t.size)
+        return np.where(k == 2000, (t * 1e12) % 1.0, np.sin(t))
+
+    a = np.arange(2001.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(HomsysError, match="would hold 131072 intervals under one of the 2001 it started with"):
+            integrate_intervals(f, a, a + 1.0, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [15 * 2001] + [15 * 2**j for j in range(1, 17)]
+    assert peak < 64 << 20  # 48 MB
 
 
 def test_batch_passes_each_node_its_interval():
