@@ -160,25 +160,35 @@ def ks(a, b) -> float:
 
 
 def _ks_sample_vs(sample: np.ndarray, cdf) -> float:
+    """The largest gap between the sample's empirical CDF and `cdf`, evaluated in blocks of _BLOCK
+    points so that no temporary grows with the sample; each block's maxima are exact, so the value
+    is the bits of the whole-array formula."""
     s = sample if _is_sorted(sample) else np.sort(sample)
     n = s.size
-    ref = cdf(s) if callable(cdf) else cdf
-    # the ranks i/n for i = 0..n: the lower ones are [:-1], the upper ones [1:]
-    ranks = np.arange(n + 1, dtype=float)
-    ranks /= n
-    lower = np.subtract(ref, ranks[:-1])
-    upper = np.subtract(ranks[1:], ref, out=ranks[1:])
-    return float(max(upper.max(), lower.max(), 0.0))
+    if n == 0:
+        raise DomainError("empty sample")
+    peaks = []  # each block's largest upper and lower gap
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        ref = cdf(s[lo:hi])
+        # the ranks i/n for i = lo..hi: the lower ones are [:-1], the upper ones [1:]
+        ranks = np.arange(lo, hi + 1, dtype=float)
+        ranks /= n
+        lower = np.subtract(ref, ranks[:-1])
+        upper = np.subtract(ranks[1:], ref, out=ranks[1:])
+        peaks.append((upper.max(), lower.max()))
+    upper, lower = np.max(peaks, axis=0)  # a NaN gap stays NaN, as in one max over the whole sample
+    return float(max(upper, lower, 0.0))
 
 
-_SORT_CHECK_BLOCK = 32768  # elements compared at once: a 32 kB boolean temporary
+_BLOCK = 32768  # elements a block loop handles at once: a 32 kB boolean or a 256 kB float temporary
 
 
 def _is_sorted(x: np.ndarray) -> bool:
     """True when x is nondecreasing (a NaN makes it False), compared block by block so that no
     temporary grows with x."""
-    for lo in range(0, x.size - 1, _SORT_CHECK_BLOCK):
-        hi = min(lo + _SORT_CHECK_BLOCK, x.size - 1)
+    for lo in range(0, x.size - 1, _BLOCK):
+        hi = min(lo + _BLOCK, x.size - 1)
         if not np.all(x[lo + 1 : hi + 1] >= x[lo:hi]):
             return False
     return True

@@ -7,9 +7,9 @@ series, False = by two parallel edges), root-major, so root g's round-k
 edges are [g 2^k, (g+1) 2^k); the children of edge e are 2e and 2e+1, so
 they stay within their root.  Reduction is a vectorized bottom-up fold over
 the history that stops at the G roots; the forest's nodes and edges are
-derived only to feed the Laplacian and breadth-first search oracles, which
-never read the fold.  A single graph is a forest with one root, and every
-root gets the bits it would get alone.  The seeds name the roots; a history
+derived only to feed the two Laplacian oracles, resistance and distance,
+which never read the fold.  A single graph is a forest with one root, and
+every root gets the bits it would get alone.  The seeds name the roots; a history
 given without seeds is one root, seed 0.
 
 Nodes are numbered in creation order over the whole forest (each round's
@@ -20,13 +20,14 @@ one root this is the order the root has alone.  Reverse creation order is a
 perfect elimination order: a node made on edge (u, v) is only ever adjacent
 to u, v and nodes made after it, so once those are eliminated its neighbours
 are exactly u and v, and eliminating it adds at most the fill edge u-v.
-Midpoints of one round are never adjacent to each other, so the resistance
-oracle eliminates a whole round of every root at once, the last round
-first: a pivot, two diagonal updates and one fill per midpoint, in a few
-array operations and with no sparse factorisation.  A round's midpoints hold
-one contiguous label range [lo, hi), and the ends of the edges they split
-are older, so their labels are >= hi: the round's updates are binned from
-hi on and cost the labels they reach, not those below.
+Midpoints of one round are never adjacent to each other, so the oracles
+eliminate a whole round of every root at once, the last round first: for
+resistance a pivot, two diagonal updates and one fill per midpoint, for
+distance one fill per midpoint, in a few array operations and with no sparse
+factorisation.  A round's midpoints hold one contiguous label range [lo, hi),
+and the ends of the edges they split are older, so their labels are >= hi:
+the round's updates are binned from hi on and cost the labels they reach, not
+those below.
 
 Each forest derives its Laplacian once, in that order, as sorted CSC arrays
 (`SPGraph.laplacian`), straight from the history: the midpoints take
@@ -34,11 +35,15 @@ consecutive labels down from the terminals, round by round, the leaf edges'
 ends are expanded round by round, and one sort of their keys gives the
 entries column by column.  No edge list is kept; the edge each midpoint split is
 kept next to the Laplacian (`SPGraph.split_ends`), and so is each node's root,
-read off each round's series positions.  Both oracles read the
-Laplacian: the resistance oracle eliminates it and checks each root's
-potentials against it, and the distance oracle searches its symmetric
-pattern as a directed graph, from one source joined to every a, so neither
-builds a matrix of its own.  `forests` groups seeds into forests of at most
+read off each round's series positions.  From these two the forest derives,
+once, the layout both oracles eliminate in (`SPGraph._slots`): the two slots
+below each column's diagonal, the slot each Laplacian entry takes and each
+midpoint fills, and the rounds' label ranges.  The oracles run one elimination
+in two semirings: the resistance oracle in (+, *) over the Laplacian's values,
+certified by each root's residual, and the distance oracle in (min, +) over its
+pattern (Carré, IMA J. Appl. Math. 7, 1971), certified by a one-hop check of
+every node against its neighbours; neither builds a matrix of its own, and
+numpy is all they need.  `forests` groups seeds into forests of at most
 FOREST_EDGES edges: one seed per call leaves most of the time in numpy's
 per-call overhead, and larger forests ran no faster but hold more memory.
 """
@@ -49,6 +54,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +66,22 @@ MAX_ROUNDS = 24  # 2^24 edges: one build and its fold peak at 0.27 GB resident (
 MAX_ORACLE_ROUNDS = 16  # the oracles' Laplacian is derived for forests of up to 2^16 edges
 FOREST_EDGES = 2**15  # `forests` makes forests of at most this many edges: 8 seeds at n = 12
 _RESIDUAL_TOL = 1e-9  # largest Laplacian solve residual accepted, relative to max(1, |rhs|)
+
+
+class _Slots(NamedTuple):
+    """The elimination layout both oracles read (`SPGraph._slots`), as intp index arrays.
+
+    Column j < n - 1 of the Laplacian has two slots below its diagonal, 2 j and
+    2 j + 1, for the two ends of the edge j split (`SPGraph.split_ends`)."""
+
+    rows: np.ndarray  # the Laplacian's row indices
+    cols: np.ndarray  # the column of each entry
+    split: np.ndarray  # `SPGraph.split_ends`
+    diagonal: np.ndarray  # where each column's diagonal entry is
+    below: np.ndarray  # where the entries below the diagonal are ...
+    slot: np.ndarray  # ... and the slot each one takes
+    fill_slot: np.ndarray  # row j < m: the slot that eliminating midpoint j fills
+    rounds: tuple[tuple[int, int], ...]  # each round's midpoint labels [lo, hi), in elimination order
 
 
 @dataclass(frozen=True)
@@ -149,6 +171,39 @@ class SPGraph:
         for arr in (data, rows, indptr, split, owner):
             arr.flags.writeable = False
         return (data, rows, indptr), split, owner
+
+    @cached_property
+    def _slots(self) -> _Slots:
+        """The oracles' elimination layout (`_Slots`), derived from `laplacian` and `split_ends`
+        on first use and kept, read-only; a Laplacian entry outside it raises `HomsysError`."""
+        _, rows, indptr = self.laplacian
+        rows = rows.astype(np.intp)  # index arrays are intp, which numpy gathers fastest
+        split = self.split_ends.astype(np.intp)
+        n = indptr.size - 1
+        m = n - 2 * self.roots
+        cols = np.repeat(np.arange(n), np.diff(indptr))
+        # an entry (row, col) below the diagonal belongs in slot 2 * col + 1 if row is col's
+        # second split end, and otherwise in slot 2 * col, whose split end it must then be
+        below = np.flatnonzero(rows > cols)
+        col, row = cols[below], rows[below]
+        slot_row = split.ravel()
+        slot = 2 * col
+        slot += row == slot_row[slot + 1]
+        diagonal = np.flatnonzero(rows == cols)
+        if diagonal.size != n or not np.array_equal(slot_row[slot], row):
+            raise HomsysError("Laplacian entry off the diagonal and the split-end slots of its column")
+        # eliminating midpoint j fills (u, v) = split[j] in the column of its younger end c,
+        # at c's second slot if c is u (edge (c, v) descends from c's second edge), else its first
+        u, v = split[:m, 0], split[:m, 1]
+        fill_slot = 2 * np.minimum(u, v)
+        fill_slot += u < v
+        # the last round's midpoints hold the lowest labels, then the round before it, and so on
+        bounds = [0, *accumulate(np.count_nonzero(h) for h in reversed(self.history))]
+        rounds = tuple((lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi)
+        slots = _Slots(rows, cols, split, diagonal, below, slot, fill_slot, rounds)
+        for arr in slots[:-1]:
+            arr.flags.writeable = False
+        return slots
 
 
 def _leaf_ends(history: tuple[np.ndarray, ...], roots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -254,57 +309,38 @@ def resistance_exact(g: SPGraph) -> np.ndarray:
     midpoints per step, the last round first; no z is a pivot, which
     grounds it.  When its round comes, a midpoint meets only the two ends of
     the edge it split (`SPGraph.split_ends`), so its column below the diagonal
-    has two fixed slots, and an entry outside them raises `HomsysError`.
-    Back-substitution walks the rounds in reverse.  The potentials are then
-    certified root by root by the residual of the grounded system on the
-    Laplacian arrays, however they were computed; nothing of the fold is read.
+    has two fixed slots (`SPGraph._slots`), and an entry outside them raises
+    `HomsysError`.  Back-substitution walks the rounds in reverse.  The
+    potentials are then certified root by root by the residual of the grounded
+    system on the Laplacian arrays, however they were computed; nothing of the
+    fold is read.
     """
-    data, rows, indptr = g.laplacian
-    rows = rows.astype(np.intp)  # index arrays are intp, which numpy gathers fastest
-    split = g.split_ends.astype(np.intp)
-    n = indptr.size - 1
+    data = g.laplacian[0]
+    s = g._slots
+    n = s.diagonal.size
     m = n - 2 * g.roots  # the midpoints; the a's are m, m + 2, ... and the z's follow each
-    cols = np.repeat(np.arange(n), np.diff(indptr))
-    # an entry (row, col) below the diagonal belongs in slot 2 * col + 1 if row is col's
-    # second split end, and otherwise in slot 2 * col, whose split end it must then be
-    below = np.flatnonzero(rows > cols)
-    col, row = cols[below], rows[below]
-    slot_row = split.ravel()
-    slot = 2 * col
-    slot += row == slot_row[slot + 1]
-    diag = data[np.flatnonzero(rows == cols)]
-    if diag.size != n or not np.array_equal(slot_row[slot], row):
-        raise HomsysError("Laplacian entry off the diagonal and the split-end slots of its column")
+    diag = data[s.diagonal]
     off = np.zeros(2 * (n - 1))
-    off[slot] = data[below]
-    # eliminating midpoint j fills (u, v) = split[j] in the column of its younger end c,
-    # at c's second slot if c is u (edge (c, v) descends from c's second edge), else its first
-    u, v = split[:m, 0], split[:m, 1]
-    fill_slot = 2 * np.minimum(u, v)
-    fill_slot += u < v
-    # the last round's midpoints hold the lowest labels, then the round before it, and so on
-    bounds = [0, *accumulate(np.count_nonzero(h) for h in reversed(g.history))]
-    rounds = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-
+    off[s.slot] = data[s.below]
     off_pairs = off.reshape(-1, 2)
     factor = np.empty((m, 2))  # the two entries of L below each midpoint's unit diagonal
-    for lo, hi in rounds:
+    for lo, hi in s.rounds:
         w = off_pairs[lo:hi]
         f = np.divide(w, diag[lo:hi, None], out=factor[lo:hi])
-        lost = np.bincount(split[lo:hi].ravel() - hi, weights=(w * f).ravel())
+        lost = np.bincount(s.split[lo:hi].ravel() - hi, weights=(w * f).ravel())
         diag[hi : hi + lost.size] -= lost
-        fill = np.bincount(fill_slot[lo:hi] - 2 * hi, weights=w[:, 0] * f[:, 1])
+        fill = np.bincount(s.fill_slot[lo:hi] - 2 * hi, weights=w[:, 0] * f[:, 1])
         off[2 * hi : 2 * hi + fill.size] -= fill
     # L D L^T x = e_a: e_a is zero on every midpoint, so the forward sweep leaves it as it is,
     # and L^T x = e_a / D_a remains, with every z grounded at 0
     x = np.zeros(n)
     np.divide(1.0, diag[m::2], out=x[m::2])
-    for lo, hi in reversed(rounds):
-        terms = x[split[lo:hi]]
+    for lo, hi in reversed(s.rounds):
+        terms = x[s.split[lo:hi]]
         terms *= factor[lo:hi]
         np.add(terms[:, 0], terms[:, 1], out=x[lo:hi])
         np.negative(x[lo:hi], out=x[lo:hi])
-    lx = np.bincount(rows, weights=data * x[cols], minlength=n)
+    lx = np.bincount(s.rows, weights=data * x[s.cols], minlength=n)
     lx[m::2] -= 1.0
     lx[m + 1 :: 2] = 0.0  # a z's row is not in the grounded system
     # each root's residual, whose right side has norm 1
@@ -322,34 +358,42 @@ def resistance_exact(g: SPGraph) -> np.ndarray:
 def distance_exact(g: SPGraph) -> np.ndarray:
     """Terminal-to-terminal hop distance of each root (all edges have unit length).
 
-    One breadth-first search over the forest's sorted Laplacian pattern
-    (`SPGraph.laplacian`), which is symmetric and so read as directed, from a
-    source joined to every a; each z's hops are counted along its predecessor
-    tree back to the source by pointer doubling, less the source's own hop.
+    The resistance oracle's elimination in the (min, +) semiring (Carré's path
+    algebra): each slot of `SPGraph._slots` starts at 1 hop where the Laplacian
+    has the entry and unreached where it has none; eliminating a midpoint
+    offers its split ends the path through it, the sum of its two slots, and
+    after the last round each a's a-z slot holds its root's distance.
+    Back-substitution walks the rounds in reverse, from every a at 0: a
+    midpoint's hops are the smaller of its split ends' hops plus its slots.
+    The hops pi are then certified on the Laplacian's pattern, however they were
+    computed: each a has pi = 0, no edge changes pi by more than 1, and every other
+    node has a neighbour with pi one lower, so pi is the hop distance from the a.
+    A failed certificate raises `HomsysError` naming the seed.
     """
-    # imported here so that commands which never call an oracle start without scipy
-    import scipy.sparse as sp
-    import scipy.sparse.csgraph as csgraph
-
-    data, rows, indptr = g.laplacian
-    n = indptr.size - 1
-    a = np.arange(n - 2 * g.roots, n, 2, dtype=np.int32)
-    z = a + 1
-    source = n
-    adj = sp.csr_matrix(
-        (np.append(data, np.ones(g.roots)), np.append(rows, a), np.append(indptr, indptr[-1] + g.roots)),
-        shape=(n + 1, n + 1),
-    )
-    _, pred = csgraph.breadth_first_order(adj, source, directed=True, return_predecessors=True)
-    # up[v] is 2^i steps up the tree from v after i doublings, and hops[v] the steps to it;
-    # the source and any node the search missed point to themselves
-    reached = pred >= 0
-    up = np.where(reached, pred, np.arange(n + 1))
-    hops = reached.astype(np.intp)
-    while np.any(up[up[z]] != up[z]):
-        hops += hops[up]
-        up = up[up]
-    bad = np.flatnonzero(up[z] != source)
+    indptr = g.laplacian[2]
+    s = g._slots
+    n = s.diagonal.size
+    m = n - 2 * g.roots
+    unreached = n + 1  # above every hop count, and two of them add up within int32
+    hop = np.full(2 * (n - 1), unreached, dtype=np.int32)
+    hop[s.slot] = 1
+    hop_pairs = hop.reshape(-1, 2)
+    for lo, hi in s.rounds:
+        # midpoints splitting parallel copies of one edge fill one slot: reduce, don't assign
+        np.minimum.at(hop, s.fill_slot[lo:hi], np.add(hop_pairs[lo:hi, 0], hop_pairs[lo:hi, 1]))
+    pi = np.empty(n, dtype=np.int32)
+    pi[m::2] = 0
+    pi[m + 1 :: 2] = hop[2 * m + 1 :: 4]  # an a's split ends are (z, z), so its a-z slot is 2 a + 1
+    for lo, hi in reversed(s.rounds):
+        via = pi[s.split[lo:hi]]
+        via += hop_pairs[lo:hi]
+        np.minimum(via[:, 0], via[:, 1], out=pi[lo:hi])
+    # each column holds its diagonal, so every node's segment is nonempty and its minimum is at most pi
+    slack = pi - np.minimum.reduceat(pi[s.rows], indptr[:-1])
+    bad = slack != 1
+    bad[m::2] = (slack[m::2] > 1) | (pi[m::2] != 0)
+    bad = np.flatnonzero(bad)
     if bad.size:
-        raise HomsysError(f"seed {g.seeds[bad[0]]}: terminals are disconnected")
-    return (hops[z] - 1).astype(float)
+        seed = g.seeds[g._oracle_arrays[2][bad].min()]
+        raise HomsysError(f"seed {seed}: hop distances fail their certificate on the Laplacian")
+    return pi[m + 1 :: 2].astype(float)

@@ -300,20 +300,22 @@ def _subprocess_env() -> dict:
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    # only serpar's distance oracle uses scipy (csgraph, which loads scipy.sparse.linalg);
-    # it imports it when called, so commands that never call it start without loading it
+    # the package's only runtime dependency is numpy, so nothing it imports at start-up loads scipy
     env = _subprocess_env()
     code = "import sys, homsys.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
 
 
-def test_the_resistance_oracle_loads_no_scipy():
+def test_the_serpar_oracles_load_no_scipy(tmp_path):
+    # both oracles eliminate the Laplacian in numpy: the verbs that run them leave scipy unloaded
     env = _subprocess_env()
-    code = ("import sys; from homsys import serpar; r = serpar.resistance_exact(serpar.build(8, 0.5, [0]))[0]; "
-            "print(r > 0, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys; from homsys import cli; "
+            f"a = cli.main(['serpar', '--p', '0.5', '--n', '6', '--seeds', '3', '--check-exact', '--out', {str(tmp_path / 's')!r}]); "
+            f"b = cli.main(['report', '--criteria', '5', '--out', {str(tmp_path / 'r')!r}]); "
+            "print(a, b, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "True []"
+    assert out.stdout.strip().splitlines()[-1] == "0 0 []"
 
 
 def _has_mallopt() -> bool:

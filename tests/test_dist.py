@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,14 +68,16 @@ class TestKS:
                 moved[[i, -1]] = moved[[-1, i]]
                 assert ks(moved, ref) == expected
 
-    @pytest.mark.parametrize("kind", ["one", "random", "ties"])
+    @pytest.mark.parametrize("kind", ["one", "random", "ties", "block_edge", "blocks"])
     def test_one_rank_buffer_gives_the_bits_of_two(self, kind):
+        # the whole-array formula, written out; ks runs in blocks of 32768 points
         rng = np.random.default_rng(7)
         s = {"one": np.array([0.1]), "random": rng.normal(scale=0.4, size=1000),
-             "ties": rng.integers(-3, 4, size=500) * 0.25}[kind]
+             "ties": rng.integers(-3, 4, size=500) * 0.25, "block_edge": rng.normal(scale=0.4, size=32769),
+             "blocks": rng.normal(scale=0.4, size=250_001)}[kind]
         s = np.sort(s)
         n = s.size
-        for ref in ("cubic", cubic_grid()):
+        for ref in ("cubic", "linear_half", cubic_grid()):
             cdf = limit_cdf(ref, s) if isinstance(ref, str) else ref(s)
             upper = np.arange(1, n + 1) / n - cdf
             lower = cdf - np.arange(0, n) / n
@@ -82,6 +86,25 @@ class TestKS:
     def test_empty_sample_rejected(self):
         with pytest.raises(DomainError):
             ks(np.array([]), "cubic")
+        with pytest.raises(DomainError):
+            ks(cubic_grid(), np.array([]))
+
+    def test_a_sample_against_a_law_or_a_grid_allocates_block_sized_temporaries(self):
+        # a whole-array evaluation peaked at 3 x 8N; blocks of 32768 points leave about six
+        # block-sized temporaries (cubic's clip and products), 0.49 x 8N at this N
+        n = 400_000
+        s = np.sort(np.random.default_rng(3).normal(scale=0.4, size=n))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for ref in ("cubic", "linear_half", cubic_grid()):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                ks(s, ref)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) <= 0.6 * 8 * n, [p / (8 * n) for p in peaks]
 
 
 class TestGridCDF:

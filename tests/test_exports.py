@@ -93,6 +93,22 @@ def test_the_package_reads_no_environment_variable():
     assert not reads
 
 
+def test_no_module_of_the_package_imports_scipy():
+    # numpy is the one runtime dependency; scipy is a test extra, read only by the tests' references
+    imports = []
+    for path in sorted(Path(homsys.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                imports.append(f"{path.name}:{node.lineno}")
+    assert not imports
+
+
 def test_the_benchmark_tracer_finds_every_span_it_reports(monkeypatch):
     # the tracer wraps the public functions by name, and its per-layer metrics look some of them up;
     # a public function that moves or is renamed must fail here, not only in a traced benchmark run

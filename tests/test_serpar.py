@@ -41,10 +41,12 @@ def test_build_is_deterministic_and_sized():
 def test_the_laplacian_is_derived_once_and_read_only():
     g = serpar.build(6, 0.5, [1])
     r, d = serpar.resistance_exact(g), serpar.distance_exact(g)
-    laplacian = g.laplacian
+    laplacian, slots = g.laplacian, g._slots
     assert not any(x.flags.writeable for x in laplacian)
+    assert not any(x.flags.writeable for x in slots[:-1])  # the slot layout both oracles read
     assert (serpar.resistance_exact(g), serpar.distance_exact(g)) == (r, d)
     assert all(x is y for x, y in zip(g.laplacian, laplacian))
+    assert g._slots is slots
     too_big = serpar.build(serpar.MAX_ORACLE_ROUNDS + 1, 0.5, [1])
     for derive in (lambda g: g.laplacian, serpar.resistance_exact, serpar.distance_exact):
         with pytest.raises(DomainError):
@@ -77,6 +79,33 @@ def test_oracles_give_the_bits_of_the_coo_path(g):
     assert serpar.distance_exact(g) == coo_laplacian_oracles.distance_exact(g)
 
 
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [1, 6, 12])
+def test_the_distances_of_a_forest_are_the_breadth_first_searches_of_its_graphs(n, p):
+    seeds = [5, 0, 7, 1, 6, 2, 4, 3]
+    want = [coo_laplacian_oracles.distance_exact(serpar.build(n, p, [seed])) for seed in seeds]
+    assert serpar.distance_exact(serpar.build(n, p, seeds)).tolist() == want
+
+
+@pytest.mark.parametrize("root", [0, 1])
+def test_a_failed_hop_certificate_names_the_seed(root):
+    # one series round: the midpoint j of root 0 is m - 1 and that of root 1 is m - 2, each
+    # splitting its root's (a, z); with j's a-slot moved onto its z-slot, j and z are unreached,
+    # so j's hops exceed its a-neighbour's by more than 1
+    g = serpar.build(1, 1.0, [4, 9])
+    assert serpar.distance_exact(g).tolist() == [2.0, 2.0]
+    g = serpar.build(1, 1.0, [4, 9])
+    slots = g._slots
+    m = slots.diagonal.size - 4
+    j = m - 1 - root
+    assert g.split_ends[j].tolist() == [m + 2 * root, m + 2 * root + 1]
+    slot = slots.slot.copy()
+    slot[slot == 2 * j] = 2 * j + 1
+    g.__dict__["_slots"] = slots._replace(slot=slot)
+    with pytest.raises(HomsysError, match=f"^seed {[4, 9][root]}: hop distances fail their certificate"):
+        serpar.distance_exact(g)
+
+
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 12, 16])
 def test_the_split_ends_are_the_edges_the_midpoints_split(n, p):
@@ -103,8 +132,10 @@ def test_a_laplacian_entry_outside_the_split_end_slots_is_rejected():
     moved = rows.copy()
     moved[indptr[col + 1] - 1] = other
     g.__dict__["laplacian"] = (data, moved, indptr)
-    with pytest.raises(HomsysError, match="split-end slots"):
-        serpar.resistance_exact(g)
+    # both oracles read the slots, which are derived from the Laplacian and rejected each time
+    for oracle in (serpar.resistance_exact, serpar.distance_exact):
+        with pytest.raises(HomsysError, match="split-end slots"):
+            oracle(g)
 
 
 def test_a_residual_above_the_tolerance_is_rejected(monkeypatch):
