@@ -40,9 +40,11 @@ With one arena every thread, serpar's workers too, allocates from the one
 heap.  Where `mallopt` is missing (another libc, another system) nothing
 is set.  No output depends on it.
 
-The `simulate` and `evolve` summaries carry the `scaling` the run used,
-{law, constant, exponent}: each checkpoint's log X_n is divided by
-(constant n)^exponent and compared to the limit law.  It comes from the
+`_checkpoints` alone writes the checkpoint CSV and records of `simulate` and
+`evolve`: a grid law on at most 2049 of its nodes, a pool as its empirical
+CDF on `--grid` cells with its quantiles.  Both summaries carry the `scaling`
+the run used, {law, constant, exponent}: each checkpoint's log X_n is divided
+by (constant n)^exponent and compared to the limit law.  It comes from the
 classification of the model (`models.resolve_scaling`), unless `simulate` is
 given `--law`, `--scale-constant` and `--exponent`: all three or none, a
 partial set being a usage error.  A given constant or exponent that is not
@@ -173,6 +175,21 @@ def _emit_checkpoint_csv(fh, n: int, x: np.ndarray, cdf: np.ndarray, law: str) -
     fh.write((row * len(x)) % tuple(np.column_stack([x, cdf, ref, dens]).ravel().tolist()))
 
 
+def _checkpoints(args, cps) -> list[dict]:
+    records = []
+    with _csv_out(args, "n,x,cdf,cdf_limit,density") as fh:
+        for cp in cps:
+            record = {"n": cp.n, "scale": cp.scale, "ks": cp.ks}
+            if isinstance(cp.rescaled, dist.GridCDF):
+                g, stride = cp.rescaled, max(1, cp.rescaled.m // 2048)
+            else:
+                g, stride = dist.from_samples(cp.rescaled, m=args.grid, pad=0.05), 1
+                record["quantiles"] = _quantiles(cp.rescaled)
+            _emit_checkpoint_csv(fh, cp.n, g.grid()[::stride], g.cdf[::stride], cp.law)
+            records.append(record)
+    return records
+
+
 # -- subcommands: each but report takes the arguments and the model (None for serpar) and returns its summary
 
 
@@ -201,15 +218,9 @@ def _scaling_summary(scaling: tuple[str, float, float]) -> dict:
 def _cmd_simulate(args, model) -> dict:
     given = (args.law, args.scale_constant, args.exponent)
     scaling = resolve_scaling(model, None if given[0] is None else given)
-    summaries = mc.simulate(model, args.init, args.n, args.pool, args.seed, args.checkpoints, scaling)
-    records = []
-    with _csv_out(args, "n,x,cdf,cdf_limit,density") as fh:
-        for s in summaries:
-            emp = dist.from_samples(s.rescaled, m=args.grid, pad=0.05)
-            _emit_checkpoint_csv(fh, s.n, emp.grid(), emp.cdf, s.law)
-            records.append({"n": s.n, "scale": s.scale, "ks": s.ks, "quantiles": _quantiles(s.rescaled)})
-    return {"n": args.n, "pool": args.pool, "seed": args.seed, "init": args.init, "checkpoints": records,
-            "scaling": _scaling_summary(scaling)}
+    cps = mc.simulate(model, args.init, args.n, args.pool, args.seed, args.checkpoints, scaling)
+    return {"n": args.n, "pool": args.pool, "seed": args.seed, "init": args.init,
+            "checkpoints": _checkpoints(args, cps), "scaling": _scaling_summary(scaling)}
 
 
 def _cmd_evolve(args, model) -> dict:
@@ -220,15 +231,8 @@ def _cmd_evolve(args, model) -> dict:
     init = dist.GridCDF(-width, width, np.clip((x + width) / (2 * width), 0.0, 1.0))
     scaling = resolve_scaling(model)
     cps = evolve.run(init, model, args.n, args.checkpoints, m=args.grid, scaling=scaling)
-    records = []
-    with _csv_out(args, "n,x,cdf,cdf_limit,density") as fh:
-        for cp in cps:
-            g = cp.dist
-            stride = max(1, g.m // 2048)
-            _emit_checkpoint_csv(fh, cp.n, g.grid()[::stride], g.cdf[::stride], cp.law)
-            records.append({"n": cp.n, "scale": cp.scale, "ks": cp.ks})
-    return {"n": args.n, "grid": args.grid, "checkpoints": records, "scaling": _scaling_summary(scaling),
-            "diagnostics": asdict(cps[-1].diagnostics) if cps else None}
+    return {"n": args.n, "grid": args.grid, "checkpoints": _checkpoints(args, cps),
+            "scaling": _scaling_summary(scaling), "diagnostics": asdict(cps[-1].diagnostics)}
 
 
 def _cmd_serpar(args, model) -> dict:

@@ -72,11 +72,16 @@ class GridCDF:
         return float(x[i - 1] + w * self.h)
 
 
-def rescale(d: GridCDF, s: float) -> GridCDF:
-    """Distribution of (log X)/s: support mapped x -> x/s, values unchanged."""
+def rescale(d: GridCDF | np.ndarray, s: float) -> GridCDF | np.ndarray:
+    """Distribution of (log X)/s: a GridCDF's support mapped x -> x/s, values unchanged, or a sample
+    sorted into a new array and divided by s."""
     if not s > 0:
         raise DomainError("scale must be positive")
-    return GridCDF(d.lo / s, d.hi / s, d.cdf.copy())
+    if isinstance(d, GridCDF):
+        return GridCDF(d.lo / s, d.hi / s, d.cdf.copy())
+    r = np.sort(np.asarray(d, dtype=float))
+    r /= s
+    return r
 
 
 def from_samples(samples, m: int, pad: float = 0.5) -> GridCDF:
@@ -150,8 +155,6 @@ def ks(a, b) -> float:
             return float(np.max(np.abs(a(xs) - b(xs))))
         return _ks_sample_vs(np.asarray(b, dtype=float), a)
     a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        raise DomainError("empty sample")
     if isinstance(b, str):
         return _ks_sample_vs(a, lambda x: limit_cdf(b, x))
     if isinstance(b, GridCDF):
@@ -195,6 +198,8 @@ def _is_sorted(x: np.ndarray) -> bool:
 
 
 def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
+    if a.size == 0 or b.size == 0:
+        raise DomainError("empty sample")
     sa, sb = np.sort(a), np.sort(b)
     allv = np.concatenate([sa, sb])
     ca = np.searchsorted(sa, allv, side="right") / sa.size

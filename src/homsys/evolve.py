@@ -50,15 +50,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import GridCDF, ks, rescale
+from .dist import GridCDF
 from .errors import ClampBudgetExceededError, DomainError, HomsysError, RegridRequiredError
 from .hfun import HFunction, t_breaks, t_halvings, t_of, t_support_end
-from .models import ModelSpec, checkpoint_scales, resolve_scaling
+from .models import Checkpoint, ModelSpec, run_checkpoints
 from .quadrature import integrate_intervals
 
 __all__ = [
     "lambda_operator", "step_detailed", "grid_filters", "run",
-    "ShiftFilters", "StepBuffers", "StepDiagnostics", "RunDiagnostics", "RunCheckpoint",
+    "ShiftFilters", "StepBuffers", "StepDiagnostics", "RunDiagnostics",
 ]
 
 _EDGE_EPS = 1e-12
@@ -510,16 +510,6 @@ class RunDiagnostics:
     max_monotonicity_defect: float
 
 
-@dataclass
-class RunCheckpoint:
-    n: int
-    scale: float
-    ks: float
-    dist: GridCDF
-    law: str
-    diagnostics: RunDiagnostics
-
-
 def run(
     init: GridCDF,
     model: ModelSpec,
@@ -527,19 +517,16 @@ def run(
     checkpoints: tuple[int, ...],
     m: int = 8192,
     scaling: tuple[str, float, float] | None = None,
-) -> list[RunCheckpoint]:
-    """Evolve the grid law n_steps times, recording rescaled checkpoints.
+) -> list[Checkpoint]:
+    """Evolve the grid law n_steps times under models.run_checkpoints; each checkpoint carries the
+    RunDiagnostics through it."""
+    return run_checkpoints(model, lambda reach: _laws(init, model, m, reach), n_steps, checkpoints, scaling)
 
-    scaling = (law, constant, exponent) is checked by resolve_scaling, which
-    derives it from the model when it is None.  The domain is allocated once,
-    sized from the growth (constant * n_steps)^exponent of the support, so no
-    regridding happens mid-run.  Checkpoint laws are rescaled by
-    (constant * n)^exponent and compared to the limit CDF of law.
-    """
-    scaling = resolve_scaling(model, scaling)
-    scales, tau_max = checkpoint_scales(scaling, n_steps, checkpoints)
-    law = scaling[0]
-    half = 1.5 * tau_max + 8.0 + max(model.r_plus(), model.r_minus())
+
+def _laws(init: GridCDF, model: ModelSpec, m: int, reach: float):
+    """The law after each step, on m cells allocated once, sized from reach so that no regridding
+    happens mid-run, with the RunDiagnostics through that step."""
+    half = 1.5 * reach + 8.0 + max(model.r_plus(), model.r_minus())
     lo = min(init.lo, -half)
     hi = max(init.hi, half)
     x = np.linspace(lo, hi, m + 1)
@@ -552,16 +539,11 @@ def run(
     buffers = StepBuffers(model, filters, m + 1)
     t_cells, groups, taps = (tuple(0 if fl is None else getattr(fl, key) for fl in filters)
                              for key in ("t_cells", "groups", "taps"))
-    out: list[RunCheckpoint] = []
     budget = defect = 0.0
-    for n in range(1, n_steps + 1):
+    while True:
         d, diag = step_detailed(d, model, buffers)
         budget += diag.clamp_budget
         defect = max(defect, diag.max_monotonicity_defect)
         if budget > CLAMP_ABORT_BUDGET:
             raise ClampBudgetExceededError(f"accumulated clamp budget {budget:.3g} exceeds {CLAMP_ABORT_BUDGET}")
-        if n in scales:
-            r = rescale(d, scales[n])
-            diagnostics = RunDiagnostics(t_cells, groups, taps, budget, defect)
-            out.append(RunCheckpoint(n, scales[n], ks(r, law), r, law, diagnostics))
-    return out
+        yield d, RunDiagnostics(t_cells, groups, taps, budget, defect)

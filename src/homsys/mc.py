@@ -20,30 +20,30 @@ and calls only the private draw helpers and numpy; every public function,
 `pool_step` and the atoms included, runs on the calling thread.
 
 Buffers: a pool is a plain float array, checked (size, finite point value)
-once per run by `new_pool`.  `simulate` owns and recycles the two pool
-arrays it steps between, and one 2N parent buffer: each step gathers its
-parents into the parent buffer and writes the new pool into the spare array,
-and the array it replaced becomes the next spare.  A step thus allocates
-only the atoms' temporaries, while the helper allocates the next step's
-index array, so at most two 2N index arrays are alive at once.  The draws
-and the arithmetic are those of `pool_step` on new arrays, so the
-reproducibility contract is unchanged, and no caller's array is ever
-written; each checkpoint keeps its own sorted copy of the pool.
+once per run by `new_pool`.  `simulate`'s steps, a generator that
+`models.run_checkpoints` drives and closes on every exit (which ends the
+helper), own and recycle the two pool arrays they step between, and one 2N
+parent buffer: each step gathers its parents into the parent buffer and
+writes the new pool into the spare array, and the array it replaced becomes
+the next spare.  A step thus allocates only the atoms' temporaries, while
+the helper allocates the next step's index array, so at most two 2N index
+arrays are alive at once.  The draws and the arithmetic are those of
+`pool_step` on new arrays, so the reproducibility contract is unchanged, and
+no caller's array is ever written; a checkpoint's rescaled pool is its own
+sorted copy (`dist.rescale`).
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import ks
 from .errors import DomainError
-from .models import ModelSpec, _atom_counts, apply_mixture, checkpoint_scales, resolve_scaling
+from .models import Checkpoint, ModelSpec, _atom_counts, apply_mixture, run_checkpoints
 
-__all__ = ["new_pool", "pool_step", "simulate", "hipster_direct", "CheckpointSummary"]
+__all__ = ["new_pool", "pool_step", "simulate", "hipster_direct"]
 
 _STREAM_STEP = 1
 _STREAM_WALK = 2
@@ -88,15 +88,6 @@ def pool_step(
     return apply_mixture(model, None, parents[:N], parents[N:], out=out, counts=counts)
 
 
-@dataclass
-class CheckpointSummary:
-    n: int
-    scale: float
-    ks: float
-    rescaled: np.ndarray
-    law: str
-
-
 def simulate(
     model: ModelSpec,
     init: float,
@@ -105,23 +96,15 @@ def simulate(
     seed: int,
     checkpoints: tuple[int, ...],
     scaling: tuple[str, float, float] | None = None,
-) -> list[CheckpointSummary]:
-    """Pool simulation from the point value init, with rescaled-KS summaries at the checkpoints.
+) -> list[Checkpoint]:
+    """Pool simulation of n steps from the point value init under models.run_checkpoints."""
+    return run_checkpoints(model, lambda reach: _pools(model, init, n, N, seed), n, checkpoints, scaling)
 
-    The checkpoint pools are rescaled by (constant n)^exponent and compared to
-    the limit law of scaling = (law, constant, exponent), which
-    resolve_scaling checks, or, when None, derives from the classification of
-    the model: cubic with (c* n)^(1/3) in the cube-root regime, y^2 with the
-    proved constants for the known square-root models.
-    """
-    if n < 1:
-        raise DomainError("need n >= 1")
+
+def _pools(model: ModelSpec, init: float, n: int, N: int, seed: int):
+    """The pool after each of the steps 1..n, with no diagnostics, in the two arrays the run recycles."""
     pool = new_pool(init, N)
-    scaling = resolve_scaling(model, scaling)
-    scales, _ = checkpoint_scales(scaling, n, checkpoints)
-    law = scaling[0]
     spare, parents = np.empty(N), np.empty(2 * N)
-    out = []
     with ThreadPoolExecutor(1) as helper:
         ahead = helper.submit(_step_draws, model, seed, 1, N)
         for k in range(1, n + 1):
@@ -129,13 +112,8 @@ def simulate(
             # step k + 1's draws run on the helper while this thread runs step k
             ahead = helper.submit(_step_draws, model, seed, k + 1, N) if k < n else None
             pool, spare = pool_step(model, pool, seed, k, spare, parents, draws), pool
-            del draws  # step k's indices, freed before the checkpoint sorts
-            if k in scales:
-                # the same multiset as pool / scale, in order, and safe from later steps
-                resc = np.sort(pool)
-                resc /= scales[k]
-                out.append(CheckpointSummary(k, scales[k], ks(resc, law), resc, law))
-    return out
+            del draws  # step k's indices, freed before a checkpoint sorts
+            yield pool, None
 
 
 def _walk_draws(seed: int, step: int, N: int) -> tuple[np.ndarray, np.ndarray]:

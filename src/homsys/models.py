@@ -1,5 +1,5 @@
-"""Finite-mixture laws of the random function, built-in named models, and the
-criticality/regime classifier."""
+"""Finite-mixture laws of the random function, built-in named models, the
+criticality/regime classifier, and the checkpointed run that drives every engine."""
 
 from __future__ import annotations
 
@@ -8,12 +8,13 @@ import json
 import math
 import numbers
 import os
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import hfun
-from .dist import LIMIT_LAWS
+from .dist import LIMIT_LAWS, GridCDF, ks, rescale
 from .errors import DomainError
 from .hfun import HFunction
 from .moments import MOMENT_TOL, alpha, c_star, gamma
@@ -25,7 +26,8 @@ __all__ = [
     "classify",
     "apply_mixture",
     "resolve_scaling",
-    "checkpoint_scales",
+    "Checkpoint",
+    "run_checkpoints",
     "invert_model",
     "parse_model",
     "model_digest",
@@ -276,13 +278,31 @@ def resolve_scaling(model: ModelSpec, scaling: tuple[str, float, float] | None =
     raise DomainError(f"no limit law known for model {model.name!r} (regime {regime!r}); pass a scaling triple")
 
 
-def checkpoint_scales(scaling: tuple[str, float, float], n_steps: int, checkpoints) -> tuple[dict[int, float], float]:
-    """The scale (constant n)^exponent at each checkpoint, in order, and at max(n_steps, 1).
+@dataclass
+class Checkpoint:
+    """A run's law after n steps, rescaled by scale (a GridCDF, or the sorted pool), its KS distance
+    to the limit law `law`, and the engine's diagnostics, if it has any."""
 
-    The checkpoints must lie in 1..n_steps.  A scale that overflows, or
-    underflows to 0, raises DomainError, so a run fails before its first step.
+    n: int
+    scale: float
+    ks: float
+    law: str
+    rescaled: GridCDF | np.ndarray
+    diagnostics: object = None
+
+
+def run_checkpoints(
+    model: ModelSpec, steps, n_steps: int, checkpoints, scaling: tuple[str, float, float] | None = None
+) -> list[Checkpoint]:
+    """Run an engine n_steps steps and record its law at each checkpoint, in 1..n_steps, rescaled
+    by (constant n)^exponent from resolve_scaling(model, scaling), checked finite and > 0 first.
+
+    steps(reach) returns the engine's iterator over (law, diagnostics or None) after steps 1, 2,
+    ..., reach being the largest scale.  The iterator is closed after n_steps items, or on any error.
     """
-    _, constant, exponent = scaling
+    if n_steps < 1:
+        raise DomainError(f"need n >= 1, got {n_steps}")
+    law, constant, exponent = resolve_scaling(model, scaling)
     cps = sorted(set(checkpoints))
     if cps and not 1 <= cps[0] <= cps[-1] <= n_steps:
         raise DomainError(f"checkpoints must lie in 1..{n_steps}")
@@ -296,7 +316,15 @@ def checkpoint_scales(scaling: tuple[str, float, float], n_steps: int, checkpoin
             raise DomainError(f"scale ({constant!r} * {n}) ** {exponent!r} is not finite and > 0")
         return s
 
-    return {n: scale(n) for n in cps}, scale(max(n_steps, 1))
+    scales = {n: scale(n) for n in cps}
+    out = []
+    with closing(steps(scale(n_steps))) as laws:
+        # the range first: zip stops at its end without asking the engine for step n_steps + 1
+        for n, (d, diagnostics) in zip(range(1, n_steps + 1), laws):
+            if n in scales:
+                r = rescale(d, scales[n])
+                out.append(Checkpoint(n, scales[n], ks(r, law), law, r, diagnostics))
+    return out
 
 
 # -- model spec files ----------------------------------------------------------

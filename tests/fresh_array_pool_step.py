@@ -1,5 +1,6 @@
 """Test oracle: the pool step and the literal hipster walk as they were before
-`homsys.mc.simulate` recycled its arrays, each operation on new arrays.
+`homsys.mc.simulate`'s steps and `hipster_direct` recycled their arrays, each
+operation on new arrays.
 
 `pool_step` fancy-indexes the two parent halves, applies each atom to its
 block with the unbuffered expression max/min(lx, ly) +- g(lx - ly), and

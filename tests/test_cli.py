@@ -101,6 +101,22 @@ def test_checkpoint_csv_rows_match_the_per_row_format():
     assert {"-0", "inf", "-inf", "nan", "4.9406564584124654e-324"} <= set(want.replace("\n", ",").split(","))
 
 
+def test_each_law_kind_keeps_its_csv_rule(tmp_path):
+    # a pool's empirical CDF is written on every one of its --grid cells; a grid law every 4th node here
+    for argv, rows in ((["simulate", "--pool", "500", "--grid", "4097"], 4098), (["evolve", "--grid", "8192"], 2049)):
+        stem = tmp_path / argv[0]
+        assert cli.main([*argv, "--model", "hipster", "--n", "2", "--checkpoints", "1,2", "--out", str(stem)]) == 0
+        steps = _csv(f"{stem}.csv")[:, 0]
+        assert [np.count_nonzero(steps == n) for n in (1, 2)] == [rows, rows]
+
+
+def test_both_run_verbs_refuse_a_run_of_no_steps_alike(capsys):
+    for verb in (["simulate", "--pool", "100"], ["evolve", "--grid", "256"]):
+        assert cli.main([*verb, "--model", "hipster", "--n", "0", "--checkpoints", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "validation error: need n >= 1, got 0\n" and not captured.out
+
+
 def test_results_are_byte_identical_across_thread_counts(tmp_path):
     # criterion 9 at a small size: the command line, with the thread count and the output path,
     # goes to the .run.json sidecar, so the results themselves compare byte for byte

@@ -88,6 +88,9 @@ class TestKS:
             ks(np.array([]), "cubic")
         with pytest.raises(DomainError):
             ks(cubic_grid(), np.array([]))
+        for a, b in ((np.array([]), np.ones(3)), (np.ones(3), np.array([]))):
+            with pytest.raises(DomainError, match="empty sample"):
+                ks(a, b)
 
     def test_a_sample_against_a_law_or_a_grid_allocates_block_sized_temporaries(self):
         # a whole-array evaluation peaked at 3 x 8N; blocks of 32768 points leave about six
@@ -157,6 +160,13 @@ class TestGridCDF:
     def test_rescale_requires_positive(self):
         with pytest.raises(DomainError):
             rescale(cubic_grid(), -1.0)
+
+    def test_rescale_sorts_a_sample_into_a_new_array(self):
+        x = np.array([0.5, -1.0, 2.0])
+        assert np.array_equal(rescale(x, 2.0), [-0.5, 0.25, 1.0])
+        assert np.array_equal(x, [0.5, -1.0, 2.0])
+        with pytest.raises(DomainError):
+            rescale(x, 0.0)
 
     def test_rescale_preserves_ks(self):
         g = cubic_grid()

@@ -62,6 +62,14 @@ def test_no_known_law_raises():
     assert cp.law == "cubic" and cp.scale == 2.0**0.5
 
 
+def test_a_run_of_no_steps_raises():
+    model = builtin("hipster")
+    with pytest.raises(DomainError, match="need n >= 1, got 0"):
+        evolve.run(_uniform(m=64), model, 0, (), m=256)
+    with pytest.raises(DomainError, match="need n >= 1, got 0"):
+        mc.simulate(model, 0.0, 0, 200, 1, ())
+
+
 @pytest.mark.parametrize(
     "scaling",
     [
@@ -503,8 +511,8 @@ def test_run_with_prebuilt_filters_equals_repeated_steps():
         d, diag = evolve.step_detailed(d, model)
         budget += diag.clamp_budget
     stepped = rescale(d, cp.scale)
-    assert (stepped.lo, stepped.hi) == (cp.dist.lo, cp.dist.hi)
-    assert np.array_equal(stepped.cdf, cp.dist.cdf)
+    assert (stepped.lo, stepped.hi) == (cp.rescaled.lo, cp.rescaled.hi)
+    assert np.array_equal(stepped.cdf, cp.rescaled.cdf)
     filters = evolve.grid_filters(model, d.h, d.hi - d.lo)
     assert cp.diagnostics.t_cells == tuple(f.t_cells for f in filters)
     assert cp.diagnostics.groups == tuple(f.groups for f in filters)

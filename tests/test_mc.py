@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import homsys
-from homsys import DomainError, HFunction, ModelSpec, builtin, ks, mc
+from homsys import DomainError, HFunction, ModelSpec, builtin, ks, mc, models
 from homsys.hfun import F_MIN, F_SUM
 from homsys.models import apply_mixture
 
@@ -255,6 +255,20 @@ def test_a_run_leaves_no_thread_behind(monkeypatch):
     with pytest.raises(RuntimeError, match="step 3"):
         mc.simulate(builtin("hipster"), 0.0, 6, 1000, 1, (6,))
     assert threading.active_count() == before
+
+
+def test_a_failing_checkpoint_leaves_no_thread_behind(monkeypatch):
+    # step 3's draws are on the helper when the checkpoint at step 2 fails: the run closes its steps
+    before = threading.active_count()
+
+    def failing(*args):
+        raise RuntimeError("checkpoint")
+
+    monkeypatch.setattr(models, "ks", failing)
+    with pytest.raises(RuntimeError, match="checkpoint") as failed:
+        mc.simulate(builtin("hipster"), 0.0, 6, 1000, 1, (2, 6))
+    # the kept traceback holds the run's frames and so its steps: only closing them ends the helper
+    assert failed.value.__traceback__ is not None and threading.active_count() == before
 
 
 @pytest.mark.parametrize("N", [1000, 4097])
