@@ -29,23 +29,22 @@ and the ends of the edges they split are older, so their labels are >= hi:
 the round's updates are binned from hi on and cost the labels they reach, not
 those below.
 
-Each forest derives its Laplacian once, in that order, as sorted CSC arrays
-(`SPGraph.laplacian`), straight from the history: the midpoints take
-consecutive labels down from the terminals, round by round, the leaf edges'
-ends are expanded round by round, and one sort of their keys gives the
-entries column by column.  No edge list is kept; the edge each midpoint split is
-kept next to the Laplacian (`SPGraph.split_ends`), and so is each node's root,
-read off each round's series positions.  From these two the forest derives,
-once, the layout both oracles eliminate in (`SPGraph._slots`): the two slots
-below each column's diagonal, the slot each Laplacian entry takes and each
-midpoint fills, and the rounds' label ranges.  The oracles run one elimination
-in two semirings: the resistance oracle in (+, *) over the Laplacian's values,
-certified by each root's residual, and the distance oracle in (min, +) over its
-pattern (Carré, IMA J. Appl. Math. 7, 1971), certified by a one-hop check of
-every node against its neighbours; neither builds a matrix of its own, and
-numpy is all they need.  `forests` groups seeds into forests of at most
-FOREST_EDGES edges: one seed per call leaves most of the time in numpy's
-per-call overhead, and larger forests ran no faster but hold more memory.
+Each forest derives, once, the one structure both oracles read
+(`SPGraph._layout`), straight from the history: the midpoints take consecutive
+labels down from the terminals, round by round, and the leaf edges' ends are
+expanded round by round into the forest's edge list, with the edge each
+midpoint split and the root of each node, read off each round's series
+positions.  A node's older neighbours are among the two ends of the edge it
+split, so every leaf edge takes one of two slots of its younger end: the slots
+below the diagonal of the Laplacian's column, which the elimination fills.  The
+oracles run one elimination in two semirings: the resistance oracle in (+, *)
+from the degrees and each slot's edge multiplicity, certified by each root's
+residual, L x taken edge by edge, and the distance oracle in (min, +) over the
+occupied slots (Carré, IMA J. Appl. Math. 7, 1971), certified by a one-hop check
+of every edge; neither builds a matrix, and numpy is all they need.  `forests`
+groups seeds into forests of at most FOREST_EDGES edges: one seed per call
+leaves most of the time in numpy's per-call overhead, and larger forests ran no
+faster but hold more memory.
 """
 
 from __future__ import annotations
@@ -63,23 +62,24 @@ from .errors import DomainError, HomsysError
 __all__ = ["SPGraph", "build", "forests", "reduce_graph", "resistance_exact", "distance_exact"]
 
 MAX_ROUNDS = 24  # 2^24 edges: one build and its fold peak at 0.27 GB resident (ru_maxrss)
-MAX_ORACLE_ROUNDS = 16  # the oracles' Laplacian is derived for forests of up to 2^16 edges
+MAX_ORACLE_ROUNDS = 16  # the oracles' layout is derived for forests of up to 2^16 edges
 FOREST_EDGES = 2**15  # `forests` makes forests of at most this many edges: 8 seeds at n = 12
 _RESIDUAL_TOL = 1e-9  # largest Laplacian solve residual accepted, relative to max(1, |rhs|)
 
 
-class _Slots(NamedTuple):
-    """The elimination layout both oracles read (`SPGraph._slots`), as intp index arrays.
+class _Layout(NamedTuple):
+    """The leaf edges and the elimination layout both oracles read (`SPGraph._layout`), as
+    read-only index arrays, nodes in reverse creation labels.
 
-    Column j < n - 1 of the Laplacian has two slots below its diagonal, 2 j and
-    2 j + 1, for the two ends of the edge j split (`SPGraph.split_ends`)."""
+    Node j < n - 1 has two slots, 2 j and 2 j + 1, for the two ends of the edge it split
+    (`split`): the nodes older than j that j meets are among those two ends, so they are the
+    only entries below the diagonal of the Laplacian's column j."""
 
-    rows: np.ndarray  # the Laplacian's row indices
-    cols: np.ndarray  # the column of each entry
-    split: np.ndarray  # `SPGraph.split_ends`
-    diagonal: np.ndarray  # where each column's diagonal entry is
-    below: np.ndarray  # where the entries below the diagonal are ...
-    slot: np.ndarray  # ... and the slot each one takes
+    u: np.ndarray  # each leaf edge's ends, in its a-to-z orientation
+    v: np.ndarray
+    slot: np.ndarray  # the slot each leaf edge takes: its older end's, in its younger end's pair
+    split: np.ndarray  # row j < m: the ends of the edge midpoint j split, a to z; a terminal's row: its root's (z, z)
+    owner: np.ndarray  # the root of each node
     fill_slot: np.ndarray  # row j < m: the slot that eliminating midpoint j fills
     rounds: tuple[tuple[int, int], ...]  # each round's midpoint labels [lo, hi), in elimination order
 
@@ -114,100 +114,38 @@ class SPGraph:
                 raise DomainError(f"round {k} must hold roots * 2^{k} boolean choices")
 
     @cached_property
-    def laplacian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The forest's Laplacian as sorted CSC arrays: (data, row indices, indptr).
-
-        Nodes carry reverse creation labels with the terminals last (root g's a
-        and z are m + 2g and m + 2g + 1, m midpoints); each column holds its rows
-        in increasing order, once each: minus the edge multiplicity off the
-        diagonal, the degree on it.  The matrix is symmetric, so the same arrays
-        are also its CSR form.  Derived from `history` on first use and kept,
-        read-only."""
-        return self._oracle_arrays[0]
-
-    @cached_property
-    def split_ends(self) -> np.ndarray:
-        """Row j < m: the ends (u, v) of the edge that midpoint j split, in reverse
-        creation labels and in the edge's a-to-z orientation; the row of each
-        terminal (the last z has none): (z, z), z being its root's z.
-
-        The nodes older than j that j meets are among u and v, so they are the
-        only entries below the diagonal of the Laplacian's column j.  Derived
-        with `laplacian`, in the same pass over `history`, and kept, read-only."""
-        return self._oracle_arrays[1]
-
-    @cached_property
-    def _oracle_arrays(self):
-        """(`laplacian`, `split_ends`, the root of each node), derived in one pass over `history`."""
+    def _layout(self) -> _Layout:
+        """The oracles' layout (`_Layout`), derived from `history` on first use and kept,
+        read-only; a leaf edge whose older end is not a split end of its younger end raises
+        `HomsysError`."""
         if self.n_edges > 2**MAX_ORACLE_ROUNDS:
             raise DomainError(f"oracle forests are capped at 2^{MAX_ORACLE_ROUNDS} edges")
         ends, split, owner = _leaf_ends(self.history, self.roots)
-        n = owner.size
-        # one key col * n + row per entry: both ends of every edge and the diagonal;
-        # sorted, the keys run column by column and parallel edges repeat a key
-        key_dtype = np.int32 if n * n < 2**31 else np.int64  # int32 keys sort faster
-        e = ends.size // 2
-        u, v = ends[0::2], ends[1::2]
-        keys = np.empty(2 * e + n, dtype=key_dtype)
-        uv, vu = keys[:e], keys[e : 2 * e]
-        np.multiply(u, n, out=uv, dtype=key_dtype)
-        uv += v
-        np.multiply(v, n, out=vu, dtype=key_dtype)
-        vu += u
-        keys[2 * e :] = np.arange(0, n * n, n + 1)
-        keys.sort()
-        first = np.empty(keys.size + 1, dtype=bool)
-        first[0] = first[-1] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:-1])
-        starts = np.flatnonzero(first)  # where each distinct key starts, then keys.size
-        distinct = keys[starts[:-1]]
-        col = distinct // n
-        rows = np.subtract(distinct, col * n, dtype=np.int32)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
-        data = np.subtract(starts[:-1], starts[1:], dtype=float)  # minus the multiplicity; the degree on the diagonal
-        # a column's keys are one per edge end at its node, and its diagonal key
-        data[rows == col] = np.diff(starts[indptr]) - 1
-        for arr in (data, rows, indptr, split, owner):
-            arr.flags.writeable = False
-        return (data, rows, indptr), split, owner
-
-    @cached_property
-    def _slots(self) -> _Slots:
-        """The oracles' elimination layout (`_Slots`), derived from `laplacian` and `split_ends`
-        on first use and kept, read-only; a Laplacian entry outside it raises `HomsysError`."""
-        _, rows, indptr = self.laplacian
-        rows = rows.astype(np.intp)  # index arrays are intp, which numpy gathers fastest
-        split = self.split_ends.astype(np.intp)
-        n = indptr.size - 1
-        m = n - 2 * self.roots
-        cols = np.repeat(np.arange(n), np.diff(indptr))
-        # an entry (row, col) below the diagonal belongs in slot 2 * col + 1 if row is col's
-        # second split end, and otherwise in slot 2 * col, whose split end it must then be
-        below = np.flatnonzero(rows > cols)
-        col, row = cols[below], rows[below]
-        slot_row = split.ravel()
-        slot = 2 * col
-        slot += row == slot_row[slot + 1]
-        diagonal = np.flatnonzero(rows == cols)
-        if diagonal.size != n or not np.array_equal(slot_row[slot], row):
-            raise HomsysError("Laplacian entry off the diagonal and the split-end slots of its column")
-        # eliminating midpoint j fills (u, v) = split[j] in the column of its younger end c,
-        # at c's second slot if c is u (edge (c, v) descends from c's second edge), else its first
-        u, v = split[:m, 0], split[:m, 1]
-        fill_slot = 2 * np.minimum(u, v)
-        fill_slot += u < v
+        # index arrays are intp, which numpy gathers fastest
+        u, v = ends[0::2].astype(np.intp), ends[1::2].astype(np.intp)
+        split = split.astype(np.intp)
+        young, old = np.minimum(u, v), np.maximum(u, v)
+        slot = 2 * young
+        slot += old == split[young, 1]
+        if not np.array_equal(split.ravel()[slot], old):
+            raise HomsysError("leaf edge off the split-end slots of its younger end")
+        # eliminating midpoint j fills (s, t) = split[j] in the slots of its younger end c,
+        # at c's second slot if c is s (edge (c, t) descends from c's second edge), else its first
+        m = owner.size - 2 * self.roots
+        s, t = split[:m, 0], split[:m, 1]
+        fill_slot = 2 * np.minimum(s, t)
+        fill_slot += s < t
         # the last round's midpoints hold the lowest labels, then the round before it, and so on
         bounds = [0, *accumulate(np.count_nonzero(h) for h in reversed(self.history))]
         rounds = tuple((lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi)
-        slots = _Slots(rows, cols, split, diagonal, below, slot, fill_slot, rounds)
-        for arr in slots[:-1]:
+        layout = _Layout(u, v, slot, split, owner, fill_slot, rounds)
+        for arr in layout[:-1]:
             arr.flags.writeable = False
-        return slots
+        return layout
 
 
 def _leaf_ends(history: tuple[np.ndarray, ...], roots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The leaf edges' ends (u0, v0, u1, v1, ...) and the split ends (`SPGraph.split_ends`),
+    """The leaf edges' ends (u0, v0, u1, v1, ...) and the split ends (`_Layout.split`),
     both in reverse creation labels, and the root of each node, by label.
 
     The c-th midpoint made (from 1) gets label m - c, below the terminals m, ..., m + 2 roots - 1,
@@ -303,25 +241,22 @@ def reduce_graph(g: SPGraph) -> tuple[np.ndarray, np.ndarray]:
 def resistance_exact(g: SPGraph) -> np.ndarray:
     """Effective resistance between each root's terminals via the forest's Laplacian.
 
-    Unit current is injected at every a with every z grounded.  The
-    Laplacian (`SPGraph.laplacian`) is eliminated as L D L^T in its own order,
-    the perfect elimination order of the module docstring, one round of
-    midpoints per step, the last round first; no z is a pivot, which
-    grounds it.  When its round comes, a midpoint meets only the two ends of
-    the edge it split (`SPGraph.split_ends`), so its column below the diagonal
-    has two fixed slots (`SPGraph._slots`), and an entry outside them raises
-    `HomsysError`.  Back-substitution walks the rounds in reverse.  The
+    Unit current is injected at every a with every z grounded.  The Laplacian,
+    the degrees on its diagonal and minus each slot's edge multiplicity below
+    it (`SPGraph._layout`), is eliminated as L D L^T in its own order, the
+    perfect elimination order of the module docstring, one round of midpoints
+    per step, the last round first; no z is a pivot, which grounds it.  When
+    its round comes, a midpoint meets only the two ends of the edge it split,
+    its two slots.  Back-substitution walks the rounds in reverse.  The
     potentials are then certified root by root by the residual of the grounded
-    system on the Laplacian arrays, however they were computed; nothing of the
+    system, L x taken edge by edge, however they were computed; nothing of the
     fold is read.
     """
-    data = g.laplacian[0]
-    s = g._slots
-    n = s.diagonal.size
+    s = g._layout
+    n = s.owner.size
     m = n - 2 * g.roots  # the midpoints; the a's are m, m + 2, ... and the z's follow each
-    diag = data[s.diagonal]
-    off = np.zeros(2 * (n - 1))
-    off[s.slot] = data[s.below]
+    diag = np.add(np.bincount(s.u, minlength=n), np.bincount(s.v, minlength=n), dtype=float)
+    off = np.negative(np.bincount(s.slot, minlength=2 * (n - 1)), dtype=float)
     off_pairs = off.reshape(-1, 2)
     factor = np.empty((m, 2))  # the two entries of L below each midpoint's unit diagonal
     for lo, hi in s.rounds:
@@ -340,11 +275,13 @@ def resistance_exact(g: SPGraph) -> np.ndarray:
         terms *= factor[lo:hi]
         np.add(terms[:, 0], terms[:, 1], out=x[lo:hi])
         np.negative(x[lo:hi], out=x[lo:hi])
-    lx = np.bincount(s.rows, weights=data * x[s.cols], minlength=n)
+    current = x[s.u] - x[s.v]  # each edge's, from u to v
+    lx = np.bincount(s.u, weights=current, minlength=n)
+    lx -= np.bincount(s.v, weights=current, minlength=n)
     lx[m::2] -= 1.0
     lx[m + 1 :: 2] = 0.0  # a z's row is not in the grounded system
     # each root's residual, whose right side has norm 1
-    residual = np.sqrt(np.bincount(g._oracle_arrays[2], weights=lx * lx, minlength=g.roots))
+    residual = np.sqrt(np.bincount(s.owner, weights=lx * lx, minlength=g.roots))
     bad = np.flatnonzero(~(residual <= _RESIDUAL_TOL))
     if bad.size:
         raise HomsysError(f"seed {g.seeds[bad[0]]}: Laplacian solve residual {residual[bad[0]]:.3g} too large")
@@ -359,20 +296,19 @@ def distance_exact(g: SPGraph) -> np.ndarray:
     """Terminal-to-terminal hop distance of each root (all edges have unit length).
 
     The resistance oracle's elimination in the (min, +) semiring (Carré's path
-    algebra): each slot of `SPGraph._slots` starts at 1 hop where the Laplacian
-    has the entry and unreached where it has none; eliminating a midpoint
-    offers its split ends the path through it, the sum of its two slots, and
-    after the last round each a's a-z slot holds its root's distance.
-    Back-substitution walks the rounds in reverse, from every a at 0: a
-    midpoint's hops are the smaller of its split ends' hops plus its slots.
-    The hops pi are then certified on the Laplacian's pattern, however they were
-    computed: each a has pi = 0, no edge changes pi by more than 1, and every other
-    node has a neighbour with pi one lower, so pi is the hop distance from the a.
-    A failed certificate raises `HomsysError` naming the seed.
+    algebra): each slot of `SPGraph._layout` starts at 1 hop where a leaf edge
+    takes it and unreached where none does; eliminating a midpoint offers its
+    split ends the path through it, the sum of its two slots, and after the
+    last round each a's a-z slot holds its root's distance.  Back-substitution
+    walks the rounds in reverse, from every a at 0: a midpoint's hops are the
+    smaller of its split ends' hops plus its slots.  The hops pi are then
+    certified on the leaf edges, however they were computed: each a has pi = 0,
+    no edge changes pi by more than 1, and every other node has a neighbour
+    with pi one lower, so pi is the hop distance from the a.  A failed
+    certificate raises `HomsysError` naming the seed.
     """
-    indptr = g.laplacian[2]
-    s = g._slots
-    n = s.diagonal.size
+    s = g._layout
+    n = s.owner.size
     m = n - 2 * g.roots
     unreached = n + 1  # above every hop count, and two of them add up within int32
     hop = np.full(2 * (n - 1), unreached, dtype=np.int32)
@@ -388,12 +324,14 @@ def distance_exact(g: SPGraph) -> np.ndarray:
         via = pi[s.split[lo:hi]]
         via += hop_pairs[lo:hi]
         np.minimum(via[:, 0], via[:, 1], out=pi[lo:hi])
-    # each column holds its diagonal, so every node's segment is nonempty and its minimum is at most pi
-    slack = pi - np.minimum.reduceat(pi[s.rows], indptr[:-1])
-    bad = slack != 1
-    bad[m::2] = (slack[m::2] > 1) | (pi[m::2] != 0)
+    step = pi[s.u] - pi[s.v]
+    bad = np.ones(n, dtype=bool)  # until a neighbour one hop lower is found
+    bad[s.u[step == 1]] = False
+    bad[s.v[step == -1]] = False
+    bad[m::2] = pi[m::2] != 0
+    bad[s.u[np.abs(step) > 1]] = True
     bad = np.flatnonzero(bad)
     if bad.size:
-        seed = g.seeds[g._oracle_arrays[2][bad].min()]
-        raise HomsysError(f"seed {seed}: hop distances fail their certificate on the Laplacian")
+        seed = g.seeds[s.owner[bad].min()]
+        raise HomsysError(f"seed {seed}: hop distances fail their certificate on the leaf edges")
     return pi[m + 1 :: 2].astype(float)

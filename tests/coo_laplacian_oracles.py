@@ -1,17 +1,17 @@
 """Test oracle: the serpar resistance and distance oracles built the COO way.
 
 `explicit` derives the node/edge graph from the replacement history edge by
-edge, in creation labels, independently of `SPGraph.laplacian`, and
+edge, in creation labels, independently of `SPGraph._layout`, and
 `split_edges` the edge each midpoint split on the way.
 `resistance_exact` assembles the grounded Laplacian from (row, col, value)
 triplets, one per edge end, lets scipy sort them and sum the duplicates
 from parallel edges, and factors it with SuperLU; `distance_exact` searches a
 one-direction adjacency of the creation-order node labels as undirected.
-homsys.serpar derives one sorted Laplacian per graph and shares it between
-both oracles; its grounded matrix equals the canonical one built here entry
-for entry.  So the distances must be the same bits; the resistances agree to
-the rounding of two different factorisations, since serpar eliminates the
-Laplacian round by round without SuperLU.
+homsys.serpar derives one leaf edge list per forest and both oracles read it;
+the Laplacian its degrees and slot counts make equals the canonical grounded
+one built here entry for entry.  So the distances must be the same bits; the
+resistances agree to the rounding of two different factorisations, since
+serpar eliminates the Laplacian round by round without SuperLU.
 """
 
 import numpy as np

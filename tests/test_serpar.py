@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from homsys import DomainError, HomsysError
-from homsys import serpar
+from homsys import cli, serpar
 
 import coo_laplacian_oracles
 import full_array_fold
@@ -32,23 +34,21 @@ def test_build_is_deterministic_and_sized():
     a, b = serpar.build(6, 0.3, [4]), serpar.build(6, 0.3, [4])
     assert all(np.array_equal(x, y) for x, y in zip(a.history, b.history))
     assert a.n_edges == 64
-    data, rows, indptr = a.laplacian
-    n_nodes = indptr.size - 1
-    diagonal = sp.csc_matrix((data, rows, indptr), shape=(n_nodes, n_nodes)).diagonal()
-    assert diagonal.sum() == 2 * 64 and n_nodes == 2 + sum(int(h.sum()) for h in a.history)
+    layout = a._layout
+    n_nodes = layout.owner.size
+    degree = np.bincount(layout.u, minlength=n_nodes) + np.bincount(layout.v, minlength=n_nodes)
+    assert degree.sum() == 2 * 64 and n_nodes == 2 + sum(int(h.sum()) for h in a.history)
 
 
 def test_the_laplacian_is_derived_once_and_read_only():
     g = serpar.build(6, 0.5, [1])
     r, d = serpar.resistance_exact(g), serpar.distance_exact(g)
-    laplacian, slots = g.laplacian, g._slots
-    assert not any(x.flags.writeable for x in laplacian)
-    assert not any(x.flags.writeable for x in slots[:-1])  # the slot layout both oracles read
+    layout = g._layout
+    assert not any(x.flags.writeable for x in layout[:-1])  # the leaf edges and slots both oracles read
     assert (serpar.resistance_exact(g), serpar.distance_exact(g)) == (r, d)
-    assert all(x is y for x, y in zip(g.laplacian, laplacian))
-    assert g._slots is slots
+    assert g._layout is layout
     too_big = serpar.build(serpar.MAX_ORACLE_ROUNDS + 1, 0.5, [1])
-    for derive in (lambda g: g.laplacian, serpar.resistance_exact, serpar.distance_exact):
+    for derive in (lambda g: g._layout, serpar.resistance_exact, serpar.distance_exact):
         with pytest.raises(DomainError):
             derive(too_big)
 
@@ -95,13 +95,30 @@ def test_a_failed_hop_certificate_names_the_seed(root):
     g = serpar.build(1, 1.0, [4, 9])
     assert serpar.distance_exact(g).tolist() == [2.0, 2.0]
     g = serpar.build(1, 1.0, [4, 9])
-    slots = g._slots
-    m = slots.diagonal.size - 4
+    layout = g._layout
+    m = layout.owner.size - 4
     j = m - 1 - root
-    assert g.split_ends[j].tolist() == [m + 2 * root, m + 2 * root + 1]
-    slot = slots.slot.copy()
+    assert layout.split[j].tolist() == [m + 2 * root, m + 2 * root + 1]
+    slot = layout.slot.copy()
     slot[slot == 2 * j] = 2 * j + 1
-    g.__dict__["_slots"] = slots._replace(slot=slot)
+    g.__dict__["_layout"] = layout._replace(slot=slot)
+    with pytest.raises(HomsysError, match=f"^seed {[4, 9][root]}: hop distances fail their certificate"):
+        serpar.distance_exact(g)
+
+
+@pytest.mark.parametrize("root", [0, 1])
+def test_hops_that_an_edge_skips_fail_the_certificate(root):
+    # a parallel pair, then a series split of the first copy: z is one hop from a by the second
+    # copy; with that edge's slot moved off a's a-z slot, z gets the 2 hops through the midpoint,
+    # every node still has a neighbour one hop lower, but the a-z edge changes the hops by 2
+    history = (np.zeros(2, dtype=bool), np.array([True, False, True, False]))
+    assert serpar.distance_exact(serpar.SPGraph(history, seeds=(4, 9))).tolist() == [1.0, 1.0]
+    g = serpar.SPGraph(history, seeds=(4, 9))
+    layout = g._layout
+    a = layout.owner.size - 4 + 2 * root
+    slot = layout.slot.copy()
+    slot[slot == 2 * a + 1] = 2 * a
+    g.__dict__["_layout"] = layout._replace(slot=slot)
     with pytest.raises(HomsysError, match=f"^seed {[4, 9][root]}: hop distances fail their certificate"):
         serpar.distance_exact(g)
 
@@ -117,25 +134,40 @@ def test_the_split_ends_are_the_edges_the_midpoints_split(n, p):
     want = np.empty((n_nodes - 1, 2), dtype=np.int64)
     want[label[2:]] = label[split]
     want[n_nodes - 2] = n_nodes - 1
-    assert g.split_ends.dtype == np.int32 and not g.split_ends.flags.writeable
-    assert np.array_equal(g.split_ends, want)
+    got = g._layout.split
+    assert got.dtype == np.intp and not got.flags.writeable
+    assert np.array_equal(got, want)
 
 
-def test_a_laplacian_entry_outside_the_split_end_slots_is_rejected():
+def test_a_laplacian_entry_outside_the_split_end_slots_is_rejected(monkeypatch):
+    leaf_ends = serpar._leaf_ends
+
+    def moved(history, roots):
+        # the leaf edge at the youngest midpoint, its older end moved to another older node
+        ends, split, owner = leaf_ends(history, roots)
+        edges = ends.reshape(-1, 2).copy()
+        e = edges.min(axis=1).argmin()
+        young = edges[e].min()
+        edges[e, edges[e].argmax()] = next(w for w in range(young + 1, owner.size) if w not in split[young])
+        return edges.ravel(), split, owner
+
+    serpar.resistance_exact(serpar.build(6, 0.5, [1]))
+    monkeypatch.setattr(serpar, "_leaf_ends", moved)
     g = serpar.build(6, 0.5, [1])
-    data, rows, indptr = g.laplacian
-    split = g.split_ends
-    # the last entry of the first column with an entry below the diagonal, moved to
-    # another row below the diagonal
-    col = next(j for j in range(indptr.size - 1) if rows[indptr[j + 1] - 1] > j)
-    other = next(r for r in range(col + 1, indptr.size - 1) if r not in split[col])
-    moved = rows.copy()
-    moved[indptr[col + 1] - 1] = other
-    g.__dict__["laplacian"] = (data, moved, indptr)
-    # both oracles read the slots, which are derived from the Laplacian and rejected each time
+    # both oracles read the layout, whose derivation rejects the edge each time
     for oracle in (serpar.resistance_exact, serpar.distance_exact):
         with pytest.raises(HomsysError, match="split-end slots"):
             oracle(g)
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+    "on long series chains the elimination loses digits while both certificates pass; ROADMAP direction 13's "
+    "one step of iterative refinement mends it, and moves R_exact's last digits and the serpar golden digests"))
+def test_long_series_chains_meet_criterion_5s_resistance_bound(tmp_path):
+    # a failed certificate exits without a summary, which fails this test instead of meeting the xfail
+    cli.main(["serpar", "--p", "0.9", "--n", "16", "--seeds", "2", "--check-exact", "--out", str(tmp_path / "s")])
+    summary = json.loads((tmp_path / "s.json").read_text())
+    assert summary["max_rel_resistance_error"] < 1e-9
 
 
 def test_a_residual_above_the_tolerance_is_rejected(monkeypatch):
@@ -151,22 +183,31 @@ def test_a_residual_above_the_tolerance_is_rejected(monkeypatch):
           serpar.SPGraph(tuple(np.ones(2**k, dtype=bool) for k in range(16)))]
     + [serpar.build(16, p, [3]) for p in (0.0, 1.0)] + [serpar.build(n, p, [0]) for n in (0, 1) for p in (0.0, 1.0)]
 )
-def test_the_laplacian_is_sorted_symmetric_and_canonical(g):
-    data, rows, indptr = g.laplacian
+def test_the_leaf_edges_are_the_graphs_edges_and_give_its_laplacian(g):
+    layout = g._layout
     edges, n, a, z = coo_laplacian_oracles.explicit(g)
-    assert (data.dtype, rows.dtype, indptr.dtype) == (np.float64, np.int32, np.int32)
-    L = sp.csc_matrix((data, rows, indptr), shape=(n, n))
-    assert (L != L.T).nnz == 0
-    assert not np.any(L @ np.ones(n))
+    assert layout.owner.size == n and layout.u.dtype == layout.v.dtype == layout.slot.dtype == np.intp
     label = np.arange(n - 1, -1, -1)
     label[a], label[z] = n - 2, n - 1
-    degree = np.zeros(n)
+    # relabelled, the explicit graph's edges, parallel copies included
+    got = np.stack([layout.u, layout.v], axis=1)
+    assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, label[edges].tolist()))
+    # the degrees the resistance oracle's diagonal starts from
+    degree = np.zeros(n, dtype=np.intp)
     degree[label] = np.bincount(edges.ravel(), minlength=n)
-    assert np.array_equal(L.diagonal(), degree)
-    assert all(np.all(np.diff(rows[lo:hi]) > 0) for lo, hi in zip(indptr[:-1], indptr[1:]))
-    # without z's row and column, the very arrays scipy makes from the edge triplets
-    ref = coo_laplacian_oracles.grounded_laplacian(g)
+    assert np.array_equal(np.bincount(layout.u, minlength=n) + np.bincount(layout.v, minlength=n), degree)
+    # each edge takes its older end's slot among its younger end's two, so the slots' edge
+    # counts and the degrees are the very Laplacian scipy makes from the edge triplets
+    young, old = np.minimum(layout.u, layout.v), np.maximum(layout.u, layout.v)
+    assert np.array_equal(layout.slot // 2, young) and np.array_equal(layout.split.ravel()[layout.slot], old)
+    count = np.bincount(layout.slot, minlength=2 * (n - 1))
+    slot = np.flatnonzero(count)
+    below, col = layout.split.ravel()[slot], slot // 2
+    nodes = np.arange(n)
+    L = sp.csc_matrix((np.concatenate([degree, -count[slot], -count[slot]]),
+                       (np.concatenate([nodes, below, col]), np.concatenate([nodes, col, below]))), shape=(n, n))
     grounded = L[: n - 1, : n - 1]
+    ref = coo_laplacian_oracles.grounded_laplacian(g)
     for got, want in [(grounded.data, ref.data), (grounded.indices, ref.indices), (grounded.indptr, ref.indptr)]:
         assert np.array_equal(got, want)
 
@@ -320,10 +361,11 @@ def test_the_root_of_each_node_is_its_connected_component(seeds, p):
     # the root the derivation pass records for each node is the one whose terminals share its component
     for n in (0, 1, 2, 5, 10, 12):
         g = serpar.build(n, p, seeds)
-        data, rows, indptr = g.laplacian
-        size = indptr.size - 1
-        count, component = csgraph.connected_components(sp.csc_matrix((data, rows, indptr), shape=(size, size)))
-        owner = g._oracle_arrays[2]
+        layout = g._layout
+        size = layout.owner.size
+        adjacency = sp.coo_matrix((np.ones(layout.u.size), (layout.u, layout.v)), shape=(size, size))
+        count, component = csgraph.connected_components(adjacency, directed=False)
+        owner = layout.owner
         assert count == g.roots and owner.size == size and not owner.flags.writeable
         terminals = component[size - 2 * g.roots :]
         assert np.array_equal(terminals[0::2], terminals[1::2])
