@@ -22,6 +22,20 @@ the pool steps run on the calling thread and their random draws one step
 ahead on one helper thread (`mc`).  A thread count that is not an integer
 >= 1 is a usage error.
 
+Start-up: `import homsys.cli` loads only what every verb shares: numpy,
+argparse, json, ctypes and the package core (`dist`, `errors`, `hfun`,
+`models`, `moments`, `quadrature`), which `parse_model` and the summaries
+need.  Each verb imports its engine when it runs: `evolve` loads `evolve`,
+`simulate` loads `mc` (which loads `concurrent.futures` for its helper
+thread), `serpar` loads `serpar` (and `concurrent.futures` only with
+`--threads` >= 2), `lambda-check` loads `proofcheck` (which loads `evolve`),
+and `report` loads `acceptance`, whose criteria each import the engines they
+run, so criteria 1-3 load none.  `gamma` and `classify` load no engine.  The
+core stays eager: five of the seven verbs need it, so deferring it would
+only move its cost from start-up into the run.  The bound of `serpar --n` is
+read from `serpar.MAX_ROUNDS` when that option is parsed, not when the
+parser is built.
+
 The argument parser is built once per process, on the first `main` call, and
 reused by every later one; it holds no per-call state.
 
@@ -41,10 +55,13 @@ heap.  Where `mallopt` is missing (another libc, another system) nothing
 is set.  No output depends on it.
 
 `_checkpoints` alone writes the checkpoint CSV and records of `simulate` and
-`evolve`: a grid law on at most 2049 of its nodes, a pool as its empirical
-CDF on `--grid` cells with its quantiles.  Both summaries carry the `scaling`
-the run used, {law, constant, exponent}: each checkpoint's log X_n is divided
-by (constant n)^exponent and compared to the limit law.  It comes from the
+`evolve`: a grid law of m cells on its nodes 0, k, 2k, ... <= m, with
+k = max(1, m // 2048), so on all m + 1 nodes when m < 4096 (`--grid 3000`
+writes 3001 rows per checkpoint), and on the end node m only when k divides
+m (`--grid 4097` stops at node 4096); a pool as its empirical CDF on
+`--grid` cells with its quantiles.  Both summaries carry the `scaling` the
+run used, {law, constant, exponent}: each checkpoint's log X_n is divided by
+(constant n)^exponent and compared to the limit law.  It comes from the
 classification of the model (`models.resolve_scaling`), unless `simulate` is
 given `--law`, `--scale-constant` and `--exponent`: all three or none, a
 partial set being a usage error.  A given constant or exponent that is not
@@ -63,14 +80,12 @@ import ctypes
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, dist, evolve, mc, moments, proofcheck, serpar
-from .acceptance import run_criteria
+from . import __version__, dist, moments
 from .errors import DegenerateModelError, DomainError, HomsysError
 from .models import classify, model_digest, model_to_dict, parse_model, resolve_scaling
 
@@ -118,6 +133,13 @@ def _int_in(lo: int, hi: int | None = None):
         return value
 
     return parse
+
+
+def _serpar_rounds(text: str) -> int:
+    """An argparse type: a serpar round count, 0 to serpar.MAX_ROUNDS, read when --n is parsed."""
+    from . import serpar
+
+    return _int_in(0, serpar.MAX_ROUNDS + 1)(text)
 
 
 def _fmt(x: float) -> str:
@@ -216,6 +238,8 @@ def _scaling_summary(scaling: tuple[str, float, float]) -> dict:
 
 
 def _cmd_simulate(args, model) -> dict:
+    from . import mc
+
     given = (args.law, args.scale_constant, args.exponent)
     scaling = resolve_scaling(model, None if given[0] is None else given)
     cps = mc.simulate(model, args.init, args.n, args.pool, args.seed, args.checkpoints, scaling)
@@ -224,6 +248,8 @@ def _cmd_simulate(args, model) -> dict:
 
 
 def _cmd_evolve(args, model) -> dict:
+    from . import evolve
+
     width = args.init_width
     if not 0.0 < 2 * width < np.inf:  # the initial law spans [-width, width]
         raise DomainError("--init-width must be > 0, with 2 * width finite")
@@ -236,6 +262,8 @@ def _cmd_evolve(args, model) -> dict:
 
 
 def _cmd_serpar(args, model) -> dict:
+    from . import serpar
+
     def solve(g: serpar.SPGraph) -> list[tuple]:
         r_red, d_red = serpar.reduce_graph(g)
         if args.check_exact:
@@ -247,6 +275,8 @@ def _cmd_serpar(args, model) -> dict:
     forests = serpar.forests(args.n, args.p, range(args.seeds))
     workers = args.threads or 1
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as ex:
             rows = [row for forest_rows in ex.map(solve, forests) for row in forest_rows]
     else:
@@ -267,6 +297,8 @@ def _cmd_serpar(args, model) -> dict:
 
 
 def _cmd_lambda_check(args, model) -> dict:
+    from . import proofcheck
+
     lo, hi = args.n_range
     c = args.c_star if args.c_star is not None else moments.c_star(model)
     params = proofcheck.ProofParams(c_star=c, eta=args.eta, delta=args.delta, delta1=args.delta1)
@@ -280,6 +312,8 @@ def _cmd_lambda_check(args, model) -> dict:
 
 
 def _cmd_report(args) -> int:
+    from .acceptance import run_criteria
+
     selected = set(args.criteria.split(",")) if args.criteria else None
     results = run_criteria(selected)
     payload = {
@@ -342,7 +376,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("serpar", help="series-parallel growth with dual oracles")
     common(sp, model=False, threads="worker threads over the seeds (default: 1; results are identical regardless)")
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--n", type=_int_in(0, serpar.MAX_ROUNDS + 1), required=True)
+    sp.add_argument("--n", type=_serpar_rounds, required=True)
     sp.add_argument("--seeds", type=_int_in(1), required=True)
     sp.add_argument("--check-exact", dest="check_exact", action="store_true")
     sp.set_defaults(fn=_cmd_serpar, summary_suffix=".json")

@@ -323,6 +323,57 @@ def test_importing_the_cli_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+# the modules that only some verbs need, which a process imports when a verb first runs them
+_ENGINES = ("homsys.evolve", "homsys.mc", "homsys.serpar", "homsys.proofcheck", "homsys.acceptance",
+            "concurrent.futures")
+_LOADED_ENGINES = f"sorted(m for m in sys.modules if m in {_ENGINES!r})"
+
+# one small run of each verb
+_SMALL_RUNS = {
+    "gamma": ["gamma", "--model", "hipster"],
+    "classify": ["classify", "--model", "hipster"],
+    "evolve": ["evolve", "--model", "hipster", "--n", "2", "--checkpoints", "2", "--grid", "256"],
+    "simulate": ["simulate", "--model", "hipster", "--n", "2", "--pool", "100", "--checkpoints", "2"],
+    "serpar": ["serpar", "--p", "0.5", "--n", "4", "--seeds", "2"],
+    "lambda-check": ["lambda-check", "--model", "hipster", "--n-range", "64:64", "--vgrid", "20"],
+    "report": ["report", "--criteria", "1"],
+}
+
+
+def test_importing_the_cli_loads_no_engine():
+    code = f"import sys, homsys.cli; print({_LOADED_ENGINES})"
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, engines", [
+    (_SMALL_RUNS["gamma"], []),
+    (_SMALL_RUNS["classify"], []),
+    (_SMALL_RUNS["evolve"], ["homsys.evolve"]),
+    (_SMALL_RUNS["simulate"], ["concurrent.futures", "homsys.mc"]),  # mc draws on a helper thread
+    (_SMALL_RUNS["serpar"], ["homsys.serpar"]),
+    (_SMALL_RUNS["serpar"] + ["--threads", "2"], ["concurrent.futures", "homsys.serpar"]),
+    (_SMALL_RUNS["lambda-check"], ["homsys.evolve", "homsys.proofcheck"]),
+    (["report", "--criteria", "1,2,3"], ["homsys.acceptance"]),
+    (["report", "--criteria", "5"], ["homsys.acceptance", "homsys.serpar"]),
+], ids=lambda words: " ".join(words) or "none")
+def test_each_verb_loads_only_its_own_engines(argv, engines, tmp_path):
+    run = argv + ["--out", str(tmp_path / "o")]
+    code = f"import sys; from homsys import cli; code = cli.main({run!r}); print(code, {_LOADED_ENGINES})"
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip().splitlines()[-1] == f"0 {engines}"
+
+
+@pytest.mark.parametrize("argv", _SMALL_RUNS.values(), ids=_SMALL_RUNS.keys())
+def test_each_verb_runs_as_a_module(argv, tmp_path):
+    # criterion 9 starts the CLI as `python -m homsys.cli`
+    cmd = [sys.executable, "-m", "homsys.cli", *argv, "--out", str(tmp_path / "o")]
+    out = subprocess.run(cmd, env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
 def test_the_serpar_oracles_load_no_scipy(tmp_path):
     # both oracles eliminate the Laplacian in numpy: the verbs that run them leave scipy unloaded
     env = _subprocess_env()
