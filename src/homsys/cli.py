@@ -26,9 +26,9 @@ Start-up: `import homsys.cli` loads only what every verb shares: numpy,
 argparse, json, ctypes and the package core (`dist`, `errors`, `hfun`,
 `models`, `moments`, `quadrature`), which `parse_model` and the summaries
 need.  Each verb imports its engine when it runs: `evolve` loads `evolve`,
-`simulate` loads `mc` (which loads `concurrent.futures` for its helper
-thread), `serpar` loads `serpar` (and `concurrent.futures` only with
-`--threads` >= 2), `lambda-check` loads `proofcheck` (which loads `evolve`),
+`simulate` loads `mc` (its helper thread is a bare `threading.Thread`),
+`serpar` loads `serpar` (and `concurrent.futures` only with `--threads`
+>= 2), `lambda-check` loads `proofcheck` (which loads `evolve`),
 and `report` loads `acceptance`, whose criteria each import the engines they
 run, so criteria 1-3 load none.  `gamma` and `classify` load no engine.  The
 core stays eager: five of the seven verbs need it, so deferring it would
@@ -57,14 +57,18 @@ is set.  No output depends on it.
 `_checkpoints` alone writes the checkpoint CSV and records of `simulate` and
 `evolve`: a grid law of m cells on its nodes 0, k, 2k, ... <= m, with
 k = max(1, m // 2048), so on all m + 1 nodes when m < 4096 (`--grid 3000`
-writes 3001 rows per checkpoint), and on the end node m only when k divides
-m (`--grid 4097` stops at node 4096); a pool as its empirical CDF on
-`--grid` cells with its quantiles.  Both summaries carry the `scaling` the
-run used, {law, constant, exponent}: each checkpoint's log X_n is divided by
-(constant n)^exponent and compared to the limit law.  It comes from the
-classification of the model (`models.resolve_scaling`), unless `simulate` is
-given `--law`, `--scale-constant` and `--exponent`: all three or none, a
-partial set being a usage error.  A given constant or exponent that is not
+writes 3001 rows per checkpoint), and then on its end node m if k does not
+divide m (`--grid 4097` writes nodes 0, 2, ..., 4096 and 4097), so the rows
+always end at the law's end, with cdf 1.  The density column is
+`np.gradient` over the strided rows, and the end node's, when it is added,
+the one-sided difference over its own shorter cell.  A pool is written as
+its empirical CDF on `--grid` cells, with its quantiles (np.quantile's
+linear rule, read off the sorted pool by index).  Both summaries carry the
+`scaling` the run used, {law, constant, exponent}: each checkpoint's log X_n
+is divided by (constant n)^exponent and compared to the limit law.  It
+comes from the classification of the model (`models.resolve_scaling`),
+unless `simulate` is given `--law`, `--scale-constant` and `--exponent`: all
+three or none, a partial set being a usage error.  A given constant or exponent that is not
 finite and > 0 is a validation failure, reported before any output.
 Likewise `gamma` takes `--a` and `--b` both or neither; with both, its
 summary adds Gamma^(a,b) of each atom as `gamma_ab`.
@@ -79,6 +83,7 @@ import argparse
 import ctypes
 import functools
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -183,9 +188,20 @@ def _write_run_record(args, argv: list[str]) -> None:
 
 
 def _quantiles(values: np.ndarray) -> dict:
-    qs = (0.05, 0.25, 0.5, 0.75, 0.95)
-    v = np.quantile(values, qs)
-    return {f"q{int(100 * q):02d}": float(x) for q, x in zip(qs, v)}
+    """np.quantile's linear quantiles of a sorted sample with no NaN (a pool holds none), read by
+    index with numpy's arithmetic: the virtual index v = q (n - 1), its floor i, the values a and b
+    at i and i + 1, and the lerp a + d g below g = 1/2, else b - d (1 - g), with d = b - a and
+    g = v - i.  From the last index on (n = 1), numpy takes the last value, weighted by v + 1."""
+    n = values.size
+    out = {}
+    for q in (0.05, 0.25, 0.5, 0.75, 0.95):
+        v = (n - 1) * q
+        i = math.floor(v) if v < n - 1 else -1
+        a = float(values[i])
+        b = float(values[i + 1]) if i >= 0 else a
+        g, d = v - i, b - a
+        out[f"q{int(100 * q):02d}"] = a + d * g if g < 0.5 else b - d * (1 - g)
+    return out
 
 
 def _emit_checkpoint_csv(fh, n: int, x: np.ndarray, cdf: np.ndarray, law: str) -> None:
@@ -207,7 +223,13 @@ def _checkpoints(args, cps) -> list[dict]:
             else:
                 g, stride = dist.from_samples(cp.rescaled, m=args.grid, pad=0.05), 1
                 record["quantiles"] = _quantiles(cp.rescaled)
-            _emit_checkpoint_csv(fh, cp.n, g.grid()[::stride], g.cdf[::stride], cp.law)
+            x, cdf = g.grid(), g.cdf
+            _emit_checkpoint_csv(fh, cp.n, x[::stride], cdf[::stride], cp.law)
+            if g.m % stride:  # the end node, which the stride steps over; its density over its own cell
+                i = g.m - g.m % stride
+                dens = (cdf[-1] - cdf[i]) / (x[-1] - x[i])
+                ref = dist.limit_cdf(cp.law, x[-1])
+                fh.write(f"{cp.n},{_fmt(x[-1])},{_fmt(cdf[-1])},{_fmt(ref)},{_fmt(dens)}\n")
             records.append(record)
     return records
 

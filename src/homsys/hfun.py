@@ -138,19 +138,22 @@ class GFunction:
         With ``out`` (which may be z itself) the result is written there.  The
         zero, softplus and symmetric tent profiles are computed inside it, one
         ufunc at a time; the asymmetric tent and the table copy their result
-        into it.
+        into it.  A scale or slope of exactly 1 skips its divide and multiply
+        passes: x / 1 = 1 * x = x, so the bits are those of the full formula.
         """
         if self.family == "softplus":
             (a,) = self.params
             out = np.abs(z, out=out)
             np.negative(out, out=out)
-            np.divide(out, a, out=out)
+            if a != 1.0:
+                np.divide(out, a, out=out)
             np.exp(out, out=out)
             np.log1p(out, out=out)
-            return np.multiply(a, out, out=out)
+            return out if a == 1.0 else np.multiply(a, out, out=out)
         if self.family == "tent" and self.params[0] == self.params[1]:
             out = np.abs(z, out=out)
-            np.multiply(self.params[0], out, out=out)
+            if self.params[0] != 1.0:
+                np.multiply(self.params[0], out, out=out)
             np.subtract(1.0, out, out=out)
             return np.maximum(0.0, out, out=out)
         if self.family == "zero":

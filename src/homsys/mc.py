@@ -15,9 +15,11 @@ vectorized sequence: a pool step's 2N parent indices, then its atom counts
 `hipster_direct` make step k + 1's draws on one helper thread while the
 calling thread runs step k (numpy fills the arrays without the GIL).  Which
 thread makes a draw, and when, cannot change a stream, and identical (seed,
-model, n, N) produce bit-identical pools.  The helper lives for one call,
-and calls only the private draw helpers and numpy; every public function,
-`pool_step` and the atoms included, runs on the calling thread.
+model, n, N) produce bit-identical pools.  The helper (`_Ahead`, a bare
+`threading.Thread`) lives for one call, and calls only the private draw
+helpers and numpy; every public function, `pool_step` and the atoms
+included, runs on the calling thread.  A draw that raises re-raises on the
+calling thread when its step asks for it.
 
 Buffers: a pool is a plain float array, checked (size, finite point value)
 once per run by `new_pool`.  `simulate`'s steps, a generator that
@@ -36,7 +38,7 @@ sorted copy (`dist.rescale`).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 
@@ -101,16 +103,60 @@ def simulate(
     return run_checkpoints(model, lambda reach: _pools(model, init, n, N, seed), n, checkpoints, scaling)
 
 
+class _Ahead:
+    """draw(1), ..., draw(n), made in order on one helper thread, one step ahead of the caller.
+
+    ``take`` returns the next draw, waiting for it, and lets the helper start the one after: the
+    helper holds at most one draw that the caller has not taken, so with the caller's own at most
+    two are alive.  A draw that raises re-raises in ``take``.  Leaving the ``with`` block stops the
+    helper after the draw it is making and joins it.
+    """
+
+    def __init__(self, draw, n: int):
+        self._next = self._error = None  # the handoff: the helper's last draw, or what it raised
+        self._ready = threading.Semaphore(0)  # released by the helper when the handoff is filled
+        self._wanted = threading.Semaphore(0)  # released by the caller when it has emptied it
+        self._stop = False
+        # a daemon, so that a run left unclosed cannot hold the interpreter open at exit
+        self._thread = threading.Thread(target=self._run, args=(draw, n), daemon=True)
+
+    def _run(self, draw, n: int) -> None:
+        try:
+            for k in range(1, n + 1):
+                self._next = draw(k)
+                self._ready.release()
+                self._wanted.acquire()
+                if self._stop:
+                    return
+        except BaseException as exc:
+            self._error = exc
+            self._ready.release()
+
+    def take(self):
+        self._ready.acquire()
+        if self._error is not None:
+            raise self._error
+        out, self._next = self._next, None
+        self._wanted.release()  # the helper starts the next draw while the caller uses this one
+        return out
+
+    def __enter__(self) -> "_Ahead":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop = True
+        self._wanted.release()
+        self._thread.join()
+
+
 def _pools(model: ModelSpec, init: float, n: int, N: int, seed: int):
     """The pool after each of the steps 1..n, with no diagnostics, in the two arrays the run recycles."""
     pool = new_pool(init, N)
     spare, parents = np.empty(N), np.empty(2 * N)
-    with ThreadPoolExecutor(1) as helper:
-        ahead = helper.submit(_step_draws, model, seed, 1, N)
+    with _Ahead(lambda k: _step_draws(model, seed, k, N), n) as ahead:
         for k in range(1, n + 1):
-            draws = ahead.result()
-            # step k + 1's draws run on the helper while this thread runs step k
-            ahead = helper.submit(_step_draws, model, seed, k + 1, N) if k < n else None
+            draws = ahead.take()  # step k + 1's draws run on the helper while this thread runs step k
             pool, spare = pool_step(model, pool, seed, k, spare, parents, draws), pool
             del draws  # step k's indices, freed before a checkpoint sorts
             yield pool, None
@@ -132,12 +178,9 @@ def hipster_direct(n: int, N: int, seed: int) -> np.ndarray:
     pick = np.empty(N, dtype=np.int64)
     tie = np.empty(N, dtype=bool)
     a, b = pair[:N], pair[N:]
-    with ThreadPoolExecutor(1) as helper:
-        ahead = helper.submit(_walk_draws, seed, 1, N)
-        for step in range(1, n + 1):
-            idx, bits = ahead.result()
-            # the next step's draws run on the helper while this thread runs this one
-            ahead = helper.submit(_walk_draws, seed, step + 1, N) if step < n else None
+    with _Ahead(lambda step: _walk_draws(seed, step, N), n) as ahead:
+        for _ in range(n):
+            idx, bits = ahead.take()  # the next step's draws run on the helper while this thread runs this one
             vals.take(idx, out=pair, mode="wrap")
             # vals = (a if bit 0 else b) + (+-1 by bit 1 on ties), in exact integer steps
             np.subtract(a, b, out=vals)
@@ -150,4 +193,5 @@ def hipster_direct(n: int, N: int, seed: int) -> np.ndarray:
             pick -= 1
             pick *= tie
             vals += pick
+            del idx, bits  # this step's draws, freed before the next take lets the helper draw again
     return vals

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import homsys
-from homsys import builtin, cli, limit_cdf, moments, parse_model, proofcheck, serpar
+from homsys import GridCDF, builtin, cli, evolve, limit_cdf, mc, moments, parse_model, proofcheck, serpar
 from homsys.models import model_digest, model_to_dict, resolve_scaling
 from test_proofcheck import TWO_TABLES
 
@@ -108,6 +108,54 @@ def test_each_law_kind_keeps_its_csv_rule(tmp_path):
         assert cli.main([*argv, "--model", "hipster", "--n", "2", "--checkpoints", "1,2", "--out", str(stem)]) == 0
         steps = _csv(f"{stem}.csv")[:, 0]
         assert [np.count_nonzero(steps == n) for n in (1, 2)] == [rows, rows]
+
+
+def test_a_grid_checkpoint_ends_at_the_laws_end_node(tmp_path):
+    # k = 4097 // 2048 = 2 does not divide m = 4097: the rows are nodes 0, 2, ..., 4096, then node 4097
+    model = builtin("hipster")
+    stem = tmp_path / "e"
+    assert cli.main(["evolve", "--model", "hipster", "--n", "2", "--checkpoints", "1,2", "--grid", "4097",
+                     "--out", str(stem)]) == 0
+    rows = _csv(f"{stem}.csv")
+    x0 = np.linspace(-0.5, 0.5, 257)  # evolve's default initial law
+    init = GridCDF(-0.5, 0.5, np.clip((x0 + 0.5) / 1.0, 0.0, 1.0))
+    for cp in evolve.run(init, model, 2, (1, 2), m=4097, scaling=resolve_scaling(model)):
+        x, cdf = cp.rescaled.grid(), cp.rescaled.cdf
+        got = rows[rows[:, 0] == cp.n]
+        nodes = [*range(0, 4097, 2), 4097]
+        assert len(got) == 2050 and np.array_equal(got[:, 1], x[nodes]) and np.array_equal(got[:, 2], cdf[nodes])
+        assert got[-1, 1] == cp.rescaled.hi and got[-1, 2] == 1.0
+        # the strided rows keep np.gradient's density; the end node's is over its own shorter cell
+        assert np.array_equal(got[:-1, 4], np.gradient(cdf[::2], x[2] - x[0]))
+        assert got[-1, 4] == (cdf[-1] - cdf[-2]) / (x[-1] - x[-2])
+
+
+def _assert_quantiles_are_np_quantiles(values):
+    got = cli._quantiles(values)
+    want = np.quantile(values, [0.05, 0.25, 0.5, 0.75, 0.95])
+    assert list(got) == ["q05", "q25", "q50", "q75", "q95"]
+    assert np.array_equal(np.array(list(got.values())).view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("values", [
+    np.array([2.5]),
+    np.array([-0.0]),
+    np.array([-1.0, 3.0]),
+    np.array([-7.0, 0.1, 0.3]),
+    np.full(1001, -0.375),
+    np.sort(np.random.default_rng(3).integers(-7, 7, 3001)) * 0.125,
+    -np.sort(np.random.default_rng(4).exponential(size=999))[::-1],
+], ids=["n=1", "n=1,-0", "n=2", "n=3", "all-equal", "lattice", "negative"])
+def test_quantiles_read_by_index_give_the_bits_of_np_quantile(values):
+    assert np.all(np.diff(values) >= 0)
+    _assert_quantiles_are_np_quantiles(values)
+
+
+@pytest.mark.parametrize("name", ["hipster", "resistance(0.5)", "distance(0.5)"])
+def test_the_quantiles_of_a_checkpoint_pool_are_np_quantiles(name):
+    # the sorted rescaled pools at steps 6 and 40; N = 4096 puts each q (N - 1) between two indices
+    for cp in mc.simulate(parse_model(name), 0.0, 40, 4096, 7, (6, 40)):
+        _assert_quantiles_are_np_quantiles(cp.rescaled)
 
 
 def test_both_run_verbs_refuse_a_run_of_no_steps_alike(capsys):
@@ -351,7 +399,7 @@ def test_importing_the_cli_loads_no_engine():
     (_SMALL_RUNS["gamma"], []),
     (_SMALL_RUNS["classify"], []),
     (_SMALL_RUNS["evolve"], ["homsys.evolve"]),
-    (_SMALL_RUNS["simulate"], ["concurrent.futures", "homsys.mc"]),  # mc draws on a helper thread
+    (_SMALL_RUNS["simulate"], ["homsys.mc"]),  # mc draws on a bare helper thread
     (_SMALL_RUNS["serpar"], ["homsys.serpar"]),
     (_SMALL_RUNS["serpar"] + ["--threads", "2"], ["concurrent.futures", "homsys.serpar"]),
     (_SMALL_RUNS["lambda-check"], ["homsys.evolve", "homsys.proofcheck"]),

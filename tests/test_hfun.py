@@ -102,6 +102,48 @@ def test_log_eval_finite_into_out_gives_the_bits_of_a_new_array(f):
     assert np.array_equal(ly.view(np.uint64), ly0.view(np.uint64))
 
 
+def _softplus_six_passes(z: np.ndarray, a: float) -> np.ndarray:
+    out = np.abs(z)
+    np.negative(out, out=out)
+    np.divide(out, a, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    return np.multiply(a, out, out=out)
+
+
+def _tent_four_passes(z: np.ndarray, s: float) -> np.ndarray:
+    out = np.abs(z)
+    np.multiply(s, out, out=out)
+    np.subtract(1.0, out, out=out)
+    return np.maximum(0.0, out, out=out)
+
+
+def _profile_points() -> np.ndarray:
+    """Random points, signed zeros, subnormals, |z| past exp's underflow at 745, and the tent's corners."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, np.nextafter(1.0, 2.0), 744.5, -745.1,
+             745.2, -746.0, 800.0, -1e4, 1e300, -1e300]
+    return np.concatenate([edges, np.random.default_rng(5).normal(0.0, 4.0, 2000)])
+
+
+_POWER_MEAN = parse_model("power_mean(0.3,-0.3)").functions
+
+
+@pytest.mark.parametrize("g, formula", [
+    (g_softplus(1.0), lambda z: _softplus_six_passes(z, 1.0)),
+    (g_hip(), lambda z: _tent_four_passes(z, 1.0)),
+    *[(f.g, lambda z: _softplus_six_passes(z, 0.3)) for f in _POWER_MEAN],  # a scale of 0.3 still divides
+    (g_tent(0.5, 0.5), lambda z: _tent_four_passes(z, 0.5)),
+], ids=["softplus(1)", "tent(1,1)", "power_mean(0.3,-0.3)[0]", "power_mean(0.3,-0.3)[1]", "tent(0.5,0.5)"])
+def test_the_profile_kernels_give_the_bits_of_their_full_formulas(g, formula):
+    # a unit scale or slope skips its divide and multiply passes, and keeps every bit
+    z = _profile_points()
+    want = formula(z).view(np.uint64)
+    assert np.array_equal(g._eval_finite(z).view(np.uint64), want)
+    inplace = z.copy()
+    assert g._eval_finite(inplace, out=inplace) is inplace
+    assert np.array_equal(inplace.view(np.uint64), want)
+
+
 class TestCorrespondence:
     def test_zero_profile_is_max(self):
         f = HFunction(+1, g_zero())

@@ -271,6 +271,31 @@ def test_a_failing_checkpoint_leaves_no_thread_behind(monkeypatch):
     assert failed.value.__traceback__ is not None and threading.active_count() == before
 
 
+@pytest.mark.parametrize("name, run", [
+    ("_step_draws", lambda: mc.simulate(builtin("hipster"), 0.0, 6, 1000, 1, (6,))),
+    ("_walk_draws", lambda: mc.hipster_direct(6, 1000, 1)),
+], ids=["simulate", "hipster_direct"])
+def test_each_step_is_drawn_once_in_order_and_a_failing_draw_reraises_here(name, run, monkeypatch):
+    before = threading.active_count()
+    draw, drawn, failing = getattr(mc, name), [], []
+
+    def recorded(*args):
+        step = args[-2]  # _step_draws(model, seed, n, N) and _walk_draws(seed, step, N)
+        drawn.append(step)
+        if step in failing:
+            raise RuntimeError(f"draw {step}")
+        return draw(*args)
+
+    monkeypatch.setattr(mc, name, recorded)
+    run()
+    assert drawn == [1, 2, 3, 4, 5, 6]  # each step once, in order, none past n
+    drawn.clear()
+    failing.append(4)
+    with pytest.raises(RuntimeError, match="draw 4"):  # raised on the helper, re-raised on this thread
+        run()
+    assert drawn == [1, 2, 3, 4] and threading.active_count() == before
+
+
 @pytest.mark.parametrize("N", [1000, 4097])
 def test_direct_walk_gives_the_bits_of_the_fresh_array_walk(N):
     for seed in (4, 9):
